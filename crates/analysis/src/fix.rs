@@ -76,7 +76,7 @@ pub struct FixOutcome {
 }
 
 /// Repeatedly analyzes `source` and applies every attached fix until no
-/// applicable fix remains (or [`MAX_ROUNDS`] is hit). Returns the repaired
+/// applicable fix remains (or `MAX_ROUNDS` is hit). Returns the repaired
 /// source together with the diagnostics that survive it.
 pub fn analyze_with_fixes(source: &str) -> FixOutcome {
     let mut src = source.to_string();

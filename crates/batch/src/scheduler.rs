@@ -88,6 +88,29 @@ pub fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
+/// LPT (longest-processing-time) seeding of `n` tasks onto `workers`
+/// queues: heaviest task first, each to the least-loaded queue, ties broken
+/// by queue index so uniform costs reproduce round-robin order exactly.
+/// Returns each worker's task indices, front of the queue first.
+///
+/// Costs are a scheduling *hint*: a short slice is padded with the uniform
+/// weight 1 and extras are ignored, rather than panicking in release.
+fn lpt_seed(costs: &[u64], n: usize, workers: usize) -> Vec<Vec<usize>> {
+    let cost_of = |i: usize| costs.get(i).copied().unwrap_or(1);
+    let mut order: Vec<usize> = (0..n).collect();
+    order.sort_by_key(|&i| std::cmp::Reverse(cost_of(i)));
+    let mut queues = vec![Vec::new(); workers];
+    let mut load = vec![0u64; workers];
+    for i in order {
+        let w = (0..workers)
+            .min_by_key(|&w| (load[w], w))
+            .expect("workers >= 1");
+        load[w] = load[w].saturating_add(cost_of(i).max(1));
+        queues[w].push(i);
+    }
+    queues
+}
+
 /// Runs one task under `catch_unwind`, counting caught panics.
 ///
 /// `AssertUnwindSafe` is sound here because a panicking task's result slot
@@ -231,9 +254,6 @@ impl BatchScheduler {
             tasks.len(),
             "one predicted cost per task required"
         );
-        // Costs are a scheduling *hint*: pad a short slice with the uniform
-        // weight and ignore extras, rather than panicking in release.
-        let cost_of = |i: usize| costs.get(i).copied().unwrap_or(1);
         let n = tasks.len();
         let workers = self.jobs.min(n).max(1);
         let sched_metrics = scheduler_metrics();
@@ -248,23 +268,16 @@ impl BatchScheduler {
                 })
                 .collect();
         }
-        // LPT seeding: heaviest task first, each to the least-loaded queue
-        // (ties broken by queue index, so uniform costs reproduce the
-        // historical round-robin order exactly).
-        let mut order: Vec<usize> = (0..n).collect();
-        order.sort_by_key(|&i| std::cmp::Reverse(cost_of(i)));
-        let queues: Vec<Mutex<VecDeque<(usize, F)>>> =
-            (0..workers).map(|_| Mutex::new(VecDeque::new())).collect();
-        let mut load = vec![0u64; workers];
         let mut slots_of: Vec<Option<F>> = tasks.into_iter().map(Some).collect();
-        for &i in &order {
-            let w = (0..workers)
-                .min_by_key(|&w| (load[w], w))
-                .expect("workers >= 1");
-            load[w] = load[w].saturating_add(cost_of(i).max(1));
-            lock_recover(&queues[w])
-                .push_back((i, slots_of[i].take().expect("each task seeded once")));
-        }
+        let queues: Vec<Mutex<VecDeque<(usize, F)>>> = lpt_seed(costs, n, workers)
+            .into_iter()
+            .map(|queue| {
+                let seeded = queue
+                    .into_iter()
+                    .map(|i| (i, slots_of[i].take().expect("each task seeded once")));
+                Mutex::new(seeded.collect())
+            })
+            .collect();
         let slots: Vec<Mutex<Option<Result<T, TaskPanic>>>> =
             (0..n).map(|_| Mutex::new(None)).collect();
         sched_metrics.queue_depth.add(n as u64);
@@ -323,7 +336,7 @@ impl BatchScheduler {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
     use std::time::Duration;
 
     #[test]
@@ -373,28 +386,28 @@ mod tests {
 
     #[test]
     fn idle_workers_steal_from_loaded_ones() {
-        // One long task pins a worker; the other workers must steal the
-        // remaining short tasks instead of idling. If stealing is broken
-        // the short tasks seeded behind the long one would wait the full
-        // sleep, and distinct_workers would be 1.
+        // The first task to start pins its worker until every other task
+        // has finished, which is only possible if the other workers steal
+        // the tasks still queued behind it. Pinning whichever task starts
+        // first, rather than a fixed one, keeps the test independent of
+        // which threads the OS happens to run.
         let workers_seen = Mutex::new(std::collections::BTreeSet::new());
         let done = AtomicUsize::new(0);
+        let pinned = AtomicBool::new(false);
         BatchScheduler::new(3).run(
             (0..9)
-                .map(|i| {
+                .map(|_| {
                     let workers_seen = &workers_seen;
                     let done = &done;
+                    let pinned = &pinned;
                     move |w: usize| {
                         workers_seen.lock().unwrap().insert(w);
-                        if i == 0 {
-                            // Wait until everyone else finished: only
-                            // possible if the other workers made progress
-                            // concurrently (and stole worker 0's share).
+                        if !pinned.swap(true, Ordering::SeqCst) {
                             let deadline = std::time::Instant::now() + Duration::from_secs(10);
                             while done.load(Ordering::SeqCst) < 8 {
                                 assert!(
                                     std::time::Instant::now() < deadline,
-                                    "peers never stole worker 0's queued tasks"
+                                    "peers never stole the pinned worker's queued tasks"
                                 );
                                 thread::sleep(Duration::from_millis(1));
                             }
@@ -420,35 +433,24 @@ mod tests {
 
     #[test]
     fn heavy_tasks_are_seeded_first() {
-        // Task 30 is predicted heaviest, so it must be popped before the
-        // cheap tasks seeded ahead of it in index order. Record the global
-        // start order and check the heavy task is started among the first
-        // `workers` tasks.
-        let started = Mutex::new(Vec::new());
+        // Task 30 is predicted heaviest, so it heads its own queue: a
+        // worker picks it up first instead of discovering it last behind
+        // the cheap tasks, which all go to the other queue.
         let heavy = 30usize;
         let mut costs = vec![1u64; 32];
         costs[heavy] = 1_000;
-        BatchScheduler::new(2).run_with_costs(
-            (0..32usize)
-                .map(|i| {
-                    let started = &started;
-                    move |_w: usize| {
-                        started.lock().unwrap().push(i);
-                    }
-                })
-                .collect(),
-            &costs,
-        );
-        let order = started.lock().unwrap();
-        let pos = order.iter().position(|&i| i == heavy).unwrap();
-        assert!(
-            pos < 2,
-            "heavy task started at position {pos}, expected within the first 2: {order:?}"
-        );
+        let queues = lpt_seed(&costs, 32, 2);
+        assert_eq!(queues[0], vec![heavy]);
+        let cheap: Vec<usize> = (0..32).filter(|&i| i != heavy).collect();
+        assert_eq!(queues[1], cheap);
     }
 
     #[test]
     fn uniform_costs_reproduce_round_robin_seeding() {
+        assert_eq!(
+            lpt_seed(&[1; 8], 8, 3),
+            vec![vec![0, 3, 6], vec![1, 4, 7], vec![2, 5]]
+        );
         // With one worker the inline path runs in task order either way;
         // this pins the delegation itself.
         let out = BatchScheduler::new(1).run((0..8).map(|i| move |_w: usize| i).collect());

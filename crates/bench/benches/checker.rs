@@ -1,22 +1,17 @@
-//! Owned vs interned proof checking on the headline proofs.
+//! Cold vs warm proof checking on the headline proofs.
 //!
-//! Three variants per proof:
+//! Two variants per proof:
 //!
-//! - `owned`: the reference checker ([`cycleq::check`]) walking owned
-//!   terms and renormalising every `(Reduce)` premise from scratch;
-//! - `interned_cold`: [`cycleq::check_interned`] with a fresh
-//!   [`MemoRewriter`] per call — what a single `cycleq check` of one
-//!   certificate pays;
-//! - `interned_warm`: [`cycleq::check_interned_with`] reusing one
-//!   checker-side rewriter across iterations — what rechecking many
-//!   proofs over the same program pays per proof after the first.
+//! - `interned_cold`: [`cycleq::check`] with a fresh [`MemoRewriter`] per
+//!   call — what a single `cycleq check` of one certificate pays;
+//! - `interned_warm`: [`cycleq::check_with`] reusing one checker-side
+//!   rewriter across iterations — what rechecking many proofs over the
+//!   same program pays per proof after the first.
 //!
-//! The interned variants must beat `owned` comfortably (the PR's
-//! acceptance bar is ≥3× on `fig4_add_comm`); `interned_warm` shows the
-//! additional headroom from cross-proof memoisation.
+//! `interned_warm` shows the headroom from cross-proof memoisation.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use cycleq::{check, check_interned, check_interned_with, Engine, GlobalCheck};
+use cycleq::{check, check_with, Engine, GlobalCheck};
 use cycleq_benchsuite::{MUTUAL_PRELUDE, PRELUDE};
 use cycleq_rewrite::MemoRewriter;
 
@@ -39,25 +34,18 @@ fn bench(c: &mut Criterion) {
         assert!(v.is_proved(), "{name}: {:?}", v.result.outcome);
         let proof = &v.result.proof;
         let prog = session.program();
-        group.bench_function(format!("{name}_owned"), |b| {
+        group.bench_function(format!("{name}_interned_cold"), |b| {
             b.iter(|| {
                 check(proof, prog, GlobalCheck::VariableTraces)
                     .unwrap()
                     .nodes
             })
         });
-        group.bench_function(format!("{name}_interned_cold"), |b| {
-            b.iter(|| {
-                check_interned(proof, prog, GlobalCheck::VariableTraces)
-                    .unwrap()
-                    .nodes
-            })
-        });
         group.bench_function(format!("{name}_interned_warm"), |b| {
             let mut rw = MemoRewriter::new(&prog.sig, &prog.trs);
-            check_interned_with(proof, prog, GlobalCheck::VariableTraces, &mut rw).unwrap();
+            check_with(proof, prog, GlobalCheck::VariableTraces, &mut rw).unwrap();
             b.iter(|| {
-                check_interned_with(proof, prog, GlobalCheck::VariableTraces, &mut rw)
+                check_with(proof, prog, GlobalCheck::VariableTraces, &mut rw)
                     .unwrap()
                     .nodes
             })

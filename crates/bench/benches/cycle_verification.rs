@@ -2,23 +2,31 @@
 //! condition.
 //!
 //! Cyclist re-verifies candidate proofs from scratch as they grow, which the
-//! paper identifies as a dominant cost. We compare three regimes on the
+//! paper identifies as a dominant cost. We compare two regimes on the
 //! edge lists of real proofs produced by the search:
 //!
-//! - `batch_once`: one closure computation over the finished proof (the
-//!   checker's job; a lower bound);
-//! - `recheck_per_step`: a fresh batch closure after every added edge — the
+//! - `recheck_per_step`: a fresh closure after every added edge — the
 //!   naive search-time discipline;
-//! - `incremental`: the trail-based incremental closure the search actually
-//!   uses, extended edge by edge.
+//! - `incremental`: one closure extended edge by edge, as the search
+//!   maintains it (and as the checker builds it once over a finished
+//!   proof).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use cycleq::{NodeId, Session};
 use cycleq_benchsuite::{MUTUAL_PRELUDE, PRELUDE};
-use cycleq_sizechange::{Closure, IncrementalClosure, ScGraph};
+use cycleq_sizechange::{IncrementalClosure, ScGraph, Soundness};
 use cycleq_term::VarId;
 
 type Edges = Vec<(NodeId, NodeId, ScGraph<VarId>)>;
+
+/// The verdict on a closure extended by `edges` one at a time.
+fn closure_of(edges: &[(NodeId, NodeId, ScGraph<VarId>)]) -> Soundness {
+    let mut closure = IncrementalClosure::new();
+    for (a, b, g) in edges {
+        closure.add_edge(*a, *b, g.clone());
+    }
+    closure.soundness()
+}
 
 fn proof_edges(prelude: &str, goal: &str) -> Edges {
     let src = format!("{prelude}\ngoal g: {goal}\n");
@@ -39,9 +47,6 @@ fn bench(c: &mut Criterion) {
     ];
     let mut group = c.benchmark_group("cycle_verification");
     for (name, edges) in &cases {
-        group.bench_with_input(BenchmarkId::new("batch_once", name), edges, |b, edges| {
-            b.iter(|| Closure::from_edges(edges.iter().cloned()).check())
-        });
         group.bench_with_input(
             BenchmarkId::new("recheck_per_step", name),
             edges,
@@ -49,21 +54,14 @@ fn bench(c: &mut Criterion) {
                 b.iter(|| {
                     let mut verdict = None;
                     for i in 1..=edges.len() {
-                        verdict = Some(Closure::from_edges(edges[..i].iter().cloned()).check());
+                        verdict = Some(closure_of(&edges[..i]));
                     }
                     verdict
                 })
             },
         );
         group.bench_with_input(BenchmarkId::new("incremental", name), edges, |b, edges| {
-            b.iter(|| {
-                let mut inc = IncrementalClosure::new();
-                let mut verdict = None;
-                for (a, bb, g) in edges {
-                    verdict = Some(inc.add_edge(*a, *bb, g.clone()));
-                }
-                verdict
-            })
+            b.iter(|| closure_of(edges))
         });
     }
     group.finish();

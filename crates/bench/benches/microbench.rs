@@ -5,7 +5,7 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use cycleq_rewrite::fixtures::nat_list_program;
 use cycleq_rewrite::{MemoRewriter, Rewriter};
-use cycleq_sizechange::{Closure, GraphStore, IncrementalClosure, Label, ScGraph};
+use cycleq_sizechange::{GraphStore, IncrementalClosure, Label, ScGraph};
 use cycleq_term::{match_term, unify, Term, TermStore, VarStore};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -109,8 +109,11 @@ fn bench_closure(c: &mut Criterion) {
     }
     c.bench_function("closure_random_12_edges", |b| {
         b.iter(|| {
-            let cl = Closure::from_edges(edges.iter().cloned());
-            (cl.num_graphs(), cl.check())
+            let mut cl = IncrementalClosure::new();
+            for (src, dst, g) in &edges {
+                cl.add_edge(*src, *dst, g.clone());
+            }
+            (cl.num_graphs(), cl.soundness())
         })
     });
 }

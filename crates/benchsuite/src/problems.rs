@@ -455,7 +455,6 @@ mod tests {
             let Some(src) = p.source() else { continue };
             let m = parse_module(&src).unwrap_or_else(|e| panic!("{}: {e}", p.id));
             assert!(m.goal(&p.goal_name()).is_some(), "{}", p.id);
-            assert!(m.validate().is_empty(), "{}: {:?}", p.id, m.validate());
         }
     }
 

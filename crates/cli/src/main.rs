@@ -84,8 +84,6 @@ OPTIONS:
     --format FMT        Output format: `text` (default) or `json` — one
                         machine-readable JSON object per goal plus a batch
                         summary object, one per line, on stdout
-    --validate          Print standing-assumption warnings (pattern
-                        completeness, orthogonality) before proving
     --emit-certs DIR    Export a self-contained certificate for every
                         proved goal to DIR/<goal>.cqc, re-validatable
                         later with `cycleq check`
@@ -141,7 +139,6 @@ struct Options {
     dot: bool,
     proof: bool,
     stats: bool,
-    validate: bool,
     emit_certs: Option<String>,
     trace_out: Option<String>,
     metrics_out: Option<String>,
@@ -167,7 +164,6 @@ fn parse_args(args: &[String]) -> Result<Option<Options>, String> {
         dot: false,
         proof: true,
         stats: false,
-        validate: false,
         emit_certs: None,
         trace_out: None,
         metrics_out: None,
@@ -198,7 +194,6 @@ fn parse_args(args: &[String]) -> Result<Option<Options>, String> {
             "--dot" => opts.dot = true,
             "--no-proof" => opts.proof = false,
             "--stats" => opts.stats = true,
-            "--validate" => opts.validate = true,
             "--emit-certs" => {
                 let dir = it.next().ok_or("--emit-certs requires a value")?;
                 opts.emit_certs = Some(dir.clone());
@@ -454,11 +449,6 @@ fn run(opts: &Options) -> Result<Tally, String> {
         match d.line {
             Some(line) => eprintln!("{}:{line}: {d}", opts.file),
             None => eprintln!("{}: {d}", opts.file),
-        }
-    }
-    if opts.validate {
-        for warning in session.validate() {
-            eprintln!("warning: {warning}");
         }
     }
     let goals: Vec<String> = if opts.goals.is_empty() {

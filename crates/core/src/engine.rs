@@ -197,7 +197,6 @@ where
 
 /// The program-independent settings shared by an [`Engine`] and every
 /// [`Session`](crate::Session) it loads.
-#[derive(Clone)]
 pub(crate) struct Settings {
     pub(crate) config: SearchConfig,
     pub(crate) jobs: usize,
@@ -350,8 +349,7 @@ impl EngineBuilder {
 /// A long-lived proving engine: program-independent settings, shared by
 /// every [`Session`](crate::Session) it loads. Cheap to clone.
 ///
-/// See the [module docs](self) for the full picture, and the README's
-/// *Engine API* section for the `Session` → `Engine` migration table.
+/// See the [crate docs](crate) for the full picture.
 #[derive(Clone, Debug)]
 pub struct Engine {
     settings: Arc<Settings>,

@@ -18,7 +18,7 @@
 //! | [`cycleq_search`] | the CycleQ proof search (§5.1, §6) |
 //! | [`cycleq_lang`] | the Haskell-like frontend (§6) |
 //! | [`cycleq_analysis`] | static checks of the Remark 2.1 preconditions |
-//! | [`cycleq_ri`] | rewriting induction and the Thm 4.3 translation (§4) |
+//! | `cycleq_ri` | rewriting induction and the Thm 4.3 translation (§4); not re-exported |
 //! | [`cycleq_batch`] | parallel goal batching and the shared normal-form cache |
 //!
 //! # Quickstart
@@ -113,10 +113,9 @@ pub use cycleq_analysis::{
 pub use cycleq_batch::{available_parallelism, BatchScheduler};
 pub use cycleq_lang::{parse_module, GoalDef, LangError, Module};
 pub use cycleq_proof::{
-    check, check_global, check_global_incremental, check_global_scc, check_interned,
-    check_interned_with, cycle_witnesses, export_certificate, global_edges, program_fingerprint,
-    render_dot, render_text, Certificate, CertificateError, CheckError, CheckReport, GlobalCheck,
-    NodeId, Preproof, RuleApp,
+    check, check_global, check_with, cycle_witnesses, export_certificate, global_edges,
+    program_fingerprint, render_dot, render_text, Certificate, CertificateError, CheckError,
+    CheckReport, GlobalCheck, NodeId, Preproof, RuleApp,
 };
 pub use cycleq_rewrite::{CacheStats, CancelToken, Program, SharedNormalFormCache};
 pub use cycleq_search::{
@@ -232,15 +231,9 @@ impl Verdict {
 /// remains as a one-liner for the default engine. Clones share the
 /// program-scoped normal-form cache, so proving through a clone warms the
 /// original and vice versa.
-///
-/// The `with_*`/`without_*` mutators predate the engine and survive as a
-/// thin source-compatible shim; new code should configure an
-/// [`EngineBuilder`] instead (see the README's *Engine API* migration
-/// table).
 #[derive(Clone, Debug)]
 pub struct Session {
-    /// Program-independent settings inherited from the engine. The
-    /// deprecated shim mutators copy-on-write these.
+    /// Program-independent settings inherited from the engine.
     settings: Arc<Settings>,
     module: Module,
     /// The program source as loaded, embedded into exported certificates so
@@ -249,8 +242,7 @@ pub struct Session {
     /// The program-scoped shared normal-form cache. Every `prove` call
     /// consults and populates it, so reductions are shared across goals,
     /// hints, deepening rounds and worker threads. `None` only with
-    /// [`EngineBuilder::shared_cache`]`(false)` (or the deprecated
-    /// [`Session::without_shared_cache`]).
+    /// [`EngineBuilder::shared_cache`]`(false)`.
     cache: Option<SharedNormalFormCache>,
     /// Predicted per-goal costs recorded from a previous run
     /// ([`Session::with_cost_hints`]); goals missing here fall back to
@@ -288,51 +280,9 @@ impl Session {
         }
     }
 
-    /// Copy-on-write access for the deprecated shim mutators.
-    fn settings_mut(&mut self) -> &mut Settings {
-        Arc::make_mut(&mut self.settings)
-    }
-
-    /// Replaces the search configuration.
-    #[deprecated(note = "configure the engine instead: Engine::builder().config(..).build()")]
-    pub fn with_config(mut self, config: SearchConfig) -> Session {
-        self.settings_mut().config = config;
-        self
-    }
-
-    /// Disables post-hoc re-checking of proofs (for benchmarking raw search
-    /// time).
-    #[deprecated(note = "configure the engine instead: Engine::builder().recheck(false).build()")]
-    pub fn without_recheck(mut self) -> Session {
-        self.settings_mut().recheck = false;
-        self
-    }
-
-    /// Sets the worker count for [`Session::prove_all`] and
-    /// [`Session::prove_many`]; `0` means one worker per hardware thread.
-    #[deprecated(note = "configure the engine instead: Engine::builder().jobs(n).build()")]
-    pub fn with_jobs(mut self, jobs: usize) -> Session {
-        self.settings_mut().jobs = if jobs == 0 {
-            available_parallelism()
-        } else {
-            jobs
-        };
-        self
-    }
-
     /// The configured worker count.
     pub fn jobs(&self) -> usize {
         self.settings.jobs
-    }
-
-    /// Detaches the shared normal-form cache: every prove call recomputes
-    /// all reductions from scratch (for benchmarking the cache itself).
-    #[deprecated(
-        note = "configure the engine instead: Engine::builder().shared_cache(false).build()"
-    )]
-    pub fn without_shared_cache(mut self) -> Session {
-        self.cache = None;
-        self
     }
 
     /// Records the per-goal times of a previous [`BatchReport`] as
@@ -352,7 +302,7 @@ impl Session {
     ///
     /// Phase timings come from the `cycleq_trace` span machinery, which is
     /// disabled by default: enable it with
-    /// [`trace::set_enabled`](cycleq_trace::set_enabled)`(true)` (the CLI's
+    /// [`trace::set_enabled`]`(true)` (the CLI's
     /// `--trace-out`/`--metrics-out` and `suite --profile` do) — otherwise
     /// the returned profile has no phases. Returns `None` before the first
     /// prove call.
@@ -392,18 +342,12 @@ impl Session {
         &self.module.program
     }
 
-    /// Warnings from validating the paper's standing assumptions
-    /// (pattern completeness, orthogonality; Remark 2.1).
-    pub fn validate(&self) -> Vec<String> {
-        self.module.validate()
-    }
-
     /// Runs the full static analysis over the loaded module: the
     /// soundness preconditions of Remark 2.1 (pattern coverage,
     /// orthogonality, the size-change termination pre-screen) plus the
     /// dead-code sweep, as structured [`Diagnostic`]s with stable codes
-    /// and source lines. The structured counterpart of
-    /// [`Session::validate`]; surfaced on the CLI as `cycleq lint`.
+    /// and source lines. Surfaced on the CLI as `cycleq lint`, and printed
+    /// to stderr before every `cycleq prove`.
     pub fn analyze(&self) -> Vec<Diagnostic> {
         let mut diags = cycleq_analysis::analyze(&self.module);
         cycleq_analysis::attach_fixes(&self.module, &self.source, &mut diags);
@@ -611,11 +555,9 @@ impl Session {
         let mut recheck = None;
         if self.settings.recheck {
             if let Outcome::Proved { .. } = result.outcome {
-                // The interned checker: same verdict as the owned-term
-                // `check` (pinned by the differential property test), but
-                // reducts are derived on a private hash-consed store and
-                // memoized across the proof's nodes.
-                let report = check_interned(
+                // The independent checker derives reducts on its own
+                // hash-consed store, memoized across the proof's nodes.
+                let report = check(
                     &result.proof,
                     &self.module.program,
                     GlobalCheck::VariableTraces,
@@ -1219,24 +1161,6 @@ goal comm: add x y === add y x
     }
 
     #[test]
-    #[allow(deprecated)]
-    fn deprecated_session_mutators_still_work() {
-        // The pre-engine API remains a working shim (with deprecation
-        // notes pointing at EngineBuilder).
-        let s = Session::from_source(SRC)
-            .unwrap()
-            .with_config(SearchConfig::default())
-            .with_jobs(2)
-            .without_recheck();
-        assert_eq!(s.jobs(), 2);
-        let report = s.prove_all();
-        assert_eq!(report.proved(), 2);
-        let cold = Session::from_source(SRC).unwrap().without_shared_cache();
-        assert!(cold.prove("comm").unwrap().is_proved());
-        assert_eq!(cold.shared_cache_stats(), CacheStats::default());
-    }
-
-    #[test]
     fn prove_many_dedupes_duplicate_goal_names_preserving_first_occurrence() {
         let s = Session::from_source(SRC).unwrap();
         let report = s
@@ -1364,8 +1288,6 @@ goal comm: add x y === add y x
                 .unwrap();
         let ds = dodgy.analyze();
         assert!(ds.iter().any(|d| d.code == Code::SizeChange));
-        // Mirrors the legacy string-based validate().
-        assert!(!dodgy.validate().is_empty());
     }
 
     #[test]

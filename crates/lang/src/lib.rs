@@ -20,7 +20,7 @@
 //! ";
 //! let module = cycleq_lang::parse_module(src).expect("valid program");
 //! assert_eq!(module.goals.len(), 1);
-//! assert!(module.validate().is_empty());
+//! assert_eq!(module.program.trs.len(), 2);
 //! ```
 
 mod ast;

@@ -81,45 +81,6 @@ impl Module {
     pub fn decl_line(&self, name: &str) -> Option<u32> {
         self.decl_lines.get(name).copied()
     }
-
-    /// Validates the program against the paper's standing assumptions
-    /// (Remark 2.1), returning human-readable warnings: incomplete pattern
-    /// matches and non-orthogonal rules.
-    pub fn validate(&self) -> Vec<String> {
-        let mut out = Vec::new();
-        for (sym, witness) in cycleq_rewrite::check_program(&self.program.sig, &self.program.trs) {
-            let pats: Vec<String> = witness
-                .iter()
-                .map(|w| w.display(&self.program.sig))
-                .collect();
-            out.push(format!(
-                "`{}` does not cover: {}",
-                self.program.sig.sym(sym).name(),
-                pats.join(" ")
-            ));
-        }
-        let report = cycleq_rewrite::check_orthogonality(&self.program.trs);
-        for id in report.non_left_linear {
-            out.push(format!("rule #{} is not left-linear", id.index()));
-        }
-        for (a, b) in report.overlaps {
-            out.push(format!("rules #{} and #{} overlap", a.index(), b.index()));
-        }
-        // Weak normalisation (Remark 2.1), established by size-change
-        // termination (sound but incomplete).
-        if !cycleq_rewrite::size_change_terminates(&self.program.sig, &self.program.trs) {
-            let suspects: Vec<String> =
-                cycleq_rewrite::non_terminating_suspects(&self.program.sig, &self.program.trs)
-                    .into_iter()
-                    .map(|s| format!("`{}`", self.program.sig.sym(s).name()))
-                    .collect();
-            out.push(format!(
-                "termination not established by size-change analysis (suspects: {})",
-                suspects.join(", ")
-            ));
-        }
-        out
-    }
 }
 
 fn type_spine(raw: &RawType) -> (&RawType, Vec<&RawType>) {
@@ -564,7 +525,6 @@ add (S x) y = S (add x y)
         assert_eq!(m.program.trs.len(), 2);
         let add = m.program.sig.sym_by_name("add").unwrap();
         assert_eq!(m.program.trs.rules_for(add).len(), 2);
-        assert!(m.validate().is_empty());
     }
 
     #[test]
@@ -576,7 +536,6 @@ len Nil = Z
 len (Cons x xs) = S (len xs)
 ";
         let m = module(src);
-        assert!(m.validate().is_empty());
         let len = m.program.sig.sym_by_name("len").unwrap();
         assert_eq!(m.program.sig.sym(len).scheme().num_vars(), 1);
     }
@@ -672,18 +631,6 @@ f x = g x
     }
 
     #[test]
-    fn incomplete_definitions_produce_warnings() {
-        let src = "data Nat = Z | S Nat
-pred :: Nat -> Nat
-pred (S x) = x
-";
-        let m = module(src);
-        let warnings = m.validate();
-        assert_eq!(warnings.len(), 1);
-        assert!(warnings[0].contains("pred"));
-    }
-
-    #[test]
     fn goal_rename_into_fresh_store() {
         let src = format!("{NAT}goal zr: add x Z === x\n");
         let m = module(&src);
@@ -725,7 +672,6 @@ id :: a -> a
 id x = x
 ";
         let m = module(src);
-        assert!(m.validate().is_empty());
         assert_eq!(m.goals.len(), 1);
     }
 }

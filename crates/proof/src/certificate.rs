@@ -5,8 +5,8 @@
 //! source itself, the proof's variables (names and types), every node
 //! (equation, rule instance, premises), and the size-change edge graphs
 //! justifying the global condition (Definition 5.3). `cycleq check` parses
-//! certificate files and re-runs the independent interned checker
-//! ([`crate::check_interned`]) against a program re-elaborated from the
+//! certificate files and re-runs the independent checker
+//! ([`crate::check`]) against a program re-elaborated from the
 //! embedded source — nothing from the proving session is trusted.
 //!
 //! The format is line-oriented text, versioned by the first line. Terms are
@@ -34,9 +34,8 @@ use cycleq_term::{
     DataId, Equation, Head, Position, Subst, SymId, Term, TyVarId, Type, VarId, VarStore,
 };
 
-use crate::checker::{CheckError, CheckReport, GlobalCheck};
+use crate::checker::{check, CheckError, CheckReport, GlobalCheck};
 use crate::edges::edge_graph;
-use crate::interned::check_interned;
 use crate::node::{CaseBranch, NodeId, RuleApp, Side, SubstApp};
 use crate::preproof::Preproof;
 
@@ -709,8 +708,7 @@ impl Certificate {
             }
         }
 
-        check_interned(&self.proof, prog, GlobalCheck::VariableTraces)
-            .map_err(CertificateError::Check)
+        check(&self.proof, prog, GlobalCheck::VariableTraces).map_err(CertificateError::Check)
     }
 }
 

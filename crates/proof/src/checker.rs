@@ -1,20 +1,40 @@
-//! An independent proof checker.
+//! The independent proof checker.
 //!
 //! The checker validates that every node of a [`Preproof`] is a well-formed
 //! instance of its rule (local soundness, Definition 3.1) and that the
 //! global condition holds (Theorem 5.2). It is deliberately a separate code
 //! path from the search: a search bug cannot certify its own output.
+//!
+//! Every equation of the preproof is re-interned into a fresh store owned by
+//! the checker — [`TermId`]s are *never* shared with the search's store, so a
+//! corrupted search-side store cannot leak into certification. Within one
+//! proof, though, reducts are shared: the [`MemoRewriter`]'s id-keyed memo
+//! means a normal form derived while validating one `(Reduce)` node is free
+//! for every later node that reaches the same term, which is what makes
+//! re-checking large proofs cheap (cf. E-Cyclist's focus on validation cost).
+//! The check relies on Remark 2.1: for confluent, weakly normalising
+//! systems, comparing normal forms decides `→R*`-convertibility regardless
+//! of strategy, and hash-consing makes the final comparison O(1) id
+//! equality.
+//!
+//! An owned-term implementation of the same rules survives only as a test
+//! oracle (`tests/oracle/`): same check order, same error kinds, same
+//! messages, pinned verdict for verdict by the differential property tests
+//! in `tests/differential.rs`.
 
+use std::collections::HashMap;
 use std::error::Error;
 use std::fmt;
 use std::time::{Duration, Instant};
 
-use cycleq_rewrite::{Program, Rewriter};
+use cycleq_rewrite::{MemoRewriter, Program};
 use cycleq_sizechange::Soundness;
-use cycleq_term::{Equation, Term, TyUnifier};
+use cycleq_term::{
+    Head, IdSubst, Signature, TermId, TermStore, TyUnifier, TyVarId, Type, TypeError, VarStore,
+};
 
 use crate::edges::check_global;
-use crate::node::{NodeId, RuleApp};
+use crate::node::{NodeId, RuleApp, Side};
 use crate::preproof::Preproof;
 
 /// How the global condition should be established.
@@ -93,10 +113,9 @@ pub struct CheckReport {
     /// Number of reducts derived while validating `(Reduce)` nodes (four
     /// normal forms per node: both conclusion and both premise sides).
     pub reducts_checked: u64,
-    /// Normal forms answered from the checker's memo table. Always zero
-    /// for the owned-term [`check`]; the interned checker
-    /// ([`crate::check_interned`]) shares reducts across the nodes of one
-    /// proof and reports its hits here.
+    /// Normal forms answered from the checker's memo table: reducts are
+    /// shared across the nodes of one proof, and across proofs when one
+    /// rewriter is reused through [`check_with`].
     pub memo_hits: u64,
     /// Wall-clock time of the whole check.
     pub elapsed: Duration,
@@ -109,11 +128,248 @@ fn err(node: NodeId, kind: CheckErrorKind) -> CheckError {
     }
 }
 
-fn eq_modulo_flip(a: &Equation, b: &Equation) -> bool {
-    (a.lhs() == b.lhs() && a.rhs() == b.rhs()) || (a.lhs() == b.rhs() && a.rhs() == b.lhs())
+fn pair_eq_modulo_flip(a: (TermId, TermId), b: (TermId, TermId)) -> bool {
+    (a.0 == b.0 && a.1 == b.1) || (a.0 == b.1 && a.1 == b.0)
 }
 
-/// Checks the preproof against the program.
+/// A cached principal type with its metavariables renumbered `0..nvars` in
+/// first-occurrence order. Re-instantiated with fresh metavariables on
+/// every cache hit, exactly as re-inference would allocate them.
+struct CanonTy {
+    canon: Type,
+    nvars: u32,
+}
+
+/// Outcome of the unifier-free typing attempt ([`ground_ty_of_id`]).
+enum FastTy {
+    /// The subterm's principal type, ground.
+    Ground(Type),
+    /// Not decidable structurally (polymorphic residue, or a variable with
+    /// type variables in its declared type) — fall back to unifier-based
+    /// inference.
+    Bail,
+    /// A definite type mismatch — the node must re-run the owned inference
+    /// to reproduce its exact error.
+    Fail,
+}
+
+/// One-directional matching of a scheme pattern against a ground type,
+/// binding scheme variables (`TyVarId(0..bind.len())`) on first use.
+/// Returns false on any mismatch — which, with `t` ground, is exactly when
+/// unification would fail.
+fn match_ground(pat: &Type, t: &Type, bind: &mut [Option<Type>]) -> bool {
+    match pat {
+        Type::Var(v) => {
+            let i = v.0 as usize;
+            match &bind[i] {
+                Some(b) => b == t,
+                None => {
+                    bind[i] = Some(t.clone());
+                    true
+                }
+            }
+        }
+        Type::Data(d, args) => match t {
+            Type::Data(d2, args2) => {
+                d == d2
+                    && args.len() == args2.len()
+                    && args
+                        .iter()
+                        .zip(args2)
+                        .all(|(a, b)| match_ground(a, b, bind))
+            }
+            _ => false,
+        },
+        Type::Arrow(a, b) => match t {
+            Type::Arrow(a2, b2) => match_ground(a, a2, bind) && match_ground(b, b2, bind),
+            _ => false,
+        },
+    }
+}
+
+/// Unifier-free typing for the common fully-monomorphic case: if every
+/// free variable has a ground declared type and every polymorphic head is
+/// fully determined by its (ground) arguments, the principal type falls
+/// out of structural matching alone — no metavariables, no occurs checks,
+/// no binding maps. Anything undetermined bails to the unifier-based
+/// [`ty_of_id`], and a definite mismatch reports [`FastTy::Fail`] so the
+/// node re-runs owned inference for the exact error text. Ground results
+/// land in the same `cache` the unifier path uses (`nvars == 0`).
+fn ground_ty_of_id(
+    store: &TermStore,
+    sig: &Signature,
+    vars: &VarStore,
+    cache: &mut HashMap<TermId, CanonTy>,
+    id: TermId,
+) -> FastTy {
+    if let Some(c) = cache.get(&id) {
+        return if c.nvars == 0 {
+            FastTy::Ground(c.canon.clone())
+        } else {
+            FastTy::Bail
+        };
+    }
+    let (mut cur, mut bind): (Type, Vec<Option<Type>>) = match store.head(id) {
+        Head::Var(v) => {
+            let t = vars.ty(v).clone();
+            if !t.vars().is_empty() {
+                return FastTy::Bail;
+            }
+            (t, Vec::new())
+        }
+        Head::Sym(s) => {
+            let scheme = sig.sym(s).scheme();
+            (
+                scheme.body().clone(),
+                vec![None; scheme.num_vars() as usize],
+            )
+        }
+    };
+    for i in 0..store.args(id).len() {
+        let arg = store.args(id)[i];
+        let at = match ground_ty_of_id(store, sig, vars, cache, arg) {
+            FastTy::Ground(t) => t,
+            other => return other,
+        };
+        // Resolve a scheme variable in function position through the
+        // bindings collected so far; unbound means the type is not yet
+        // determined structurally.
+        while let Type::Var(v) = cur {
+            match &bind[v.0 as usize] {
+                Some(b) => cur = b.clone(),
+                None => return FastTy::Bail,
+            }
+        }
+        match cur {
+            Type::Arrow(p, r) => {
+                if !match_ground(&p, &at, &mut bind) {
+                    return FastTy::Fail;
+                }
+                cur = *r;
+            }
+            _ => return FastTy::Fail,
+        }
+    }
+    // Apply the bindings to the result; any leftover scheme variable means
+    // the type is polymorphic and the unifier path must take over.
+    let free = cur.vars();
+    if !free.is_empty() {
+        if free.iter().any(|v| bind[v.0 as usize].is_none()) {
+            return FastTy::Bail;
+        }
+        let map: std::collections::BTreeMap<TyVarId, Type> = free
+            .into_iter()
+            .map(|v| (v, bind[v.0 as usize].clone().expect("checked above")))
+            .collect();
+        cur = cur.subst(&map);
+        if !cur.vars().is_empty() {
+            return FastTy::Bail;
+        }
+    }
+    cache.insert(
+        id,
+        CanonTy {
+            canon: cur.clone(),
+            nvars: 0,
+        },
+    );
+    FastTy::Ground(cur)
+}
+
+/// The unifier-based equation type check on interned ids. Used when
+/// [`ground_ty_of_id`] bails.
+fn unifier_ty_check(
+    store: &TermStore,
+    sig: &Signature,
+    vars: &VarStore,
+    cache: &mut HashMap<TermId, CanonTy>,
+    cl: TermId,
+    cr: TermId,
+) -> bool {
+    let mut uni = TyUnifier::new(10_000);
+    ty_of_id(store, sig, vars, &mut uni, cache, cl)
+        .and_then(|(lt, _)| {
+            let (rt, _) = ty_of_id(store, sig, vars, &mut uni, cache, cr)?;
+            uni.unify(&lt, &rt)
+        })
+        .is_ok()
+}
+
+/// The memoized id-level counterpart of `Term::infer_type`: the same
+/// bottom-up inference, except that a subterm may be typed once per check
+/// and afterwards served from `cache` as a canonical scheme. Returns the
+/// type plus a *purity* flag: pure means every free variable of the
+/// subterm has a ground declared type, so its inference touches no
+/// metavariable shared with sibling subterms — its principal type is
+/// context-free up to renaming of its own fresh metavariables, which is
+/// exactly what the canonical scheme captures. Impure subterms (a free
+/// variable with type variables in its declared type) are never cached:
+/// their inference can constrain type variables shared across the
+/// equation, and skipping it could accept what owned-term inference
+/// rejects.
+fn ty_of_id(
+    store: &TermStore,
+    sig: &Signature,
+    vars: &VarStore,
+    uni: &mut TyUnifier,
+    cache: &mut HashMap<TermId, CanonTy>,
+    id: TermId,
+) -> Result<(Type, bool), TypeError> {
+    if let Some(c) = cache.get(&id) {
+        if c.nvars == 0 {
+            return Ok((c.canon.clone(), true));
+        }
+        let map: std::collections::BTreeMap<TyVarId, Type> = (0..c.nvars)
+            .map(|i| (TyVarId(i), Type::Var(uni.fresh())))
+            .collect();
+        return Ok((c.canon.subst(&map), true));
+    }
+    let (head_ty, mut pure) = match store.head(id) {
+        Head::Var(v) => {
+            let t = vars.ty(v).clone();
+            let ground = t.vars().is_empty();
+            (t, ground)
+        }
+        Head::Sym(s) => (sig.sym(s).scheme().instantiate(&mut || uni.fresh()), true),
+    };
+    let mut cur = head_ty;
+    for i in 0..store.args(id).len() {
+        let arg = store.args(id)[i];
+        let (arg_ty, arg_pure) = ty_of_id(store, sig, vars, uni, cache, arg)?;
+        pure &= arg_pure;
+        let res = Type::Var(uni.fresh());
+        uni.unify(&cur, &Type::arrow(arg_ty, res.clone()))?;
+        cur = res;
+    }
+    let ty = uni.resolve(&cur);
+    if pure {
+        let free = ty.vars();
+        let canon = if free.is_empty() {
+            ty.clone()
+        } else {
+            let map: std::collections::BTreeMap<TyVarId, Type> = free
+                .iter()
+                .enumerate()
+                .map(|(i, &v)| (v, Type::Var(TyVarId(i as u32))))
+                .collect();
+            ty.subst(&map)
+        };
+        cache.insert(
+            id,
+            CanonTy {
+                canon,
+                nvars: free.len() as u32,
+            },
+        );
+    }
+    Ok((ty, pure))
+}
+
+/// Checks the preproof against the program on a freshly interned store.
+///
+/// `(Reduce)` validation runs on the id level with reducts memoized across
+/// nodes. Use [`check_with`] to reuse one rewriter (and its memo) across
+/// many checks of proofs over the same program.
 ///
 /// # Errors
 ///
@@ -124,10 +380,39 @@ pub fn check(
     prog: &Program,
     mode: GlobalCheck,
 ) -> Result<CheckReport, CheckError> {
+    // A fresh store per call: independence from the search store is the
+    // point. No shared normal-form cache is attached for the same reason.
+    let mut rw = MemoRewriter::new(&prog.sig, &prog.trs);
+    check_with(proof, prog, mode, &mut rw)
+}
+
+/// [`check`] with a caller-supplied rewriter.
+///
+/// The rewriter must have been built from the *same program* (its signature
+/// and rules); reusing it across proofs of one program keeps the reduct memo
+/// warm, which is the batch-recheck fast path. It must not share a store (or
+/// a shared cache) with the search that produced the proofs.
+pub fn check_with(
+    proof: &Preproof,
+    prog: &Program,
+    mode: GlobalCheck,
+    rw: &mut MemoRewriter<'_>,
+) -> Result<CheckReport, CheckError> {
+    let _span = cycleq_trace::span!("check");
     let start = Instant::now();
-    let rw = Rewriter::new(&prog.sig, &prog.trs);
+    let hits_before = rw.memo_hits();
+    // Intern every node equation up front. `Preproof::interned` ids (if any)
+    // belong to the search store and are deliberately ignored.
+    let ids: Vec<(TermId, TermId)> = proof
+        .nodes()
+        .map(|(_, node)| (rw.intern(node.eq.lhs()), rw.intern(node.eq.rhs())))
+        .collect();
     let mut back_edges = 0;
     let mut reducts_checked = 0u64;
+    // Ground principal types per interned subterm, shared across nodes —
+    // the nodes of a cyclic proof overlap heavily, so inference is mostly
+    // cache hits after the first few nodes.
+    let mut ty_cache: HashMap<TermId, CanonTy> = HashMap::new();
     for (id, node) in proof.nodes() {
         for p in &node.premises {
             if p.index() >= proof.len() {
@@ -137,8 +422,27 @@ pub fn check(
                 back_edges += 1;
             }
         }
-        // Type check: the two sides must have unifiable types.
-        {
+        // Type check on the id level, memoizing ground subterm types: the
+        // nodes of a cyclic proof share most of their subterms, so after
+        // the first few nodes inference is mostly cache hits. Should the
+        // fast path reject, the node is re-checked with owned-term
+        // inference, whose error text the report carries.
+        let (cl, cr) = ids[id.index()];
+        let fast_ok = {
+            let store = rw.store();
+            let sig = &prog.sig;
+            let vars = proof.vars();
+            match ground_ty_of_id(store, sig, vars, &mut ty_cache, cl) {
+                FastTy::Ground(lt) => match ground_ty_of_id(store, sig, vars, &mut ty_cache, cr) {
+                    FastTy::Ground(rt) => lt == rt,
+                    FastTy::Bail => unifier_ty_check(store, sig, vars, &mut ty_cache, cl, cr),
+                    FastTy::Fail => false,
+                },
+                FastTy::Bail => unifier_ty_check(store, sig, vars, &mut ty_cache, cl, cr),
+                FastTy::Fail => false,
+            }
+        };
+        if !fast_ok {
             let mut uni = TyUnifier::new(10_000);
             let lt = node
                 .eq
@@ -153,7 +457,7 @@ pub fn check(
             uni.unify(&lt, &rt)
                 .map_err(|e| err(id, CheckErrorKind::IllTyped(e.to_string())))?;
         }
-        let premise_eq = |i: usize| &proof.node(node.premises[i]).eq;
+        let premise_ids = |i: usize| ids[node.premises[i].index()];
         match &node.rule {
             RuleApp::Open => return Err(err(id, CheckErrorKind::OpenNode)),
             RuleApp::Refl => {
@@ -166,7 +470,7 @@ pub fn check(
                         },
                     ));
                 }
-                if !node.eq.is_trivial() {
+                if cl != cr {
                     return Err(err(id, CheckErrorKind::NotReflexive));
                 }
             }
@@ -180,33 +484,26 @@ pub fn check(
                         },
                     ));
                 }
-                // Premise sides must be convertible to the conclusion sides.
-                // For a confluent, weakly normalising system (Remark 2.1)
-                // this is checked by comparing normal forms, which accepts
-                // any `→R*` reduct regardless of the strategy that produced
-                // it.
-                let p = premise_eq(0);
-                let nf = |t: &Term| rw.normalize(t).term;
-                let (cl, cr) = (nf(node.eq.lhs()), nf(node.eq.rhs()));
-                let (pl, pr) = (nf(p.lhs()), nf(p.rhs()));
+                let (pl, pr) = premise_ids(0);
+                let cl_nf = rw.normalize_id(cl).id;
+                let cr_nf = rw.normalize_id(cr).id;
+                let pl_nf = rw.normalize_id(pl).id;
+                let pr_nf = rw.normalize_id(pr).id;
                 reducts_checked += 4;
-                let straight = cl == pl && cr == pr;
-                let flipped = cl == pr && cr == pl;
+                let straight = cl_nf == pl_nf && cr_nf == pr_nf;
+                let flipped = cl_nf == pr_nf && cr_nf == pl_nf;
                 if !straight && !flipped {
                     return Err(err(id, CheckErrorKind::NotAReduct));
                 }
             }
             RuleApp::Cong => {
-                let (k1, args1) = node
-                    .eq
-                    .lhs()
-                    .as_constructor(&prog.sig)
-                    .ok_or_else(|| err(id, CheckErrorKind::NotACongruence))?;
-                let (k2, args2) = node
-                    .eq
-                    .rhs()
-                    .as_constructor(&prog.sig)
-                    .ok_or_else(|| err(id, CheckErrorKind::NotACongruence))?;
+                let store = rw.store();
+                let Some((k1, args1)) = store.as_constructor(cl, &prog.sig) else {
+                    return Err(err(id, CheckErrorKind::NotACongruence));
+                };
+                let Some((k2, args2)) = store.as_constructor(cr, &prog.sig) else {
+                    return Err(err(id, CheckErrorKind::NotACongruence));
+                };
                 if k1 != k2 || args1.len() != args2.len() {
                     return Err(err(id, CheckErrorKind::NotACongruence));
                 }
@@ -219,9 +516,8 @@ pub fn check(
                         },
                     ));
                 }
-                for (i, (a, b)) in args1.iter().zip(args2).enumerate() {
-                    let want = Equation::new(a.clone(), b.clone());
-                    if !eq_modulo_flip(&want, premise_eq(i)) {
+                for (i, (&a, &b)) in args1.iter().zip(args2).enumerate() {
+                    if !pair_eq_modulo_flip((a, b), premise_ids(i)) {
                         return Err(err(id, CheckErrorKind::NotACongruence));
                     }
                 }
@@ -236,14 +532,13 @@ pub fn check(
                         },
                     ));
                 }
-                if node.eq.lhs().contains_var(*fresh) || node.eq.rhs().contains_var(*fresh) {
+                let store = rw.store_mut();
+                if store.contains_var(cl, *fresh) || store.contains_var(cr, *fresh) {
                     return Err(err(id, CheckErrorKind::BadExtensionality));
                 }
-                let want = Equation::new(
-                    Term::app(node.eq.lhs().clone(), Term::var(*fresh)),
-                    Term::app(node.eq.rhs().clone(), Term::var(*fresh)),
-                );
-                if !eq_modulo_flip(&want, premise_eq(0)) {
+                let v = store.var(*fresh);
+                let want = (store.apply_args(cl, &[v]), store.apply_args(cr, &[v]));
+                if !pair_eq_modulo_flip(want, premise_ids(0)) {
                     return Err(err(id, CheckErrorKind::BadExtensionality));
                 }
             }
@@ -283,9 +578,6 @@ pub fn check(
                             CheckErrorKind::BadCaseSplit("fresh variable count mismatch".into()),
                         ));
                     }
-                    // Fresh variables must not occur in the conclusion and
-                    // must have the constructor's instantiated argument
-                    // types.
                     let inst = prog
                         .sig
                         .sym(k)
@@ -293,8 +585,9 @@ pub fn check(
                         .instantiate_with(ty_args)
                         .map_err(|e| err(id, CheckErrorKind::IllTyped(e.to_string())))?;
                     let (arg_tys, _) = inst.uncurry();
+                    let store = rw.store_mut();
                     for (v, want_ty) in branch.fresh.iter().zip(arg_tys) {
-                        if node.eq.lhs().contains_var(*v) || node.eq.rhs().contains_var(*v) {
+                        if store.contains_var(cl, *v) || store.contains_var(cr, *v) {
                             return Err(err(
                                 id,
                                 CheckErrorKind::BadCaseSplit("case variable not fresh".into()),
@@ -307,11 +600,12 @@ pub fn check(
                             ));
                         }
                     }
-                    let pattern =
-                        Term::apps(k, branch.fresh.iter().map(|v| Term::var(*v)).collect());
-                    let theta = cycleq_term::Subst::singleton(*var, pattern);
-                    let want = node.eq.subst(&theta);
-                    if !eq_modulo_flip(&want, premise_eq(i)) {
+                    let fresh_ids: Vec<TermId> =
+                        branch.fresh.iter().map(|v| store.var(*v)).collect();
+                    let pattern = store.node(Head::Sym(k), fresh_ids);
+                    let theta = IdSubst::singleton(*var, pattern);
+                    let want = (store.subst(cl, &theta), store.subst(cr, &theta));
+                    if !pair_eq_modulo_flip(want, premise_ids(i)) {
                         return Err(err(
                             id,
                             CheckErrorKind::BadCaseSplit(format!("branch {i} equation mismatch")),
@@ -329,31 +623,44 @@ pub fn check(
                         },
                     ));
                 }
-                let lemma = premise_eq(0);
+                let store = rw.store_mut();
+                let (ll, lr) = premise_ids(0);
                 let (from, to) = if app.lemma_flipped {
-                    (lemma.rhs(), lemma.lhs())
+                    (lr, ll)
                 } else {
-                    (lemma.lhs(), lemma.rhs())
+                    (ll, lr)
                 };
-                let side_term = app.side.of(&node.eq);
-                let Some(occurrence) = side_term.at(&app.pos) else {
+                let mut theta = IdSubst::new();
+                for (v, t) in app.theta.iter() {
+                    let bound = store.intern(t);
+                    theta.insert(v, bound);
+                }
+                let side_id = match app.side {
+                    Side::Lhs => cl,
+                    Side::Rhs => cr,
+                };
+                let Some(occurrence) = store.at(side_id, &app.pos) else {
                     return Err(err(id, CheckErrorKind::BadSubst("position invalid".into())));
                 };
-                if occurrence != &app.theta.apply(from) {
+                if occurrence != store.subst(from, &theta) {
                     return Err(err(
                         id,
                         CheckErrorKind::BadSubst("occurrence is not the lemma instance".into()),
                     ));
                 }
-                let rewritten = side_term
-                    .replace_at(&app.pos, app.theta.apply(to))
+                let to_inst = store.subst(to, &theta);
+                let rewritten = store
+                    .replace_at(side_id, &app.pos, to_inst)
                     .expect("position validated above");
-                let untouched = app.side.flip().of(&node.eq).clone();
-                let want = match app.side {
-                    crate::node::Side::Lhs => Equation::new(rewritten, untouched),
-                    crate::node::Side::Rhs => Equation::new(untouched, rewritten),
+                let untouched = match app.side {
+                    Side::Lhs => cr,
+                    Side::Rhs => cl,
                 };
-                if !eq_modulo_flip(&want, premise_eq(1)) {
+                let want = match app.side {
+                    Side::Lhs => (rewritten, untouched),
+                    Side::Rhs => (untouched, rewritten),
+                };
+                if !pair_eq_modulo_flip(want, premise_ids(1)) {
                     return Err(err(
                         id,
                         CheckErrorKind::BadSubst("continuation equation mismatch".into()),
@@ -379,7 +686,7 @@ pub fn check(
         back_edges,
         global_verified,
         reducts_checked,
-        memo_hits: 0,
+        memo_hits: rw.memo_hits() - hits_before,
         elapsed: start.elapsed(),
     })
 }
@@ -387,9 +694,9 @@ pub fn check(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::node::{CaseBranch, Side, SubstApp};
+    use crate::node::{CaseBranch, SubstApp};
     use cycleq_rewrite::fixtures::nat_list_program;
-    use cycleq_term::{Position, Subst};
+    use cycleq_term::{Equation, Position, Subst, Term};
 
     #[test]
     fn refl_node_checks() {
@@ -433,7 +740,10 @@ mod tests {
         let prem = proof.push_open(Equation::new(p.f.num(2), p.f.num(2)));
         proof.justify(prem, RuleApp::Refl, vec![]);
         proof.justify(conc, RuleApp::Reduce, vec![prem]);
-        assert!(check(&proof, &p.prog, GlobalCheck::VariableTraces).is_ok());
+        let report = check(&proof, &p.prog, GlobalCheck::VariableTraces).unwrap();
+        assert_eq!(report.nodes, 2);
+        assert_eq!(report.back_edges, 0);
+        assert_eq!(report.reducts_checked, 4);
     }
 
     #[test]
@@ -574,5 +884,30 @@ mod tests {
         proof.justify(conc, RuleApp::Cong, vec![prem, prem]);
         let e = check(&proof, &p.prog, GlobalCheck::VariableTraces).unwrap_err();
         assert_eq!(e.kind, CheckErrorKind::NotACongruence);
+    }
+
+    #[test]
+    fn reuse_across_proofs_hits_the_memo() {
+        let p = nat_list_program();
+        let build = |n: usize| {
+            let mut proof = Preproof::new();
+            let conc = proof.push_open(Equation::new(
+                Term::apps(p.f.add, vec![p.f.num(n), p.f.num(n)]),
+                p.f.num(2 * n),
+            ));
+            let prem = proof.push_open(Equation::new(p.f.num(2 * n), p.f.num(2 * n)));
+            proof.justify(prem, RuleApp::Refl, vec![]);
+            proof.justify(conc, RuleApp::Reduce, vec![prem]);
+            proof
+        };
+        let mut rw = MemoRewriter::new(&p.prog.sig, &p.prog.trs);
+        let a = build(3);
+        let b = build(3);
+        let cold = check_with(&a, &p.prog, GlobalCheck::VariableTraces, &mut rw).unwrap();
+        let warm = check_with(&b, &p.prog, GlobalCheck::VariableTraces, &mut rw).unwrap();
+        assert_eq!(cold.reducts_checked, 4);
+        // Every normal form of the second, identical proof is answered from
+        // the memo populated by the first.
+        assert!(warm.memo_hits >= warm.reducts_checked);
     }
 }

@@ -1,9 +1,7 @@
 //! The canonical size-change graph of each proof edge (Definition 5.3) and
 //! the global-correctness check (Theorem 5.2).
 
-use cycleq_sizechange::{
-    Closure, GraphId, GraphStore, IncrementalClosure, Label, ScGraph, Soundness,
-};
+use cycleq_sizechange::{GraphId, GraphStore, IncrementalClosure, Label, ScGraph, Soundness};
 use cycleq_term::VarId;
 
 use crate::node::{NodeId, RuleApp};
@@ -103,17 +101,10 @@ pub fn global_edges(proof: &Preproof) -> Vec<(NodeId, NodeId, ScGraph<VarId>)> {
     out
 }
 
-/// Batch global-correctness check (Theorem 5.2): computes the closure of all
-/// edge graphs and requires every idempotent self-loop to carry a strict
-/// self-edge.
-pub fn check_global(proof: &Preproof) -> Soundness {
-    Closure::from_edges(global_edges(proof)).check()
-}
-
-/// SCC-restricted global-correctness check: same verdict as
-/// [`check_global`], usually much cheaper.
+/// The global-correctness check (Theorem 5.2): every idempotent self-loop
+/// in the closure of the proof's edge graphs must carry a strict self-edge.
 ///
-/// The closure condition of Theorem 5.2 only inspects *self-loops*
+/// The closure condition only inspects *self-loops*
 /// `g ∈ closure(v, v)`, and every composition path from `v` back to `v`
 /// stays, by definition, inside `v`'s strongly connected component. Edges
 /// that cross between components can therefore never contribute to a
@@ -122,7 +113,7 @@ pub fn check_global(proof: &Preproof) -> Soundness {
 /// fraction of the node count — the tree-shaped remainder (where the
 /// closure's composition blow-up would otherwise spend its time) is
 /// skipped entirely.
-pub fn check_global_scc(proof: &Preproof) -> Soundness {
+pub fn check_global(proof: &Preproof) -> Soundness {
     let sccs = tarjan_sccs(proof);
     // Component id per node, to recognise internal edges.
     let mut comp = vec![usize::MAX; proof.len()];
@@ -221,27 +212,15 @@ fn tarjan_sccs(proof: &Preproof) -> Vec<Vec<NodeId>> {
     sccs
 }
 
-/// Replays the proof's edges through an [`IncrementalClosure`], returning
-/// the verdict. Exists so that tests and benches can compare the
-/// incremental engine against [`check_global`] on identical inputs.
-pub fn check_global_incremental(proof: &Preproof) -> Soundness {
-    let mut inc = IncrementalClosure::new();
-    let mut verdict = Soundness::Sound;
-    for (a, b, g) in global_edges(proof) {
-        verdict = inc.add_edge(a, b, g);
-        if verdict == Soundness::Unsound {
-            return verdict;
-        }
-    }
-    verdict
-}
-
 /// Extracts, for every back edge, one witness trace of variables around the
 /// shortest cycle through it — a human-readable certificate accompanying
 /// the soundness verdict. Returns `(from, to, graph)` triples for the
 /// composed cycles found at back edges.
 pub fn cycle_witnesses(proof: &Preproof) -> Vec<(NodeId, ScGraph<VarId>)> {
-    let closure = Closure::from_edges(global_edges(proof));
+    let mut closure = IncrementalClosure::new();
+    for (a, b, g) in global_edges(proof) {
+        closure.add_edge(a, b, g);
+    }
     let mut out = Vec::new();
     for (v, node) in proof.nodes() {
         for p in &node.premises {
@@ -305,7 +284,6 @@ mod tests {
     fn example_3_2_is_globally_unsound() {
         let proof = example_3_2();
         assert_eq!(check_global(&proof), Soundness::Unsound);
-        assert_eq!(check_global_incremental(&proof), Soundness::Unsound);
     }
 
     #[test]
@@ -367,12 +345,6 @@ mod tests {
     }
 
     #[test]
-    fn scc_check_matches_batch_check_on_unsound_proof() {
-        let proof = example_3_2();
-        assert_eq!(check_global_scc(&proof), Soundness::Unsound);
-    }
-
-    #[test]
     fn scc_check_accepts_acyclic_proofs_without_closure_work() {
         // A pure tree (no back edges) has only trivial SCCs: sound by
         // construction, and the per-SCC loop must skip every component.
@@ -392,8 +364,7 @@ mod tests {
             }),
             vec![leaf, leaf],
         );
-        assert_eq!(check_global(&proof), check_global_scc(&proof));
-        assert_eq!(check_global_scc(&proof), Soundness::Sound);
+        assert_eq!(check_global(&proof), Soundness::Sound);
     }
 
     #[test]

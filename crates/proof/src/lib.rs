@@ -16,28 +16,23 @@
 //!
 //! The [`check`] function is an independent checker validating both local
 //! rule instances and the global condition; everything the search or the
-//! rewriting-induction translation produces is re-checked here.
-//! [`check_interned`] is the same check run on a private hash-consed store
-//! with reducts memoized across nodes — the fast path for re-checking — and
-//! [`certificate`] serializes proofs into self-contained certificates that
-//! can be re-validated offline (`cycleq check`).
+//! rewriting-induction translation produces is re-checked here. It runs on
+//! a private hash-consed store with reducts memoized across nodes, and
+//! [`check_with`] reuses one rewriter across the proofs of a batch.
+//! [`export_certificate`] serializes proofs into self-contained
+//! [`Certificate`]s that can be re-validated offline (`cycleq check`).
 
 mod certificate;
 mod checker;
 mod edges;
-mod interned;
 mod node;
 mod preproof;
 mod render;
 mod transform;
 
 pub use certificate::{export_certificate, program_fingerprint, Certificate, CertificateError};
-pub use checker::{check, CheckError, CheckErrorKind, CheckReport, GlobalCheck};
-pub use edges::{
-    check_global, check_global_incremental, check_global_scc, cycle_witnesses, edge_graph,
-    edge_graph_id, global_edges,
-};
-pub use interned::{check_interned, check_interned_with};
+pub use checker::{check, check_with, CheckError, CheckErrorKind, CheckReport, GlobalCheck};
+pub use edges::{check_global, cycle_witnesses, edge_graph, edge_graph_id, global_edges};
 pub use node::{CaseBranch, Node, NodeId, RuleApp, Side, SubstApp};
 pub use preproof::Preproof;
 pub use render::{render_dot, render_text};

@@ -1,11 +1,13 @@
-//! Differential tests: the interned checker must agree with the owned
-//! checker *verdict for verdict* — same acceptance, same error node and
-//! kind on rejection — across prover-produced proofs, hand-built proofs,
-//! and randomized corruptions of valid proofs. The owned checker stays the
+//! Differential tests: the library's interned checker must agree with the
+//! owned-term oracle *verdict for verdict* — same acceptance, same error
+//! node and kind on rejection — across prover-produced proofs, hand-built
+//! proofs, and randomized corruptions of valid proofs. The oracle is the
 //! reference implementation; these tests are the contract that lets the
-//! fast interned path replace it everywhere else.
+//! fast interned path be the only checker the library ships.
 
-use cycleq_proof::{check, check_interned, GlobalCheck, NodeId, Preproof, RuleApp};
+mod oracle;
+
+use cycleq_proof::{check, GlobalCheck, NodeId, Preproof, RuleApp};
 use cycleq_rewrite::fixtures::{nat_list_program, ProgramFixture};
 use cycleq_rewrite::Program;
 use cycleq_search::Prover;
@@ -17,8 +19,8 @@ use proptest::test_runner::Config;
 /// coordinates, identical work counters.
 fn assert_same_verdict(proof: &Preproof, prog: &Program) {
     for mode in [GlobalCheck::VariableTraces, GlobalCheck::TrustConstruction] {
-        let owned = check(proof, prog, mode);
-        let interned = check_interned(proof, prog, mode);
+        let owned = oracle::check(proof, prog, mode);
+        let interned = check(proof, prog, mode);
         match (owned, interned) {
             (Ok(a), Ok(b)) => {
                 assert_eq!(a.nodes, b.nodes, "node counts diverge ({mode:?})");
@@ -36,7 +38,7 @@ fn assert_same_verdict(proof: &Preproof, prog: &Program) {
                 assert_eq!(a.node, b.node, "error nodes diverge ({mode:?})");
                 assert_eq!(a.kind, b.kind, "error kinds diverge ({mode:?})");
             }
-            (a, b) => panic!("verdicts diverge ({mode:?}): owned {a:?} vs interned {b:?}"),
+            (a, b) => panic!("verdicts diverge ({mode:?}): oracle {a:?} vs interned {b:?}"),
         }
     }
 }
@@ -175,7 +177,7 @@ fn checkers_agree_on_cyclic_one_variable_proofs() {
         assert_same_verdict(&proof, &p.prog);
         // Sanity: these really are accepted, so agreement above is on the
         // accepting path, not vacuous double rejection.
-        check(&proof, &p.prog, GlobalCheck::VariableTraces).expect("owned checker accepts");
+        oracle::check(&proof, &p.prog, GlobalCheck::VariableTraces).expect("oracle accepts");
     }
 }
 
@@ -202,9 +204,9 @@ fn both_checkers_reject_specific_corruptions_identically() {
         nodes[0].1 = RuleApp::Open;
         nodes[0].2.clear();
     });
-    let owned = check(&reopened, &p.prog, GlobalCheck::VariableTraces);
-    let interned = check_interned(&reopened, &p.prog, GlobalCheck::VariableTraces);
-    assert!(owned.is_err(), "owned checker must reject an open node");
+    let owned = oracle::check(&reopened, &p.prog, GlobalCheck::VariableTraces);
+    let interned = check(&reopened, &p.prog, GlobalCheck::VariableTraces);
+    assert!(owned.is_err(), "the oracle must reject an open node");
     assert_eq!(owned, interned);
 
     // A (Refl) claim on the root (whose sides differ) must be NotReflexive
@@ -213,8 +215,8 @@ fn both_checkers_reject_specific_corruptions_identically() {
         nodes[0].1 = RuleApp::Refl;
         nodes[0].2.clear();
     });
-    let owned = check(&not_refl, &p.prog, GlobalCheck::VariableTraces);
-    let interned = check_interned(&not_refl, &p.prog, GlobalCheck::VariableTraces);
-    assert!(owned.is_err(), "owned checker must reject the bogus (Refl)");
+    let owned = oracle::check(&not_refl, &p.prog, GlobalCheck::VariableTraces);
+    let interned = check(&not_refl, &p.prog, GlobalCheck::VariableTraces);
+    assert!(owned.is_err(), "the oracle must reject the bogus (Refl)");
     assert_eq!(owned, interned);
 }

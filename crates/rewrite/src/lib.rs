@@ -6,8 +6,10 @@
 //! `f M0 … Mn → N` with `f` defined and the `Mi` constructor patterns.
 //! This crate provides:
 //!
-//! - [`Rewriter`]: leftmost-outermost reduction and normalisation `↓R`, with
-//!   fuel so non-terminating inputs fail gracefully;
+//! - [`MemoRewriter`]: memoised normalisation on hash-consed terms, the
+//!   engine the proof search and the proof checker run;
+//! - [`Rewriter`]: leftmost-outermost reduction and normalisation `↓R` on
+//!   owned terms, with fuel so non-terminating inputs fail gracefully;
 //! - [`case_candidates`]: the needed-narrowing-style blocked-variable
 //!   analysis driving the `(Case)` rule (§6);
 //! - [`check_symbol`]/[`check_program`]: the pattern-completeness check
@@ -17,6 +19,10 @@
 //! - [`narrow_at`]: most-general-unifier narrowing, the engine of rewriting
 //!   induction's `Expand` (Definition 4.1);
 //! - [`Lpo`] and friends: the reduction orders of §4.
+//!
+//! The remaining assumption of Remark 2.1, weak normalisation, is
+//! established by the size-change termination pre-screen in
+//! `cycleq_analysis` (`CQ004`), next to the other precondition checks.
 //!
 //! # Example
 //!
@@ -41,7 +47,6 @@ mod orthogonality;
 mod reduce;
 mod rule;
 mod shared_cache;
-mod termination;
 mod trs;
 
 pub mod fixtures;
@@ -59,8 +64,4 @@ pub use orthogonality::{check_orthogonality, OrthogonalityReport};
 pub use reduce::{Normalized, Rewriter, DEFAULT_FUEL};
 pub use rule::{Rule, RuleError, RuleId};
 pub use shared_cache::{CacheStats, SharedNormalFormCache};
-pub use termination::{
-    direct_recursion_decreases, non_terminating_suspects, program_call_graphs,
-    size_change_terminates,
-};
 pub use trs::{Program, Trs};

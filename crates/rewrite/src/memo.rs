@@ -16,10 +16,10 @@
 //! repeated work through the store.
 //!
 //! The search is not the only client: the independent proof checker
-//! (`cycleq_proof::check_interned`) builds its *own* `MemoRewriter` from the
+//! (`cycleq_proof::check`) builds its *own* `MemoRewriter` from the
 //! program, so its store never shares `TermId`s — or bugs — with the one the
 //! search used, and a single rewriter can be reused across the proofs of a
-//! batch (`check_interned_with`) to keep the reduct memo warm. Checkers must
+//! batch (`cycleq_proof::check_with`) to keep the reduct memo warm. Checkers must
 //! not attach a [`SharedNormalFormCache`] that the search populated: the
 //! whole point of the separate code path is that nothing computed during
 //! search is trusted during certification.
@@ -127,7 +127,7 @@ impl RunBudget {
 
 /// A memoising reduction engine for a program's rewrite system.
 ///
-/// Unlike [`Rewriter`] this type is stateful: it owns the term store and
+/// Unlike [`Rewriter`](crate::Rewriter) this type is stateful: it owns the term store and
 /// the normal-form table, so callers keep one alive per program and thread
 /// it through their hot loops.
 #[derive(Clone, Debug)]
@@ -358,7 +358,8 @@ impl<'a> MemoRewriter<'a> {
     ///
     /// On fuel exhaustion the returned term is the *input* term (partially
     /// contracted intermediates are not exposed), unlike
-    /// [`Rewriter::normalize`]; all callers ignore the term in that case.
+    /// [`Rewriter::normalize`](crate::Rewriter::normalize); all callers
+    /// ignore the term in that case.
     pub fn normalize(&mut self, t: &Term) -> Normalized {
         let id = self.intern(t);
         let n = self.normalize_id(id);

@@ -284,7 +284,7 @@ impl SharedNormalFormCache {
 
     /// Publishes a subject → normal-form entry. First writer wins (normal
     /// forms are unique on the systems we run, so racers agree anyway);
-    /// oversized entries are silently dropped (see [`MAX_ENTRY_NODES`]),
+    /// oversized entries are silently dropped (see `MAX_ENTRY_NODES`),
     /// and on bounded caches the insert may evict the coldest entries.
     pub fn publish(&self, key: Words, nf: Words) {
         let mut shard = self.inner.lock_shard(self.shard(&key));

@@ -74,10 +74,20 @@
 use std::collections::BTreeMap;
 use std::hash::Hash;
 
-use crate::closure::Soundness;
 use crate::graph::ScGraph;
 use crate::idvec::SmallIdVec;
 use crate::store::{GraphId, GraphStore};
+
+/// Result of the Theorem 5.2 check.
+#[derive(Copy, Clone, PartialEq, Eq, Debug)]
+pub enum Soundness {
+    /// Every idempotent self-loop graph in the closure has a strict
+    /// self-edge: the preproof is a proof.
+    Sound,
+    /// Some idempotent self-loop graph has no strict self-edge: the global
+    /// condition fails.
+    Unsound,
+}
 
 /// A checkpoint into the trail of an [`IncrementalClosure`]; obtain with
 /// [`IncrementalClosure::mark`] and restore with
@@ -345,7 +355,19 @@ mod tests {
     }
 
     #[test]
-    fn incremental_matches_batch_on_multi_edge_cycle() {
+    fn empty_loop_graph_is_unsound() {
+        // A cycle with no trace information at all: the empty graph is
+        // idempotent and has no strict self-edge.
+        let mut c = IncrementalClosure::new();
+        assert_eq!(
+            c.add_edge(0usize, 0usize, ScGraph::<u32>::new()),
+            Soundness::Unsound
+        );
+        assert!(c.unsound_witness().is_some());
+    }
+
+    #[test]
+    fn multi_edge_cycle_composes_a_strict_loop() {
         // Build the add-commutativity-style shape: two nodes, tree edge with
         // a strict hop, back edge with a renaming.
         let case_edge: ScGraph<u32> = [(0, 0, Label::Strict), (1, 1, Label::NonStrict)]
@@ -356,19 +378,55 @@ mod tests {
             .collect();
 
         let mut inc = IncrementalClosure::new();
-        assert_eq!(
-            inc.add_edge(0usize, 1usize, case_edge.clone()),
-            Soundness::Sound
-        );
-        assert_eq!(
-            inc.add_edge(1usize, 0usize, back_edge.clone()),
-            Soundness::Sound
-        );
+        assert_eq!(inc.add_edge(0usize, 1usize, case_edge), Soundness::Sound);
+        assert_eq!(inc.add_edge(1usize, 0usize, back_edge), Soundness::Sound);
+        // The composite loop at either node carries the strict hop.
+        assert!(inc
+            .between(0, 0)
+            .any(|g| g.label(0, 0) == Some(Label::Strict)));
+        assert!(inc.unsound_witness().is_none());
+    }
 
-        let batch =
-            crate::Closure::from_edges([(0usize, 1usize, case_edge), (1usize, 0usize, back_edge)]);
-        assert_eq!(batch.check(), Soundness::Sound);
-        assert_eq!(inc.num_graphs(), batch.num_graphs());
+    #[test]
+    fn swap_cycle_without_decrease_is_unsound() {
+        // The cycle permutes two variables with no decrease; its square is
+        // the identity — idempotent with no strict edge.
+        let swap: ScGraph<u32> = [(0, 1, Label::NonStrict), (1, 0, Label::NonStrict)]
+            .into_iter()
+            .collect();
+        let mut c = IncrementalClosure::new();
+        assert_eq!(c.add_edge(0usize, 0usize, swap), Soundness::Unsound);
+    }
+
+    #[test]
+    fn swap_cycle_with_decrease_is_sound() {
+        // Permutation with a strict hop: every idempotent iterate carries a
+        // strict self-edge (classic LJB example).
+        let swap: ScGraph<u32> = [(0, 1, Label::Strict), (1, 0, Label::NonStrict)]
+            .into_iter()
+            .collect();
+        let mut c = IncrementalClosure::new();
+        assert_eq!(c.add_edge(0usize, 0usize, swap), Soundness::Sound);
+    }
+
+    #[test]
+    fn acyclic_edges_are_sound() {
+        let g: ScGraph<u32> = [(0, 1, Label::NonStrict)].into_iter().collect();
+        let mut c = IncrementalClosure::new();
+        assert_eq!(c.add_edge(0usize, 1usize, g), Soundness::Sound);
+        assert_eq!(c.num_graphs(), 1);
+    }
+
+    #[test]
+    fn closure_contains_all_path_compositions() {
+        let ab: ScGraph<u32> = [(0, 0, Label::NonStrict)].into_iter().collect();
+        let bc: ScGraph<u32> = [(0, 0, Label::Strict)].into_iter().collect();
+        let mut c = IncrementalClosure::new();
+        c.add_edge(0usize, 1usize, ab);
+        c.add_edge(1usize, 2usize, bc);
+        let through: Vec<_> = c.between(0, 2).collect();
+        assert_eq!(through.len(), 1);
+        assert_eq!(through[0].label(0, 0), Some(Label::Strict));
     }
 
     #[test]

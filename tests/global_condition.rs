@@ -1,11 +1,11 @@
-//! Cross-validation of the two global-correctness engines on real proofs:
-//! the batch closure (Definition 5.4 / Theorem 5.2) and the incremental
-//! closure used during search must agree, and every proof produced by the
-//! search must carry verifiable variable traces.
+//! Cross-validation of the global-correctness check on real proofs: the
+//! SCC-restricted `check_global` must agree with a closure over *every*
+//! proof edge (Definition 5.4 / Theorem 5.2), and every proof produced by
+//! the search must carry verifiable variable traces.
 
 use cycleq::Session;
 use cycleq_benchsuite::{MUTUAL, MUTUAL_PRELUDE, PRELUDE};
-use cycleq_sizechange::Soundness;
+use cycleq_sizechange::{IncrementalClosure, Soundness};
 
 fn proved_proofs() -> Vec<(String, cycleq::Preproof)> {
     let mut out = Vec::new();
@@ -29,12 +29,15 @@ fn proved_proofs() -> Vec<(String, cycleq::Preproof)> {
 }
 
 #[test]
-fn incremental_and_batch_checkers_agree_on_real_proofs() {
+fn scc_and_full_closure_checks_agree_on_real_proofs() {
     for (name, proof) in proved_proofs() {
-        let batch = cycleq::check_global(&proof);
-        let inc = cycleq::check_global_incremental(&proof);
-        assert_eq!(batch, Soundness::Sound, "{name}");
-        assert_eq!(batch, inc, "{name}");
+        let scc = cycleq::check_global(&proof);
+        let mut full = IncrementalClosure::new();
+        for (a, b, g) in cycleq::global_edges(&proof) {
+            full.add_edge(a, b, g);
+        }
+        assert_eq!(scc, Soundness::Sound, "{name}");
+        assert_eq!(scc, full.soundness(), "{name}");
     }
 }
 

@@ -2,10 +2,10 @@
 //! deterministic counters across job counts, span collection, and the
 //! `Session::profile` / `Engine::metrics` surfaces.
 //!
-//! The span/metrics machinery is process-global, so the tests that enable
-//! collection or compare registry snapshots serialize on [`registry_lock`];
-//! the event-sink and counter-determinism tests read only per-goal state
-//! and run freely in parallel.
+//! The span/metrics machinery is process-global, and every prove call
+//! records into it, so every test here serializes on [`registry_lock`]:
+//! a goal proved by one test must not land in another test's collected
+//! trace or registry delta.
 
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 use std::time::Duration;
@@ -34,11 +34,11 @@ fn session(jobs: usize) -> Session {
 }
 
 /// Serializes tests that touch the process-global registry or span sink.
+/// Recovers the lock if a failing test poisoned it, so one failure is
+/// reported once rather than cascading into every later test.
 fn registry_lock() -> MutexGuard<'static, ()> {
     static LOCK: OnceLock<Mutex<()>> = OnceLock::new();
-    LOCK.get_or_init(Mutex::default)
-        .lock()
-        .expect("registry lock")
+    cycleq::trace::lock_recover(LOCK.get_or_init(Mutex::default))
 }
 
 #[derive(Default)]
@@ -75,6 +75,7 @@ fn prove_all_collecting(jobs: usize) -> (cycleq::BatchReport, Vec<ProveEvent>) {
 
 #[test]
 fn concurrent_events_bracket_every_goal_and_carry_round_times() {
+    let _guard = registry_lock();
     for jobs in [1, 4] {
         let (report, log) = prove_all_collecting(jobs);
         assert!(report.all_proved(), "jobs={jobs}");
@@ -135,6 +136,7 @@ fn counter_totals_are_deterministic_across_job_counts() {
     // With the shared normal-form cache disabled, every goal's search is
     // fully independent, so per-goal counters — and their batch totals —
     // must be identical whatever the worker count.
+    let _guard = registry_lock();
     let run = |jobs: usize| {
         Engine::builder()
             .config(SearchConfig {
