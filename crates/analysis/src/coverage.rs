@@ -5,14 +5,16 @@
 //! partial — goals mentioning it can get stuck on the uncovered values,
 //! and equational reasoning about the stuck terms is vacuous. The heavy
 //! lifting is the pattern-matrix usefulness algorithm in
-//! [`cycleq_rewrite::check_program`]; this pass attaches source locations
-//! and renders the uncovered witness.
+//! [`cycleq_rewrite::check_program`]; this pass attaches source locations,
+//! renders the uncovered witness, and builds the fix that inserts the
+//! missing clause (or a stub for it).
 
 use cycleq_lang::Module;
 use cycleq_rewrite::check_program;
 
 use crate::diagnostic::{Code, Diagnostic};
 use crate::first_rule_line;
+use crate::fix::coverage_fix;
 
 pub(crate) fn check(module: &Module) -> Vec<Diagnostic> {
     let sig = &module.program.sig;
@@ -23,7 +25,7 @@ pub(crate) fn check(module: &Module) -> Vec<Diagnostic> {
             let name = sig.sym(sym).name();
             let pats: Vec<String> = witness.iter().map(|w| w.display(sig)).collect();
             let line = first_rule_line(module, sym).or_else(|| module.decl_line(name));
-            Diagnostic::new(
+            let mut d = Diagnostic::new(
                 Code::NonExhaustive,
                 line,
                 format!(
@@ -34,7 +36,9 @@ pub(crate) fn check(module: &Module) -> Vec<Diagnostic> {
             .with_note(
                 "partial functions break the completeness assumption (Remark 2.1): \
                  terms built from the uncovered case are stuck normal forms",
-            )
+            );
+            d.fix = coverage_fix(module, sym, &witness);
+            d
         })
         .collect()
 }

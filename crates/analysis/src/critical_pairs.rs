@@ -1,100 +1,77 @@
 //! `CQ002`/`CQ009`: critical-pair classification of overlapping clauses.
 //!
-//! PR 7's overlap check could only report *that* two clauses match the same
-//! terms. This pass decides whether an overlap matters: it enumerates the
-//! system's critical pairs ([`cycleq_rewrite::critical_pairs`]) and
-//! normalizes both reducts of each with the memoized rewriter.
+//! An overlap check alone can only report *that* two clauses match the
+//! same terms. This pass decides whether an overlap matters: it enumerates
+//! the system's critical pairs ([`cycleq_rewrite::critical_pairs`], one per
+//! overlapping pair of clauses of the same function) and normalizes both
+//! reducts of each with the memoized rewriter.
 //!
-//! - Every critical pair of a clause pair **joinable** (both reducts reach
-//!   the same normal form): the overlap is benign for results — the system
-//!   is weakly orthogonal, like the paper's fig. 2 `sub` — and is reported
-//!   as `CQ002` downgraded to a *warning*, with the converging normal form
-//!   in the note.
-//! - Some critical pair **non-joinable** (the reducts normalize to
+//! - The critical pair is **joinable** (both reducts reach the same normal
+//!   form): the overlap is benign for results — the system is weakly
+//!   orthogonal, like the paper's fig. 2 `sub` — and is reported as
+//!   `CQ002` downgraded to a *warning*, with the converging normal form in
+//!   the note and the fix that splits the more general clause
+//!   ([`crate::fix`]).
+//! - The critical pair is **non-joinable** (the reducts normalize to
 //!   different terms, or fail to normalize within fuel): the system is
 //!   definitively order-sensitive and gets the `CQ009` *error*, with the
 //!   two diverging reducts in the note.
 
-use std::collections::BTreeMap;
-
 use cycleq_lang::Module;
-use cycleq_rewrite::{critical_pairs, CriticalPair, MemoRewriter, RuleId};
-use cycleq_term::VarStore;
+use cycleq_rewrite::{critical_pairs, MemoRewriter, RuleId};
+use cycleq_term::Term;
 
 use crate::diagnostic::{Code, Diagnostic, Severity};
+use crate::fix::overlap_fix;
 
 /// Fuel for normalizing critical-pair reducts. Reducts are instantiated
 /// clause right-hand sides — tiny terms — so this is generous; a reduct
 /// that exhausts it is treated as non-joinable (conservative).
 const JOIN_FUEL: usize = 10_000;
 
-/// The joinability verdict for one pair of overlapping clauses, shared by
-/// the diagnostic pass below and fix synthesis.
-pub(crate) struct OverlapVerdict {
-    /// The earlier rule of the pair (by id).
-    pub a: RuleId,
+/// The joinability verdict for one pair of overlapping clauses.
+struct OverlapVerdict {
+    /// The earlier rule of the pair.
+    a: RuleId,
     /// The later rule of the pair.
-    pub b: RuleId,
-    /// Whether every critical pair of the two clauses is joinable.
-    pub joinable: bool,
-    /// The rendered peak of the first critical pair.
-    pub peak: String,
-    /// The rendered normal form of the inner-step reduct.
-    pub left_nf: String,
-    /// The rendered normal form of the outer-step reduct (equals
+    b: RuleId,
+    /// Whether the pair's critical pair is joinable.
+    joinable: bool,
+    /// The rendered peak.
+    peak: String,
+    /// The rendered normal form of the later clause's reduct.
+    left_nf: String,
+    /// The rendered normal form of the earlier clause's reduct (equals
     /// `left_nf` when `joinable`).
-    pub right_nf: String,
+    right_nf: String,
     /// Whether both reducts actually reached normal forms within fuel.
-    pub normalized: bool,
+    normalized: bool,
 }
 
 /// Computes the per-clause-pair joinability verdicts for the module.
-pub(crate) fn overlap_verdicts(module: &Module) -> Vec<OverlapVerdict> {
+fn overlap_verdicts(module: &Module) -> Vec<OverlapVerdict> {
     let sig = &module.program.sig;
     let trs = &module.program.trs;
     let cps = critical_pairs(trs);
-    if cps.pairs.is_empty() {
-        return Vec::new();
-    }
-    let mut by_pair: BTreeMap<(RuleId, RuleId), Vec<&CriticalPair>> = BTreeMap::new();
-    for cp in &cps.pairs {
-        let key = (cp.inner.min(cp.outer), cp.inner.max(cp.outer));
-        by_pair.entry(key).or_default().push(cp);
-    }
+    let render = |t: &Term| t.display(sig, &cps.vars).to_string();
     let mut rewriter = MemoRewriter::new(sig, trs).with_fuel(JOIN_FUEL);
-    let mut out = Vec::new();
-    for ((a, b), pair_cps) in by_pair {
-        let mut verdict: Option<OverlapVerdict> = None;
-        for cp in pair_cps {
+    cps.pairs
+        .iter()
+        .map(|cp| {
             let l = rewriter.normalize(&cp.left);
             let r = rewriter.normalize(&cp.right);
             let normalized = l.in_normal_form && r.in_normal_form;
-            let joinable = normalized && l.term == r.term;
-            let render = |t: &cycleq_term::Term| display(t, sig, &cps.vars);
-            let v = OverlapVerdict {
-                a,
-                b,
-                joinable,
+            OverlapVerdict {
+                a: cp.outer,
+                b: cp.inner,
+                joinable: normalized && l.term == r.term,
                 peak: render(&cp.peak),
                 left_nf: render(&l.term),
                 right_nf: render(&r.term),
                 normalized,
-            };
-            // Keep the first non-joinable critical pair as the pair's
-            // verdict (it is the one worth showing); otherwise the first.
-            match &verdict {
-                Some(cur) if cur.joinable && !v.joinable => verdict = Some(v),
-                None => verdict = Some(v),
-                _ => {}
             }
-        }
-        out.extend(verdict);
-    }
-    out
-}
-
-fn display(t: &cycleq_term::Term, sig: &cycleq_term::Signature, vars: &VarStore) -> String {
-    t.display(sig, vars).to_string()
+        })
+        .collect()
 }
 
 pub(crate) fn check(module: &Module) -> Vec<Diagnostic> {
@@ -110,25 +87,25 @@ pub(crate) fn check(module: &Module) -> Vec<Diagnostic> {
             _ => format!("clauses #{} and #{}", v.a.index(), v.b.index()),
         };
         if v.joinable {
-            out.push(
-                Diagnostic::new(
-                    Code::Overlap,
-                    la.or(lb),
-                    format!("clauses for `{name}` overlap: {position} match the same terms"),
-                )
-                .with_severity(Severity::Warning)
-                .with_note(format!(
-                    "both clauses rewrite `{}`; the critical pair is joinable — \
-                     both reducts normalize to `{}` — so results do not depend \
-                     on clause order",
-                    v.peak, v.left_nf
-                ))
-                .with_note(
-                    "the system is weakly orthogonal, not orthogonal (Remark 2.1); \
-                     `cycleq lint --fix` can split the more general clause into \
-                     non-overlapping cases",
-                ),
+            let mut d = Diagnostic::new(
+                Code::Overlap,
+                la.or(lb),
+                format!("clauses for `{name}` overlap: {position} match the same terms"),
+            )
+            .with_severity(Severity::Warning)
+            .with_note(format!(
+                "both clauses rewrite `{}`; the critical pair is joinable — \
+                 both reducts normalize to `{}` — so results do not depend \
+                 on clause order",
+                v.peak, v.left_nf
+            ))
+            .with_note(
+                "the system is weakly orthogonal, not orthogonal (Remark 2.1); \
+                 `cycleq lint --fix` can split the more general clause into \
+                 non-overlapping cases",
             );
+            d.fix = overlap_fix(module, v.a, v.b);
+            out.push(d);
         } else {
             let diverge = if v.normalized {
                 format!(

@@ -14,6 +14,7 @@ use cycleq_term::{SymId, SymKind, Term};
 
 use crate::diagnostic::{Code, Diagnostic};
 use crate::first_rule_line;
+use crate::fix::deadcode_fix;
 
 pub(crate) fn check(module: &Module) -> Vec<Diagnostic> {
     let mut out = Vec::new();
@@ -24,9 +25,10 @@ pub(crate) fn check(module: &Module) -> Vec<Diagnostic> {
 }
 
 /// Defined symbols reachable from the goals, transitively through the
-/// right-hand sides of their rules. Shared with fix synthesis: deleting a
-/// symbol outside this set cannot change any goal's verdict.
-pub(crate) fn reachable_defined(module: &Module) -> BTreeSet<SymId> {
+/// right-hand sides of their rules. Deleting a symbol outside this set
+/// cannot change any goal's verdict, which is what makes the `CQ005` fix
+/// safe.
+fn reachable_defined(module: &Module) -> BTreeSet<SymId> {
     let sig = &module.program.sig;
     let trs = &module.program.trs;
     let mut reach: BTreeSet<SymId> = BTreeSet::new();
@@ -69,18 +71,18 @@ fn check_unreachable(module: &Module, out: &mut Vec<Diagnostic>) {
         if n == 0 {
             continue; // CQ006's department.
         }
-        out.push(
-            Diagnostic::new(
-                Code::Unreachable,
-                first_rule_line(module, sym).or_else(|| module.decl_line(decl.name())),
-                format!(
-                    "`{}` and its {n} equation{} are unreachable from any goal",
-                    decl.name(),
-                    if n == 1 { "" } else { "s" }
-                ),
-            )
-            .with_note("unreachable equations never participate in proof search"),
-        );
+        let mut d = Diagnostic::new(
+            Code::Unreachable,
+            first_rule_line(module, sym).or_else(|| module.decl_line(decl.name())),
+            format!(
+                "`{}` and its {n} equation{} are unreachable from any goal",
+                decl.name(),
+                if n == 1 { "" } else { "s" }
+            ),
+        )
+        .with_note("unreachable equations never participate in proof search");
+        d.fix = deadcode_fix(module, sym);
+        out.push(d);
     }
 }
 

@@ -1,25 +1,31 @@
 //! Machine-applicable fixes: synthesis, application, and the fixed-point
 //! re-lint driver behind `cycleq lint --fix`.
 //!
-//! Three diagnostics currently carry fixes:
+//! Three diagnostics carry fixes, each built by the check that reports the
+//! finding, from the builders below:
 //!
-//! - **`CQ002` (joinable overlap)** — completion into an orthogonal
-//!   system: the more general clause is split over the constructors of the
-//!   overlapping variable's datatype, and split cases already subsumed by
-//!   the other clause (same matching, convergent right-hand sides) are
-//!   dropped. This is semantics-preserving exactly because the critical
-//!   pairs converge: on the overlap the two clauses already agreed, and
-//!   everywhere else the split clauses behave like the original. The
-//!   paper's fig. 2 `sub x Z = x` becomes `sub (S x) Z = S x` (the
-//!   `sub Z Z = Z` case is subsumed by `sub Z y = Z`).
-//! - **`CQ001` (partial function)** — a missing clause is inserted for the
-//!   coverage witness when a right-hand side is derivable (all existing
-//!   clauses return the same ground constructor term); otherwise a
-//!   commented stub marks the spot for the author.
-//! - **`CQ005` (unreachable equations)** — the declaration and all its
-//!   clauses are deleted. Verdict-preserving by construction: reachability
-//!   is transitive from the goals, so a deleted rule can never fire in any
-//!   goal's proof search.
+//! - **`CQ002` (joinable overlap)**, [`overlap_fix`] — completion into an
+//!   orthogonal system: the more general clause is split over the
+//!   constructors of the overlapping variable's datatype, and split cases
+//!   already subsumed by the other clause (same matching, convergent
+//!   right-hand sides) are dropped. This is semantics-preserving exactly
+//!   because the critical pairs converge: on the overlap the two clauses
+//!   already agreed, and everywhere else the split clauses behave like the
+//!   original. The paper's fig. 2 `sub x Z = x` becomes
+//!   `sub (S x) Z = S x` (the `sub Z Z = Z` case is subsumed by
+//!   `sub Z y = Z`).
+//! - **`CQ001` (partial function)**, [`coverage_fix`] — a missing clause
+//!   is inserted for the coverage witness when a right-hand side is
+//!   derivable (all existing clauses return the same ground constructor
+//!   term); otherwise a commented stub marks the spot for the author.
+//! - **`CQ005` (unreachable equations)**, [`deadcode_fix`] — the
+//!   declaration and all its clauses are deleted. Verdict-preserving by
+//!   construction: reachability is transitive from the goals, so a deleted
+//!   rule can never fire in any goal's proof search.
+//!
+//! The one rule that needs the source text, not just the module, is
+//! [`drop_existing_stub_fixes`]: a stub the source already contains is not
+//! offered again. [`analyze_source`] applies it.
 //!
 //! [`apply_fixes`] applies a batch of fixes in one bottom-up pass over the
 //! original line numbering, skipping fixes that touch a line an earlier
@@ -30,13 +36,11 @@
 use std::collections::BTreeSet;
 
 use cycleq_lang::{parse_module, print_clause, Module};
-use cycleq_rewrite::{check_program, MemoRewriter, Rule, RuleId, Trs, WitnessPat};
-use cycleq_term::{match_term, unify, Signature, Subst, SymKind, Term, VarId};
+use cycleq_rewrite::{MemoRewriter, Rule, RuleId, Trs, WitnessPat};
+use cycleq_term::{match_term, unify, Signature, Subst, SymId, Term, VarId};
 
-use crate::critical_pairs::overlap_verdicts;
-use crate::deadcode::reachable_defined;
 use crate::diagnostic::{Code, Diagnostic, Edit, EditKind, Fix};
-use crate::{analyze, first_rule_line, lang_error_diagnostic};
+use crate::{analyze, lang_error_diagnostic};
 
 /// Fuel for the small normalizations fix synthesis performs (subsumption
 /// checks on instantiated right-hand sides).
@@ -47,7 +51,12 @@ const FIX_FUEL: usize = 10_000;
 /// pathological repair chains, not honest convergence.
 const MAX_ROUNDS: usize = 10;
 
-/// Runs the frontend and the analyzer on raw source, attaching fixes.
+/// How a `CQ001` stub line starts: a comment, so the stubbed program still
+/// parses.
+const STUB_PREFIX: &str = "-- cycleq: missing case: ";
+
+/// Runs the frontend and the analyzer on raw source, with fixes, minus the
+/// stubs the source already contains ([`drop_existing_stub_fixes`]).
 ///
 /// Frontend failures come back as a single `CQ003`/`CQ008` diagnostic, so
 /// callers get the same structured output for files that do not lower.
@@ -55,10 +64,26 @@ pub fn analyze_source(source: &str) -> Vec<Diagnostic> {
     match parse_module(source) {
         Ok(module) => {
             let mut diags = analyze(&module);
-            attach_fixes(&module, source, &mut diags);
+            drop_existing_stub_fixes(source, &mut diags);
             diags
         }
         Err(err) => vec![lang_error_diagnostic(&err)],
+    }
+}
+
+/// Withdraws every `CQ001` stub fix whose stub line `source` already
+/// contains, so `lint --fix` does not insert the same stub on every round.
+/// `source` must be the text the diagnostics were computed from.
+pub fn drop_existing_stub_fixes(source: &str, diags: &mut [Diagnostic]) {
+    for d in diags.iter_mut().filter(|d| d.code == Code::NonExhaustive) {
+        let stubbed = d.fix.as_ref().is_some_and(|fix| {
+            fix.edits.iter().any(|e| {
+                e.text.starts_with(STUB_PREFIX) && source.lines().any(|l| l.trim() == e.text)
+            })
+        });
+        if stubbed {
+            d.fix = None;
+        }
     }
 }
 
@@ -160,60 +185,32 @@ pub fn apply_fixes(source: &str, fixes: &[Fix]) -> (String, usize) {
     (out, applied)
 }
 
-/// Synthesizes fixes for the module and attaches them to the matching
-/// diagnostics in `diags`. `source` must be the text the module was
-/// parsed from — fixes carry line edits against it.
-pub fn attach_fixes(module: &Module, source: &str, diags: &mut [Diagnostic]) {
-    overlap_fixes(module, diags);
-    coverage_fixes(module, source, diags);
-    deadcode_fixes(module, diags);
-}
-
-/// Attaches `fix` to the first fix-less diagnostic matching code, line and
-/// message substring.
-fn attach(diags: &mut [Diagnostic], code: Code, line: Option<u32>, needle: &str, fix: Fix) {
-    if let Some(d) = diags
-        .iter_mut()
-        .find(|d| d.code == code && d.line == line && d.fix.is_none() && d.message.contains(needle))
-    {
-        d.fix = Some(fix);
-    }
-}
-
 // ---------------------------------------------------------------------------
 // CQ002: complete joinable overlaps into orthogonal systems.
 // ---------------------------------------------------------------------------
 
-fn overlap_fixes(module: &Module, diags: &mut [Diagnostic]) {
-    for v in overlap_verdicts(module) {
-        if !v.joinable {
-            continue;
-        }
-        let (Some(la), Some(lb)) = (module.rule_line(v.a), module.rule_line(v.b)) else {
-            continue;
-        };
-        // Prefer splitting the later clause (it usually is the catch-all,
-        // as in fig. 2's `sub x Z = x`); fall back to the earlier one.
-        let fix = if let Some(var) = first_bound_var(module, v.b, v.a) {
-            split_fix(module, v.b, v.a, var, lb)
-        } else if let Some(var) = first_bound_var(module, v.a, v.b) {
-            split_fix(module, v.a, v.b, var, la)
-        } else {
-            // Neither side is more specific anywhere: the left-hand sides
-            // are variants, and joinability says the results agree — the
-            // later clause is redundant.
-            Some(Fix {
-                title: format!("delete the duplicate clause at line {lb}"),
-                edits: vec![Edit {
-                    line: lb,
-                    kind: EditKind::Delete,
-                    text: String::new(),
-                }],
-            })
-        };
-        let Some(fix) = fix else { continue };
-        let needle = format!("lines {la} and {lb}");
-        attach(diags, Code::Overlap, Some(la.min(lb)), &needle, fix);
+/// The fix for the joinable overlap between clauses `a` and `b` (`a`
+/// first), or `None` when a clause has no source line or no split exists.
+pub(crate) fn overlap_fix(module: &Module, a: RuleId, b: RuleId) -> Option<Fix> {
+    let (la, lb) = (module.rule_line(a)?, module.rule_line(b)?);
+    // Prefer splitting the later clause (it usually is the catch-all, as in
+    // fig. 2's `sub x Z = x`); fall back to the earlier one.
+    if let Some(var) = first_bound_var(module, b, a) {
+        split_fix(module, b, a, var, lb)
+    } else if let Some(var) = first_bound_var(module, a, b) {
+        split_fix(module, a, b, var, la)
+    } else {
+        // Neither side is more specific anywhere: the left-hand sides are
+        // variants, and joinability says the results agree — the later
+        // clause is redundant.
+        Some(Fix {
+            title: format!("delete the duplicate clause at line {lb}"),
+            edits: vec![Edit {
+                line: lb,
+                kind: EditKind::Delete,
+                text: String::new(),
+            }],
+        })
     }
 }
 
@@ -224,9 +221,6 @@ fn overlap_fixes(module: &Module, diags: &mut [Diagnostic]) {
 fn first_bound_var(module: &Module, general: RuleId, other: RuleId) -> Option<VarId> {
     let sig = &module.program.sig;
     let trs = &module.program.trs;
-    if trs.rule(general).head() != trs.rule(other).head() {
-        return None; // only root overlaps are completed
-    }
     let mut scratch = trs.vars().clone();
     let (po, _) = trs.freshen_rule(other, &mut scratch);
     let lhs_g = trs.rule(general).lhs_term();
@@ -346,57 +340,43 @@ fn subsumed(
 // CQ001: insert missing clauses (or stubs) for coverage witnesses.
 // ---------------------------------------------------------------------------
 
-fn coverage_fixes(module: &Module, source: &str, diags: &mut [Diagnostic]) {
+/// The fix for `sym`'s uncovered `witness`: the missing clause when a
+/// right-hand side is derivable, a commented stub otherwise. `None` when
+/// the function has no source line to insert after.
+pub(crate) fn coverage_fix(module: &Module, sym: SymId, witness: &[WitnessPat]) -> Option<Fix> {
     let sig = &module.program.sig;
     let trs = &module.program.trs;
-    for (sym, witness) in check_program(sig, trs) {
-        let name = sig.sym(sym).name();
-        let Some(insert_at) = insertion_line(module, sym, name) else {
-            continue;
-        };
-        let mut counter = 0usize;
-        let pats: Vec<String> = witness
-            .iter()
-            .map(|w| render_witness(sig, w, &mut counter))
-            .collect();
-        let head = format!("{name} {}", pats.join(" "));
-        let (title, text) = match common_ground_rhs(sig, trs, sym) {
-            Some(rhs) => (
-                format!(
-                    "insert the missing clause `{head} = {}`",
-                    rhs.display(sig, trs.vars())
-                ),
-                format!("{head} = {}", rhs.display(sig, trs.vars())),
-            ),
-            None => {
-                let stub = format!("-- cycleq: missing case: {head} = ...");
-                if source.lines().any(|l| l.trim() == stub) {
-                    continue; // already stubbed; do not re-insert forever
-                }
-                (format!("insert a stub for the missing case `{head}`"), stub)
-            }
-        };
-        let line = first_rule_line(module, sym).or_else(|| module.decl_line(name));
-        attach(
-            diags,
-            Code::NonExhaustive,
-            line,
-            &format!("`{name}` is partial"),
-            Fix {
-                title,
-                edits: vec![Edit {
-                    line: insert_at,
-                    kind: EditKind::Insert,
-                    text,
-                }],
-            },
-        );
-    }
+    let name = sig.sym(sym).name();
+    let insert_at = insertion_line(module, sym, name)?;
+    let mut counter = 0usize;
+    let pats: Vec<String> = witness
+        .iter()
+        .map(|w| render_witness(sig, w, &mut counter))
+        .collect();
+    let head = format!("{name} {}", pats.join(" "));
+    let (title, text) = match common_ground_rhs(sig, trs, sym) {
+        Some(rhs) => {
+            let clause = format!("{head} = {}", rhs.display(sig, trs.vars()));
+            (format!("insert the missing clause `{clause}`"), clause)
+        }
+        None => (
+            format!("insert a stub for the missing case `{head}`"),
+            format!("{STUB_PREFIX}{head} = ..."),
+        ),
+    };
+    Some(Fix {
+        title,
+        edits: vec![Edit {
+            line: insert_at,
+            kind: EditKind::Insert,
+            text,
+        }],
+    })
 }
 
 /// The line to insert a new clause at: just after the function's last
 /// clause, or after its signature if it has none.
-fn insertion_line(module: &Module, sym: cycleq_term::SymId, name: &str) -> Option<u32> {
+fn insertion_line(module: &Module, sym: SymId, name: &str) -> Option<u32> {
     let trs = &module.program.trs;
     let last_rule = trs
         .rules_for(sym)
@@ -409,7 +389,7 @@ fn insertion_line(module: &Module, sym: cycleq_term::SymId, name: &str) -> Optio
 /// When every clause of `sym` returns the same ground constructor term,
 /// that term: the one right-hand side a completion can justify (the new
 /// clause trivially joins with every existing one).
-fn common_ground_rhs(sig: &Signature, trs: &Trs, sym: cycleq_term::SymId) -> Option<Term> {
+fn common_ground_rhs(sig: &Signature, trs: &Trs, sym: SymId) -> Option<Term> {
     let mut rules = trs.rules_for(sym).iter();
     let first = trs.rule(*rules.next()?).rhs().clone();
     if !first.is_ground() || first.contains_defined(sig) {
@@ -450,62 +430,30 @@ fn render_witness(sig: &Signature, w: &WitnessPat, counter: &mut usize) -> Strin
 // CQ005: delete unreachable equations.
 // ---------------------------------------------------------------------------
 
-fn deadcode_fixes(module: &Module, diags: &mut [Diagnostic]) {
-    if module.goals.is_empty() {
-        return;
+/// The fix for the unreachable defined symbol `sym`: delete its signature
+/// and every clause. `None` when one of them has no source line.
+pub(crate) fn deadcode_fix(module: &Module, sym: SymId) -> Option<Fix> {
+    let name = module.program.sig.sym(sym).name();
+    let rules = module.program.trs.rules_for(sym);
+    let mut lines = BTreeSet::from([module.decl_line(name)?]);
+    for id in rules {
+        lines.insert(module.rule_line(*id)?);
     }
-    let sig = &module.program.sig;
-    let trs = &module.program.trs;
-    let reach = reachable_defined(module);
-    for (sym, decl) in sig.syms() {
-        if decl.kind() != SymKind::Defined || reach.contains(&sym) {
-            continue;
-        }
-        let rules = trs.rules_for(sym);
-        if rules.is_empty() {
-            continue;
-        }
-        let mut lines: BTreeSet<u32> = BTreeSet::new();
-        let Some(decl_line) = module.decl_line(decl.name()) else {
-            continue;
-        };
-        lines.insert(decl_line);
-        let mut complete = true;
-        for id in rules {
-            match module.rule_line(*id) {
-                Some(l) => {
-                    lines.insert(l);
-                }
-                None => complete = false,
-            }
-        }
-        if !complete {
-            continue;
-        }
-        let edits: Vec<Edit> = lines
+    Some(Fix {
+        title: format!(
+            "delete `{name}` and its {} unreachable equation{}",
+            rules.len(),
+            if rules.len() == 1 { "" } else { "s" }
+        ),
+        edits: lines
             .into_iter()
             .map(|line| Edit {
                 line,
                 kind: EditKind::Delete,
                 text: String::new(),
             })
-            .collect();
-        attach(
-            diags,
-            Code::Unreachable,
-            first_rule_line(module, sym).or_else(|| module.decl_line(decl.name())),
-            &format!("`{}`", decl.name()),
-            Fix {
-                title: format!(
-                    "delete `{}` and its {} unreachable equation{}",
-                    decl.name(),
-                    rules.len(),
-                    if rules.len() == 1 { "" } else { "s" }
-                ),
-                edits,
-            },
-        );
-    }
+            .collect(),
+    })
 }
 
 // ---------------------------------------------------------------------------
@@ -650,18 +598,22 @@ goal g1: sub x x === Z\n";
 
     #[test]
     fn fig2_fix_is_attached_to_the_cq002_diagnostic() {
-        let diags = analyze_source(FIG2);
-        let d = diags
-            .iter()
-            .find(|d| d.code == Code::Overlap)
-            .expect("fig.2 has a joinable overlap");
-        assert_eq!(d.severity, Severity::Warning);
-        let fix = d.fix.as_ref().expect("joinable overlap carries a fix");
-        assert!(fix.title.contains("split"), "{}", fix.title);
-        assert_eq!(fix.edits.len(), 1);
-        assert_eq!(fix.edits[0].line, 4);
-        assert_eq!(fix.edits[0].kind, EditKind::Replace);
-        assert_eq!(fix.edits[0].text, "sub (S x) Z = S x");
+        // Both entry points: the source-level one and plain `analyze`,
+        // whose check builds the fix with the diagnostic.
+        let from_module = analyze(&parse_module(FIG2).unwrap());
+        for diags in [analyze_source(FIG2), from_module] {
+            let d = diags
+                .iter()
+                .find(|d| d.code == Code::Overlap)
+                .expect("fig.2 has a joinable overlap");
+            assert_eq!(d.severity, Severity::Warning);
+            let fix = d.fix.as_ref().expect("joinable overlap carries a fix");
+            assert!(fix.title.contains("split"), "{}", fix.title);
+            assert_eq!(fix.edits.len(), 1);
+            assert_eq!(fix.edits[0].line, 4);
+            assert_eq!(fix.edits[0].kind, EditKind::Replace);
+            assert_eq!(fix.edits[0].text, "sub (S x) Z = S x");
+        }
     }
 
     #[test]

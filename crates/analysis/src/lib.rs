@@ -6,7 +6,8 @@
 //! checks. Mirroring how E-Cyclist validates the *outputs* of cyclic
 //! reasoning, this crate validates the *inputs*: [`analyze`] runs every
 //! check over a lowered [`Module`] and returns structured [`Diagnostic`]s
-//! with stable codes, severities and source lines.
+//! with stable codes, severities, source lines and, where one exists, a
+//! machine-applicable [`Fix`].
 //!
 //! | code    | severity | finding |
 //! |---------|----------|---------|
@@ -23,15 +24,17 @@
 //! Overlaps are classified by joinability of their critical pairs:
 //! `CQ002` instances whose critical pairs all converge are downgraded to
 //! warnings (the system is weakly orthogonal), while diverging pairs are
-//! promoted to the hard error `CQ009`. Several diagnostics carry a
-//! machine-applicable [`Fix`]; [`analyze_with_fixes`] applies them to a
-//! fixed point.
+//! promoted to the hard error `CQ009`. Each finding is computed once, by
+//! the check that reports it, and that check also builds its fix (`CQ001`,
+//! `CQ002`, `CQ005`); [`analyze_with_fixes`] applies the fixes to a fixed
+//! point.
 //!
 //! The individual analyses reuse the engines the prover already trusts:
-//! the pattern-matrix usefulness algorithm and the unification-based
-//! orthogonality check from `cycleq_rewrite`, and the hash-consed,
-//! memoized size-change closure from `cycleq_sizechange` — so a program
-//! that lints clean is exactly one the paper's metatheory covers.
+//! the pattern-matrix usefulness algorithm, critical pairs and
+//! left-linearity from `cycleq_rewrite`, the memoized rewriter that joins
+//! critical pairs, and the hash-consed, memoized size-change closure from
+//! `cycleq_sizechange` — so a program that lints clean is exactly one the
+//! paper's metatheory covers.
 
 mod coverage;
 mod critical_pairs;
@@ -43,13 +46,19 @@ mod termination;
 
 pub use diagnostic::{Code, Diagnostic, Edit, EditKind, Fix, Severity};
 pub use fix::{
-    analyze_source, analyze_with_fixes, apply_fixes, attach_fixes, unified_diff, FixOutcome,
+    analyze_source, analyze_with_fixes, apply_fixes, drop_existing_stub_fixes, unified_diff,
+    FixOutcome,
 };
 
 use cycleq_lang::{LangError, LangErrorKind, Module};
 use cycleq_term::SymId;
 
-/// Runs every analysis over a lowered module.
+/// Runs every analysis over a lowered module, attaching the fixes the
+/// checks build to their diagnostics.
+///
+/// The fixes are computed from the module alone. A `CQ001` stub the source
+/// already contains is still offered; [`analyze_source`] and callers that
+/// hold the source withdraw it with [`drop_existing_stub_fixes`].
 ///
 /// Diagnostics are sorted by source line (findings without a line sort
 /// last), then by code, so output is deterministic across runs.

@@ -1,15 +1,14 @@
 //! `CQ003`: left-linearity.
 //!
 //! Remark 2.1 assumes the rewrite system is orthogonal — left-linear and
-//! non-overlapping. [`cycleq_rewrite::check_orthogonality`] reports the
-//! violating rules; this pass names the repeated variables and points the
-//! finding at its clause line. (The overlap half of orthogonality is
-//! handled by the critical-pair classifier in
+//! non-overlapping. This pass reports every clause whose left-hand side
+//! fails [`cycleq_rewrite::Rule::is_left_linear`], names the repeated
+//! variables, and points the finding at its clause line. (The overlap half
+//! of orthogonality is handled by the critical-pair classifier in
 //! [`crate::critical_pairs`], which distinguishes joinable `CQ002` from
 //! non-joinable `CQ009` overlaps.)
 
 use cycleq_lang::Module;
-use cycleq_rewrite::check_orthogonality;
 use cycleq_term::{Term, VarStore};
 
 use crate::diagnostic::{Code, Diagnostic};
@@ -17,10 +16,8 @@ use crate::diagnostic::{Code, Diagnostic};
 pub(crate) fn check(module: &Module) -> Vec<Diagnostic> {
     let sig = &module.program.sig;
     let trs = &module.program.trs;
-    let report = check_orthogonality(trs);
     let mut out = Vec::new();
-    for id in report.non_left_linear {
-        let rule = trs.rule(id);
+    for (id, rule) in trs.rules().filter(|(_, r)| !r.is_left_linear()) {
         let name = sig.sym(rule.head()).name();
         let repeated = repeated_vars(rule.params(), trs.vars());
         let mut d = Diagnostic::new(

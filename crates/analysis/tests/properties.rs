@@ -152,12 +152,15 @@ fn coverage_witness_is_itself_uncovered() {
 /// normalize both reducts of every pair with the plain (unmemoized)
 /// rewriter, and require (a) exactly one finding per overlapping clause
 /// pair and (b) `CQ009` exactly when some pair's reducts fail to meet.
-/// Programs are a fixed orthogonal `Nat` base plus one overlapping clause
-/// with randomized patterns and right-hand sides.
+/// The enumeration itself is checked too: its clause pairs must be exactly
+/// the pairs of same-function clauses whose left-hand sides, renamed
+/// apart, unify. Programs are a fixed orthogonal `Nat` base plus one
+/// overlapping clause with randomized patterns and right-hand sides.
 #[test]
 fn overlap_classification_matches_brute_force_reduct_normalization() {
     use cycleq_rewrite::{critical_pairs, Rewriter, RuleId};
-    use std::collections::BTreeMap;
+    use cycleq_term::{unify, VarStore};
+    use std::collections::{BTreeMap, BTreeSet};
 
     const R1: &[&str] = &["Z", "y", "S y"];
     const R2: &[&str] = &["Z", "f x y", "S (f x y)"];
@@ -187,14 +190,46 @@ fn overlap_classification_matches_brute_force_reduct_normalization() {
         let sig = &module.program.sig;
         let trs = &module.program.trs;
         let rewriter = Rewriter::new(sig, trs).with_fuel(100_000);
+        let cps = critical_pairs(trs);
         let mut pair_joinable: BTreeMap<(RuleId, RuleId), bool> = BTreeMap::new();
-        for cp in &critical_pairs(trs).pairs {
+        for cp in &cps.pairs {
             let key = (cp.inner.min(cp.outer), cp.inner.max(cp.outer));
             let l = rewriter.normalize(&cp.left);
             let r = rewriter.normalize(&cp.right);
             let joinable = l.in_normal_form && r.in_normal_form && l.term == r.term;
             *pair_joinable.entry(key).or_insert(true) &= joinable;
         }
+        let ids: Vec<RuleId> = trs.rules().map(|(id, _)| id).collect();
+        let mut unifying: BTreeSet<(RuleId, RuleId)> = BTreeSet::new();
+        for (i, &a) in ids.iter().enumerate() {
+            for &b in &ids[i + 1..] {
+                if trs.rule(a).head() != trs.rule(b).head() {
+                    continue;
+                }
+                let mut scratch = VarStore::new();
+                let (pa, _) = trs.freshen_rule(a, &mut scratch);
+                let (pb, _) = trs.freshen_rule(b, &mut scratch);
+                let ta = Term::apps(trs.rule(a).head(), pa);
+                let tb = Term::apps(trs.rule(b).head(), pb);
+                if unify(&ta, &tb).is_ok() {
+                    unifying.insert((a, b));
+                }
+            }
+        }
+        let reported: BTreeSet<(RuleId, RuleId)> =
+            cps.pairs.iter().map(|cp| (cp.outer, cp.inner)).collect();
+        prop_assert_eq!(
+            reported.len(),
+            cps.pairs.len(),
+            "one critical pair per clause pair:\n{}",
+            src
+        );
+        prop_assert_eq!(
+            &reported,
+            &unifying,
+            "critical pairs must be exactly the unifying same-function clause pairs:\n{}",
+            src
+        );
         let diags = analyze(&module);
         let cq002 = diags.iter().filter(|d| d.code == Code::Overlap).count();
         let cq009 = diags.iter().filter(|d| d.code == Code::NonJoinable).count();

@@ -346,11 +346,14 @@ impl Session {
     /// soundness preconditions of Remark 2.1 (pattern coverage,
     /// orthogonality, the size-change termination pre-screen) plus the
     /// dead-code sweep, as structured [`Diagnostic`]s with stable codes
-    /// and source lines. Surfaced on the CLI as `cycleq lint`, and printed
-    /// to stderr before every `cycleq prove`.
+    /// and source lines. The fixes come from [`analyze`], which attaches
+    /// them itself; the session holds the source, so a `CQ001` stub it
+    /// already contains is withdrawn
+    /// ([`cycleq_analysis::drop_existing_stub_fixes`]). Surfaced on the CLI
+    /// as `cycleq lint`, and printed to stderr before every `cycleq prove`.
     pub fn analyze(&self) -> Vec<Diagnostic> {
         let mut diags = cycleq_analysis::analyze(&self.module);
-        cycleq_analysis::attach_fixes(&self.module, &self.source, &mut diags);
+        cycleq_analysis::drop_existing_stub_fixes(&self.source, &mut diags);
         diags
     }
 

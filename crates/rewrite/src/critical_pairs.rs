@@ -3,20 +3,21 @@
 //! Orthogonality (Remark 2.1) forbids overlaps outright, but when a system
 //! *does* overlap the interesting question is whether each overlap is
 //! harmless. A critical pair captures one overlap concretely: for rules
-//! `a : l_a → r_a` and `b : l_b → r_b` (renamed apart) and a non-variable
-//! position `p` of `l_b` where `l_a` unifies with `l_b|_p` under mgu `θ`,
-//! the *peak* `θ(l_b)` rewrites in one step two different ways —
+//! `a : l_a → r_a` and `b : l_b → r_b` (renamed apart) whose left-hand
+//! sides unify under mgu `θ`, the *peak* `θ(l_b)` rewrites in one step two
+//! different ways —
 //!
-//! - the **inner** step contracts the `a`-redex at `p`: `θ(l_b[r_a]_p)`,
-//! - the **outer** step contracts the whole term with `b`: `θ(r_b)`.
+//! - the **inner** step contracts it with `a`: `θ(r_a)`,
+//! - the **outer** step contracts it with `b`: `θ(r_b)`.
 //!
 //! The pair of reducts is joinable iff both rewrite to a common term; a
 //! system all of whose critical pairs are joinable is locally confluent
-//! (Knuth–Bendix). For the constructor-based systems of §2 only *root*
-//! overlaps between clauses of the same function can occur (proper subterms
-//! of a clause LHS are constructor patterns, which never unify with a
-//! defined-function LHS), but the enumeration below is written for the
-//! general case so the analyzer's verdicts do not bake in that assumption.
+//! (Knuth–Bendix). Only *root* overlaps between clauses of the same
+//! function can occur: [`Trs::add_rule`] rejects defined symbols in
+//! patterns, so no proper subterm of a left-hand side unifies with another
+//! left-hand side, and left-hand sides with different heads never unify.
+//! The enumeration therefore pairs each clause with the later clauses of
+//! its own function.
 //!
 //! Variable handling is chosen for downstream diagnostics: the *outer* rule
 //! keeps its original variables (so rendered peaks use source names), while
@@ -25,7 +26,7 @@
 
 use std::collections::BTreeSet;
 
-use cycleq_term::{unify, Position, Subst, Term, VarStore};
+use cycleq_term::{unify, Subst, Term, VarStore};
 
 use crate::rule::RuleId;
 use crate::trs::Trs;
@@ -33,26 +34,16 @@ use crate::trs::Trs;
 /// One critical pair: a peak together with its two one-step reducts.
 #[derive(Clone, Debug)]
 pub struct CriticalPair {
-    /// The rule contracted at `pos` (the inner step), renamed apart.
+    /// The later clause of the pair, renamed apart.
     pub inner: RuleId,
-    /// The rule contracted at the root (the outer step), kept with its
-    /// original variables.
+    /// The earlier clause of the pair, kept with its original variables.
     pub outer: RuleId,
-    /// The overlap position inside `outer`'s left-hand side.
-    pub pos: Position,
     /// The overlapped instance `θ(l_outer)` both rules rewrite.
     pub peak: Term,
-    /// The reduct of the inner step, `θ(l_outer[r_inner]_pos)`.
+    /// The reduct of the inner step, `θ(r_inner)`.
     pub left: Term,
     /// The reduct of the outer step, `θ(r_outer)`.
     pub right: Term,
-}
-
-impl CriticalPair {
-    /// Whether the overlap is at the root of `outer`'s left-hand side.
-    pub fn at_root(&self) -> bool {
-        self.pos.is_root()
-    }
 }
 
 /// All critical pairs of a system, with the variable store their terms
@@ -66,77 +57,38 @@ pub struct CriticalPairs {
     pub pairs: Vec<CriticalPair>,
 }
 
-/// Enumerates every critical pair of the system.
-///
-/// Root overlaps between distinct rules are produced once per unordered
-/// pair (with the earlier rule as the outer one); proper-subterm overlaps
-/// are produced for every ordered pair, including a rule overlapped into
-/// itself. Trivial root self-overlaps (`a` with `a`) are skipped, as is
-/// conventional.
+/// Enumerates every critical pair of the system: one per unordered pair of
+/// distinct clauses of the same function whose left-hand sides unify, with
+/// the earlier clause as the outer one.
 pub fn critical_pairs(trs: &Trs) -> CriticalPairs {
     let mut vars = trs.vars().clone();
     let mut pairs = Vec::new();
-    let ids: Vec<RuleId> = trs.rules().map(|(id, _)| id).collect();
-    for &outer in &ids {
-        let outer_rule = trs.rule(outer);
+    for (outer, outer_rule) in trs.rules() {
         let lhs_outer = outer_rule.lhs_term();
         let taken: BTreeSet<&str> = outer_rule
             .lhs_vars()
             .iter()
             .map(|v| trs.vars().name(*v))
             .collect();
-        for &inner in &ids {
-            let (inner_params, inner_rhs) = rename_apart(trs, inner, &taken, &mut vars);
-            let lhs_inner = Term::apps(trs.rule(inner).head(), inner_params);
-            for (pos, sub) in lhs_outer.positions() {
-                // Overlap only at non-variable positions; the root
-                // self-overlap is the trivial pair.
-                if sub.head_var().is_some() || (inner == outer && pos.is_root()) {
-                    continue;
-                }
-                // Count each root overlap once per unordered pair.
-                if pos.is_root() && inner < outer {
-                    continue;
-                }
-                let Ok(theta) = unify(&lhs_inner, sub) else {
-                    continue;
-                };
-                pairs.push(make_pair(
-                    inner,
-                    outer,
-                    pos,
-                    &lhs_outer,
-                    &inner_rhs,
-                    outer_rule.rhs(),
-                    &theta,
-                ));
+        for &inner in trs.rules_for(outer_rule.head()) {
+            if inner <= outer {
+                continue;
             }
+            let (inner_params, inner_rhs) = rename_apart(trs, inner, &taken, &mut vars);
+            let lhs_inner = Term::apps(outer_rule.head(), inner_params);
+            let Ok(theta) = unify(&lhs_inner, &lhs_outer) else {
+                continue;
+            };
+            pairs.push(CriticalPair {
+                inner,
+                outer,
+                peak: theta.apply(&lhs_outer),
+                left: theta.apply(&inner_rhs),
+                right: theta.apply(outer_rule.rhs()),
+            });
         }
     }
     CriticalPairs { vars, pairs }
-}
-
-fn make_pair(
-    inner: RuleId,
-    outer: RuleId,
-    pos: Position,
-    lhs_outer: &Term,
-    inner_rhs: &Term,
-    outer_rhs: &Term,
-    theta: &Subst,
-) -> CriticalPair {
-    let peak = theta.apply(lhs_outer);
-    let contracted = lhs_outer
-        .replace_at(&pos, inner_rhs.clone())
-        .expect("overlap position comes from lhs_outer.positions()");
-    CriticalPair {
-        inner,
-        outer,
-        pos,
-        peak,
-        left: theta.apply(&contracted),
-        right: theta.apply(outer_rhs),
-    }
 }
 
 /// Renames `rule`'s variables apart from `taken`, priming colliding names
@@ -225,7 +177,6 @@ mod tests {
         let cps = critical_pairs(&trs);
         assert_eq!(cps.pairs.len(), 1, "exactly one overlap in fig. 2 sub");
         let cp = &cps.pairs[0];
-        assert!(cp.at_root());
         assert_ne!(cp.inner, cp.outer);
         // Peak is `sub Z Z`; both reducts are already `Z`.
         assert_eq!(cp.peak.display(&f.sig, &cps.vars).to_string(), "sub Z Z");

@@ -14,8 +14,9 @@
 //!   analysis driving the `(Case)` rule (§6);
 //! - [`check_symbol`]/[`check_program`]: the pattern-completeness check
 //!   backing the "complete" assumption of Remark 2.1;
-//! - [`check_orthogonality`]: left-linearity + non-overlap, the syntactic
-//!   confluence criterion for the confluence assumption of Remark 2.1;
+//! - [`critical_pairs`]: the overlaps between clauses of the same
+//!   function, whose joinability decides the confluence assumption of
+//!   Remark 2.1 (left-linearity is [`Rule::is_left_linear`]);
 //! - [`narrow_at`]: most-general-unifier narrowing, the engine of rewriting
 //!   induction's `Expand` (Definition 4.1);
 //! - [`Lpo`] and friends: the reduction orders of §4.
@@ -43,7 +44,6 @@ mod limits;
 mod memo;
 mod narrow;
 mod orders;
-mod orthogonality;
 mod reduce;
 mod rule;
 mod shared_cache;
@@ -60,7 +60,6 @@ pub use narrow::{narrow_at, NarrowingStep};
 pub use orders::{
     check_rules_decreasing, DecreasingOrder, Lpo, Precedence, SubtermOrder, TermOrder,
 };
-pub use orthogonality::{check_orthogonality, OrthogonalityReport};
 pub use reduce::{Normalized, Rewriter, DEFAULT_FUEL};
 pub use rule::{Rule, RuleError, RuleId};
 pub use shared_cache::{CacheStats, SharedNormalFormCache};

@@ -3,7 +3,9 @@
 //! and agreement between narrowing and rewriting on ground terms.
 
 use cycleq_rewrite::fixtures::nat_list_program;
-use cycleq_rewrite::{case_candidates, check_orthogonality, narrow_at, MemoRewriter, Rewriter};
+use cycleq_rewrite::{
+    case_candidates, check_program, critical_pairs, narrow_at, MemoRewriter, Rewriter,
+};
 use cycleq_term::{Position, Term, VarStore};
 use proptest::prelude::*;
 use proptest::test_runner::Config;
@@ -240,8 +242,9 @@ fn narrowing_generalises_rewriting_on_ground_redexes() {
 #[test]
 fn fixture_is_orthogonal_and_complete() {
     let p = nat_list_program();
-    assert!(check_orthogonality(&p.prog.trs).is_orthogonal());
-    assert!(cycleq_rewrite::check_program(&p.prog.sig, &p.prog.trs).is_empty());
+    assert!(critical_pairs(&p.prog.trs).pairs.is_empty());
+    assert!(p.prog.trs.rules().all(|(_, r)| r.is_left_linear()));
+    assert!(check_program(&p.prog.sig, &p.prog.trs).is_empty());
 }
 
 #[test]

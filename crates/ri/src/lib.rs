@@ -231,9 +231,7 @@ impl<'a> RiState<'a> {
         let mut iterations = 0;
         while let Some(goal) = self.goals.pop_front() {
             iterations += 1;
-            if iterations > self.config.max_iterations
-                || self.stats.expansions > self.config.max_expansions
-            {
+            if iterations > self.config.max_iterations {
                 return RiOutcome::Budget;
             }
             // (Simplify)*: rewrite with R ∪ H to a normal form, chaining
@@ -261,6 +259,9 @@ impl<'a> RiState<'a> {
             let Some(pos) = self.expansion_position(&big) else {
                 return RiOutcome::Stuck { goal: eq };
             };
+            if self.stats.expansions >= self.config.max_expansions {
+                return RiOutcome::Budget;
+            }
             self.stats.expansions += 1;
             self.hyps.push(Hyp {
                 lhs: big,
@@ -552,15 +553,21 @@ goal nilRight: app xs Nil === xs
         let src = format!("{NAT}goal zr: add x Z === x\n");
         let m = parse_module(&src).unwrap();
         let g = m.goal("zr").unwrap().clone();
-        let prover = RiProver::with_config(
-            &m.program,
-            RiConfig {
-                max_expansions: 0,
+        let run = |max_expansions| {
+            let config = RiConfig {
+                max_expansions,
                 ..RiConfig::default()
-            },
-        )
-        .unwrap();
-        let res = prover.prove(g.eq, g.vars);
+            };
+            let prover = RiProver::with_config(&m.program, config).unwrap();
+            prover.prove(g.eq.clone(), g.vars.clone())
+        };
+        // No expansion is allowed, so none happens.
+        let res = run(0);
         assert_eq!(res.outcome, RiOutcome::Budget);
+        assert_eq!(res.stats.expansions, 0);
+        // `zr` needs exactly one expansion (of `add x Z` on `x`).
+        let res = run(1);
+        assert!(matches!(res.outcome, RiOutcome::Proved { .. }), "{res:?}");
+        assert_eq!(res.stats.expansions, 1);
     }
 }

@@ -33,13 +33,21 @@ fn corpus_warning_counts_are_pinned() {
     // everything else must stay quiet. If this snapshot moves, either the
     // corpus or an analysis changed — update it consciously.
     let mut by_code: BTreeMap<&'static str, usize> = BTreeMap::new();
+    let mut fixed_by_code: BTreeMap<&'static str, usize> = BTreeMap::new();
     for p in all_problems() {
         let Some(src) = p.source() else { continue };
         let module = parse_module(&src).unwrap();
         for d in analyze(&module) {
             *by_code.entry(d.code.as_str()).or_default() += 1;
+            if d.fix.is_some() {
+                *fixed_by_code.entry(d.code.as_str()).or_default() += 1;
+            }
         }
     }
     let snapshot: Vec<(&str, usize)> = by_code.into_iter().collect();
     assert_eq!(snapshot, vec![("CQ005", 2617)], "warning snapshot moved");
+    // Plain `analyze` builds each fix with its diagnostic: every
+    // unreachable-equation finding carries the deletion that repairs it.
+    let fixed: Vec<(&str, usize)> = fixed_by_code.into_iter().collect();
+    assert_eq!(fixed, vec![("CQ005", 2617)], "a CQ005 finding lost its fix");
 }
