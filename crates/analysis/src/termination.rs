@@ -72,12 +72,14 @@ fn call_graphs(sig: &Signature, trs: &Trs) -> Vec<CallEdge> {
 /// self-call whose graph has no strict edge — the simplest witnesses —
 /// or, for purely indirect cycles, every caller in the call graph.
 fn suspects(edges: &[CallEdge]) -> Vec<SymId> {
-    let mut out: Vec<SymId> = edges
-        .iter()
-        .filter(|(f, g, graph)| f == g && !graph.edges().any(|(_, _, l)| l == Label::Strict))
-        .map(|(f, _, _)| *f)
-        .collect();
-    out.dedup();
+    let mut out: Vec<SymId> = Vec::new();
+    for (f, g, graph) in edges {
+        // A function's clauses need not be adjacent: keep the first
+        // occurrence of each suspect, in rule order.
+        if f == g && !graph.edges().any(|(_, _, l)| l == Label::Strict) && !out.contains(f) {
+            out.push(*f);
+        }
+    }
     if out.is_empty() {
         out = edges.iter().map(|(f, _, _)| *f).collect();
         out.sort();
@@ -152,6 +154,25 @@ mod tests {
             let msg = &ds[0].message;
             assert!(msg.contains(&format!("`{name}`")), "{msg}");
         }
+    }
+
+    #[test]
+    fn interleaved_clauses_report_each_function_once() {
+        let m = parse_module(
+            "data Nat = Z | S Nat\nf :: Nat -> Nat\nh :: Nat -> Nat\nf Z = f Z\nh x = h x\nf (S x) = f (S x)\n",
+        )
+        .unwrap();
+        let ds = check(&m);
+        let names: Vec<&str> = ds
+            .iter()
+            .map(|d| {
+                d.message
+                    .split('`')
+                    .nth(1)
+                    .expect("message names the function")
+            })
+            .collect();
+        assert_eq!(names, ["f", "h"]);
     }
 
     #[test]

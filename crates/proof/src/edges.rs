@@ -122,10 +122,9 @@ pub fn check_global(proof: &Preproof) -> Soundness {
             comp[v.index()] = c;
         }
     }
-    // One closure per SCC (not one shared closure): the incremental
-    // engine's saturation scans its retained pairs for composition
-    // partners, so keeping each component's closure private keeps that
-    // scan proportional to the component, not the proof. Saturation is
+    // One closure per SCC: only a component's internal edges go in, so
+    // no composite crosses components, and a private closure keeps each
+    // store and pair map the size of its component. Saturation is
     // incremental with subsumption pruning — inside a cyclic core the same
     // composite graphs recur constantly, and dropping dominated graphs
     // keeps the per-pair sets small.
@@ -212,10 +211,11 @@ fn tarjan_sccs(proof: &Preproof) -> Vec<Vec<NodeId>> {
     sccs
 }
 
-/// Extracts, for every back edge, one witness trace of variables around the
-/// shortest cycle through it — a human-readable certificate accompanying
-/// the soundness verdict. Returns `(from, to, graph)` triples for the
-/// composed cycles found at back edges.
+/// Extracts, for every back edge, one certificate of the cycles through its
+/// target — a human-readable companion to the soundness verdict. Returns
+/// `(node, graph)` pairs: the back edge's target and an idempotent
+/// self-loop graph of the closure there that has a strict self-edge. A
+/// back edge whose target has no such graph contributes no pair.
 pub fn cycle_witnesses(proof: &Preproof) -> Vec<(NodeId, ScGraph<VarId>)> {
     let mut closure = IncrementalClosure::new();
     for (a, b, g) in global_edges(proof) {

@@ -23,6 +23,28 @@
 //! memoized across the whole search — including across backtracking, since
 //! the store is append-only and survives [`IncrementalClosure::undo_to`].
 //!
+//! # Left-linear saturation
+//!
+//! Every graph of the closure is the composite `e₁;…;eₖ` of a path of proof
+//! edges. The engine derives each path once, by its *first* proof edge: as
+//! `e₁` followed by a graph retained at `e₁`'s target. Two indices make
+//! this local, and undo rewinds both:
+//!
+//! - `succ[a]` lists the nodes `d` with a retained pair `(a, d)`, in
+//!   creation order;
+//! - `edges_in[c]` lists the proof edges `(a, e)` entering `c`.
+//!
+//! Adding a proof edge `e : a → c` pushes `e` at `(a, c)`, and `e;h` for
+//! every retained `h` at `(c, d)`, found through `succ[c]`. Retaining a
+//! graph `g` at `(x, y)` pushes `e;g` at `(w, y)` for every `(w, e)` in
+//! `edges_in[x]`; if `x = y`, it also pushes `g;h` and `h;g` for every
+//! retained `h` at `(x, x)`, so that self-loop pairs stay closed under
+//! composition. No step walks the whole pair map, and outside self-loop
+//! pairs a retained graph is only ever composed with a proof edge on its
+//! left: a chain of `n` edges costs `n(n−1)/2` compositions, where joining
+//! every new graph on both sides re-derives each path once per way of
+//! splitting it.
+//!
 //! # Subsumption pruning
 //!
 //! Write `w ⊑ g` when every edge of `w` occurs in `g` with an equal or
@@ -46,20 +68,34 @@
 //!
 //! - **Unpruned-unsound ⟹ pruned-unsound.** First, a simulation
 //!   invariant: *for every graph `s` of the full closure between `(a, b)`,
-//!   some retained graph `p ⊑ s` exists between `(a, b)`.* By induction
-//!   on the derivation of `s`: an inserted edge is either retained or
-//!   dropped in favour of a retained `w ⊑ s`; and if `s = s₁;s₂`, the
-//!   engine composed the retained witnesses `p₁ ⊑ s₁` and `p₂ ⊑ s₂` when
-//!   the later of the two was inserted, producing `p₁;p₂ ⊑ s` (by
-//!   monotonicity), which again is retained or dominated by a retained
-//!   graph. Now let `B` be a bad idempotent of the full closure at
-//!   `(v, v)` and `p ⊑ B` a retained witness. Because self-loops are never
-//!   pruned, the retained set at `(v, v)` is closed under composition, so
-//!   it contains every power `pⁿ`. The finite semigroup generated by `p`
-//!   contains an idempotent power `p^N` (for `N = n!` with `n` the
-//!   semigroup size, `p^N` is idempotent). By monotonicity
-//!   `p^N ⊑ B^N = B`, so `p^N` has no strict self-edge — a retained bad
-//!   idempotent, counted by the `bad` counter the moment it was inserted.
+//!   some retained graph `p ⊑ s` exists between `(a, b)`.* Undo restores
+//!   an earlier state exactly, and a retained graph leaves only by undo,
+//!   so it suffices that adding edges preserves the invariant. The proof
+//!   is by induction on the length of the path whose composite is `s`;
+//!   a path is a proof edge `e : a → c` followed by a shorter path. If
+//!   the shorter path is empty, `s = e` was pushed at `(a, c)` when `e`
+//!   was added. Otherwise `s = e;s'` with `s'` the composite of the
+//!   shorter path, between `(c, b)`, and by induction a retained
+//!   `p' ⊑ s'` exists there. `e` and `p'` were composed when the later of
+//!   the two arrived: through `succ[c]` if `p'` was retained first, and
+//!   through `edges_in[c]` otherwise (which records `e` whether or not `e`
+//!   itself was retained at `(a, c)`). Either way `e;p'` was pushed at
+//!   `(a, b)`, and `e;p' ⊑ e;s' = s` by monotonicity. A pushed graph is
+//!   retained, already present, or dropped in favour of a retained
+//!   `w ⊑` it, so some retained `p ⊑ s` exists (`⊑` is transitive). Now
+//!   let `B` be a bad idempotent of the full closure at `(v, v)` and
+//!   `p ⊑ B` a retained witness. Because self-loops are never pruned and
+//!   every retained self-loop at `(v, v)` is composed with every other on
+//!   both sides (itself included), the retained set at `(v, v)` is closed
+//!   under composition, so it contains every power `pⁿ`. The finite
+//!   semigroup generated by `p` contains an idempotent power `p^N` (for
+//!   `N = n!` with `n` the semigroup size, `p^N` is idempotent). By
+//!   monotonicity `p^N ⊑ B^N = B`, so `p^N` has no strict self-edge — a
+//!   retained bad idempotent, counted by the `bad` counter the moment it
+//!   was inserted.
+//!
+//! Without pruning, the same induction with `=` for `⊑` shows that the
+//! retained graphs are exactly the full closure.
 //!
 //! The restriction to `a ≠ b` is essential, not an optimisation
 //! shortfall: if self-loops were pruned too, the retained set at `(v, v)`
@@ -71,7 +107,8 @@
 //! by the idempotence side condition; keeping all self-loops discharges
 //! that side condition by exhaustiveness.
 
-use std::collections::BTreeMap;
+use std::collections::btree_map::Entry;
+use std::collections::{BTreeMap, HashMap};
 use std::hash::Hash;
 
 use crate::graph::ScGraph;
@@ -93,20 +130,33 @@ pub enum Soundness {
 /// [`IncrementalClosure::mark`] and restore with
 /// [`IncrementalClosure::undo_to`].
 #[derive(Copy, Clone, PartialEq, Eq, PartialOrd, Ord, Debug)]
-pub struct Mark(pub(crate) usize);
+pub struct Mark {
+    /// Length of the trail of retained graphs.
+    retained: usize,
+    /// Number of proof edges added.
+    edges: usize,
+}
 
 /// The composition closure of a growing set of proof edges, with undo.
 #[derive(Clone, Debug)]
 pub struct IncrementalClosure<V, N> {
     store: GraphStore<V>,
-    /// Retained graphs per node pair. A `BTreeMap` keeps saturation
-    /// deterministic: with subsumption pruning the retained set depends on
-    /// the order compositions are expanded, and a hash map's per-instance
-    /// random iteration order would make two identical edge sequences
-    /// retain different (though verdict-equivalent) sets.
+    /// Retained graphs per node pair. A `BTreeMap` keeps
+    /// [`IncrementalClosure::unsound_witness`] deterministic; saturation
+    /// reaches the pairs through `succ` instead of iterating this map.
     graphs: BTreeMap<(N, N), SmallIdVec>,
+    /// `succ[a]`: the nodes `d` with a retained pair `(a, d)`, in creation
+    /// order (so undo pops them LIFO). The vectors, not the hash map,
+    /// decide the order of composition, which keeps it deterministic.
+    succ: HashMap<N, Vec<N>>,
+    /// `edges_in[c]`: the proof edges `(a, e)` entering `c`, in the order
+    /// they were added.
+    edges_in: HashMap<N, Vec<(N, GraphId)>>,
     /// Insertion log: (src, dst, graph, was_bad).
     trail: Vec<(N, N, GraphId, bool)>,
+    /// The target of every proof edge added, in order, for undo to pop
+    /// `edges_in` by.
+    edge_targets: Vec<N>,
     /// Number of currently-present idempotent self-loops without a strict
     /// self-edge. Non-zero means the current preproof cannot satisfy the
     /// global condition.
@@ -129,7 +179,10 @@ impl<V, N> Default for IncrementalClosure<V, N> {
         IncrementalClosure {
             store: GraphStore::default(),
             graphs: BTreeMap::new(),
+            succ: HashMap::new(),
+            edges_in: HashMap::new(),
             trail: Vec::new(),
+            edge_targets: Vec::new(),
             bad: 0,
             live: 0,
             subsumption: true,
@@ -173,7 +226,10 @@ where
 
     /// A checkpoint capturing the current state.
     pub fn mark(&self) -> Mark {
-        Mark(self.trail.len())
+        Mark {
+            retained: self.trail.len(),
+            edges: self.edge_targets.len(),
+        }
     }
 
     /// Adds a proof edge and saturates the closure with it.
@@ -190,43 +246,74 @@ where
     /// [`IncrementalClosure::add_edge`] for a graph already interned in
     /// this closure's store.
     pub fn add_edge_id(&mut self, src: N, dst: N, graph: GraphId) -> Soundness {
+        // Left-linear saturation (see module docs): the new edge is joined
+        // on its right with what is already retained at `dst`, and every
+        // graph retained from here on is joined on its left with the proof
+        // edges entering its source.
+        self.edges_in.entry(dst).or_default().push((src, graph));
+        self.edge_targets.push(dst);
         let mut worklist: Vec<(N, N, GraphId)> = vec![(src, dst, graph)];
-        while let Some((a, b, g)) = worklist.pop() {
-            if let Some(present) = self.graphs.get(&(a, b)) {
-                if present.contains(g) {
-                    continue;
-                }
-                if self.subsumption && a != b && present.iter().any(|&w| self.store.subsumes(w, g))
-                {
-                    // A retained weaker-or-equal graph dominates every
-                    // composite `g` could produce (see module docs): drop
-                    // `g` without expanding it.
-                    self.subsumed += 1;
-                    crate::metrics::store_metrics().subsumed.inc();
-                    continue;
+        if let Some(targets) = self.succ.get(&dst) {
+            for &d in targets {
+                for &h in self.graphs[&(dst, d)].iter() {
+                    worklist.push((src, d, self.store.seq(graph, h)));
                 }
             }
-            let is_bad = a == b && self.store.is_bad_self_loop(g);
-            if is_bad {
-                self.bad += 1;
+        }
+        while let Some((x, y, g)) = worklist.pop() {
+            if !self.retain(x, y, g) {
+                continue;
             }
-            self.graphs.entry((a, b)).or_default().push(g);
-            self.live += 1;
-            self.trail.push((a, b, g, is_bad));
-            for (&(c, d), set) in self.graphs.iter() {
-                if d == a {
-                    for &h in set.iter() {
-                        worklist.push((c, b, self.store.seq(h, g)));
-                    }
+            if let Some(entering) = self.edges_in.get(&x) {
+                for &(w, e) in entering {
+                    worklist.push((w, y, self.store.seq(e, g)));
                 }
-                if c == b {
-                    for &h in set.iter() {
-                        worklist.push((a, d, self.store.seq(g, h)));
+            }
+            if x == y {
+                for &h in self.graphs[&(x, x)].iter() {
+                    worklist.push((x, x, self.store.seq(g, h)));
+                    if h != g {
+                        worklist.push((x, x, self.store.seq(h, g)));
                     }
                 }
             }
         }
         self.soundness()
+    }
+
+    /// Records `g` at `(a, b)` unless it is already there or, between
+    /// distinct nodes, dominated by a retained graph (see module docs).
+    /// Returns whether `g` was retained.
+    fn retain(&mut self, a: N, b: N, g: GraphId) -> bool {
+        let set = match self.graphs.entry((a, b)) {
+            Entry::Vacant(slot) => {
+                self.succ.entry(a).or_default().push(b);
+                slot.insert(SmallIdVec::default())
+            }
+            Entry::Occupied(slot) => {
+                let set = slot.into_mut();
+                if set.contains(g) {
+                    return false;
+                }
+                if self.subsumption && a != b && set.iter().any(|&w| self.store.subsumes(w, g)) {
+                    // A retained weaker-or-equal graph dominates every
+                    // composite `g` could produce: drop `g` without
+                    // expanding it.
+                    self.subsumed += 1;
+                    crate::metrics::store_metrics().subsumed.inc();
+                    return false;
+                }
+                set
+            }
+        };
+        set.push(g);
+        let is_bad = a == b && self.store.is_bad_self_loop(g);
+        if is_bad {
+            self.bad += 1;
+        }
+        self.live += 1;
+        self.trail.push((a, b, g, is_bad));
+        true
     }
 
     /// The current verdict: sound unless some idempotent self-loop without a
@@ -255,30 +342,42 @@ where
         })
     }
 
-    /// Restores the state captured by `mark`, removing every graph inserted
-    /// since.
+    /// Restores the state captured by `mark`, removing every graph and
+    /// proof edge inserted since.
     ///
     /// # Panics
     ///
     /// Panics if `mark` does not come from this closure's past (the trail is
     /// shorter than the mark).
     pub fn undo_to(&mut self, mark: Mark) {
-        assert!(mark.0 <= self.trail.len(), "mark is in the future");
-        while self.trail.len() > mark.0 {
+        assert!(
+            mark.retained <= self.trail.len() && mark.edges <= self.edge_targets.len(),
+            "mark is in the future"
+        );
+        while self.trail.len() > mark.retained {
             let (a, b, g, was_bad) = self.trail.pop().expect("trail non-empty");
             if was_bad {
                 self.bad -= 1;
             }
             if let Some(set) = self.graphs.get_mut(&(a, b)) {
                 // Insertions per pair happen in trail order, so unwinding
-                // the trail LIFO always removes the pair's most recent id.
+                // the trail LIFO always removes the pair's most recent id,
+                // and a source's pairs empty in the reverse of the order
+                // they were created in.
                 let popped = set.pop();
                 debug_assert_eq!(popped, Some(g), "trail out of sync with pair set");
                 self.live -= 1;
                 if set.is_empty() {
                     self.graphs.remove(&(a, b));
+                    let last = self.succ.get_mut(&a).and_then(Vec::pop);
+                    debug_assert!(last == Some(b), "succ out of sync with pair map");
                 }
             }
+        }
+        while self.edge_targets.len() > mark.edges {
+            let c = self.edge_targets.pop().expect("edge log non-empty");
+            let popped = self.edges_in.get_mut(&c).and_then(Vec::pop);
+            debug_assert!(popped.is_some(), "edges_in out of sync with edge log");
         }
     }
 
@@ -459,7 +558,25 @@ mod tests {
     #[should_panic(expected = "mark is in the future")]
     fn future_marks_panic() {
         let mut c = IncrementalClosure::<u32, usize>::new();
-        c.undo_to(Mark(5));
+        c.undo_to(Mark {
+            retained: 5,
+            edges: 0,
+        });
+    }
+
+    #[test]
+    fn chain_derives_each_path_once() {
+        // Each of the 64·63/2 paths of length ≥ 2 along the chain is
+        // composed once, by its first edge; joining every new graph on
+        // both sides would re-derive each path once per way of splitting
+        // it.
+        let mut c = IncrementalClosure::<u32, usize>::new();
+        let g: ScGraph<u32> = [(0, 0, Label::NonStrict)].into_iter().collect();
+        for i in 0..64 {
+            assert_eq!(c.add_edge(i, i + 1, g.clone()), Soundness::Sound);
+        }
+        assert_eq!(c.num_graphs(), 64 * 65 / 2);
+        assert!(c.compositions() + c.memo_hits() <= 64 * 64 / 2);
     }
 
     #[test]

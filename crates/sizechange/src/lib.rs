@@ -17,14 +17,18 @@
 //!
 //! Every closure is an [`IncrementalClosure`]: trail-based saturation over
 //! the hash-consed [`GraphStore`] (per-graph bit planes, cached Theorem 5.2
-//! flags, memoized composition, subsumption pruning — see [`store`] and the
-//! exactness argument in [`incremental`]). Proof search adds edges one at
-//! a time under checkpoint/undo, so unsound cycles are detected the moment
-//! they are created and shared proof prefixes are never re-verified — the
-//! paper's answer to the soundness-checking bottleneck observed in
-//! Cyclist. The proof checker and the termination pre-screen feed a fixed
-//! edge set through the same engine and read [`IncrementalClosure::soundness`]
-//! once at the end.
+//! flags, memoized composition, subsumption pruning — see [`store`]).
+//! Saturation is left-linear and indexed: each path of proof edges is
+//! composed once, as its first edge followed by a graph already retained
+//! at that edge's target, and per-node indices of retained pairs and
+//! entering proof edges find the partners without scanning the closure
+//! (the exactness argument is in [`incremental`]). Proof search adds edges
+//! one at a time under checkpoint/undo, so unsound cycles are detected the
+//! moment they are created and shared proof prefixes are never
+//! re-verified — the paper's answer to the soundness-checking bottleneck
+//! observed in Cyclist. The proof checker and the termination pre-screen
+//! feed a fixed edge set through the same engine and read
+//! [`IncrementalClosure::soundness`] once at the end.
 //!
 //! [`ScGraph`] stays as the owned, construction-facing graph (and the
 //! executable specification the property tests compare the store

@@ -1,6 +1,7 @@
 //! Property tests for the size-change machinery: the interned engine must
 //! agree with the owned [`ScGraph`] specification, subsumption pruning must
-//! never change a verdict, and undo must be exact.
+//! never change a verdict, undo must be exact, and search-shaped traces with
+//! long paths must saturate to the reference closure.
 
 use cycleq_sizechange::{GraphStore, IncrementalClosure, Label, ScGraph, Soundness};
 use proptest::prelude::*;
@@ -121,6 +122,63 @@ fn subsumption_preserves_verdict_at_every_step() {
             }
             prop_assert_eq!(pruned.soundness(), plain.soundness());
             prop_assert!(pruned.num_graphs() <= plain.num_graphs());
+        }
+    });
+}
+
+/// Node budget of [`search_shaped_closure_matches_reference`]'s traces.
+const SEARCH_NODES: usize = 16;
+
+/// The closure as proof search drives it: tree edges from an existing node
+/// to a fresh one, back edges from a node to one created no later, and
+/// marks and undos in between, so paths grow far longer than in the
+/// random edge lists above. After every step the pruned verdict must be
+/// the oracle's, and the unpruned closure must hold exactly the oracle's
+/// graphs.
+#[test]
+fn search_shaped_closure_matches_reference() {
+    proptest!(cfg(), |(steps in proptest::collection::vec(
+        (0..8u8, 0..64usize, 0..64usize, arb_graph()),
+        1..40,
+    ))| {
+        let mut pruned = IncrementalClosure::new();
+        let mut plain = IncrementalClosure::without_subsumption();
+        let mut edges: Vec<(usize, usize, ScGraph<u32>)> = Vec::new();
+        // Node 0 is the goal; `nodes` counts the nodes created so far.
+        let mut nodes = 1;
+        let mut marks = Vec::new();
+        for (kind, i, j, g) in steps {
+            match kind {
+                6 => marks.push((pruned.mark(), plain.mark(), edges.len(), nodes)),
+                7 if !marks.is_empty() => {
+                    let at = i % marks.len();
+                    let (mp, mu, len, n) = marks[at];
+                    marks.truncate(at);
+                    pruned.undo_to(mp);
+                    plain.undo_to(mu);
+                    edges.truncate(len);
+                    nodes = n;
+                }
+                // Kinds 0–4 add a tree edge while the node budget lasts;
+                // 5, and 7 with no mark to return to, add a back edge.
+                0..=4 if nodes == SEARCH_NODES => {}
+                _ => {
+                    let from = i % nodes;
+                    let to = if kind < 5 {
+                        nodes += 1;
+                        nodes - 1
+                    } else {
+                        j % (from + 1)
+                    };
+                    pruned.add_edge(from, to, g.clone());
+                    plain.add_edge(from, to, g.clone());
+                    edges.push((from, to, g));
+                }
+            }
+            let (ref_verdict, ref_count) = reference_closure(&edges);
+            prop_assert_eq!(pruned.soundness(), ref_verdict);
+            prop_assert_eq!(plain.soundness(), ref_verdict);
+            prop_assert_eq!(plain.num_graphs(), ref_count);
         }
     });
 }
