@@ -150,7 +150,7 @@ fn coverage_witness_is_itself_uncovered() {
 /// Overlap classification (`CQ002` vs `CQ009`) differenced against a
 /// brute-force oracle: enumerate the critical pairs at the rewrite layer,
 /// normalize both reducts of every pair with the plain (unmemoized)
-/// rewriter, and require (a) exactly one finding per overlapping clause
+/// reference normaliser, and require (a) exactly one finding per overlapping clause
 /// pair and (b) `CQ009` exactly when some pair's reducts fail to meet.
 /// The enumeration itself is checked too: its clause pairs must be exactly
 /// the pairs of same-function clauses whose left-hand sides, renamed
@@ -158,7 +158,8 @@ fn coverage_witness_is_itself_uncovered() {
 /// overlapping clause with randomized patterns and right-hand sides.
 #[test]
 fn overlap_classification_matches_brute_force_reduct_normalization() {
-    use cycleq_rewrite::{critical_pairs, Rewriter, RuleId};
+    use cycleq_rewrite::fixtures::reference_normalize;
+    use cycleq_rewrite::{critical_pairs, RuleId};
     use cycleq_term::{unify, VarStore};
     use std::collections::{BTreeMap, BTreeSet};
 
@@ -189,13 +190,12 @@ fn overlap_classification_matches_brute_force_reduct_normalization() {
         let module = parse_module(&src).unwrap();
         let sig = &module.program.sig;
         let trs = &module.program.trs;
-        let rewriter = Rewriter::new(sig, trs).with_fuel(100_000);
         let cps = critical_pairs(trs);
         let mut pair_joinable: BTreeMap<(RuleId, RuleId), bool> = BTreeMap::new();
         for cp in &cps.pairs {
             let key = (cp.inner.min(cp.outer), cp.inner.max(cp.outer));
-            let l = rewriter.normalize(&cp.left);
-            let r = rewriter.normalize(&cp.right);
+            let l = reference_normalize(sig, trs, &cp.left, 100_000);
+            let r = reference_normalize(sig, trs, &cp.right, 100_000);
             let joinable = l.in_normal_form && r.in_normal_form && l.term == r.term;
             *pair_joinable.entry(key).or_insert(true) &= joinable;
         }

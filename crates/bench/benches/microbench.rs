@@ -4,7 +4,7 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use cycleq_rewrite::fixtures::nat_list_program;
-use cycleq_rewrite::{MemoRewriter, Rewriter};
+use cycleq_rewrite::MemoRewriter;
 use cycleq_sizechange::{GraphStore, IncrementalClosure, Label, ScGraph};
 use cycleq_term::{match_term, unify, Term, TermStore, VarStore};
 use rand::rngs::StdRng;
@@ -12,7 +12,6 @@ use rand::{Rng, SeedableRng};
 
 fn bench_normalize(c: &mut Criterion) {
     let p = nat_list_program();
-    let rw = Rewriter::new(&p.prog.sig, &p.prog.trs);
     // A balanced add-tree with 64 leaves of S^8 Z.
     fn tree(p: &cycleq_rewrite::fixtures::ProgramFixture, depth: usize) -> Term {
         if depth == 0 {
@@ -22,17 +21,10 @@ fn bench_normalize(c: &mut Criterion) {
         }
     }
     let t = tree(&p, 6);
-    c.bench_function("normalize_add_tree_64x8", |b| {
-        b.iter(|| {
-            let n = rw.normalize(&t);
-            assert!(n.in_normal_form);
-            n.steps
-        })
-    });
-    // The same workload on hash-consed terms. "cold" pays interning and a
-    // fresh memo table per iteration (the tree's repeated subterms are
-    // still shared within the run); "warm" reuses the table across
-    // iterations, which is how the prover uses it within one goal.
+    // "cold" pays interning and a fresh memo table per iteration (the
+    // tree's repeated subterms are still shared within the run); "warm"
+    // reuses the table across iterations, which is how the prover uses it
+    // within one goal.
     c.bench_function("normalize_add_tree_64x8_interned_cold", |b| {
         b.iter(|| {
             let mut memo = MemoRewriter::new(&p.prog.sig, &p.prog.trs);

@@ -272,11 +272,11 @@ mod tests {
 
     #[test]
     fn prelude_functions_compute() {
-        use cycleq_rewrite::Rewriter;
+        use cycleq_rewrite::MemoRewriter;
         use cycleq_term::Term;
         let m = parse_module(PRELUDE).unwrap();
         let sig = &m.program.sig;
-        let rw = Rewriter::new(sig, &m.program.trs);
+        let mut rw = MemoRewriter::new(sig, &m.program.trs);
         let z = Term::sym(sig.sym_by_name("Z").unwrap());
         let s = |t: Term| Term::apps(sig.sym_by_name("S").unwrap(), vec![t]);
         let two = s(s(z.clone()));

@@ -12,7 +12,7 @@
 //! | crate | contents |
 //! |---|---|
 //! | [`cycleq_term`] | terms, types, signatures, matching, unification (§2) |
-//! | [`cycleq_rewrite`] | rewrite systems, reduction, orders, narrowing (§2, §4) |
+//! | [`cycleq_rewrite`] | rewrite systems, memoised reduction, orders (§2, §4) |
 //! | [`cycleq_sizechange`] | size-change graphs and closures (§5.2) |
 //! | [`cycleq_proof`] | preproofs, the independent checker, rendering (§3) |
 //! | [`cycleq_search`] | the CycleQ proof search (§5.1, §6) |

@@ -4,9 +4,9 @@
 //! pushed as goals are uncovered, justified in place once a rule applies,
 //! and popped on backtracking together with the variables they introduced.
 
-use cycleq_term::{Equation, TermId, VarStore};
+use cycleq_term::{Equation, Signature, TermId, VarId, VarStore};
 
-use crate::node::{Node, NodeId, RuleApp};
+use crate::node::{CaseBranch, Node, NodeId, RuleApp};
 
 /// A cyclic preproof: a set of vertices with equations, rules and premises.
 ///
@@ -49,10 +49,50 @@ impl Preproof {
         &self.vars
     }
 
-    /// Mutable access to the variable store (for allocating fresh case
-    /// variables).
+    /// Mutable access to the variable store (for allocating fresh
+    /// variables, e.g. the argument of a `(FunExt)` step; `(Case)` splits
+    /// use [`Preproof::fresh_case_branches`]).
     pub fn vars_mut(&mut self) -> &mut VarStore {
         &mut self.vars
+    }
+
+    /// Allocates the fresh variables of a `(Case)` split on `var`: one
+    /// branch per constructor of `var`'s datatype, in declaration order,
+    /// with one fresh variable per constructor argument, named `{var}'`
+    /// for a single argument and `{var}'1`, `{var}'2`, … otherwise.
+    ///
+    /// Returns `None` (allocating nothing) when `var` is not of datatype
+    /// type, and no branches for a datatype without constructors.
+    pub fn fresh_case_branches(&mut self, sig: &Signature, var: VarId) -> Option<Vec<CaseBranch>> {
+        let ty = self.vars.ty(var).clone();
+        let (data, ty_args) = ty.as_data()?;
+        let base = self.vars.name(var).to_string();
+        let branches = sig
+            .constructors_of(data)
+            .iter()
+            .map(|&con| {
+                let inst = sig
+                    .sym(con)
+                    .scheme()
+                    .instantiate_with(ty_args)
+                    .expect("constructor scheme arity matches datatype");
+                let (arg_tys, _) = inst.uncurry();
+                let fresh = arg_tys
+                    .iter()
+                    .enumerate()
+                    .map(|(i, t)| {
+                        let name = if arg_tys.len() == 1 {
+                            format!("{base}'")
+                        } else {
+                            format!("{base}'{}", i + 1)
+                        };
+                        self.vars.fresh(&name, (*t).clone())
+                    })
+                    .collect();
+                CaseBranch { con, fresh }
+            })
+            .collect();
+        Some(branches)
     }
 
     /// Adds an unjustified (open) node for the equation, returning its id.

@@ -3,7 +3,8 @@
 //!
 //! It validates the same rules in the same order, with the same error
 //! kinds and messages, but walks owned [`Term`]s, renormalises every
-//! `(Reduce)` side from scratch with the owned [`Rewriter`], and checks the
+//! `(Reduce)` side afresh with the leftmost-outermost
+//! [`reference_normalize`] instead of the memoised rewriter, and checks the
 //! global condition on the closure of *every* proof edge rather than per
 //! strongly connected component. `differential.rs` pins the two checkers
 //! to identical verdicts.
@@ -14,7 +15,8 @@ use cycleq_proof::{
     global_edges, CheckError, CheckErrorKind, CheckReport, GlobalCheck, NodeId, Preproof, RuleApp,
     Side,
 };
-use cycleq_rewrite::{Program, Rewriter};
+use cycleq_rewrite::fixtures::reference_normalize;
+use cycleq_rewrite::{Program, DEFAULT_FUEL};
 use cycleq_sizechange::{IncrementalClosure, Soundness};
 use cycleq_term::{Equation, Term, TyUnifier};
 
@@ -52,7 +54,6 @@ pub fn check(
     mode: GlobalCheck,
 ) -> Result<CheckReport, CheckError> {
     let start = Instant::now();
-    let rw = Rewriter::new(&prog.sig, &prog.trs);
     let mut back_edges = 0;
     let mut reducts_checked = 0u64;
     for (id, node) in proof.nodes() {
@@ -113,7 +114,7 @@ pub fn check(
                 // any `→R*` reduct regardless of the strategy that produced
                 // it.
                 let p = premise_eq(0);
-                let nf = |t: &Term| rw.normalize(t).term;
+                let nf = |t: &Term| reference_normalize(&prog.sig, &prog.trs, t, DEFAULT_FUEL).term;
                 let (cl, cr) = (nf(node.eq.lhs()), nf(node.eq.rhs()));
                 let (pl, pr) = (nf(p.lhs()), nf(p.rhs()));
                 reducts_checked += 4;

@@ -1,11 +1,59 @@
-//! Shared fixture: the [`cycleq_term::fixtures::NatList`] signature equipped
-//! with the defining rules of Example 2.1 (`add`, `map`) plus `app` and
-//! `len`.
+//! Shared fixtures: the [`cycleq_term::fixtures::NatList`] signature
+//! equipped with the defining rules of Example 2.1 (`add`, `map`) plus `app`
+//! and `len`, and [`reference_normalize`], the plain normaliser that tests
+//! compare [`MemoRewriter`](crate::MemoRewriter) against.
 
 use cycleq_term::fixtures::NatList;
-use cycleq_term::{Term, TyVarId, Type};
+use cycleq_term::{Signature, Term, TyVarId, Type};
 
+use crate::memo::Normalized;
 use crate::trs::{Program, Trs};
+
+/// Normalises `t` by leftmost-outermost reduction, at most `fuel`
+/// contractions, each by the first of the head's rules whose
+/// [`Rule::apply_root`](crate::Rule::apply_root) succeeds.
+///
+/// This is the test oracle for [`MemoRewriter`](crate::MemoRewriter): no
+/// store, no memo table, no shared cache. On fuel exhaustion it returns
+/// the partial reduct with `in_normal_form: false`.
+pub fn reference_normalize(sig: &Signature, trs: &Trs, t: &Term, fuel: usize) -> Normalized {
+    fn step(sig: &Signature, trs: &Trs, t: &Term) -> Option<Term> {
+        if let Some(head) = t.head_sym().filter(|h| sig.is_defined(*h)) {
+            let mut rules = trs.rules_for(head).iter();
+            if let Some(reduct) = rules.find_map(|id| trs.rule(*id).apply_root(t)) {
+                return Some(reduct);
+            }
+        }
+        t.args().iter().enumerate().find_map(|(i, a)| {
+            let reduct = step(sig, trs, a)?;
+            let mut args = t.args().to_vec();
+            args[i] = reduct;
+            Some(Term::from_parts(t.head(), args))
+        })
+    }
+    let mut term = t.clone();
+    let mut steps = 0;
+    while steps < fuel {
+        match step(sig, trs, &term) {
+            Some(next) => {
+                term = next;
+                steps += 1;
+            }
+            None => {
+                return Normalized {
+                    term,
+                    steps,
+                    in_normal_form: true,
+                }
+            }
+        }
+    }
+    Normalized {
+        term,
+        steps,
+        in_normal_form: false,
+    }
+}
 
 /// A ready-made program over the `NatList` fixture signature.
 #[derive(Clone, Debug)]
@@ -127,6 +175,23 @@ pub fn nat_list_program() -> ProgramFixture {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn reference_normalize_contracts_leftmost_outermost() {
+        let p = nat_list_program();
+        let (sig, trs) = (&p.prog.sig, &p.prog.trs);
+        let t = Term::apps(p.f.add, vec![p.f.num(2), p.f.num(0)]);
+        // One step: S (add (S Z) Z), the outer redex contracted first.
+        let partial = reference_normalize(sig, trs, &t, 1);
+        assert!(!partial.in_normal_form);
+        assert_eq!(
+            partial.term,
+            p.f.s(Term::apps(p.f.add, vec![p.f.num(1), p.f.num(0)]))
+        );
+        let full = reference_normalize(sig, trs, &t, 100);
+        assert!(full.in_normal_form);
+        assert_eq!((full.term, full.steps), (p.f.num(2), 3));
+    }
 
     #[test]
     fn fixture_program_has_eight_rules() {

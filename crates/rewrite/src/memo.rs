@@ -1,4 +1,5 @@
-//! Memoised reduction over hash-consed terms.
+//! Memoised reduction over hash-consed terms: the one rewriter the search,
+//! the proof checker, rewriting induction and structural induction run.
 //!
 //! [`MemoRewriter`] owns a [`TermStore`] and a persistent map from
 //! [`TermId`] to its `R`-normal form. Because a program's rewrite system is
@@ -9,11 +10,14 @@
 //! The reduction strategy is outermost with memoised argument
 //! normalisation: contract root redexes until the root is stuck, normalise
 //! the arguments (each memoised), and retry the root in case a previously
-//! blocked rule was unblocked by an argument's constructor appearing. On
-//! the complete, weakly-normalising, confluent systems of Remark 2.1 this
-//! computes the same normal form as the plain leftmost-outermost
-//! [`Rewriter`] — see the equivalence property tests — while sharing all
-//! repeated work through the store.
+//! blocked rule was unblocked by an argument's constructor appearing. It is
+//! "non-strict" in the sense of the paper's implementation note (§6): an
+//! outermost redex is contracted even when inner arguments are stuck on
+//! variables. On the complete, weakly-normalising, confluent systems of
+//! Remark 2.1 this computes the semantic normal form `M ↓R` — the property
+//! tests compare it with the leftmost-outermost
+//! [`reference_normalize`](crate::fixtures::reference_normalize) — while
+//! sharing all repeated work through the store.
 //!
 //! The search is not the only client: the independent proof checker
 //! (`cycleq_proof::check`) builds its *own* `MemoRewriter` from the
@@ -24,7 +28,7 @@
 //! whole point of the separate code path is that nothing computed during
 //! search is trusted during certification.
 //!
-//! Normalisation is triply bounded: by step fuel (like [`Rewriter`]), by an
+//! Normalisation is triply bounded: by step fuel, by an
 //! optional wall-clock deadline, and by an optional [`CancelToken`] — the
 //! latter two carried in a [`RunLimits`]. The deadline is polled every few
 //! contractions (an `Instant::now` call is not free); the token is polled
@@ -32,18 +36,41 @@
 //! reduction phase can never blow past its time budget on an explosive (or
 //! non-terminating) input program, and an external caller can abort it
 //! mid-chain.
+//!
+//! # Blocked variables
+//!
+//! The search's `(Case)` rule "always selects a variable preventing further
+//! (non-strict) reduction, much like needed narrowing" (§6). A stuck,
+//! fully-applied, defined-head subterm fails to match every rule for its
+//! head; whenever a rule's pattern expects a constructor at a position where
+//! the subject has a variable, that variable *blocks* the rule. Case
+//! analysis on a blocking variable makes progress: at least one constructor
+//! branch unblocks the rule. [`MemoRewriter::case_candidates_id`] and
+//! [`MemoRewriter::root_case_candidates_id`] compute these variables.
 
 use std::collections::{BTreeMap, HashMap};
 use std::time::Instant;
 
 use cycleq_term::{Head, IdSubst, Signature, SymId, Term, TermId, TermStore, VarId};
 
-use crate::blocked::Sim;
 use crate::limits::{Interrupted, RunLimits};
-use crate::reduce::{Normalized, DEFAULT_FUEL};
 use crate::rule::Rule;
 use crate::shared_cache::SharedNormalFormCache;
 use crate::trs::Trs;
+
+/// Default number of contractions allowed per normalisation.
+pub const DEFAULT_FUEL: usize = 100_000;
+
+/// The outcome of normalising an owned term.
+#[derive(Clone, PartialEq, Eq, Debug)]
+pub struct Normalized {
+    /// The final term.
+    pub term: Term,
+    /// The number of contractions performed.
+    pub steps: usize,
+    /// Whether a normal form was reached (`false` means fuel ran out).
+    pub in_normal_form: bool,
+}
 
 /// The outcome of an interned normalisation.
 #[derive(Copy, Clone, PartialEq, Eq, Debug)]
@@ -54,6 +81,18 @@ pub struct NormalizedId {
     pub steps: usize,
     /// Whether a normal form was reached (`false` means fuel ran out).
     pub in_normal_form: bool,
+}
+
+/// Outcome of simulating one pattern column against a stuck subject.
+#[derive(PartialEq, Eq, Debug, Clone, Copy)]
+enum Sim {
+    /// The pattern structurally matches.
+    Match,
+    /// A constructor clash: the rule can never apply to instances obtained
+    /// by case analysis alone.
+    Clash,
+    /// Matching is stuck on a variable or inner redex.
+    Blocked,
 }
 
 /// Why an in-flight normalisation stopped early.
@@ -127,9 +166,9 @@ impl RunBudget {
 
 /// A memoising reduction engine for a program's rewrite system.
 ///
-/// Unlike [`Rewriter`](crate::Rewriter) this type is stateful: it owns the term store and
-/// the normal-form table, so callers keep one alive per program and thread
-/// it through their hot loops.
+/// The type is stateful: it owns the term store and the normal-form table,
+/// so callers keep one alive per program and thread it through their hot
+/// loops.
 #[derive(Clone, Debug)]
 pub struct MemoRewriter<'a> {
     sig: &'a Signature,
@@ -356,10 +395,9 @@ impl<'a> MemoRewriter<'a> {
 
     /// Owned-term convenience wrapper: intern, normalise, resolve.
     ///
-    /// On fuel exhaustion the returned term is the *input* term (partially
-    /// contracted intermediates are not exposed), unlike
-    /// [`Rewriter::normalize`](crate::Rewriter::normalize); all callers
-    /// ignore the term in that case.
+    /// On fuel exhaustion the returned term is the *input* term: partially
+    /// contracted intermediates are never exposed, and callers treat the
+    /// normalisation as failed.
     pub fn normalize(&mut self, t: &Term) -> Normalized {
         let id = self.intern(t);
         let n = self.normalize_id(id);
@@ -521,9 +559,14 @@ impl<'a> MemoRewriter<'a> {
         nf
     }
 
-    /// Variables blocking reduction of the term, ordered by preference
-    /// (blockers of leftmost-outermost stuck redexes first, then rule
-    /// order) — the interned counterpart of [`crate::case_candidates`].
+    /// Variables blocking reduction of the term, ordered by preference:
+    /// blockers of leftmost-outermost stuck redexes first, then by rule
+    /// order.
+    ///
+    /// Returns an empty vector when the term has no stuck defined-head
+    /// subterm whose matching failure is attributable to a variable (e.g. a
+    /// goal that is already a constructor normal form, or one stuck only on
+    /// applied higher-order variables).
     pub fn case_candidates_id(&mut self, t: TermId) -> Vec<VarId> {
         let mut out: Vec<VarId> = Vec::new();
         let mut stack = vec![t];
@@ -551,7 +594,11 @@ impl<'a> MemoRewriter<'a> {
     }
 
     /// Variables blocking rule matching at the *root* of the term, in rule
-    /// order — the interned counterpart of [`crate::root_case_candidates`].
+    /// order.
+    ///
+    /// Returns an empty vector when the root is not a stuck, fully-applied,
+    /// defined-head redex, or when its matching failures are attributable
+    /// only to inner redexes or applied higher-order variables.
     pub fn root_case_candidates_id(&mut self, t: TermId) -> Vec<VarId> {
         let mut out: Vec<VarId> = Vec::new();
         let Some(head) = self.store.head_sym(t) else {
@@ -599,8 +646,8 @@ impl<'a> MemoRewriter<'a> {
         out
     }
 
-    /// Simulates one pattern column; mirrors the owned analysis in
-    /// `blocked.rs` over an interned subject.
+    /// Simulates matching one pattern column against a subject, collecting
+    /// the variables that block it.
     fn simulate_rule(&self, pat: &Term, arg: TermId, blockers: &mut Vec<VarId>) -> Sim {
         match pat.head() {
             Head::Var(_) => Sim::Match,
@@ -657,23 +704,91 @@ impl<'a> MemoRewriter<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fixtures::nat_list_program;
+    use crate::fixtures::{nat_list_program, reference_normalize, ProgramFixture};
     use crate::limits::CancelToken;
-    use crate::{case_candidates, Rewriter};
-    use cycleq_term::{Term, VarStore};
+    use crate::trs::Program;
+    use cycleq_term::{Term, Type, TypeScheme, VarStore};
     use std::time::Duration;
 
     #[test]
     fn memoized_normalize_agrees_with_plain() {
         let p = nat_list_program();
-        let rw = Rewriter::new(&p.prog.sig, &p.prog.trs);
         let mut memo = MemoRewriter::new(&p.prog.sig, &p.prog.trs);
         let t = Term::apps(p.f.add, vec![p.f.num(2), p.f.num(3)]);
-        let plain = rw.normalize(&t);
+        let plain = reference_normalize(&p.prog.sig, &p.prog.trs, &t, DEFAULT_FUEL);
         let fast = memo.normalize(&t);
         assert!(fast.in_normal_form);
         assert_eq!(fast.term, plain.term);
         assert_eq!(fast.term, p.f.num(5));
+    }
+
+    #[test]
+    fn add_computes() {
+        let p = nat_list_program();
+        let mut memo = MemoRewriter::new(&p.prog.sig, &p.prog.trs);
+        let t = Term::apps(p.f.add, vec![p.f.num(2), p.f.num(3)]);
+        let n = memo.normalize(&t);
+        assert!(n.in_normal_form);
+        assert_eq!(n.term, p.f.num(5));
+        assert_eq!(n.steps, 3); // two S-steps and one Z-step
+    }
+
+    #[test]
+    fn reduction_happens_under_constructors() {
+        let p = nat_list_program();
+        let mut memo = MemoRewriter::new(&p.prog.sig, &p.prog.trs);
+        let inner = Term::apps(p.f.add, vec![p.f.num(0), p.f.num(1)]);
+        let n = memo.normalize(&p.f.s(inner));
+        assert_eq!(n.term, p.f.num(2));
+    }
+
+    #[test]
+    fn map_over_literal_list() {
+        let p = nat_list_program();
+        let mut memo = MemoRewriter::new(&p.prog.sig, &p.prog.trs);
+        // map (add (S Z)) [0, 1] = [1, 2]
+        let succ_fn = Term::apps(p.f.add, vec![p.f.num(1)]);
+        let t = Term::apps(
+            p.f.map,
+            vec![succ_fn, p.f.list_t(vec![p.f.num(0), p.f.num(1)])],
+        );
+        let n = memo.normalize(&t);
+        assert!(n.in_normal_form);
+        assert_eq!(n.term, p.f.list_t(vec![p.f.num(1), p.f.num(2)]));
+    }
+
+    #[test]
+    fn nonterminating_programs_run_out_of_fuel() {
+        // `loop x → loop x` never reaches a normal form, and without the
+        // fuel bound this normalisation would spin forever. User `.hs`
+        // input is untrusted, so exhaustion must simply be reported.
+        let mut sig = cycleq_term::Signature::new();
+        let nat = sig.add_datatype("Nat", 0).unwrap();
+        let zero = sig.add_constructor("Z", nat, vec![]).unwrap();
+        let nat_ty = Type::data0(nat);
+        let lp = sig
+            .add_defined(
+                "loop",
+                TypeScheme::mono(Type::arrow(nat_ty.clone(), nat_ty.clone())),
+            )
+            .unwrap();
+        let mut trs = Trs::new();
+        let x = trs.vars_mut().fresh("x", nat_ty);
+        trs.add_rule(
+            &sig,
+            lp,
+            vec![Term::var(x)],
+            Term::apps(lp, vec![Term::var(x)]),
+        )
+        .unwrap();
+        let prog = Program::new(sig, trs);
+        let mut memo = MemoRewriter::new(&prog.sig, &prog.trs).with_fuel(1_000);
+        let spin = Term::apps(lp, vec![Term::sym(zero)]);
+        let n = memo.normalize(&spin);
+        assert!(!n.in_normal_form);
+        assert_eq!(n.steps, 1_000);
+        assert_eq!(n.term, spin);
+        assert_eq!(memo.memo_len(), 0);
     }
 
     #[test]
@@ -840,7 +955,6 @@ mod tests {
     fn shared_cached_normalize_agrees_with_plain() {
         let p = nat_list_program();
         let cache = SharedNormalFormCache::new();
-        let rw = Rewriter::new(&p.prog.sig, &p.prog.trs);
         let mut vars = VarStore::new();
         let x = vars.fresh("x", p.f.nat_ty());
         let samples = vec![
@@ -850,52 +964,81 @@ mod tests {
             p.f.num(4),
         ];
         // Run every sample through two cache-sharing rewriters; both must
-        // agree with the plain leftmost-outermost rewriter.
+        // agree with the plain leftmost-outermost reference normaliser.
         for _ in 0..2 {
             let mut memo =
                 MemoRewriter::new(&p.prog.sig, &p.prog.trs).with_shared_cache(cache.clone());
             for t in &samples {
-                assert_eq!(memo.normalize(t).term, rw.normalize(t).term, "on {t:?}");
+                let plain = reference_normalize(&p.prog.sig, &p.prog.trs, t, DEFAULT_FUEL);
+                assert_eq!(memo.normalize(t).term, plain.term, "on {t:?}");
             }
         }
     }
 
+    /// The blocked variables of an owned term.
+    fn candidates(p: &ProgramFixture, t: &Term) -> Vec<VarId> {
+        let mut memo = MemoRewriter::new(&p.prog.sig, &p.prog.trs);
+        let id = memo.intern(t);
+        memo.case_candidates_id(id)
+    }
+
     #[test]
-    fn case_candidates_id_agrees_with_owned() {
+    fn stuck_add_blocks_on_first_argument() {
         let p = nat_list_program();
         let mut vars = VarStore::new();
         let x = vars.fresh("x", p.f.nat_ty());
         let y = vars.fresh("y", p.f.nat_ty());
-        let g = vars.fresh("g", cycleq_term::Type::arrow(p.f.nat_ty(), p.f.nat_ty()));
+        let t = Term::apps(p.f.add, vec![Term::var(x), Term::var(y)]);
+        assert_eq!(candidates(&p, &t), vec![x]);
+    }
+
+    #[test]
+    fn reducible_terms_have_no_candidates() {
+        let p = nat_list_program();
+        let t = Term::apps(p.f.add, vec![p.f.num(0), p.f.num(1)]);
+        assert!(candidates(&p, &t).is_empty());
+    }
+
+    #[test]
+    fn constructor_normal_forms_have_no_candidates() {
+        let p = nat_list_program();
+        let mut vars = VarStore::new();
+        let x = vars.fresh("x", p.f.nat_ty());
+        assert!(candidates(&p, &p.f.s(Term::var(x))).is_empty());
+    }
+
+    #[test]
+    fn inner_stuck_redex_contributes_its_blocker() {
+        let p = nat_list_program();
+        let mut vars = VarStore::new();
+        let x = vars.fresh("x", p.f.nat_ty());
+        // add (add x Z) Z: outer is blocked on the inner redex; inner is
+        // blocked on x. Only x should be reported.
+        let inner = Term::apps(p.f.add, vec![Term::var(x), Term::sym(p.f.zero)]);
+        let t = Term::apps(p.f.add, vec![inner, Term::sym(p.f.zero)]);
+        assert_eq!(candidates(&p, &t), vec![x]);
+    }
+
+    #[test]
+    fn leftmost_outermost_preference() {
+        let p = nat_list_program();
+        let mut vars = VarStore::new();
+        let x = vars.fresh("x", p.f.nat_ty());
+        let y = vars.fresh("y", p.f.nat_ty());
+        // add x (add y Z): x blocks the outer redex, y the inner one.
+        let inner = Term::apps(p.f.add, vec![Term::var(y), Term::sym(p.f.zero)]);
+        let t = Term::apps(p.f.add, vec![Term::var(x), inner]);
+        assert_eq!(candidates(&p, &t), vec![x, y]);
+    }
+
+    #[test]
+    fn applied_variable_heads_are_not_candidates() {
+        let p = nat_list_program();
+        let mut vars = VarStore::new();
+        let g = vars.fresh("g", Type::arrow(p.f.nat_ty(), p.f.nat_ty()));
         let xs = vars.fresh("xs", p.f.list_ty(p.f.nat_ty()));
-        let samples = vec![
-            Term::apps(p.f.add, vec![Term::var(x), Term::var(y)]),
-            Term::apps(p.f.add, vec![p.f.num(0), p.f.num(1)]),
-            p.f.s(Term::var(x)),
-            Term::apps(
-                p.f.add,
-                vec![
-                    Term::apps(p.f.add, vec![Term::var(x), Term::sym(p.f.zero)]),
-                    Term::sym(p.f.zero),
-                ],
-            ),
-            Term::apps(
-                p.f.add,
-                vec![
-                    Term::var(x),
-                    Term::apps(p.f.add, vec![Term::var(y), Term::sym(p.f.zero)]),
-                ],
-            ),
-            Term::apps(p.f.map, vec![Term::var(g), Term::var(xs)]),
-        ];
-        let mut memo = MemoRewriter::new(&p.prog.sig, &p.prog.trs);
-        for t in samples {
-            let id = memo.intern(&t);
-            assert_eq!(
-                memo.case_candidates_id(id),
-                case_candidates(&p.prog.sig, &p.prog.trs, &t),
-                "mismatch on {t:?}"
-            );
-        }
+        // map g xs: xs blocks; g does not (it is a function variable).
+        let t = Term::apps(p.f.map, vec![Term::var(g), Term::var(xs)]);
+        assert_eq!(candidates(&p, &t), vec![xs]);
     }
 }

@@ -27,7 +27,8 @@ impl RuleId {
 /// Rule variables are drawn from the owning [`crate::Trs`]'s variable store,
 /// a namespace disjoint from any goal's variables. Reduction only ever
 /// matches rule patterns *against* goal terms (one-sided), so no renaming is
-/// needed; narrowing and critical pairs freshen rules explicitly via
+/// needed; code that must rename rules apart (critical pairs, the overlap
+/// fixes of `cycleq_analysis`) does so explicitly, e.g. via
 /// [`crate::Trs::freshen_rule`].
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub struct Rule {

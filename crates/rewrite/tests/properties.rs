@@ -1,12 +1,11 @@
-//! Property tests for reduction: determinism of normal forms on the
-//! orthogonal fixture program (confluence in action), fuel monotonicity,
-//! and agreement between narrowing and rewriting on ground terms.
+//! Property tests for reduction: normal forms compute the intended values
+//! on the orthogonal fixture program (confluence in action), the memoised
+//! rewriter agrees with the leftmost-outermost reference normaliser, and
+//! its blocked-variable analysis agrees with an owned-term oracle.
 
-use cycleq_rewrite::fixtures::nat_list_program;
-use cycleq_rewrite::{
-    case_candidates, check_program, critical_pairs, narrow_at, MemoRewriter, Rewriter,
-};
-use cycleq_term::{Position, Term, VarStore};
+use cycleq_rewrite::fixtures::{nat_list_program, reference_normalize};
+use cycleq_rewrite::{check_program, critical_pairs, MemoRewriter, Trs, DEFAULT_FUEL};
+use cycleq_term::{Head, Signature, Term, VarId, VarStore};
 use proptest::prelude::*;
 use proptest::test_runner::Config;
 
@@ -71,7 +70,7 @@ fn nat_meaning(t: &Term, p: &cycleq_rewrite::fixtures::ProgramFixture) -> usize 
 #[test]
 fn normalisation_computes_addition() {
     let p = nat_list_program();
-    let rw = Rewriter::new(&p.prog.sig, &p.prog.trs);
+    let mut rw = MemoRewriter::new(&p.prog.sig, &p.prog.trs);
     proptest!(cfg(), |(t in ground_nat(&p))| {
         let n = rw.normalize(&t);
         prop_assert!(n.in_normal_form);
@@ -82,10 +81,11 @@ fn normalisation_computes_addition() {
 #[test]
 fn normal_forms_are_stable() {
     let p = nat_list_program();
-    let rw = Rewriter::new(&p.prog.sig, &p.prog.trs);
+    let (sig, trs) = (&p.prog.sig, &p.prog.trs);
     proptest!(cfg(), |(t in ground_nat(&p))| {
-        let n = rw.normalize(&t);
-        let again = rw.normalize(&n.term);
+        let n = MemoRewriter::new(sig, trs).normalize(&t);
+        // A fresh rewriter, so the second run cannot answer from the memo.
+        let again = MemoRewriter::new(sig, trs).normalize(&n.term);
         prop_assert_eq!(again.steps, 0);
         prop_assert_eq!(again.term, n.term);
     });
@@ -96,7 +96,7 @@ fn closed_defined_terms_are_never_stuck() {
     // The completeness assumption (Remark 2.1) in action: every closed
     // defined-head term reduces.
     let p = nat_list_program();
-    let rw = Rewriter::new(&p.prog.sig, &p.prog.trs);
+    let mut rw = MemoRewriter::new(&p.prog.sig, &p.prog.trs);
     proptest!(cfg(), |(t in ground_list(&p))| {
         let n = rw.normalize(&t);
         prop_assert!(n.in_normal_form);
@@ -112,7 +112,7 @@ fn closed_defined_terms_are_never_stuck() {
 #[test]
 fn append_preserves_length() {
     let p = nat_list_program();
-    let rw = Rewriter::new(&p.prog.sig, &p.prog.trs);
+    let mut rw = MemoRewriter::new(&p.prog.sig, &p.prog.trs);
     proptest!(cfg(), |(t in ground_list(&p))| {
         // len (t) computed via reduction equals the count of Cons cells in
         // the normal form.
@@ -162,10 +162,10 @@ fn open_vars(p: &cycleq_rewrite::fixtures::ProgramFixture) -> (VarStore, Vec<cyc
 #[test]
 fn memoized_reduction_agrees_with_plain_on_ground_terms() {
     let p = nat_list_program();
-    let rw = Rewriter::new(&p.prog.sig, &p.prog.trs);
+    let (sig, trs) = (&p.prog.sig, &p.prog.trs);
     proptest!(cfg(), |(t in ground_nat(&p))| {
-        let mut memo = MemoRewriter::new(&p.prog.sig, &p.prog.trs);
-        let plain = rw.normalize(&t);
+        let mut memo = MemoRewriter::new(sig, trs);
+        let plain = reference_normalize(sig, trs, &t, DEFAULT_FUEL);
         let fast = memo.normalize(&t);
         prop_assert!(fast.in_normal_form);
         prop_assert_eq!(&fast.term, &plain.term);
@@ -180,11 +180,11 @@ fn memoized_reduction_agrees_with_plain_on_ground_terms() {
 #[test]
 fn memoized_reduction_agrees_with_plain_on_open_terms() {
     let p = nat_list_program();
-    let rw = Rewriter::new(&p.prog.sig, &p.prog.trs);
+    let (sig, trs) = (&p.prog.sig, &p.prog.trs);
     let (_vars, vs) = open_vars(&p);
     proptest!(cfg(), |(t in open_nat(&p, &vs))| {
-        let mut memo = MemoRewriter::new(&p.prog.sig, &p.prog.trs);
-        let plain = rw.normalize(&t);
+        let mut memo = MemoRewriter::new(sig, trs);
+        let plain = reference_normalize(sig, trs, &t, DEFAULT_FUEL);
         let fast = memo.normalize(&t);
         prop_assert!(plain.in_normal_form && fast.in_normal_form);
         prop_assert_eq!(fast.term, plain.term);
@@ -194,11 +194,103 @@ fn memoized_reduction_agrees_with_plain_on_open_terms() {
 #[test]
 fn memoized_reduction_agrees_with_plain_on_lists() {
     let p = nat_list_program();
-    let rw = Rewriter::new(&p.prog.sig, &p.prog.trs);
+    let (sig, trs) = (&p.prog.sig, &p.prog.trs);
     proptest!(cfg(), |(t in ground_list(&p))| {
-        let mut memo = MemoRewriter::new(&p.prog.sig, &p.prog.trs);
-        prop_assert_eq!(memo.normalize(&t).term, rw.normalize(&t).term);
+        let mut memo = MemoRewriter::new(sig, trs);
+        prop_assert_eq!(
+            memo.normalize(&t).term,
+            reference_normalize(sig, trs, &t, DEFAULT_FUEL).term
+        );
     });
+}
+
+/// Outcome of simulating one pattern column, in the owned oracle below.
+#[derive(PartialEq, Eq, Clone, Copy)]
+enum Sim {
+    Match,
+    Clash,
+    Blocked,
+}
+
+fn simulate_rule(pat: &Term, arg: &Term, sig: &Signature, blockers: &mut Vec<VarId>) -> Sim {
+    // Clashes against defined-head arguments are downgraded to Blocked: the
+    // inner redex is analysed at its own position.
+    match pat.head() {
+        Head::Var(_) => Sim::Match,
+        Head::Sym(_) => {
+            if arg.head_sym().is_some_and(|h| sig.is_defined(h)) {
+                return Sim::Blocked;
+            }
+            match (pat.head(), arg.head()) {
+                (Head::Sym(k), Head::Sym(k2))
+                    if k == k2 && pat.args().len() == arg.args().len() =>
+                {
+                    let mut out = Sim::Match;
+                    for (p, a) in pat.args().iter().zip(arg.args()) {
+                        match simulate_rule(p, a, sig, blockers) {
+                            Sim::Clash => return Sim::Clash,
+                            Sim::Blocked => out = Sim::Blocked,
+                            Sim::Match => {}
+                        }
+                    }
+                    out
+                }
+                (Head::Sym(_), Head::Sym(_)) => Sim::Clash,
+                (Head::Sym(_), Head::Var(v)) => {
+                    if arg.args().is_empty() && !blockers.contains(&v) {
+                        blockers.push(v);
+                    }
+                    Sim::Blocked
+                }
+                _ => unreachable!("pattern head is a symbol"),
+            }
+        }
+    }
+}
+
+/// The owned-term blocked-variable analysis, the oracle of
+/// `MemoRewriter::case_candidates_id`: for every stuck, fully applied,
+/// defined-head subterm in preorder, the variables blocking its rules, in
+/// rule order.
+fn owned_case_candidates(sig: &Signature, trs: &Trs, term: &Term) -> Vec<VarId> {
+    let mut out: Vec<VarId> = Vec::new();
+    for (_, sub) in term.positions() {
+        let Some(head) = sub.head_sym() else {
+            continue;
+        };
+        if !sig.is_defined(head) || trs.arity_of(head) != Some(sub.args().len()) {
+            continue;
+        }
+        let rules: Vec<_> = trs.rules_for(head).iter().map(|id| trs.rule(*id)).collect();
+        if rules.iter().any(|r| r.apply_root(sub).is_some()) {
+            continue; // reducible, not stuck
+        }
+        for rule in rules {
+            if rule.params().len() != sub.args().len() {
+                continue;
+            }
+            let mut blockers = Vec::new();
+            let mut verdict = Sim::Match;
+            for (p, a) in rule.params().iter().zip(sub.args()) {
+                match simulate_rule(p, a, sig, &mut blockers) {
+                    Sim::Clash => {
+                        verdict = Sim::Clash;
+                        break;
+                    }
+                    Sim::Blocked => verdict = Sim::Blocked,
+                    Sim::Match => {}
+                }
+            }
+            if verdict == Sim::Blocked {
+                for v in blockers {
+                    if !out.contains(&v) {
+                        out.push(v);
+                    }
+                }
+            }
+        }
+    }
+    out
 }
 
 #[test]
@@ -210,32 +302,8 @@ fn interned_case_candidates_agree_with_owned() {
         let id = memo.intern(&t);
         prop_assert_eq!(
             memo.case_candidates_id(id),
-            case_candidates(&p.prog.sig, &p.prog.trs, &t)
+            owned_case_candidates(&p.prog.sig, &p.prog.trs, &t)
         );
-    });
-}
-
-#[test]
-fn narrowing_generalises_rewriting_on_ground_redexes() {
-    let p = nat_list_program();
-    let rw = Rewriter::new(&p.prog.sig, &p.prog.trs);
-    proptest!(cfg(), |(t in ground_nat(&p))| {
-        // At any *innermost* ground redex (arguments free of defined
-        // symbols), narrowing yields exactly the rewriting result with the
-        // empty (goal-restricted) substitution. Outer redexes with defined
-        // arguments need not unify with any rule head.
-        for pos in rw.defined_positions(&t) {
-            let sub = t.at(&pos).unwrap();
-            if sub.args().iter().any(|a| a.contains_defined(&p.prog.sig)) {
-                continue;
-            }
-            let mut vars = VarStore::new();
-            let steps = narrow_at(&p.prog.sig, &p.prog.trs, &mut vars, &t, &pos);
-            let direct = rw.step_at(&t, &pos);
-            prop_assert_eq!(steps.len(), 1);
-            prop_assert_eq!(Some(steps[0].result.clone()), direct);
-            prop_assert!(steps[0].subst.restricted_to(t.vars()).is_empty());
-        }
     });
 }
 
@@ -245,14 +313,6 @@ fn fixture_is_orthogonal_and_complete() {
     assert!(critical_pairs(&p.prog.trs).pairs.is_empty());
     assert!(p.prog.trs.rules().all(|(_, r)| r.is_left_linear()));
     assert!(check_program(&p.prog.sig, &p.prog.trs).is_empty());
-}
-
-#[test]
-fn step_at_root_equals_step_root() {
-    let p = nat_list_program();
-    let rw = Rewriter::new(&p.prog.sig, &p.prog.trs);
-    let t = Term::apps(p.f.add, vec![p.f.num(1), p.f.num(1)]);
-    assert_eq!(rw.step_at(&t, &Position::root()), rw.step_root(&t));
 }
 
 #[test]

@@ -49,12 +49,9 @@
 
 use std::collections::VecDeque;
 
-use cycleq_proof::{CaseBranch, NodeId, Preproof, RuleApp, Side, SubstApp};
-use cycleq_rewrite::{
-    check_rules_decreasing, root_case_candidates, Lpo, MemoRewriter, Program, Rewriter, RuleId,
-    TermOrder,
-};
-use cycleq_term::{match_term, Equation, Position, Subst, Term, VarId, VarStore};
+use cycleq_proof::{NodeId, Preproof, RuleApp, Side, SubstApp};
+use cycleq_rewrite::{check_rules_decreasing, Lpo, MemoRewriter, Program, RuleId, TermOrder};
+use cycleq_term::{match_term, Equation, Position, Subst, Term, VarStore};
 
 /// Limits for the rewriting-induction loop.
 #[derive(Clone, Debug)]
@@ -63,7 +60,8 @@ pub struct RiConfig {
     pub max_expansions: usize,
     /// Maximum number of goal-processing iterations.
     pub max_iterations: usize,
-    /// Reduction fuel per normalisation.
+    /// Reduction fuel per normalisation. A `Simplify` normalisation that
+    /// runs out of it ends the run with [`RiOutcome::Budget`].
     pub reduction_fuel: usize,
 }
 
@@ -109,7 +107,8 @@ pub enum RiOutcome {
         /// The stuck goal.
         goal: Equation,
     },
-    /// The expansion or iteration budget ran out.
+    /// The expansion or iteration budget ran out, or a normalisation ran
+    /// out of [`RiConfig::reduction_fuel`].
     Budget,
 }
 
@@ -208,9 +207,9 @@ struct RiState<'a> {
     order: &'a Lpo,
     config: &'a RiConfig,
     proof: Preproof,
-    /// Memoised `R`-normalisation shared across the whole run: `Simplify`
-    /// renormalises goals after every hypothesis step, so the cache pays
-    /// off immediately.
+    /// The run's one rewriter. `Simplify` renormalises goals after every
+    /// hypothesis step, so its memo table pays off immediately; `Expand`
+    /// contracts redexes and finds blocking variables with it.
     rw: MemoRewriter<'a>,
     hyps: Vec<Hyp>,
     goals: VecDeque<NodeId>,
@@ -223,10 +222,6 @@ impl<'a> RiState<'a> {
         self.proof.push_open(eq)
     }
 
-    fn rewriter(&self) -> Rewriter<'a> {
-        Rewriter::new(&self.prog.sig, &self.prog.trs).with_fuel(self.config.reduction_fuel)
-    }
-
     fn run(&mut self, root: NodeId) -> RiOutcome {
         let mut iterations = 0;
         while let Some(goal) = self.goals.pop_front() {
@@ -236,7 +231,9 @@ impl<'a> RiState<'a> {
             }
             // (Simplify)*: rewrite with R ∪ H to a normal form, chaining
             // Reduce / Subst nodes.
-            let node = self.simplify(goal);
+            let Some(node) = self.simplify(goal) else {
+                return RiOutcome::Budget;
+            };
             let eq = self.proof.node(node).eq.clone();
             // (Delete).
             if eq.is_trivial() {
@@ -285,37 +282,32 @@ impl<'a> RiState<'a> {
     /// defined-head position whose subterm either reduces at the root or is
     /// blocked by a case-analysable variable. Positions blocked only by an
     /// inner redex are skipped — the inner redex appears later in preorder.
-    fn expansion_position(&self, big: &Term) -> Option<Position> {
-        let rw = self.rewriter();
-        rw.defined_positions(big).into_iter().find(|p| {
-            let sub = big.at(p).expect("valid position");
-            rw.step_root(sub).is_some()
-                || !root_case_candidates(&self.prog.sig, &self.prog.trs, sub).is_empty()
-        })
+    fn expansion_position(&mut self, big: &Term) -> Option<Position> {
+        defined_positions(self.prog, big)
+            .find(|(_, sub)| {
+                let id = self.rw.intern(sub);
+                self.rw.step_root_id(id).is_some()
+                    || !self.rw.root_case_candidates_id(id).is_empty()
+            })
+            .map(|(pos, _)| pos)
     }
 
-    /// Normalises a side with the memoised rewriter; on fuel exhaustion it
-    /// falls back to the plain rewriter's *partial* reduct (the memoised
-    /// engine returns the input unchanged in that case), so `simplify`
-    /// keeps chunking through reductions longer than one fuel budget, as
-    /// it always has.
-    fn normalize_chunk(&mut self, t: &Term) -> Term {
+    /// Normalises a side; `None` when the normalisation runs out of
+    /// `reduction_fuel`.
+    fn normalize(&mut self, t: &Term) -> Option<Term> {
         let n = self.rw.normalize(t);
-        if n.in_normal_form {
-            n.term
-        } else {
-            self.rewriter().normalize(t).term
-        }
+        n.in_normal_form.then_some(n.term)
     }
 
     /// Simplifies the goal node with `R ∪ H`, returning the final node of
-    /// the Reduce/Subst chain.
-    fn simplify(&mut self, mut node: NodeId) -> NodeId {
+    /// the Reduce/Subst chain, or `None` when a normalisation runs out of
+    /// fuel.
+    fn simplify(&mut self, mut node: NodeId) -> Option<NodeId> {
         loop {
             let eq = self.proof.node(node).eq.clone();
             // Maximal R-normalisation first (memoised across the run).
-            let ln = self.normalize_chunk(eq.lhs());
-            let rn = self.normalize_chunk(eq.rhs());
+            let ln = self.normalize(eq.lhs())?;
+            let rn = self.normalize(eq.rhs())?;
             if &ln != eq.lhs() || &rn != eq.rhs() {
                 let child = self.push_node(Equation::new(ln, rn));
                 self.proof.justify(node, RuleApp::Reduce, vec![child]);
@@ -327,7 +319,7 @@ impl<'a> RiState<'a> {
                 node = next;
                 continue;
             }
-            return node;
+            return Some(node);
         }
     }
 
@@ -393,10 +385,10 @@ impl<'a> RiState<'a> {
     ) -> bool {
         let eq = self.proof.node(node).eq.clone();
         let side_term = side.of(&eq).clone();
-        let sub = side_term.at(pos).expect("valid position").clone();
-        let rw = self.rewriter();
-        if let Some(reduct) = rw.step_root(&sub) {
+        let sub = self.rw.intern(side_term.at(pos).expect("valid position"));
+        if let Some(reduct) = self.rw.step_root_id(sub) {
             // Reducible: one (Reduce) step at the expansion position.
+            let reduct = self.rw.resolve(reduct);
             let stepped = side_term.replace_at(pos, reduct).expect("valid position");
             let child_eq = match side {
                 Side::Lhs => Equation::new(stepped, eq.rhs().clone()),
@@ -408,44 +400,17 @@ impl<'a> RiState<'a> {
             return true;
         }
         // Stuck: case split on the first variable blocking the root.
-        let cands = root_case_candidates(&self.prog.sig, &self.prog.trs, &sub);
-        let Some(&v) = cands.first() else {
+        let Some(&v) = self.rw.root_case_candidates_id(sub).first() else {
             return false;
         };
-        let vty = self.proof.vars().ty(v).clone();
-        let Some((data, ty_args)) = vty.as_data() else {
+        let Some(branches) = self.proof.fresh_case_branches(&self.prog.sig, v) else {
             return false;
         };
-        let ty_args = ty_args.to_vec();
-        let cons: Vec<_> = self.prog.sig.constructors_of(data).to_vec();
-        let mut branches = Vec::with_capacity(cons.len());
-        let mut premises = Vec::with_capacity(cons.len());
-        for &k in &cons {
-            let inst = self
-                .prog
-                .sig
-                .sym(k)
-                .scheme()
-                .instantiate_with(&ty_args)
-                .expect("constructor arity matches datatype");
-            let (arg_tys, _) = inst.uncurry();
-            let base = self.proof.vars().name(v).to_string();
-            let fresh: Vec<VarId> = arg_tys
-                .iter()
-                .enumerate()
-                .map(|(i, t)| {
-                    let name = if arg_tys.len() == 1 {
-                        format!("{base}'")
-                    } else {
-                        format!("{base}'{}", i + 1)
-                    };
-                    self.proof.vars_mut().fresh(&name, (*t).clone())
-                })
-                .collect();
-            let pattern = Term::apps(k, fresh.iter().map(|w| Term::var(*w)).collect());
+        let mut premises = Vec::with_capacity(branches.len());
+        for b in &branches {
+            let pattern = Term::apps(b.con, b.fresh.iter().map(|w| Term::var(*w)).collect());
             let branch_eq = eq.subst(&Subst::singleton(v, pattern));
             premises.push(self.push_node(branch_eq));
-            branches.push(CaseBranch { con: k, fresh });
         }
         self.proof
             .justify(node, RuleApp::Case { var: v, branches }, premises.clone());
@@ -453,6 +418,19 @@ impl<'a> RiState<'a> {
             .into_iter()
             .all(|p| self.expand(p, side, pos, leaves))
     }
+}
+
+/// The positions of `t` whose subterm is headed by a fully applied defined
+/// symbol (redex candidates, reducible or stuck), in preorder.
+fn defined_positions<'t>(
+    prog: &'t Program,
+    t: &'t Term,
+) -> impl Iterator<Item = (Position, &'t Term)> + 't {
+    t.positions().filter(|(_, sub)| {
+        sub.head_sym().is_some_and(|h| {
+            prog.sig.is_defined(h) && prog.trs.arity_of(h) == Some(sub.args().len())
+        })
+    })
 }
 
 #[cfg(test)]
@@ -546,6 +524,34 @@ goal nilRight: app xs Nil === xs
         assert!(res.outcome.is_proved());
         assert_eq!(res.stats.expansions, 0);
         check(&res.proof, &m.program, GlobalCheck::VariableTraces).unwrap();
+    }
+
+    #[test]
+    fn defined_positions_requires_saturation() {
+        let m = parse_module(NAT).unwrap();
+        let sig = &m.program.sig;
+        let add = sig.sym_by_name("add").unwrap();
+        let zero = Term::sym(sig.sym_by_name("Z").unwrap());
+        let partial = Term::apps(add, vec![zero.clone()]);
+        assert_eq!(defined_positions(&m.program, &partial).count(), 0);
+        let full = Term::apps(add, vec![zero.clone(), zero]);
+        assert_eq!(defined_positions(&m.program, &full).count(), 1);
+    }
+
+    #[test]
+    fn running_out_of_reduction_fuel_is_a_budget_failure() {
+        // `add (S Z) (S Z)` needs two contractions, one more than the fuel
+        // allows: the run stops instead of chaining partial reducts.
+        let src = format!("{NAT}goal two: add (S Z) (S Z) === S (S Z)\n");
+        let m = parse_module(&src).unwrap();
+        let g = m.goal("two").unwrap().clone();
+        let config = RiConfig {
+            reduction_fuel: 1,
+            ..RiConfig::default()
+        };
+        let prover = RiProver::with_config(&m.program, config).unwrap();
+        let res = prover.prove(g.eq, g.vars);
+        assert_eq!(res.outcome, RiOutcome::Budget);
     }
 
     #[test]

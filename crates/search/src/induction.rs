@@ -6,8 +6,9 @@
 //! induction hypothesis becomes `(Subst)` with the *root* as the lemma,
 //! instantiated by `x ↦ y` for a recursive constructor argument `y`. The
 //! resulting cycle has an obvious variable trace (`x, y, x, …`), so the
-//! global condition holds by construction — but we still run the
-//! size-change check.
+//! global condition holds by construction. [`structural_induction`] runs no
+//! size-change check itself; callers re-check its proofs with
+//! `cycleq_proof::check`, as the tests do with variable traces.
 //!
 //! The point of carrying this translation as a separate, deliberately
 //! *restricted* tactic is the paper's motivation in reverse: everything
@@ -16,9 +17,16 @@
 //! because a fixed scheme over one datatype cannot use the companion
 //! lemma about the other — whereas the unrestricted `(Subst)` rule can.
 
-use cycleq_proof::{CaseBranch, NodeId, Preproof, RuleApp, Side, SubstApp};
-use cycleq_rewrite::{Program, Rewriter};
+use cycleq_proof::{NodeId, Preproof, RuleApp, Side, SubstApp};
+use cycleq_rewrite::{MemoRewriter, Program};
 use cycleq_term::{match_term, Equation, Subst, Term, VarId, VarStore};
+
+/// How many induction-hypothesis rewrites one branch path may chain before
+/// the branch counts as stuck. Discharge is a fixed recipe, not a search:
+/// without a cap the two orientations of the hypothesis can undo each
+/// other forever, or each rewrite can grow the goal by one more
+/// constructor or function application.
+const MAX_IH_STEPS: usize = 4;
 
 /// Why structural induction failed.
 #[derive(Clone, PartialEq, Eq, Debug)]
@@ -41,7 +49,8 @@ pub enum InductionError {
 /// The discharge procedure per branch is deliberately weak — normalise,
 /// decompose constructors, rewrite with the induction hypothesis
 /// (instances `x ↦ y` for the branch's recursive arguments `y`), repeat —
-/// mirroring the mechanical translation of Fig. 8 into Fig. 9.
+/// mirroring the mechanical translation of Fig. 8 into Fig. 9. A branch
+/// path may use the hypothesis only a bounded number of times.
 ///
 /// # Errors
 ///
@@ -55,56 +64,38 @@ pub fn structural_induction(
 ) -> Result<(Preproof, NodeId), InductionError> {
     let mut proof = Preproof::with_vars(vars);
     let vty = proof.vars().ty(var).clone();
-    let Some((data, ty_args)) = vty.as_data() else {
+    let Some(branches) = proof.fresh_case_branches(&prog.sig, var) else {
         return Err(InductionError::NotADatatype);
     };
-    let ty_args = ty_args.to_vec();
     let root = proof.push_open(goal.clone());
-
-    let cons: Vec<_> = prog.sig.constructors_of(data).to_vec();
-    let mut branches = Vec::with_capacity(cons.len());
-    let mut premises = Vec::with_capacity(cons.len());
-    let mut recursive_args: Vec<Vec<VarId>> = Vec::with_capacity(cons.len());
-    for &k in &cons {
-        let inst = prog
-            .sig
-            .sym(k)
-            .scheme()
-            .instantiate_with(&ty_args)
-            .expect("constructor scheme arity matches datatype");
-        let (arg_tys, _) = inst.uncurry();
-        let base = proof.vars().name(var).to_string();
-        let mut fresh = Vec::with_capacity(arg_tys.len());
-        let mut rec = Vec::new();
-        for (i, t) in arg_tys.iter().enumerate() {
-            let name = if arg_tys.len() == 1 {
-                format!("{base}'")
-            } else {
-                format!("{base}'{}", i + 1)
-            };
-            let v = proof.vars_mut().fresh(&name, (*t).clone());
-            if **t == vty {
-                rec.push(v);
-            }
-            fresh.push(v);
-        }
-        let pattern = Term::apps(k, fresh.iter().map(|w| Term::var(*w)).collect());
-        let branch_eq = goal.subst(&Subst::singleton(var, pattern));
-        premises.push(proof.push_open(branch_eq));
-        branches.push(CaseBranch { con: k, fresh });
-        recursive_args.push(rec);
+    let mut premises = Vec::with_capacity(branches.len());
+    let mut recursive_args: Vec<Vec<VarId>> = Vec::with_capacity(branches.len());
+    for b in &branches {
+        let pattern = Term::apps(b.con, b.fresh.iter().map(|w| Term::var(*w)).collect());
+        premises.push(proof.push_open(goal.subst(&Subst::singleton(var, pattern))));
+        let rec = b.fresh.iter().filter(|w| *proof.vars().ty(**w) == vty);
+        recursive_args.push(rec.copied().collect());
     }
+    let cons: Vec<_> = branches.iter().map(|b| b.con).collect();
     proof.justify(root, RuleApp::Case { var, branches }, premises.clone());
 
-    for ((premise, rec), &k) in premises.into_iter().zip(recursive_args).zip(&cons) {
-        discharge(prog, &mut proof, premise, root, &goal, var, &rec).map_err(|e| match e {
+    let mut scheme = Scheme {
+        prog,
+        rw: MemoRewriter::new(&prog.sig, &prog.trs),
+        proof,
+        root,
+        goal,
+        var,
+    };
+    for ((premise, rec), k) in premises.into_iter().zip(recursive_args).zip(cons) {
+        scheme.discharge(premise, &rec, 0).map_err(|e| match e {
             DischargeFail::Stuck => InductionError::BranchStuck {
                 constructor: prog.sig.sym(k).name().to_string(),
             },
             DischargeFail::Diverged => InductionError::Diverged,
         })?;
     }
-    Ok((proof, root))
+    Ok((scheme.proof, root))
 }
 
 enum DischargeFail {
@@ -112,114 +103,135 @@ enum DischargeFail {
     Diverged,
 }
 
-/// Discharges one subgoal with reduce / refl / cong / IH-rewriting.
-fn discharge(
-    prog: &Program,
-    proof: &mut Preproof,
-    node: NodeId,
+/// One structural induction in progress: the proof so far, its root goal
+/// and induction variable, and the rewriter every branch normalises with.
+struct Scheme<'a> {
+    prog: &'a Program,
+    rw: MemoRewriter<'a>,
+    proof: Preproof,
     root: NodeId,
-    goal: &Equation,
+    goal: Equation,
     var: VarId,
-    recursive: &[VarId],
-) -> Result<(), DischargeFail> {
-    let rw = Rewriter::new(&prog.sig, &prog.trs);
-    let eq = proof.node(node).eq.clone();
-    // Reduce.
-    let ln = rw.normalize(eq.lhs());
-    let rn = rw.normalize(eq.rhs());
-    if !ln.in_normal_form || !rn.in_normal_form {
-        return Err(DischargeFail::Diverged);
-    }
-    if &ln.term != eq.lhs() || &rn.term != eq.rhs() {
-        let child = proof.push_open(Equation::new(ln.term, rn.term));
-        proof.justify(node, RuleApp::Reduce, vec![child]);
-        return discharge(prog, proof, child, root, goal, var, recursive);
-    }
-    // Refl.
-    if eq.is_trivial() {
-        proof.justify(node, RuleApp::Refl, vec![]);
-        return Ok(());
-    }
-    // Cong.
-    if let (Some((k1, _)), Some((k2, _))) = (
-        eq.lhs().as_constructor(&prog.sig),
-        eq.rhs().as_constructor(&prog.sig),
-    ) {
-        if k1 == k2 {
-            let n = eq.lhs().args().len();
-            let mut premises = Vec::with_capacity(n);
-            for i in 0..n {
-                premises.push(proof.push_open(Equation::new(
-                    eq.lhs().args()[i].clone(),
-                    eq.rhs().args()[i].clone(),
-                )));
-            }
-            proof.justify(node, RuleApp::Cong, premises.clone());
-            for p in premises {
-                discharge(prog, proof, p, root, goal, var, recursive)?;
-            }
+}
+
+impl Scheme<'_> {
+    /// Discharges one subgoal with reduce / refl / cong / IH-rewriting;
+    /// `ih_steps` counts the hypothesis rewrites on the path to `node`.
+    fn discharge(
+        &mut self,
+        node: NodeId,
+        recursive: &[VarId],
+        ih_steps: usize,
+    ) -> Result<(), DischargeFail> {
+        let eq = self.proof.node(node).eq.clone();
+        // Reduce.
+        let ln = self.rw.normalize(eq.lhs());
+        let rn = self.rw.normalize(eq.rhs());
+        if !ln.in_normal_form || !rn.in_normal_form {
+            return Err(DischargeFail::Diverged);
+        }
+        if &ln.term != eq.lhs() || &rn.term != eq.rhs() {
+            let child = self.proof.push_open(Equation::new(ln.term, rn.term));
+            self.proof.justify(node, RuleApp::Reduce, vec![child]);
+            return self.discharge(child, recursive, ih_steps);
+        }
+        // Refl.
+        if eq.is_trivial() {
+            self.proof.justify(node, RuleApp::Refl, vec![]);
             return Ok(());
         }
-    }
-    // Induction hypothesis: rewrite an occurrence of goal[y/x] (either
-    // side) using the root as lemma.
-    for &y in recursive {
-        let ih = Subst::singleton(var, Term::var(y));
-        for (flipped, from_raw, to_raw) in [
-            (false, goal.lhs(), goal.rhs()),
-            (true, goal.rhs(), goal.lhs()),
-        ] {
-            let from = ih.apply(from_raw);
-            if from.as_var().is_some() || from.head_sym().is_none() {
-                continue;
+        // Cong.
+        if let (Some((k1, _)), Some((k2, _))) = (
+            eq.lhs().as_constructor(&self.prog.sig),
+            eq.rhs().as_constructor(&self.prog.sig),
+        ) {
+            if k1 == k2 {
+                let n = eq.lhs().args().len();
+                let mut premises = Vec::with_capacity(n);
+                for i in 0..n {
+                    premises.push(self.proof.push_open(Equation::new(
+                        eq.lhs().args()[i].clone(),
+                        eq.rhs().args()[i].clone(),
+                    )));
+                }
+                self.proof.justify(node, RuleApp::Cong, premises.clone());
+                for p in premises {
+                    self.discharge(p, recursive, ih_steps)?;
+                }
+                return Ok(());
             }
-            let to = ih.apply(to_raw);
-            if !to.vars().is_subset(&from.vars()) {
-                continue;
-            }
-            for side in [Side::Lhs, Side::Rhs] {
-                let side_term = side.of(&eq).clone();
-                for (pos, sub) in side_term.positions() {
-                    if sub.as_var().is_some() {
-                        continue;
+        }
+        if ih_steps == MAX_IH_STEPS {
+            return Err(DischargeFail::Stuck);
+        }
+        // Induction hypothesis: rewrite an occurrence of goal[y/x] (either
+        // side) using the root as lemma.
+        for &y in recursive {
+            let ih = Subst::singleton(self.var, Term::var(y));
+            for flipped in [false, true] {
+                let (from_raw, to_raw) = if flipped {
+                    (self.goal.rhs(), self.goal.lhs())
+                } else {
+                    (self.goal.lhs(), self.goal.rhs())
+                };
+                let from = ih.apply(from_raw);
+                if from.as_var().is_some() || from.head_sym().is_none() {
+                    continue;
+                }
+                let to = ih.apply(to_raw);
+                if !to.vars().is_subset(&from.vars()) {
+                    continue;
+                }
+                for side in [Side::Lhs, Side::Rhs] {
+                    let side_term = side.of(&eq).clone();
+                    for (pos, sub) in side_term.positions() {
+                        if sub.as_var().is_some() {
+                            continue;
+                        }
+                        let Some(extra) = match_term(&from, sub) else {
+                            continue;
+                        };
+                        // The hypothesis is the goal at `x ↦ y` exactly: a
+                        // match that instantiates `y` itself would use the
+                        // goal at a term no smaller than `x` (at `y ↦ S y`,
+                        // the goal itself) and close a circular proof.
+                        if extra.get(y).is_some_and(|t| t.as_var() != Some(y)) {
+                            continue;
+                        }
+                        // Full instantiation of the root: x ↦ y, then
+                        // whatever the occurrence demands for the remaining
+                        // variables. `then` also copies `extra`'s bindings;
+                        // restrict to the root equation's variables.
+                        let theta = ih.then(&extra).restricted_to(self.goal.vars());
+                        let replacement = extra.apply(&to);
+                        if &replacement == sub {
+                            continue;
+                        }
+                        let rewritten = side_term
+                            .replace_at(&pos, replacement)
+                            .expect("valid position");
+                        let cont_eq = match side {
+                            Side::Lhs => Equation::new(rewritten, eq.rhs().clone()),
+                            Side::Rhs => Equation::new(eq.lhs().clone(), rewritten),
+                        };
+                        let cont = self.proof.push_open(cont_eq);
+                        self.proof.justify(
+                            node,
+                            RuleApp::Subst(SubstApp {
+                                side,
+                                pos,
+                                theta,
+                                lemma_flipped: flipped,
+                            }),
+                            vec![self.root, cont],
+                        );
+                        return self.discharge(cont, recursive, ih_steps + 1);
                     }
-                    let Some(extra) = match_term(&from, sub) else {
-                        continue;
-                    };
-                    // Full instantiation of the root: x ↦ y, then whatever
-                    // the occurrence demands for the remaining variables.
-                    let mut theta = ih.then(&extra);
-                    // `then` also copies `extra`'s bindings; restrict to
-                    // the root equation's variables.
-                    theta = theta.restricted_to(goal.vars());
-                    let replacement = extra.apply(&to);
-                    if &replacement == sub {
-                        continue;
-                    }
-                    let rewritten = side_term
-                        .replace_at(&pos, replacement)
-                        .expect("valid position");
-                    let cont_eq = match side {
-                        Side::Lhs => Equation::new(rewritten, eq.rhs().clone()),
-                        Side::Rhs => Equation::new(eq.lhs().clone(), rewritten),
-                    };
-                    let cont = proof.push_open(cont_eq);
-                    proof.justify(
-                        node,
-                        RuleApp::Subst(SubstApp {
-                            side,
-                            pos,
-                            theta,
-                            lemma_flipped: flipped,
-                        }),
-                        vec![root, cont],
-                    );
-                    return discharge(prog, proof, cont, root, goal, var, recursive);
                 }
             }
         }
+        Err(DischargeFail::Stuck)
     }
-    Err(DischargeFail::Stuck)
 }
 
 #[cfg(test)]

@@ -20,7 +20,7 @@ use std::fmt;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use cycleq_proof::{edge_graph_id, CaseBranch, NodeId, Preproof, RuleApp, Side, SubstApp};
+use cycleq_proof::{edge_graph_id, NodeId, Preproof, RuleApp, Side, SubstApp};
 use cycleq_rewrite::{
     CancelToken, Interrupted, MemoRewriter, NormalizedId, Program, RunLimits, SharedNormalFormCache,
 };
@@ -709,50 +709,30 @@ impl<'a> Search<'a> {
             }
         }
         for v in cands {
-            let vty = self.proof.vars().ty(v).clone();
-            let Some((data, ty_args)) = vty.as_data() else {
+            // The frame is taken first so that backtracking also frees the
+            // branches' fresh variables.
+            let frame = self.mark();
+            let Some(branches) = self
+                .proof
+                .fresh_case_branches(&self.prog.sig, v)
+                .filter(|branches| !branches.is_empty())
+            else {
                 continue;
             };
-            let ty_args = ty_args.to_vec();
-            let cons: Vec<_> = self.prog.sig.constructors_of(data).to_vec();
-            if cons.is_empty() {
-                continue;
-            }
             self.stats.case_splits += 1;
-            let frame = self.mark();
-            let mut branches = Vec::with_capacity(cons.len());
-            let mut premises = Vec::with_capacity(cons.len());
-            for &k in &cons {
-                let inst = self
-                    .prog
-                    .sig
-                    .sym(k)
-                    .scheme()
-                    .instantiate_with(&ty_args)
-                    .expect("constructor scheme arity matches datatype");
-                let (arg_tys, _) = inst.uncurry();
-                let base = self.proof.vars().name(v).to_string();
-                let fresh: Vec<VarId> = arg_tys
+            let mut premises = Vec::with_capacity(branches.len());
+            for b in &branches {
+                let pattern_args: Vec<TermId> = b
+                    .fresh
                     .iter()
-                    .enumerate()
-                    .map(|(i, t)| {
-                        let name = if arg_tys.len() == 1 {
-                            format!("{base}'")
-                        } else {
-                            format!("{base}'{}", i + 1)
-                        };
-                        self.proof.vars_mut().fresh(&name, (*t).clone())
-                    })
+                    .map(|w| self.rw.store_mut().var(*w))
                     .collect();
-                let pattern_args: Vec<TermId> =
-                    fresh.iter().map(|w| self.rw.store_mut().var(*w)).collect();
-                let pattern = self.rw.store_mut().node(Head::Sym(k), pattern_args);
+                let pattern = self.rw.store_mut().node(Head::Sym(b.con), pattern_args);
                 let theta = IdSubst::singleton(v, pattern);
                 let branch_l = self.rw.store_mut().subst(lid, &theta);
                 let branch_r = self.rw.store_mut().subst(rid, &theta);
                 let branch_eq = Equation::new(self.rw.resolve(branch_l), self.rw.resolve(branch_r));
                 premises.push(self.push_node_ids(branch_eq, (branch_l, branch_r)));
-                branches.push(CaseBranch { con: k, fresh });
             }
             self.proof
                 .justify(node, RuleApp::Case { var: v, branches }, premises.clone());

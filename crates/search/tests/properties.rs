@@ -4,8 +4,8 @@
 //! proves must survive the independent checker.
 
 use cycleq_proof::{check, GlobalCheck};
-use cycleq_rewrite::fixtures::nat_list_program;
-use cycleq_rewrite::Rewriter;
+use cycleq_rewrite::fixtures::{nat_list_program, reference_normalize};
+use cycleq_rewrite::DEFAULT_FUEL;
 use cycleq_search::{Outcome, Prover, SearchConfig};
 use cycleq_term::{Equation, Term, VarStore};
 use proptest::prelude::*;
@@ -34,9 +34,9 @@ fn ground_nat(p: &cycleq_rewrite::fixtures::ProgramFixture) -> impl Strategy<Val
 #[test]
 fn prover_decides_ground_nat_equations() {
     let p = nat_list_program();
-    let rw = Rewriter::new(&p.prog.sig, &p.prog.trs);
+    let nf = |t: &Term| reference_normalize(&p.prog.sig, &p.prog.trs, t, DEFAULT_FUEL).term;
     proptest!(cfg(), |(a in ground_nat(&p), b in ground_nat(&p))| {
-        let truth = rw.normalize(&a).term == rw.normalize(&b).term;
+        let truth = nf(&a) == nf(&b);
         let prover = Prover::new(&p.prog);
         let res = prover.prove(Equation::new(a.clone(), b.clone()), VarStore::new());
         if truth {

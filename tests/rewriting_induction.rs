@@ -4,7 +4,7 @@
 //! search handles them.
 
 use cycleq::{GlobalCheck, Session};
-use cycleq_ri::{RiOutcome, RiProver};
+use cycleq_ri::{RiConfig, RiOutcome, RiProver};
 
 const SRC: &str = "
 data Nat = Z | S Nat
@@ -101,4 +101,127 @@ fn cyclic_search_subsumes_ri_on_this_suite() {
         let v = session.prove(goal).unwrap();
         assert!(v.is_proved(), "{goal}: {:?}", v.result.outcome);
     }
+}
+
+/// One pinned rewriting-induction run: problem id, outcome kind, and the
+/// run's `RiStats` (expansions, hypothesis steps, deletions, nodes).
+type RiRow = (&'static str, &'static str, usize, usize, usize, usize);
+
+/// Every LPO-orientable problem of the benchmark corpus.
+const RI_CORPUS: &[RiRow] = &[
+    ("IP01", "Proved", 1, 1, 3, 12),
+    ("IP02", "Budget", 16, 2, 46, 219),
+    ("IP03", "Budget", 16, 45, 46, 262),
+    ("IP04", "Budget", 16, 0, 16, 82),
+    ("IP06", "Stuck", 1, 0, 0, 3),
+    ("IP07", "Stuck", 1, 0, 0, 4),
+    ("IP08", "Proved", 1, 1, 2, 8),
+    ("IP09", "Stuck", 1, 0, 0, 4),
+    ("IP10", "Proved", 1, 1, 2, 6),
+    ("IP11", "Proved", 0, 0, 1, 2),
+    ("IP12", "Stuck", 1, 0, 0, 4),
+    ("IP13", "Proved", 0, 0, 1, 2),
+    ("IP14", "Stuck", 4, 4, 1, 26),
+    ("IP15", "Budget", 16, 15, 31, 157),
+    ("IP17", "Proved", 1, 0, 2, 7),
+    ("IP18", "Proved", 1, 1, 2, 7),
+    ("IP19", "Proved", 1, 1, 3, 12),
+    ("IP20", "Budget", 16, 3, 12, 115),
+    ("IP21", "Stuck", 1, 0, 0, 4),
+    ("IP22", "Stuck", 1, 0, 0, 3),
+    ("IP23", "FailedToOrient", 0, 0, 0, 1),
+    ("IP24", "Stuck", 1, 0, 0, 3),
+    ("IP25", "Stuck", 1, 0, 0, 3),
+    ("IP28", "Proved", 3, 3, 6, 28),
+    ("IP29", "Budget", 16, 29, 44, 222),
+    ("IP30", "Budget", 16, 26, 29, 160),
+    ("IP31", "Stuck", 1, 0, 0, 3),
+    ("IP32", "FailedToOrient", 0, 0, 0, 1),
+    ("IP33", "Stuck", 1, 0, 0, 3),
+    ("IP34", "Stuck", 1, 0, 0, 3),
+    ("IP35", "Proved", 1, 0, 2, 6),
+    ("IP36", "Proved", 1, 1, 2, 7),
+    ("IP37", "Budget", 16, 45, 46, 246),
+    ("IP38", "Budget", 16, 3, 44, 211),
+    ("IP39", "Budget", 16, 0, 48, 226),
+    ("IP40", "Proved", 0, 0, 1, 2),
+    ("IP41", "Stuck", 1, 0, 0, 4),
+    ("IP42", "Proved", 0, 0, 1, 2),
+    ("IP43", "Stuck", 2, 0, 1, 12),
+    ("IP44", "Proved", 1, 0, 2, 7),
+    ("IP45", "Proved", 0, 0, 1, 2),
+    ("IP46", "Proved", 0, 0, 1, 2),
+    ("IP47", "FailedToOrient", 1, 2, 1, 9),
+    ("IP49", "Proved", 5, 2, 6, 30),
+    ("IP50", "Proved", 1, 1, 3, 13),
+    ("IP51", "Proved", 2, 1, 3, 13),
+    ("IP52", "FailedToOrient", 3, 0, 2, 18),
+    ("IP53", "Budget", 16, 4, 10, 109),
+    ("IP54", "Stuck", 1, 0, 0, 4),
+    ("IP55", "Proved", 2, 1, 4, 18),
+    ("IP56", "Stuck", 1, 0, 0, 3),
+    ("IP57", "Stuck", 1, 0, 0, 4),
+    ("IP58", "FailedToOrient", 1, 0, 2, 10),
+    ("IP61", "Proved", 5, 2, 6, 28),
+    ("IP64", "Proved", 2, 1, 3, 13),
+    ("IP65", "Stuck", 2, 0, 1, 7),
+    ("IP66", "Stuck", 2, 0, 1, 12),
+    ("IP67", "Proved", 1, 1, 3, 13),
+    ("IP68", "Budget", 16, 10, 15, 131),
+    ("IP69", "Stuck", 1, 0, 0, 4),
+    ("IP72", "Stuck", 3, 1, 1, 19),
+    ("IP73", "Stuck", 2, 0, 1, 12),
+    ("IP74", "Stuck", 1, 0, 0, 4),
+    ("IP75", "Budget", 16, 15, 22, 155),
+    ("IP78", "Budget", 16, 2, 11, 105),
+    ("IP79", "Stuck", 2, 0, 1, 9),
+    ("IP80", "Stuck", 2, 0, 0, 11),
+    ("IP81", "Stuck", 1, 0, 0, 4),
+    ("IP82", "FailedToOrient", 2, 0, 2, 17),
+    ("IP83", "Stuck", 1, 0, 0, 3),
+    ("IP84", "Stuck", 1, 0, 0, 3),
+    ("F04", "FailedToOrient", 0, 0, 0, 1),
+    ("F09", "Proved", 1, 1, 2, 7),
+];
+
+#[test]
+fn ri_corpus_outcomes_and_stats_are_pinned() {
+    // Rewriting induction over every benchmark problem whose program the
+    // default LPO orients, with a small expansion budget. The outcome kind
+    // and counters of every run are pinned, so a change to the rewriter or
+    // the blocked-variable analysis RI runs on shows up here, and every
+    // proof must pass the local checker (Theorem 4.3).
+    let config = RiConfig {
+        max_expansions: 16,
+        ..RiConfig::default()
+    };
+    let mut got: Vec<RiRow> = Vec::new();
+    for p in cycleq_benchsuite::all_problems() {
+        let Some(src) = p.source() else {
+            continue;
+        };
+        let module = cycleq::parse_module(&src).unwrap();
+        let Ok(ri) = RiProver::with_config(&module.program, config.clone()) else {
+            continue;
+        };
+        let g = module.goal(&p.goal_name()).unwrap().clone();
+        let res = ri.prove(g.eq, g.vars);
+        let kind = match res.outcome {
+            RiOutcome::Proved { .. } => {
+                cycleq::check(&res.proof, &module.program, GlobalCheck::TrustConstruction)
+                    .unwrap_or_else(|e| panic!("{}: {e}", p.id));
+                "Proved"
+            }
+            RiOutcome::FailedToOrient { .. } => "FailedToOrient",
+            RiOutcome::Stuck { .. } => "Stuck",
+            RiOutcome::Budget => "Budget",
+        };
+        let s = &res.stats;
+        got.push((p.id, kind, s.expansions, s.hyp_steps, s.deletions, s.nodes));
+    }
+    let table: String = got.iter().map(|row| format!("    {row:?},\n")).collect();
+    assert!(
+        got == RI_CORPUS,
+        "the RI corpus runs changed; they now read:\n{table}"
+    );
 }

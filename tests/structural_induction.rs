@@ -3,7 +3,7 @@
 //! motivation for the unrestricted system.
 
 use cycleq::{GlobalCheck, Session};
-use cycleq_benchsuite::MUTUAL_PRELUDE;
+use cycleq_benchsuite::{all_problems, MUTUAL_PRELUDE};
 use cycleq_search::{structural_induction, InductionError};
 use cycleq_term::VarId;
 
@@ -88,4 +88,58 @@ goal g: add x Z === x
         let session = Session::from_source(src).unwrap();
         assert!(session.prove(goal).unwrap().is_proved());
     }
+}
+
+#[test]
+fn corpus_inductions_terminate_and_every_proof_checks() {
+    // Structural induction on every goal variable of every benchmark
+    // problem: each attempt must terminate, the pairs it proves are
+    // pinned, and every proof must pass the size-change check on variable
+    // traces. An induction hypothesis applied at an instance of the
+    // recursive argument would close a circular "proof" that this check
+    // rejects.
+    const PROVED: &[(&str, &str)] = &[
+        ("IP07", "n"),
+        ("IP08", "k"),
+        ("IP10", "m"),
+        ("IP11", "xs"),
+        ("IP13", "n"),
+        ("IP13", "xs"),
+        ("IP17", "n"),
+        ("IP18", "i"),
+        ("IP21", "n"),
+        ("IP35", "xs"),
+        ("IP36", "xs"),
+        ("IP40", "xs"),
+        ("IP42", "n"),
+        ("IP42", "xs"),
+        ("IP44", "ys"),
+        ("IP45", "xs"),
+        ("IP45", "ys"),
+        ("IP46", "ys"),
+        ("F09", "xs"),
+    ];
+    let mut pairs = 0;
+    let mut proved = Vec::new();
+    for p in all_problems() {
+        let Some(src) = p.source() else {
+            continue;
+        };
+        let module = cycleq::parse_module(&src).unwrap();
+        let g = module.goal(&p.goal_name()).unwrap();
+        for (v, name, _) in g.vars.iter() {
+            pairs += 1;
+            let Ok((proof, _)) =
+                structural_induction(&module.program, g.eq.clone(), g.vars.clone(), v)
+            else {
+                continue;
+            };
+            cycleq::check(&proof, &module.program, GlobalCheck::VariableTraces)
+                .unwrap_or_else(|e| panic!("{} on {name}: {e}", p.id));
+            proved.push((p.id, name.to_string()));
+        }
+    }
+    assert_eq!(pairs, 171);
+    let proved: Vec<(&str, &str)> = proved.iter().map(|(id, v)| (*id, v.as_str())).collect();
+    assert_eq!(proved, PROVED);
 }
