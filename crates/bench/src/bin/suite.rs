@@ -19,7 +19,7 @@
 //! selected problem's module source as `<id>.hs` — the corpus that
 //! `cycleq lint` sweeps in CI. `--profile` appends a per-problem
 //! phase-time table (prove_goal / round / expand / normalize /
-//! closure_update / check) read back from the `cycleq_trace` registry —
+//! closure_update / undo / check) read back from the `cycleq_trace` registry —
 //! combine with `--jobs 1` (the default) for exact per-problem
 //! attribution. Exits non-zero when any problem is refuted or errors (a
 //! mis-encoded property), so CI catches those too.

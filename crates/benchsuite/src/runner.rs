@@ -326,12 +326,13 @@ pub fn text_table(outcomes: &[RunOutcome]) -> String {
 /// covers the whole search, `round` the deepening rounds inside it, and so
 /// on down the taxonomy — so columns overlap rather than sum to the time.
 pub fn profile_table(outcomes: &[RunOutcome]) -> String {
-    const PHASES: [&str; 6] = [
+    const PHASES: [&str; 7] = [
         "prove_goal",
         "round",
         "expand",
         "normalize",
         "closure_update",
+        "undo",
         "check",
     ];
     let mut out = String::new();

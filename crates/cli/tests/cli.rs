@@ -137,6 +137,40 @@ fn failed_hint_sets_gave_up_exit_code() {
 }
 
 #[test]
+fn refuted_hint_is_a_failed_hint_not_a_refuted_goal() {
+    // The hint `wrong` is false, so it fails; the true goal must not be
+    // reported refuted because of it.
+    let dir = std::env::temp_dir().join("cycleq-cli-test");
+    std::fs::create_dir_all(&dir).unwrap();
+    let file = dir.join("false-hint.hs");
+    std::fs::write(
+        &file,
+        "data Nat = Z | S Nat\n\
+         add :: Nat -> Nat -> Nat\n\
+         add Z y = y\n\
+         add (S x) y = S (add x y)\n\
+         goal addZeroRight: add x Z === x\n\
+         goal wrong: add x Z === Z\n",
+    )
+    .unwrap();
+    let file = file.to_str().unwrap();
+    let out = run(&["--hints", "wrong", file, "addZeroRight"]);
+    assert_eq!(out.status.code(), Some(1), "a failed hint gives up");
+    assert!(String::from_utf8(out.stdout)
+        .unwrap()
+        .contains("goal addZeroRight: GaveUp"));
+    let out = run(&["--format", "json", "--hints", "wrong", file, "addZeroRight"]);
+    assert_eq!(out.status.code(), Some(1));
+    let stdout = String::from_utf8(out.stdout).unwrap();
+    let goal = stdout.lines().next().expect("a goal object");
+    assert_eq!(
+        json_value(goal, "verdict"),
+        Some("hint-failed"),
+        "in {goal}"
+    );
+}
+
+#[test]
 fn proved_goal_exits_zero_even_with_refutable_sibling_unselected() {
     let file = mixed_goals_file("good.hs");
     let out = run(&[file.to_str().unwrap(), "good"]);

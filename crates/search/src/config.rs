@@ -84,20 +84,24 @@ pub struct SearchStats {
     pub unsound_cycles_pruned: usize,
     /// Times the depth bound cut a branch.
     pub depth_limit_hits: usize,
-    /// Size-change graphs currently in the closure at the end of search.
+    /// Size-change graphs between companions retained by the search's
+    /// companion closure at the end of search (see
+    /// `cycleq_sizechange::companion`; per-node path summaries are not
+    /// counted).
     pub closure_graphs: usize,
-    /// Cold size-change graph compositions performed by the closure's
-    /// graph store (memo misses).
+    /// Cold size-change graph compositions performed by the companion
+    /// closure's graph store (memo misses), path summaries included.
     pub closure_compositions: u64,
-    /// Graph compositions served from the store's `(GraphId, GraphId)`
+    /// Graph compositions served from that store's `(GraphId, GraphId)`
     /// memo table — including re-derivations after backtracking, since the
     /// store survives undo.
     pub composition_memo_hits: u64,
-    /// Size-change graphs dropped by cross-pair subsumption pruning
-    /// (edge-wise dominated by an already-retained graph; see
-    /// `cycleq_sizechange::incremental`).
+    /// Size-change graphs between companions dropped by cross-pair
+    /// subsumption pruning (edge-wise dominated by an already-retained
+    /// graph; see `cycleq_sizechange::incremental`).
     pub graphs_subsumed: u64,
-    /// Distinct hash-consed size-change graphs interned during the search.
+    /// Distinct hash-consed size-change graphs interned during the search:
+    /// edge graphs, path summaries and closure graphs.
     pub interned_graphs: usize,
     /// Normal forms served from the memoised rewriter's cache.
     pub reduce_memo_hits: u64,

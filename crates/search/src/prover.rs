@@ -10,12 +10,15 @@
 //! `(Subst)` acts as the matching function for cycle detection: the lemma is
 //! always an existing node of the proof (restricted by
 //! [`LemmaPolicy`](crate::LemmaPolicy) to `(Case)`-justified nodes, §5.1) or
-//! a previously proven hint. Whenever a `(Subst)` back edge is created, the
-//! incremental size-change closure is extended; if an idempotent self-loop
-//! without a strict self-edge appears, the cycle can never satisfy the
-//! global condition and the candidate is pruned immediately (§5.2).
+//! a previously proven hint. These lemma targets are the *companions* of a
+//! [`CompanionClosure`]: every other proof edge is a tree edge, which only
+//! extends the summary graph of the path from the nearest companion above.
+//! Whenever a `(Subst)` back edge is created, the closure between
+//! companions is extended; if an idempotent self-loop without a strict
+//! self-edge appears, the cycle can never satisfy the global condition and
+//! the candidate is pruned immediately (§5.2). Every cycle passes through a
+//! companion, so this verdict is the full closure's.
 
-use std::collections::HashMap;
 use std::fmt;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -24,7 +27,7 @@ use cycleq_proof::{edge_graph_id, NodeId, Preproof, RuleApp, Side, SubstApp};
 use cycleq_rewrite::{
     CancelToken, Interrupted, MemoRewriter, NormalizedId, Program, RunLimits, SharedNormalFormCache,
 };
-use cycleq_sizechange::{GraphId, IncrementalClosure, Mark, Soundness};
+use cycleq_sizechange::{CompanionClosure, CompanionMark, Soundness};
 use cycleq_term::{
     CanonKey, Equation, Head, IdSubst, Term, TermId, TyUnifier, Type, VarId, VarStore,
 };
@@ -280,8 +283,7 @@ impl<'a> Prover<'a> {
             depth_limit,
             proof: Preproof::with_vars(vars),
             rw,
-            closure: IncrementalClosure::new(),
-            edge_memo: HashMap::new(),
+            closure: CompanionClosure::new(),
             lemmas: Vec::new(),
             path_keys: Vec::new(),
             stats: SearchStats::default(),
@@ -292,9 +294,13 @@ impl<'a> Prover<'a> {
         let mut outcome = None;
         for (i, hint) in hints.iter().enumerate() {
             let id = search.push_node(hint.clone());
+            // A hint root is a lemma target, so it is a companion from the
+            // start.
+            search.make_companion(id);
             match search.solve(id, 0, true) {
                 Ok(Solve::Solved) => search.lemmas.push(id),
-                Ok(Solve::Failed) => {
+                // A refuted hint says nothing about the goal.
+                Ok(Solve::Failed) | Err(Stop::Refuted) => {
                     outcome = Some(Outcome::HintFailed { index: i });
                     break;
                 }
@@ -359,7 +365,7 @@ type SolveResult = Result<Solve, Stop>;
 
 struct Frame {
     proof: (usize, usize),
-    closure: Mark,
+    closure: CompanionMark,
     lemmas: usize,
 }
 
@@ -374,14 +380,12 @@ struct Search<'a> {
     /// whole round (including backtracking — the rewrite system never
     /// changes, so entries stay valid).
     rw: MemoRewriter<'a>,
-    /// The incremental size-change closure; owns the round's
-    /// [`cycleq_sizechange::GraphStore`], so compositions stay memoized
-    /// across backtracking.
-    closure: IncrementalClosure<VarId, NodeId>,
-    /// The interned edge graph per `(node, premise)` justification,
-    /// invalidated on undo for reopened/truncated nodes (a re-justified
-    /// node gets different edge graphs).
-    edge_memo: HashMap<(NodeId, usize), GraphId>,
+    /// The size-change closure contracted onto companions: the lemma
+    /// targets (hint roots, and `(Case)`-justified nodes or, under
+    /// [`LemmaPolicy::AllNodes`], every justified node). It owns the
+    /// round's [`cycleq_sizechange::GraphStore`], so compositions stay
+    /// memoized across backtracking.
+    closure: CompanionClosure<VarId, NodeId>,
     /// Lemma candidates: `(Case)`-justified ancestors/cousins plus proven
     /// hints, in creation order.
     lemmas: Vec<NodeId>,
@@ -443,34 +447,46 @@ impl<'a> Search<'a> {
     }
 
     fn undo(&mut self, frame: Frame, node: NodeId) {
-        let keep = frame.proof.0;
+        let _span = cycleq_trace::span!("undo");
         self.proof.truncate(frame.proof);
         self.proof.reopen(node);
         self.closure.undo_to(frame.closure);
         self.lemmas.truncate(frame.lemmas);
-        // Edge graphs are keyed by justification: entries of truncated
-        // nodes (their ids will be reused) and of the reopened node (it
-        // will be re-justified differently) are stale.
-        self.edge_memo
-            .retain(|&(n, _), _| n.index() < keep && n != node);
     }
 
-    /// Adds the size-change edge for premise `i` of `v` to the incremental
-    /// closure. The graph is built directly into the closure's store and
-    /// memoised per `(node, premise)` justification for the lifetime of
-    /// that justification.
+    /// Justifies `node` and, when that makes it a lemma candidate, makes it
+    /// a companion before any edge leaves it.
+    fn justify(&mut self, node: NodeId, rule: RuleApp, premises: Vec<NodeId>) {
+        let companion = matches!(rule, RuleApp::Case { .. })
+            || self.config.lemma_policy == LemmaPolicy::AllNodes;
+        self.proof.justify(node, rule, premises);
+        if companion {
+            self.make_companion(node);
+        }
+    }
+
+    /// Makes `node` a companion of the size-change closure.
+    fn make_companion(&mut self, node: NodeId) {
+        let _span = cycleq_trace::span!("closure_update");
+        self.closure.companion(node);
+    }
+
+    /// Adds the size-change edge for premise `i` of `v` to the closure:
+    /// premise 0 of a `(Subst)` is the back edge to its lemma, and every
+    /// other premise is a fresh node, reached by a tree edge. The graph is
+    /// built directly into the closure's store. Returns the verdict after
+    /// the edge.
     fn add_proof_edge(&mut self, v: NodeId, i: usize) -> Soundness {
         let _span = cycleq_trace::span!("closure_update");
-        let g = match self.edge_memo.get(&(v, i)) {
-            Some(&g) => g,
-            None => {
-                let g = edge_graph_id(&self.proof, v, i, self.closure.store_mut());
-                self.edge_memo.insert((v, i), g);
-                g
-            }
-        };
-        let p = self.proof.node(v).premises[i];
-        self.closure.add_edge_id(v, p, g)
+        let g = edge_graph_id(&self.proof, v, i, self.closure.store_mut());
+        let node = self.proof.node(v);
+        let p = node.premises[i];
+        if i == 0 && matches!(node.rule, RuleApp::Subst(_)) {
+            self.closure.back_edge(v, p, g)
+        } else {
+            self.closure.tree_edge(v, p, g);
+            self.closure.soundness()
+        }
     }
 
     fn check_limits(&mut self) -> Result<(), Stop> {
@@ -501,7 +517,7 @@ impl<'a> Search<'a> {
             self.stats.rule_reduce += 1;
             let child_eq = Equation::new(self.rw.resolve(ln.id), self.rw.resolve(rn.id));
             let child = self.push_node_ids(child_eq, (ln.id, rn.id));
-            self.proof.justify(node, RuleApp::Reduce, vec![child]);
+            self.justify(node, RuleApp::Reduce, vec![child]);
             self.add_proof_edge(node, 0);
             return self.solve(child, depth, pure_path);
         }
@@ -509,7 +525,7 @@ impl<'a> Search<'a> {
         // 2. (Refl): hash-consing makes triviality an id comparison.
         if lid == rid {
             self.stats.rule_refl += 1;
-            self.proof.justify(node, RuleApp::Refl, vec![]);
+            self.justify(node, RuleApp::Refl, vec![]);
             return Ok(Solve::Solved);
         }
 
@@ -537,7 +553,7 @@ impl<'a> Search<'a> {
                 premises.push(self.push_node_ids(sub_eq, (largs[i], rargs[i])));
             }
             self.stats.rule_cong += 1;
-            self.proof.justify(node, RuleApp::Cong, premises.clone());
+            self.justify(node, RuleApp::Cong, premises.clone());
             for i in 0..n {
                 self.add_proof_edge(node, i);
             }
@@ -567,8 +583,7 @@ impl<'a> Search<'a> {
             );
             self.stats.rule_funext += 1;
             let child = self.push_node(prem);
-            self.proof
-                .justify(node, RuleApp::FunExt { fresh: x }, vec![child]);
+            self.justify(node, RuleApp::FunExt { fresh: x }, vec![child]);
             self.add_proof_edge(node, 0);
             return self.solve(child, depth + 1, pure_path);
         }
@@ -675,7 +690,7 @@ impl<'a> Search<'a> {
                             Equation::new(self.rw.resolve(cont_l), self.rw.resolve(cont_r));
                         let cont = self.push_node_ids(cont_eq, (cont_l, cont_r));
                         let theta_owned = theta.resolve(self.rw.store());
-                        self.proof.justify(
+                        self.justify(
                             node,
                             RuleApp::Subst(SubstApp {
                                 side,
@@ -685,13 +700,12 @@ impl<'a> Search<'a> {
                             }),
                             vec![lemma_id, cont],
                         );
-                        let s0 = self.add_proof_edge(node, 0);
-                        let s1 = self.add_proof_edge(node, 1);
-                        if s0 == Soundness::Unsound || s1 == Soundness::Unsound {
+                        if self.add_proof_edge(node, 0) == Soundness::Unsound {
                             self.stats.unsound_cycles_pruned += 1;
                             self.undo(frame, node);
                             continue;
                         }
+                        self.add_proof_edge(node, 1);
                         match self.solve(cont, depth + 1, false)? {
                             Solve::Solved => return Ok(Solve::Solved),
                             Solve::Failed => self.undo(frame, node),
@@ -734,8 +748,7 @@ impl<'a> Search<'a> {
                 let branch_eq = Equation::new(self.rw.resolve(branch_l), self.rw.resolve(branch_r));
                 premises.push(self.push_node_ids(branch_eq, (branch_l, branch_r)));
             }
-            self.proof
-                .justify(node, RuleApp::Case { var: v, branches }, premises.clone());
+            self.justify(node, RuleApp::Case { var: v, branches }, premises.clone());
             for i in 0..premises.len() {
                 self.add_proof_edge(node, i);
             }
@@ -997,6 +1010,20 @@ mod tests {
         let res = prover.prove_with_hints(goal, vars, &[hint]);
         assert!(res.outcome.is_proved(), "{:?}", res.outcome);
         check(&res.proof, &p.prog, GlobalCheck::VariableTraces).unwrap();
+    }
+
+    #[test]
+    fn refuted_hint_fails_the_hint_not_the_goal() {
+        // The hint add x Z ≈ Z is false, but that says nothing about the
+        // goal add x Z ≈ x, which is true.
+        let p = nat_list_program();
+        let mut vars = VarStore::new();
+        let x = vars.fresh("x", p.f.nat_ty());
+        let add_x_zero = Term::apps(p.f.add, vec![Term::var(x), Term::sym(p.f.zero)]);
+        let hint = Equation::new(add_x_zero.clone(), Term::sym(p.f.zero));
+        let goal = Equation::new(add_x_zero, Term::var(x));
+        let res = Prover::new(&p.prog).prove_with_hints(goal, vars, &[hint]);
+        assert_eq!(res.outcome, Outcome::HintFailed { index: 0 });
     }
 
     #[test]

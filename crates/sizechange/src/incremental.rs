@@ -107,8 +107,8 @@
 //! by the idempotence side condition; keeping all self-loops discharges
 //! that side condition by exhaustiveness.
 
-use std::collections::btree_map::Entry;
-use std::collections::{BTreeMap, HashMap};
+use std::collections::hash_map::Entry;
+use std::collections::HashMap;
 use std::hash::Hash;
 
 use crate::graph::ScGraph;
@@ -141,10 +141,10 @@ pub struct Mark {
 #[derive(Clone, Debug)]
 pub struct IncrementalClosure<V, N> {
     store: GraphStore<V>,
-    /// Retained graphs per node pair. A `BTreeMap` keeps
-    /// [`IncrementalClosure::unsound_witness`] deterministic; saturation
-    /// reaches the pairs through `succ` instead of iterating this map.
-    graphs: BTreeMap<(N, N), SmallIdVec>,
+    /// Retained graphs per node pair. It is only looked up by key:
+    /// saturation reaches the pairs through `succ`, so the order of
+    /// composition never depends on this map.
+    graphs: HashMap<(N, N), SmallIdVec>,
     /// `succ[a]`: the nodes `d` with a retained pair `(a, d)`, in creation
     /// order (so undo pops them LIFO). The vectors, not the hash map,
     /// decide the order of composition, which keeps it deterministic.
@@ -178,7 +178,7 @@ impl<V, N> Default for IncrementalClosure<V, N> {
     fn default() -> Self {
         IncrementalClosure {
             store: GraphStore::default(),
-            graphs: BTreeMap::new(),
+            graphs: HashMap::new(),
             succ: HashMap::new(),
             edges_in: HashMap::new(),
             trail: Vec::new(),
@@ -326,22 +326,6 @@ where
         }
     }
 
-    /// A witness of unsoundness — a node and a resolved idempotent
-    /// self-loop graph without a strict self-edge — if one is present.
-    pub fn unsound_witness(&self) -> Option<(N, ScGraph<V>)> {
-        self.graphs.iter().find_map(|(&(a, b), set)| {
-            if a != b {
-                return None;
-            }
-            // `add_edge_id` forced the idempotence flag of every self-loop
-            // graph that lacks a strict self-edge, so this scan runs on
-            // cached flags.
-            set.iter()
-                .find(|&&g| !self.store.has_strict_self_edge(g) && self.store.is_idempotent(g))
-                .map(|&g| (a, self.store.resolve(g)))
-        })
-    }
-
     /// Restores the state captured by `mark`, removing every graph and
     /// proof edge inserted since.
     ///
@@ -462,7 +446,6 @@ mod tests {
             c.add_edge(0usize, 0usize, ScGraph::<u32>::new()),
             Soundness::Unsound
         );
-        assert!(c.unsound_witness().is_some());
     }
 
     #[test]
@@ -483,7 +466,6 @@ mod tests {
         assert!(inc
             .between(0, 0)
             .any(|g| g.label(0, 0) == Some(Label::Strict)));
-        assert!(inc.unsound_witness().is_none());
     }
 
     #[test]

@@ -26,8 +26,16 @@
 //! one at a time under checkpoint/undo, so unsound cycles are detected the
 //! moment they are created and shared proof prefixes are never
 //! re-verified — the paper's answer to the soundness-checking bottleneck
-//! observed in Cyclist. The proof checker and the termination pre-screen
-//! feed a fixed edge set through the same engine and read
+//! observed in Cyclist.
+//!
+//! Proof search drives a [`CompanionClosure`], which contracts the proof
+//! graph onto its companion nodes: each node keeps one summary graph of
+//! the tree path from its nearest companion ancestor, and only the cut
+//! edges between companions enter an inner [`IncrementalClosure`]. Every
+//! cycle passes through a companion, so the verdict is the full closure's
+//! (the exactness argument is in [`companion`]). The proof checker and the
+//! termination pre-screen feed a fixed edge set through
+//! [`IncrementalClosure`] directly and read
 //! [`IncrementalClosure::soundness`] once at the end.
 //!
 //! [`ScGraph`] stays as the owned, construction-facing graph (and the
@@ -51,12 +59,14 @@
 //! assert_eq!(IncrementalClosure::new().add_edge("f", "f", swap), Soundness::Unsound);
 //! ```
 
+pub mod companion;
 mod graph;
 mod idvec;
 pub mod incremental;
 mod metrics;
 pub mod store;
 
+pub use companion::{CompanionClosure, CompanionMark};
 pub use graph::{Label, ScGraph};
 pub use incremental::{IncrementalClosure, Mark, Soundness};
 pub use store::{GraphId, GraphStore};

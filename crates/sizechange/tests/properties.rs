@@ -1,9 +1,12 @@
 //! Property tests for the size-change machinery: the interned engine must
 //! agree with the owned [`ScGraph`] specification, subsumption pruning must
-//! never change a verdict, undo must be exact, and search-shaped traces with
-//! long paths must saturate to the reference closure.
+//! never change a verdict, undo must be exact, search-shaped traces with
+//! long paths must saturate to the reference closure, and the closure
+//! contracted onto companions must give the full closure's verdict.
 
-use cycleq_sizechange::{GraphStore, IncrementalClosure, Label, ScGraph, Soundness};
+use cycleq_sizechange::{
+    CompanionClosure, GraphStore, IncrementalClosure, Label, ScGraph, Soundness,
+};
 use proptest::prelude::*;
 use proptest::test_runner::Config;
 
@@ -179,6 +182,135 @@ fn search_shaped_closure_matches_reference() {
             prop_assert_eq!(pruned.soundness(), ref_verdict);
             prop_assert_eq!(plain.soundness(), ref_verdict);
             prop_assert_eq!(plain.num_graphs(), ref_count);
+        }
+    });
+}
+
+/// Variables of [`arb_search_graph`]: two keep the reference closure of
+/// long traces small.
+const SEARCH_VARS: u32 = 2;
+
+/// An edge graph shaped like the search's: each variable keeps, loses or
+/// strictly decreases to itself, and a few other edges are added.
+fn arb_search_graph() -> impl Strategy<Value = ScGraph<u32>> {
+    (
+        proptest::collection::vec(0..4u8, SEARCH_VARS as usize),
+        proptest::collection::vec(
+            (
+                0..SEARCH_VARS,
+                0..SEARCH_VARS,
+                prop_oneof![Just(Label::NonStrict), Just(Label::Strict)],
+            ),
+            0..3,
+        ),
+    )
+        .prop_map(|(own, other)| {
+            let mut g: ScGraph<u32> = other.into_iter().collect();
+            for (x, keep) in (0..SEARCH_VARS).zip(own) {
+                match keep {
+                    0 => {}
+                    1 => g.insert(x, x, Label::Strict),
+                    _ => g.insert(x, x, Label::NonStrict),
+                }
+            }
+            g
+        })
+}
+
+/// Whether a node of a [`companion_closure_matches_reference`] trace is a
+/// companion; search decides it before the first edge leaves the node.
+#[derive(Copy, Clone, PartialEq, Eq, Debug)]
+enum Status {
+    Undecided,
+    Companion,
+    Plain,
+}
+
+/// The contraction's exactness (see `cycleq_sizechange::companion`): on
+/// traces shaped like proof search, the [`CompanionClosure`]'s verdict must
+/// be the reference closure's over every edge added so far, after every
+/// step. Tree edges go to fresh nodes; each node becomes a companion or
+/// not before its first out-edge; back edges enter companions only; fresh
+/// companion roots stand for hints; marks and undos come in between.
+#[test]
+fn companion_closure_matches_reference() {
+    let config = Config {
+        cases: 512,
+        ..Config::default()
+    };
+    proptest!(config, |(steps in proptest::collection::vec(
+        (0..10u8, 0..64usize, 0..64usize, 0..6u8, arb_search_graph()),
+        1..40,
+    ))| {
+        let mut closure = CompanionClosure::new();
+        let mut edges: Vec<(usize, usize, ScGraph<u32>)> = Vec::new();
+        // Node 0 is the goal; `status.len()` counts the nodes created.
+        let mut status = vec![Status::Undecided];
+        let mut marks = Vec::new();
+        let mut verdict = Soundness::Sound;
+        // Decides `v`'s status unless it is decided already.
+        let decide = |closure: &mut CompanionClosure<u32, usize>,
+                      status: &mut Vec<Status>,
+                      v: usize,
+                      companion: bool| {
+            if status[v] == Status::Undecided {
+                status[v] = if companion {
+                    closure.companion(v);
+                    Status::Companion
+                } else {
+                    Status::Plain
+                };
+            }
+        };
+        for (kind, i, j, coin, g) in steps {
+            let nodes = status.len();
+            let edges_before = edges.len();
+            match kind {
+                // A tree edge to a fresh node.
+                0..=3 if nodes < SEARCH_NODES => {
+                    let from = i % nodes;
+                    decide(&mut closure, &mut status, from, coin % 3 == 0);
+                    let e = closure.store_mut().intern(&g);
+                    closure.tree_edge(from, nodes, e);
+                    status.push(Status::Undecided);
+                    edges.push((from, nodes, g));
+                }
+                // A back edge into a companion.
+                4 | 5 => {
+                    let from = i % nodes;
+                    decide(&mut closure, &mut status, from, coin % 3 == 0);
+                    let companions: Vec<usize> =
+                        (0..nodes).filter(|&v| status[v] == Status::Companion).collect();
+                    if !companions.is_empty() {
+                        let to = companions[j % companions.len()];
+                        let e = closure.store_mut().intern(&g);
+                        closure.back_edge(from, to, e);
+                        edges.push((from, to, g));
+                    }
+                }
+                // A fresh companion root, like a hint.
+                6 if nodes < SEARCH_NODES => {
+                    status.push(Status::Undecided);
+                    decide(&mut closure, &mut status, nodes, true);
+                }
+                // A decision before any edge leaves the node.
+                7 => decide(&mut closure, &mut status, i % nodes, coin % 2 == 0),
+                8 => marks.push((closure.mark(), edges.len(), status.clone())),
+                9 if !marks.is_empty() => {
+                    let at = i % marks.len();
+                    let (mark, len, before) = marks[at].clone();
+                    marks.truncate(at);
+                    closure.undo_to(mark);
+                    edges.truncate(len);
+                    status = before;
+                    verdict = reference_closure(&edges).0;
+                }
+                _ => {}
+            }
+            if edges.len() > edges_before {
+                verdict = reference_closure(&edges).0;
+            }
+            prop_assert_eq!(closure.soundness(), verdict);
         }
     });
 }

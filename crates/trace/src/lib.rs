@@ -37,7 +37,8 @@
 //! | `round`          | one iterative-deepening round                       |
 //! | `expand`         | one proof-node expansion (nested under recursion)   |
 //! | `normalize`      | one memoized normalization call                     |
-//! | `closure_update` | one incremental size-change closure edge insertion  |
+//! | `closure_update` | one size-change closure update (edge or companion)  |
+//! | `undo`           | one backtrack: closure and proof rewinds            |
 //! | `check`          | one certificate / proof re-check                    |
 //!
 //! # Example
