@@ -401,8 +401,8 @@ pub fn check_with(
     let _span = cycleq_trace::span!("check");
     let start = Instant::now();
     let hits_before = rw.memo_hits();
-    // Intern every node equation up front. `Preproof::interned` ids (if any)
-    // belong to the search store and are deliberately ignored.
+    // Intern every node equation up front, into the checker's own store:
+    // nothing the search interned is trusted here.
     let ids: Vec<(TermId, TermId)> = proof
         .nodes()
         .map(|(_, node)| (rw.intern(node.eq.lhs()), rw.intern(node.eq.rhs())))

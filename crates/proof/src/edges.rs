@@ -2,24 +2,28 @@
 //! the global-correctness check (Theorem 5.2).
 
 use cycleq_sizechange::{GraphId, GraphStore, IncrementalClosure, Label, ScGraph, Soundness};
-use cycleq_term::VarId;
+use cycleq_term::{Equation, VarId};
 
 use crate::node::{NodeId, RuleApp};
 use crate::preproof::Preproof;
 
-/// The labelled edges of the size-change graph annotating the edge from
-/// `v` to its `premise_idx`-th premise (Definition 5.3), shared by
-/// [`edge_graph`] and [`edge_graph_id`].
-fn edge_triples(proof: &Preproof, v: NodeId, premise_idx: usize) -> Vec<(VarId, VarId, Label)> {
-    let node = proof.node(v);
-    let premise = node.premises[premise_idx];
-    let premise_eq = &proof.node(premise).eq;
+/// The labelled edges of the size-change graph annotating the edge from a
+/// node justified by `rule` to its `premise_idx`-th premise, shared by
+/// [`edge_graph`] and [`edge_graph_id`] (which documents the graph of each
+/// rule). `conc_vars` and `premise_vars` are the free variables of the
+/// conclusion and of the premise, each sorted ascending.
+fn edge_triples(
+    rule: &RuleApp,
+    premise_idx: usize,
+    conc_vars: &[VarId],
+    premise_vars: &[VarId],
+) -> Vec<(VarId, VarId, Label)> {
     let mut out = Vec::new();
-    match &node.rule {
+    match rule {
         RuleApp::Open => panic!("edge_graph on an open node"),
         RuleApp::Subst(app) if premise_idx == 0 => {
             // Lemma edge: x ≃ y for θ(y) = x.
-            for y in premise_eq.vars() {
+            for &y in premise_vars {
                 match app.theta.get(y) {
                     Some(t) => {
                         if let Some(x) = t.as_var() {
@@ -32,7 +36,7 @@ fn edge_triples(proof: &Preproof, v: NodeId, premise_idx: usize) -> Vec<(VarId, 
             }
         }
         RuleApp::Case { var, branches } => {
-            for z in node.eq.vars() {
+            for &z in conc_vars {
                 if z != *var {
                     out.push((z, z, Label::NonStrict));
                 }
@@ -44,16 +48,49 @@ fn edge_triples(proof: &Preproof, v: NodeId, premise_idx: usize) -> Vec<(VarId, 
         _ => {
             // Continuation of (Subst), (Reduce), (Cong), (FunExt), (Refl):
             // identity on shared variables.
-            let conc = node.eq.vars();
-            let prem = premise_eq.vars();
-            out.extend(conc.intersection(&prem).map(|&z| (z, z, Label::NonStrict)));
+            for &z in conc_vars {
+                if premise_vars.binary_search(&z).is_ok() {
+                    out.push((z, z, Label::NonStrict));
+                }
+            }
         }
     }
     out
 }
 
+/// The free variables of an owned equation, sorted ascending.
+fn sorted_vars(eq: &Equation) -> Vec<VarId> {
+    eq.vars().into_iter().collect()
+}
+
 /// The size-change graph annotating the edge from `v` to its
-/// `premise_idx`-th premise (Definition 5.3).
+/// `premise_idx`-th premise (Definition 5.3; see [`edge_graph_id`] for the
+/// shape of each rule's graph).
+///
+/// # Panics
+///
+/// Panics if `premise_idx` is out of range for the node or the node is
+/// `Open`.
+pub fn edge_graph(proof: &Preproof, v: NodeId, premise_idx: usize) -> ScGraph<VarId> {
+    let node = proof.node(v);
+    let conc_vars = sorted_vars(&node.eq);
+    let premise_vars = sorted_vars(&proof.node(node.premises[premise_idx]).eq);
+    edge_triples(&node.rule, premise_idx, &conc_vars, &premise_vars)
+        .into_iter()
+        .collect()
+}
+
+/// The size-change graph annotating the edge from a node justified by
+/// `rule` to its `premise_idx`-th premise (Definition 5.3), built directly
+/// into a [`GraphStore`] with no owned intermediate. `conc_vars` and
+/// `premise_vars` are the free variables of the conclusion and of the
+/// premise, each sorted ascending: the proof search passes the union of
+/// the cached variable sets of each node's interned sides
+/// ([`cycleq_term::TermStore::vars`]), and [`check_global`] the variables
+/// of the owned equations. The store's dedup table makes the recurring
+/// graph shapes (identity graphs on the same variable sets, the
+/// per-constructor `(Case)` graphs) a hash lookup after their first
+/// construction.
 ///
 /// - `(Subst)` lemma edge: a non-strict edge `x ≃ y` whenever `θ(y)` is the
 ///   variable `x` — variable traces survive instantiation only when the
@@ -65,29 +102,16 @@ fn edge_triples(proof: &Preproof, v: NodeId, premise_idx: usize) -> Vec<(VarId, 
 ///
 /// # Panics
 ///
-/// Panics if `premise_idx` is out of range for the node or the node is
-/// `Open`.
-pub fn edge_graph(proof: &Preproof, v: NodeId, premise_idx: usize) -> ScGraph<VarId> {
-    edge_triples(proof, v, premise_idx).into_iter().collect()
-}
-
-/// [`edge_graph`], built directly into a [`GraphStore`] with no owned
-/// intermediate: the triples are interned in one pass and the store's
-/// dedup table makes the recurring graph shapes (identity graphs on the
-/// same variable sets, the per-constructor `(Case)` graphs) a hash lookup
-/// after their first construction. This is the path the prover uses.
-///
-/// # Panics
-///
-/// Panics if `premise_idx` is out of range for the node or the node is
-/// `Open`.
+/// Panics if the rule is `Open`, or `premise_idx` is out of range for a
+/// `(Case)`.
 pub fn edge_graph_id(
-    proof: &Preproof,
-    v: NodeId,
+    rule: &RuleApp,
     premise_idx: usize,
+    conc_vars: &[VarId],
+    premise_vars: &[VarId],
     store: &mut GraphStore<VarId>,
 ) -> GraphId {
-    store.intern_edges(edge_triples(proof, v, premise_idx))
+    store.intern_edges(edge_triples(rule, premise_idx, conc_vars, premise_vars))
 }
 
 /// All annotated edges of the preproof, ready for closure computation.
@@ -138,9 +162,18 @@ pub fn check_global(proof: &Preproof) -> Soundness {
         }
         let mut closure = IncrementalClosure::new();
         for &v in members {
-            for (i, &p) in proof.node(v).premises.iter().enumerate() {
+            let node = proof.node(v);
+            let conc_vars = sorted_vars(&node.eq);
+            for (i, &p) in node.premises.iter().enumerate() {
                 if comp[p.index()] == c {
-                    let g = edge_graph_id(proof, v, i, closure.store_mut());
+                    let premise_vars = sorted_vars(&proof.node(p).eq);
+                    let g = edge_graph_id(
+                        &node.rule,
+                        i,
+                        &conc_vars,
+                        &premise_vars,
+                        closure.store_mut(),
+                    );
                     if closure.add_edge_id(v, p, g) == Soundness::Unsound {
                         return Soundness::Unsound;
                     }
@@ -248,7 +281,7 @@ mod tests {
     use super::*;
     use crate::node::{CaseBranch, Side, SubstApp};
     use cycleq_rewrite::fixtures::nat_list_program;
-    use cycleq_term::{Equation, Position, Subst, Term};
+    use cycleq_term::{Position, Subst, Term};
 
     /// Builds the two-node preproof of Example 3.2: `Cons x xs ≈ Nil`
     /// justified by rewriting with itself — a locally well-formed preproof

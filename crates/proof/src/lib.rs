@@ -34,6 +34,6 @@ pub use certificate::{export_certificate, program_fingerprint, Certificate, Cert
 pub use checker::{check, check_with, CheckError, CheckErrorKind, CheckReport, GlobalCheck};
 pub use edges::{check_global, cycle_witnesses, edge_graph, edge_graph_id, global_edges};
 pub use node::{CaseBranch, Node, NodeId, RuleApp, Side, SubstApp};
-pub use preproof::Preproof;
+pub use preproof::{InternedPreproof, Preproof};
 pub use render::{render_dot, render_text};
 pub use transform::{count_redundant_lemmas, eliminate_redundant_lemmas, RedundancyReport};

@@ -128,9 +128,10 @@ impl RuleApp {
 /// A vertex of a preproof: an equation, the rule justifying it, and its
 /// premises (Definition 3.1).
 #[derive(Clone, PartialEq, Eq, Debug)]
-pub struct Node {
-    /// The equation at this vertex.
-    pub eq: Equation,
+pub struct Node<E = Equation> {
+    /// The equation at this vertex: owned by default, the interned ids of
+    /// its sides in an [`InternedPreproof`](crate::InternedPreproof).
+    pub eq: E,
     /// The rule instance.
     pub rule: RuleApp,
     /// Premises, in rule order. For `(Subst)` this is `[lemma,

@@ -13,19 +13,29 @@ use crate::node::{CaseBranch, Node, NodeId, RuleApp};
 /// Cycles are represented directly (Definition 3.1): a premise may reference
 /// any vertex, not only descendants.
 ///
-/// Alongside the owned equations, every node may carry the *interned* ids
-/// of its two sides relative to the proof search's
-/// [`cycleq_term::TermStore`]. The search uses them for O(1) lemma-side
-/// lookup and equality; the independent checker deliberately ignores them
-/// and re-checks the owned terms, so a corrupted store can never make a bad
-/// proof pass.
-#[derive(Clone, Debug, Default)]
-pub struct Preproof {
-    nodes: Vec<Node>,
+/// The node equations are of type `E`: owned [`Equation`]s, the form every
+/// consumer reads, by default. A store-backed builder instead uses
+/// [`InternedPreproof`], whose equations are the interned `(lhs, rhs)` ids
+/// of their sides relative to the builder's [`cycleq_term::TermStore`], so
+/// it builds no owned term per node; [`Preproof::map_equations`] resolves
+/// them in one pass over the surviving nodes when the proof leaves the
+/// builder. The checker and every other consumer take a
+/// `Preproof<Equation>` and re-check the owned terms, so a corrupted store
+/// can never make a bad proof pass.
+#[derive(Clone, Debug)]
+pub struct Preproof<E = Equation> {
+    nodes: Vec<Node<E>>,
     vars: VarStore,
-    /// Interned `(lhs, rhs)` ids per node, parallel to `nodes`; `None` for
-    /// nodes pushed by store-less builders.
-    interned: Vec<Option<(TermId, TermId)>>,
+}
+
+/// A preproof whose node equations are the interned ids of their two sides:
+/// the form the proof search builds (see [`Preproof`]).
+pub type InternedPreproof = Preproof<(TermId, TermId)>;
+
+impl<E> Default for Preproof<E> {
+    fn default() -> Preproof<E> {
+        Preproof::with_vars(VarStore::new())
+    }
 }
 
 impl Preproof {
@@ -33,14 +43,15 @@ impl Preproof {
     pub fn new() -> Preproof {
         Preproof::default()
     }
+}
 
+impl<E> Preproof<E> {
     /// A preproof whose variables start from an existing store (e.g. the
     /// goal's variables).
-    pub fn with_vars(vars: VarStore) -> Preproof {
+    pub fn with_vars(vars: VarStore) -> Preproof<E> {
         Preproof {
             nodes: Vec::new(),
             vars,
-            interned: Vec::new(),
         }
     }
 
@@ -96,29 +107,33 @@ impl Preproof {
     }
 
     /// Adds an unjustified (open) node for the equation, returning its id.
-    pub fn push_open(&mut self, eq: Equation) -> NodeId {
+    pub fn push_open(&mut self, eq: E) -> NodeId {
         let id = NodeId(self.nodes.len() as u32);
         self.nodes.push(Node {
             eq,
             rule: RuleApp::Open,
             premises: Vec::new(),
         });
-        self.interned.push(None);
         id
     }
 
-    /// Adds an open node together with the interned ids of its two sides
-    /// (relative to the caller's term store).
-    pub fn push_open_interned(&mut self, eq: Equation, ids: (TermId, TermId)) -> NodeId {
-        let id = self.push_open(eq);
-        self.interned[id.index()] = Some(ids);
-        id
-    }
-
-    /// The interned `(lhs, rhs)` ids of a node, if the builder recorded
-    /// them. Ids are relative to the store of whoever built the proof.
-    pub fn interned(&self, id: NodeId) -> Option<(TermId, TermId)> {
-        self.interned[id.index()]
+    /// The same preproof with every node equation converted by `f`, in one
+    /// pass in node order; rules, premises and variables are kept. This is
+    /// how an [`InternedPreproof`] resolves its sides into owned
+    /// equations.
+    pub fn map_equations<F>(self, mut f: impl FnMut(E) -> F) -> Preproof<F> {
+        Preproof {
+            nodes: self
+                .nodes
+                .into_iter()
+                .map(|n| Node {
+                    eq: f(n.eq),
+                    rule: n.rule,
+                    premises: n.premises,
+                })
+                .collect(),
+            vars: self.vars,
+        }
     }
 
     /// Justifies a node with a rule instance and premises.
@@ -144,7 +159,7 @@ impl Preproof {
     /// # Panics
     ///
     /// Panics if the id is out of range.
-    pub fn node(&self, id: NodeId) -> &Node {
+    pub fn node(&self, id: NodeId) -> &Node<E> {
         &self.nodes[id.index()]
     }
 
@@ -159,7 +174,7 @@ impl Preproof {
     }
 
     /// Iterates over all nodes with their ids.
-    pub fn nodes(&self) -> impl Iterator<Item = (NodeId, &Node)> {
+    pub fn nodes(&self) -> impl Iterator<Item = (NodeId, &Node<E>)> {
         self.nodes
             .iter()
             .enumerate()
@@ -186,7 +201,6 @@ impl Preproof {
     pub fn truncate(&mut self, mark: (usize, usize)) {
         assert!(mark.0 <= self.nodes.len(), "preproof mark is in the future");
         self.nodes.truncate(mark.0);
-        self.interned.truncate(mark.0);
         self.vars.truncate(mark.1);
     }
 
@@ -269,18 +283,27 @@ mod tests {
         let f = NatList::new();
         let mut store = cycleq_term::TermStore::new();
         let z = store.intern(&Term::sym(f.zero));
-        let mut proof = Preproof::new();
-        let a = proof.push_open(trivial_eq(&f));
+        let sz = store.intern(&f.s(Term::sym(f.zero)));
+        let mut proof = InternedPreproof::default();
+        let a = proof.push_open((z, z));
         let mark = proof.mark();
-        let b = proof.push_open_interned(trivial_eq(&f), (z, z));
-        assert_eq!(proof.interned(a), None);
-        assert_eq!(proof.interned(b), Some((z, z)));
+        proof.push_open((sz, sz));
         proof.truncate(mark);
         assert_eq!(proof.len(), 1);
-        // Re-pushing after truncation keeps the side table aligned.
-        let c = proof.push_open_interned(trivial_eq(&f), (z, z));
+        // Re-pushing after truncation reuses the popped slot.
+        let c = proof.push_open((z, sz));
         assert_eq!(c.index(), 1);
-        assert_eq!(proof.interned(c), Some((z, z)));
+        proof.justify(a, RuleApp::Reduce, vec![c]);
+        assert_eq!(proof.node(c).eq, (z, sz));
+        // Resolution keeps ids, rules and premises, node for node.
+        let owned = proof.map_equations(|(l, r)| Equation::new(store.resolve(l), store.resolve(r)));
+        assert_eq!(owned.node(a).eq, trivial_eq(&f));
+        assert_eq!(
+            owned.node(c).eq,
+            Equation::new(Term::sym(f.zero), f.s(Term::sym(f.zero)))
+        );
+        assert_eq!(owned.node(a).premises, vec![c]);
+        assert!(matches!(owned.node(a).rule, RuleApp::Reduce));
     }
 
     #[test]
@@ -288,7 +311,7 @@ mod tests {
         let f = NatList::new();
         let mut vars = VarStore::new();
         vars.fresh("x", f.nat_ty());
-        let proof = Preproof::with_vars(vars);
+        let proof: Preproof = Preproof::with_vars(vars);
         assert_eq!(proof.vars().len(), 1);
     }
 }

@@ -260,6 +260,11 @@ impl<'a> MemoRewriter<'a> {
     }
 
     /// Attempts a root contraction, trying the head's rules in order.
+    ///
+    /// A head applied to more arguments than its clauses take (`f t1 … tm`
+    /// with clause arity `n < m`, e.g. a point-free `twice f = comp f f`
+    /// applied to `f` and `x`) contracts its prefix `f t1 … tn` and
+    /// re-applies `t(n+1) … tm` to the contractum.
     pub fn step_root_id(&mut self, id: TermId) -> Option<TermId> {
         let head = self.store.head_sym(id)?;
         if !self.sig.is_defined(head) {
@@ -268,7 +273,8 @@ impl<'a> MemoRewriter<'a> {
         let nargs = self.store.args(id).len();
         for rid in self.trs.rules_for(head) {
             let rule: &'a Rule = self.trs.rule(*rid);
-            if rule.params().len() != nargs {
+            let arity = rule.params().len();
+            if arity > nargs {
                 continue;
             }
             let mut bind: Vec<(VarId, TermId)> = Vec::new();
@@ -281,7 +287,9 @@ impl<'a> MemoRewriter<'a> {
                 }
             }
             if ok {
-                return Some(self.instantiate(rule.rhs(), &bind));
+                let contractum = self.instantiate(rule.rhs(), &bind);
+                let extra = self.store.args(id)[arity..].to_vec();
+                return Some(self.store.apply_args(contractum, &extra));
             }
         }
         None
@@ -578,7 +586,8 @@ impl<'a> MemoRewriter<'a> {
             let Some(head) = self.store.head_sym(id) else {
                 continue;
             };
-            if !self.sig.is_defined(head) || self.trs.arity_of(head) != Some(args.len()) {
+            if !self.sig.is_defined(head) || self.trs.arity_of(head).is_none_or(|n| n > args.len())
+            {
                 continue;
             }
             if self.step_root_id(id).is_some() {
@@ -594,7 +603,8 @@ impl<'a> MemoRewriter<'a> {
     }
 
     /// Variables blocking rule matching at the *root* of the term, in rule
-    /// order.
+    /// order. An over-applied head is analysed on the prefix its clauses
+    /// take, as in [`MemoRewriter::step_root_id`].
     ///
     /// Returns an empty vector when the root is not a stuck, fully-applied,
     /// defined-head redex, or when its matching failures are attributable
@@ -610,11 +620,12 @@ impl<'a> MemoRewriter<'a> {
         let nargs = self.store.args(t).len();
         for rid in self.trs.rules_for(head) {
             let rule: &'a Rule = self.trs.rule(*rid);
-            if rule.params().len() != nargs {
+            let arity = rule.params().len();
+            if arity > nargs {
                 continue;
             }
             let mut bind: Vec<(VarId, TermId)> = Vec::new();
-            let applies = (0..nargs).all(|k| {
+            let applies = (0..arity).all(|k| {
                 let s = self.store.args(t)[k];
                 self.match_pattern(&rule.params()[k], s, &mut bind)
             });

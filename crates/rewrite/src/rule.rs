@@ -86,9 +86,12 @@ impl Rule {
     }
 
     /// Applies the rule at the root of `subject` if it matches, returning
-    /// the contractum.
+    /// the contractum. A subject with more arguments than the rule's
+    /// patterns contracts its prefix and keeps the remaining arguments
+    /// applied to the contractum.
     pub fn apply_root(&self, subject: &Term) -> Option<Term> {
-        if subject.head_sym() != Some(self.head) || subject.args().len() != self.params.len() {
+        let arity = self.params.len();
+        if subject.head_sym() != Some(self.head) || subject.args().len() < arity {
             return None;
         }
         let mut theta = Subst::new();
@@ -105,7 +108,11 @@ impl Rule {
                 }
             }
         }
-        Some(theta.apply(&self.rhs))
+        Some(
+            theta
+                .apply(&self.rhs)
+                .apply_args(subject.args()[arity..].iter().cloned()),
+        )
     }
 }
 
@@ -239,6 +246,18 @@ mod tests {
         let rule = Rule::new(f.add, vec![Term::sym(f.zero), Term::var(y)], Term::var(y));
         let subject = Term::apps(f.add, vec![Term::sym(f.zero)]);
         assert_eq!(rule.apply_root(&subject), None);
+    }
+
+    #[test]
+    fn apply_root_contracts_the_prefix_of_an_over_application() {
+        let f = NatList::new();
+        let mut rule_vars = VarStore::new();
+        let g = rule_vars.fresh("g", cycleq_term::Type::arrow(f.nat_ty(), f.nat_ty()));
+        // `add g → g` stands in for a clause with fewer patterns than its
+        // type has arrows (`Rule::new` checks no types).
+        let rule = Rule::new(f.add, vec![Term::var(g)], Term::var(g));
+        let subject = Term::apps(f.add, vec![Term::sym(f.succ), Term::sym(f.zero)]);
+        assert_eq!(rule.apply_root(&subject), Some(f.num(1)));
     }
 
     #[test]

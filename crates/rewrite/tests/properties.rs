@@ -249,16 +249,16 @@ fn simulate_rule(pat: &Term, arg: &Term, sig: &Signature, blockers: &mut Vec<Var
 }
 
 /// The owned-term blocked-variable analysis, the oracle of
-/// `MemoRewriter::case_candidates_id`: for every stuck, fully applied,
-/// defined-head subterm in preorder, the variables blocking its rules, in
-/// rule order.
+/// `MemoRewriter::case_candidates_id`: for every stuck defined-head
+/// subterm applied to at least its clauses' arity, in preorder, the
+/// variables blocking its rules on that prefix, in rule order.
 fn owned_case_candidates(sig: &Signature, trs: &Trs, term: &Term) -> Vec<VarId> {
     let mut out: Vec<VarId> = Vec::new();
     for (_, sub) in term.positions() {
         let Some(head) = sub.head_sym() else {
             continue;
         };
-        if !sig.is_defined(head) || trs.arity_of(head) != Some(sub.args().len()) {
+        if !sig.is_defined(head) || trs.arity_of(head).is_none_or(|n| n > sub.args().len()) {
             continue;
         }
         let rules: Vec<_> = trs.rules_for(head).iter().map(|id| trs.rule(*id)).collect();
@@ -266,9 +266,6 @@ fn owned_case_candidates(sig: &Signature, trs: &Trs, term: &Term) -> Vec<VarId> 
             continue; // reducible, not stuck
         }
         for rule in rules {
-            if rule.params().len() != sub.args().len() {
-                continue;
-            }
             let mut blockers = Vec::new();
             let mut verdict = Sim::Match;
             for (p, a) in rule.params().iter().zip(sub.args()) {

@@ -18,19 +18,26 @@
 //! self-edge appears, the cycle can never satisfy the global condition and
 //! the candidate is pruned immediately (§5.2). Every cycle passes through a
 //! companion, so this verdict is the full closure's.
+//!
+//! The search runs on hash-consed terms from start to finish. Its nodes
+//! hold only the [`TermId`]s of their two sides (an [`InternedPreproof`]):
+//! the goal and the hints are interned once, every rule builds its premises
+//! from ids, the function-extensionality test asks the signature before it
+//! runs type inference, and edge graphs read the store's cached variable
+//! sets. Owned equations are resolved once, in one pass over the surviving
+//! nodes, when the (pre)proof leaves the [`Prover`] — also for the partial
+//! preproof of a failed or interrupted search.
 
 use std::fmt;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use cycleq_proof::{edge_graph_id, NodeId, Preproof, RuleApp, Side, SubstApp};
+use cycleq_proof::{edge_graph_id, InternedPreproof, NodeId, Preproof, RuleApp, Side, SubstApp};
 use cycleq_rewrite::{
     CancelToken, Interrupted, MemoRewriter, NormalizedId, Program, RunLimits, SharedNormalFormCache,
 };
 use cycleq_sizechange::{CompanionClosure, CompanionMark, Soundness};
-use cycleq_term::{
-    CanonKey, Equation, Head, IdSubst, Term, TermId, TyUnifier, Type, VarId, VarStore,
-};
+use cycleq_term::{CanonKey, Equation, Head, IdSubst, TermId, TyUnifier, Type, VarId, VarStore};
 
 use crate::budget::Budget;
 use crate::config::{LemmaPolicy, SearchConfig, SearchStats};
@@ -222,8 +229,8 @@ impl<'a> Prover<'a> {
             // never multiply the requested bound.
             let nodes_before = total.nodes_created;
             let round_span = cycleq_trace::span!("round");
-            let (result, hit_depth_limit) = self.prove_round(
-                goal.clone(),
+            let round = self.prove_round(
+                &goal,
                 vars.clone(),
                 hints,
                 &limits,
@@ -233,23 +240,23 @@ impl<'a> Prover<'a> {
                 depth,
             );
             drop(round_span);
-            total.absorb(&result.stats);
+            total.absorb(&round.stats);
             total.rounds += 1;
             // Gauges, not counters: each deepening round re-interns into a
             // fresh store, so report the final round's sizes rather than
             // the sums `absorb` produced.
-            total.closure_graphs = result.stats.closure_graphs;
-            total.interned_nodes = result.stats.interned_nodes;
-            total.interned_graphs = result.stats.interned_graphs;
-            let deepen = matches!(result.outcome, Outcome::Exhausted)
-                && hit_depth_limit
+            total.closure_graphs = round.stats.closure_graphs;
+            total.interned_nodes = round.stats.interned_nodes;
+            total.interned_graphs = round.stats.interned_graphs;
+            let deepen = matches!(round.outcome, Outcome::Exhausted)
+                && round.stats.depth_limit_hits > 0
                 && depth < self.config.max_depth;
             if !deepen {
                 let mut stats = total;
                 stats.elapsed = start.elapsed();
                 return ProofResult {
-                    outcome: result.outcome,
-                    proof: result.proof,
+                    outcome: round.outcome,
+                    proof: round.search.resolve_proof(),
                     stats,
                 };
             }
@@ -264,7 +271,7 @@ impl<'a> Prover<'a> {
     #[allow(clippy::too_many_arguments)]
     fn prove_round(
         &self,
-        goal: Equation,
+        goal: &Equation,
         vars: VarStore,
         hints: &[Equation],
         limits: &RunLimits,
@@ -272,7 +279,7 @@ impl<'a> Prover<'a> {
         max_nodes: usize,
         fuel: usize,
         depth_limit: usize,
-    ) -> (ProofResult, bool) {
+    ) -> Round<'_> {
         let mut rw = MemoRewriter::new(&self.prog.sig, &self.prog.trs).with_fuel(fuel);
         if let Some(cache) = &self.shared {
             rw = rw.with_shared_cache(cache.clone());
@@ -281,7 +288,7 @@ impl<'a> Prover<'a> {
             prog: self.prog,
             config: &self.config,
             depth_limit,
-            proof: Preproof::with_vars(vars),
+            proof: InternedPreproof::with_vars(vars),
             rw,
             closure: CompanionClosure::new(),
             lemmas: Vec::new(),
@@ -293,7 +300,7 @@ impl<'a> Prover<'a> {
         };
         let mut outcome = None;
         for (i, hint) in hints.iter().enumerate() {
-            let id = search.push_node(hint.clone());
+            let id = search.push_equation(hint);
             // A hint root is a lemma target, so it is a companion from the
             // start.
             search.make_companion(id);
@@ -310,13 +317,13 @@ impl<'a> Prover<'a> {
                 }
             }
         }
-        let root = search.push_node(goal);
+        let root = search.push_equation(goal);
         let outcome = outcome.unwrap_or_else(|| match search.solve(root, 0, true) {
             Ok(Solve::Solved) => Outcome::Proved { root },
             Ok(Solve::Failed) => Outcome::Exhausted,
             Err(stop) => stop_outcome(stop),
         });
-        let mut stats = search.stats;
+        let mut stats = std::mem::take(&mut search.stats);
         stats.closure_graphs = search.closure.num_graphs();
         stats.closure_compositions = search.closure.compositions();
         stats.composition_memo_hits = search.closure.memo_hits();
@@ -326,16 +333,20 @@ impl<'a> Prover<'a> {
         stats.shared_cache_hits = search.rw.shared_cache_hits();
         stats.shared_cache_misses = search.rw.shared_cache_misses();
         stats.interned_nodes = search.rw.store().len();
-        let hit = stats.depth_limit_hits > 0;
-        (
-            ProofResult {
-                outcome,
-                proof: search.proof,
-                stats,
-            },
-            hit,
-        )
+        Round {
+            outcome,
+            stats,
+            search,
+        }
     }
+}
+
+/// What one deepening round leaves: its verdict and counters, and the
+/// search itself, whose preproof is resolved only if the round is the last.
+struct Round<'a> {
+    outcome: Outcome,
+    stats: SearchStats,
+    search: Search<'a>,
 }
 
 fn stop_outcome(stop: Stop) -> Outcome {
@@ -374,7 +385,10 @@ struct Search<'a> {
     config: &'a SearchConfig,
     /// Depth bound of the current iterative-deepening round.
     depth_limit: usize,
-    proof: Preproof,
+    /// The preproof under construction. Each node holds the ids of its two
+    /// sides in `rw`'s store and nothing owned; [`Search::resolve_proof`]
+    /// builds the owned equations once, when the round's proof is returned.
+    proof: InternedPreproof,
     /// The memoising rewriter; owns the term store every node equation of
     /// this round is interned into. Normal forms are cached across the
     /// whole round (including backtracking — the rewrite system never
@@ -405,24 +419,43 @@ struct Search<'a> {
 }
 
 impl<'a> Search<'a> {
-    /// Pushes an open node, interning both sides into the round's store.
-    fn push_node(&mut self, eq: Equation) -> NodeId {
+    /// Pushes an open node for an owned equation (the goal or a hint),
+    /// interning both sides into the round's store.
+    fn push_equation(&mut self, eq: &Equation) -> NodeId {
         let l = self.rw.intern(eq.lhs());
         let r = self.rw.intern(eq.rhs());
-        self.push_node_ids(eq, (l, r))
+        self.push_node((l, r))
     }
 
-    /// Pushes an open node whose sides are already interned.
-    fn push_node_ids(&mut self, eq: Equation, ids: (TermId, TermId)) -> NodeId {
+    /// Pushes an open node with the given interned sides.
+    fn push_node(&mut self, sides: (TermId, TermId)) -> NodeId {
         self.stats.nodes_created += 1;
-        self.proof.push_open_interned(eq, ids)
+        self.proof.push_open(sides)
     }
 
-    /// The interned sides of a node (every node of this search has them).
+    /// The interned sides of a node.
     fn node_ids(&self, node: NodeId) -> (TermId, TermId) {
+        self.proof.node(node).eq
+    }
+
+    /// The free variables of a node's equation, sorted ascending: the union
+    /// of the store's cached sets of its two sides.
+    fn node_vars(&self, node: NodeId) -> Vec<VarId> {
+        let (l, r) = self.node_ids(node);
+        let store = self.rw.store();
+        let mut vars = store.vars(l).to_vec();
+        vars.extend_from_slice(store.vars(r));
+        vars.sort_unstable();
+        vars.dedup();
+        vars
+    }
+
+    /// The round's preproof with every surviving node's sides resolved
+    /// into an owned equation, in one pass.
+    fn resolve_proof(self) -> Preproof {
+        let store = self.rw.store();
         self.proof
-            .interned(node)
-            .expect("search interns every node it pushes")
+            .map_equations(|(l, r)| Equation::new(store.resolve(l), store.resolve(r)))
     }
 
     /// Normalises with the round's memo table, honouring the wall-clock
@@ -478,9 +511,16 @@ impl<'a> Search<'a> {
     /// the edge.
     fn add_proof_edge(&mut self, v: NodeId, i: usize) -> Soundness {
         let _span = cycleq_trace::span!("closure_update");
-        let g = edge_graph_id(&self.proof, v, i, self.closure.store_mut());
+        let p = self.proof.node(v).premises[i];
+        let (conc_vars, premise_vars) = (self.node_vars(v), self.node_vars(p));
         let node = self.proof.node(v);
-        let p = node.premises[i];
+        let g = edge_graph_id(
+            &node.rule,
+            i,
+            &conc_vars,
+            &premise_vars,
+            self.closure.store_mut(),
+        );
         if i == 0 && matches!(node.rule, RuleApp::Subst(_)) {
             self.closure.back_edge(v, p, g)
         } else {
@@ -515,8 +555,7 @@ impl<'a> Search<'a> {
         }
         if ln.id != lid || rn.id != rid {
             self.stats.rule_reduce += 1;
-            let child_eq = Equation::new(self.rw.resolve(ln.id), self.rw.resolve(rn.id));
-            let child = self.push_node_ids(child_eq, (ln.id, rn.id));
+            let child = self.push_node((ln.id, rn.id));
             self.justify(node, RuleApp::Reduce, vec![child]);
             self.add_proof_edge(node, 0);
             return self.solve(child, depth, pure_path);
@@ -529,13 +568,14 @@ impl<'a> Search<'a> {
             return Ok(Solve::Solved);
         }
 
-        let eq = self.proof.node(node).eq.clone();
-
         // 3. Constructor decomposition: clash refutation or congruence —
         //    committed.
-        let lc = eq.lhs().as_constructor(&self.prog.sig).map(|(k, _)| k);
-        let rc = eq.rhs().as_constructor(&self.prog.sig).map(|(k, _)| k);
-        if let (Some(k1), Some(k2)) = (lc, rc) {
+        let sig = &self.prog.sig;
+        let store = self.rw.store();
+        if let (Some((k1, largs)), Some((k2, rargs))) = (
+            store.as_constructor(lid, sig),
+            store.as_constructor(rid, sig),
+        ) {
             if k1 != k2 {
                 // Constructors are free: no instance satisfies the equation.
                 return if pure_path {
@@ -544,17 +584,11 @@ impl<'a> Search<'a> {
                     Ok(Solve::Failed)
                 };
             }
-            let n = eq.lhs().args().len();
-            let largs = self.rw.store().args(lid).to_vec();
-            let rargs = self.rw.store().args(rid).to_vec();
-            let mut premises = Vec::with_capacity(n);
-            for i in 0..n {
-                let sub_eq = Equation::new(eq.lhs().args()[i].clone(), eq.rhs().args()[i].clone());
-                premises.push(self.push_node_ids(sub_eq, (largs[i], rargs[i])));
-            }
+            let sides: Vec<_> = largs.iter().copied().zip(rargs.iter().copied()).collect();
+            let premises: Vec<NodeId> = sides.into_iter().map(|s| self.push_node(s)).collect();
             self.stats.rule_cong += 1;
             self.justify(node, RuleApp::Cong, premises.clone());
-            for i in 0..n {
+            for i in 0..premises.len() {
                 self.add_proof_edge(node, i);
             }
             for p in premises {
@@ -567,22 +601,17 @@ impl<'a> Search<'a> {
         }
 
         // 4. Function extensionality — committed when the goal has arrow
-        //    type. Residual inference metavariables in the argument type are
+        //    type. The signature settles most goals without inference.
+        //    Residual inference metavariables in the argument type are
         //    implicitly universally quantified and are generalised to fresh
         //    rigid type variables.
-        let mut uni = TyUnifier::new(TYVAR_FLOOR);
-        if let Ok(Type::Arrow(arg, _)) =
-            eq.lhs()
-                .infer_type(&self.prog.sig, self.proof.vars(), &mut uni)
-        {
-            let arg_ty = generalize_metas(*arg, self.proof.vars());
+        if let Some(arg_ty) = self.funext_arg_type(lid) {
             let x = self.proof.vars_mut().fresh("x", arg_ty);
-            let prem = Equation::new(
-                Term::app(eq.lhs().clone(), Term::var(x)),
-                Term::app(eq.rhs().clone(), Term::var(x)),
-            );
+            let xid = self.rw.store_mut().var(x);
+            let prem_l = self.rw.store_mut().apply_args(lid, &[xid]);
+            let prem_r = self.rw.store_mut().apply_args(rid, &[xid]);
             self.stats.rule_funext += 1;
-            let child = self.push_node(prem);
+            let child = self.push_node((prem_l, prem_r));
             self.justify(node, RuleApp::FunExt { fresh: x }, vec![child]);
             self.add_proof_edge(node, 0);
             return self.solve(child, depth + 1, pure_path);
@@ -597,6 +626,25 @@ impl<'a> Search<'a> {
         let result = self.solve_choice_points(node, depth, lid, rid);
         self.path_keys.pop();
         result
+    }
+
+    /// The argument type of the side `lid` when it has arrow type: `None`
+    /// at once when [`cycleq_term::TermStore::rules_out_arrow_type`] settles
+    /// it from the signature, and otherwise by inference on the resolved
+    /// side, with residual metavariables generalised.
+    fn funext_arg_type(&self, lid: TermId) -> Option<Type> {
+        let store = self.rw.store();
+        if store.rules_out_arrow_type(lid, &self.prog.sig, self.proof.vars()) {
+            return None;
+        }
+        let mut uni = TyUnifier::new(TYVAR_FLOOR);
+        match store
+            .resolve(lid)
+            .infer_type(&self.prog.sig, self.proof.vars(), &mut uni)
+        {
+            Ok(Type::Arrow(arg, _)) => Some(generalize_metas(*arg, self.proof.vars())),
+            _ => None,
+        }
     }
 
     /// The backtrackable rules: `(Subst)` then `(Case)`, both running over
@@ -622,6 +670,15 @@ impl<'a> Search<'a> {
                 all
             }
         };
+        // Every subterm occurrence of both sides, listed once for all lemmas.
+        let positions = if candidates.is_empty() {
+            [Vec::new(), Vec::new()]
+        } else {
+            [
+                self.rw.store().positions(lid),
+                self.rw.store().positions(rid),
+            ]
+        };
         for lemma_id in candidates {
             if lemma_id == node {
                 continue;
@@ -644,12 +701,9 @@ impl<'a> Search<'a> {
                 if !self.rw.store().vars_subset_of(to, from) {
                     continue;
                 }
-                for side in [Side::Lhs, Side::Rhs] {
-                    let side_id = match side {
-                        Side::Lhs => lid,
-                        Side::Rhs => rid,
-                    };
-                    for (pos, sub) in self.rw.store().positions(side_id) {
+                let sides = [(Side::Lhs, lid), (Side::Rhs, rid)];
+                for ((side, side_id), side_positions) in sides.into_iter().zip(&positions) {
+                    for &(ref pos, sub) in side_positions {
                         if self.rw.store().as_var(sub).is_some() {
                             continue;
                         }
@@ -664,7 +718,7 @@ impl<'a> Search<'a> {
                         let rewritten = self
                             .rw
                             .store_mut()
-                            .replace_at(side_id, &pos, replacement)
+                            .replace_at(side_id, pos, replacement)
                             .expect("valid position");
                         let (cont_l, cont_r) = match side {
                             Side::Lhs => (rewritten, rid),
@@ -686,9 +740,7 @@ impl<'a> Search<'a> {
                             continue;
                         }
                         let frame = self.mark();
-                        let cont_eq =
-                            Equation::new(self.rw.resolve(cont_l), self.rw.resolve(cont_r));
-                        let cont = self.push_node_ids(cont_eq, (cont_l, cont_r));
+                        let cont = self.push_node((cont_l, cont_r));
                         let theta_owned = theta.resolve(self.rw.store());
                         self.justify(
                             node,
@@ -745,8 +797,7 @@ impl<'a> Search<'a> {
                 let theta = IdSubst::singleton(v, pattern);
                 let branch_l = self.rw.store_mut().subst(lid, &theta);
                 let branch_r = self.rw.store_mut().subst(rid, &theta);
-                let branch_eq = Equation::new(self.rw.resolve(branch_l), self.rw.resolve(branch_r));
-                premises.push(self.push_node_ids(branch_eq, (branch_l, branch_r)));
+                premises.push(self.push_node((branch_l, branch_r)));
             }
             self.justify(node, RuleApp::Case { var: v, branches }, premises.clone());
             for i in 0..premises.len() {
@@ -809,6 +860,7 @@ mod tests {
     use super::*;
     use cycleq_proof::{check, GlobalCheck};
     use cycleq_rewrite::fixtures::nat_list_program;
+    use cycleq_term::Term;
 
     fn prove_fixture(
         goal: impl FnOnce(&cycleq_rewrite::fixtures::ProgramFixture, &mut VarStore) -> Equation,

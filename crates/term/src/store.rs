@@ -354,6 +354,8 @@ impl TermStore {
     /// Applies a variable→id substitution, sharing work across repeated
     /// subterms via a per-call memo (the result of substituting a given
     /// node is computed once even when the node occurs many times).
+    /// Subterms that contain no variable bound by `theta` are returned
+    /// as they are, without a walk.
     pub fn subst(&mut self, id: TermId, theta: &IdSubst) -> TermId {
         if theta.is_empty() {
             return id;
@@ -368,7 +370,9 @@ impl TermStore {
         theta: &IdSubst,
         memo: &mut HashMap<TermId, TermId>,
     ) -> TermId {
-        if self.is_ground(id) {
+        // A subterm none of whose variables θ binds is its own image (ground
+        // subterms included): hash-consing would rebuild exactly `id`.
+        if self.vars(id).iter().all(|&v| theta.get(v).is_none()) {
             return id;
         }
         if let Some(&done) = memo.get(&id) {

@@ -8,6 +8,7 @@ use std::collections::BTreeSet;
 
 use crate::pretty::TermDisplay;
 use crate::signature::{Signature, SymId, SymKind};
+use crate::store::{TermId, TermStore};
 use crate::types::{TyUnifier, Type, TypeError};
 use crate::var::{VarId, VarStore};
 
@@ -287,6 +288,49 @@ impl Term {
     }
 }
 
+impl TermStore {
+    /// Whether the signature alone shows that the interned term is not of
+    /// arrow type: a conservative filter in front of [`Term::infer_type`]
+    /// for the function-extensionality test. `true` means `infer_type` on
+    /// the resolved term cannot return [`Type::Arrow`]; `false` means
+    /// "unknown, infer".
+    ///
+    /// It walks the head's declared type (the symbol's scheme, or the
+    /// variable's type) past the term's arguments:
+    ///
+    /// - a datatype result is not an arrow, whatever unification does;
+    /// - a type-variable result that is also the declared type of argument
+    ///   `i` is unified with that argument's type, so argument `i` decides
+    ///   (`ite :: Bool -> a -> a -> a`);
+    /// - anything else (an arrow, another type variable, or more arguments
+    ///   than arrows) is unknown.
+    ///
+    /// It keeps no per-id answer on purpose: after backtracking, a
+    /// [`VarStore`] hands a truncated variable's id to a variable of another
+    /// type, so one id can change type within the life of a store.
+    pub fn rules_out_arrow_type(&self, id: TermId, sig: &Signature, vars: &VarStore) -> bool {
+        let mut id = id;
+        loop {
+            let args = self.args(id);
+            let declared = match self.head(id) {
+                Head::Var(v) => vars.ty(v),
+                Head::Sym(s) => sig.sym(s).scheme().body(),
+            };
+            match declared.result_after(args.len()) {
+                Some(Type::Data(..)) => return true,
+                Some(result @ Type::Var(_)) => {
+                    let (params, _) = declared.uncurry();
+                    match params.iter().position(|&p| p == result) {
+                        Some(i) => id = args[i],
+                        None => return false,
+                    }
+                }
+                _ => return false,
+            }
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -389,6 +433,34 @@ mod tests {
         let mut uni = TyUnifier::new(100);
         let ty = t.infer_type(&f.sig, &vars, &mut uni).unwrap();
         assert_eq!(ty, f.list_ty(f.nat_ty()));
+    }
+
+    #[test]
+    fn rules_out_arrow_type_follows_declared_results() {
+        let f = NatList::new();
+        let mut vars = VarStore::new();
+        let x = vars.fresh("x", f.nat_ty());
+        let g = vars.fresh("g", Type::arrow(f.nat_ty(), f.nat_ty()));
+        let mut store = TermStore::new();
+        let mut rules_out = |t: &Term| {
+            let id = store.intern(t);
+            store.rules_out_arrow_type(id, &f.sig, &vars)
+        };
+        // Datatype results, saturated.
+        assert!(rules_out(&Term::apps(
+            f.add,
+            vec![Term::var(x), Term::sym(f.zero)]
+        )));
+        assert!(rules_out(&Term::var_apps(g, vec![Term::var(x)])));
+        // Partial applications are arrows: unknown.
+        assert!(!rules_out(&Term::apps(f.add, vec![Term::var(x)])));
+        assert!(!rules_out(&Term::var(g)));
+        // `map g` returns `List a -> List b`; `Cons x Nil` returns data.
+        assert!(!rules_out(&Term::apps(f.map, vec![Term::var(g)])));
+        assert!(rules_out(&Term::apps(
+            f.cons,
+            vec![Term::var(x), Term::sym(f.nil)]
+        )));
     }
 
     #[test]

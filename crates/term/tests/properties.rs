@@ -291,3 +291,177 @@ fn encode_canonical_table_is_deterministic() {
     t.encode_canonical(&mut m2, &mut o2);
     assert_eq!(o1, o2);
 }
+
+/// A signature for the function-extensionality filter: the `NatList`
+/// fixture (`add` with a datatype result, `map` taking a function) plus
+/// `ite :: Bool -> a -> a -> a`, `hd :: List a -> a` (no argument carries
+/// the result's `a`) and the point-free `twice :: (a -> a) -> a -> a`.
+/// Returns the signature, variables of every type the generator needs
+/// (several of arrow type), and `(head, monotype)` producers: each
+/// polymorphic symbol at a few instances, and every variable.
+fn arrow_filter_fixture() -> (
+    cycleq_term::Signature,
+    VarStore,
+    Vec<(Term, Type)>,
+    Vec<Type>,
+) {
+    use cycleq_term::{TyVarId, TypeScheme};
+
+    let f = NatList::new();
+    let mut sig = f.sig.clone();
+    let a = Type::Var(TyVarId(0));
+    let bool_ty = Type::data0(f.bool_);
+    let ite = sig
+        .add_defined(
+            "ite",
+            TypeScheme::poly(
+                1,
+                Type::arrows(vec![bool_ty.clone(), a.clone(), a.clone()], a.clone()),
+            ),
+        )
+        .unwrap();
+    let hd = sig
+        .add_defined(
+            "hd",
+            TypeScheme::poly(1, Type::arrow(f.list_ty(a.clone()), a.clone())),
+        )
+        .unwrap();
+    let twice = sig
+        .add_defined(
+            "twice",
+            TypeScheme::poly(
+                1,
+                Type::arrows(vec![Type::arrow(a.clone(), a.clone()), a.clone()], a),
+            ),
+        )
+        .unwrap();
+
+    let nat = f.nat_ty();
+    let fun = |x: &Type, y: &Type| Type::arrow(x.clone(), y.clone());
+    let nat_nat = fun(&nat, &nat);
+    let list_nat = f.list_ty(nat.clone());
+    let list_fun = f.list_ty(nat_nat.clone());
+    let list_list = fun(&list_nat, &list_nat);
+    let endo_fun = fun(&nat_nat, &nat_nat);
+    let types = vec![
+        nat.clone(),
+        bool_ty.clone(),
+        list_nat.clone(),
+        list_fun.clone(),
+        nat_nat.clone(),
+        list_list.clone(),
+        endo_fun.clone(),
+    ];
+
+    let mut vars = VarStore::new();
+    let mut producers: Vec<(Term, Type)> = types
+        .iter()
+        .enumerate()
+        .map(|(i, ty)| {
+            (
+                Term::var(vars.fresh(&format!("v{i}"), ty.clone())),
+                ty.clone(),
+            )
+        })
+        .collect();
+    let sym = |s, ty: Type| (Term::sym(s), ty);
+    producers.extend([
+        sym(f.zero, nat.clone()),
+        sym(f.succ, nat_nat.clone()),
+        sym(
+            f.add,
+            Type::arrows(vec![nat.clone(), nat.clone()], nat.clone()),
+        ),
+        sym(f.len, fun(&list_nat, &nat)),
+        sym(f.true_, bool_ty.clone()),
+        sym(f.false_, bool_ty.clone()),
+        sym(f.nil, list_nat.clone()),
+        sym(f.nil, list_fun.clone()),
+        sym(
+            f.cons,
+            Type::arrows(vec![nat.clone(), list_nat.clone()], list_nat.clone()),
+        ),
+        sym(
+            f.cons,
+            Type::arrows(vec![nat_nat.clone(), list_fun.clone()], list_fun.clone()),
+        ),
+        sym(
+            f.map,
+            Type::arrows(vec![nat_nat.clone(), list_nat.clone()], list_nat.clone()),
+        ),
+    ]);
+    for t in [&nat, &list_nat, &nat_nat, &list_list] {
+        let ite_ty = Type::arrows(vec![bool_ty.clone(), t.clone(), t.clone()], t.clone());
+        producers.push(sym(ite, ite_ty));
+    }
+    for t in [&nat, &nat_nat] {
+        producers.push(sym(hd, fun(&f.list_ty(t.clone()), t)));
+    }
+    for t in [&nat, &list_nat, &nat_nat] {
+        producers.push(sym(
+            twice,
+            Type::arrows(vec![fun(t, t), t.clone()], t.clone()),
+        ));
+    }
+    (sig, vars, producers, types)
+}
+
+/// A well-typed term of monotype `target`, steered by `choices`: a
+/// producer whose type yields `target` after `k` arguments, applied to `k`
+/// generated arguments. Under-, exact and over-application all arise, since
+/// a polymorphic head at an arrow instance takes more arguments than its
+/// scheme has arrows. Depth 0 (or no choices left) takes `k = 0`, which a
+/// variable of every type guarantees.
+fn typed_term(
+    producers: &[(Term, Type)],
+    target: &Type,
+    depth: usize,
+    choices: &mut impl Iterator<Item = usize>,
+) -> Term {
+    let mut options: Vec<(usize, usize)> = Vec::new();
+    for (i, (_, ty)) in producers.iter().enumerate() {
+        for k in 0..=ty.arity() {
+            if ty.result_after(k) == Some(target) && (k == 0 || depth > 0) {
+                options.push((i, k));
+            }
+        }
+    }
+    let (i, k) = options[choices.next().unwrap_or(0) % options.len()];
+    let (head, ty) = &producers[i];
+    let (params, _) = ty.uncurry();
+    let args = params[..k]
+        .iter()
+        .map(|p| typed_term(producers, p, depth - 1, choices))
+        .collect::<Vec<_>>();
+    head.clone().apply_args(args)
+}
+
+#[test]
+fn arrow_filter_never_contradicts_inference() {
+    let (sig, vars, producers, types) = arrow_filter_fixture();
+    let (mut ruled_out, mut arrows) = (0, 0);
+    proptest!(cfg(), |(target in 0..types.len(), choices in proptest::collection::vec(0usize..1024, 48))| {
+        let t = typed_term(&producers, &types[target], 4, &mut choices.into_iter());
+        let mut store = cycleq_term::TermStore::new();
+        let id = store.intern(&t);
+        let inferred = t
+            .infer_type(&sig, &vars, &mut cycleq_term::TyUnifier::new(100))
+            .unwrap_or_else(|e| panic!("generated an ill-typed term: {e}"));
+        let is_arrow = matches!(inferred, Type::Arrow(..));
+        arrows += usize::from(is_arrow);
+        if store.rules_out_arrow_type(id, &sig, &vars) {
+            ruled_out += 1;
+            prop_assert!(
+                !is_arrow,
+                "filter ruled out the arrow type {:?} of {}",
+                inferred,
+                t.display(&sig, &vars)
+            );
+        }
+    });
+    // Both answers must occur, or the property is vacuous.
+    assert!(
+        ruled_out > 0 && arrows > 0,
+        "{ruled_out} ruled out, {arrows} arrows"
+    );
+}

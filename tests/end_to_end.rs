@@ -164,3 +164,78 @@ goal consNil: stutter xs === Nil
     let v = session.prove("consNil").unwrap();
     assert!(!v.is_proved(), "{:?}", v.result.outcome);
 }
+
+/// `twice` has one clause pattern but two arrows in its type, so `twice S Z`
+/// applies it to more arguments than its clause takes.
+const POINT_FREE: &str = "
+data Nat = Z | S Nat
+comp :: (b -> c) -> (a -> b) -> a -> c
+comp f g x = f (g x)
+twice :: (a -> a) -> a -> a
+twice f = comp f f
+goal twiceS: twice S Z === S (S Z)
+goal twiceWrong: twice S Z === Z
+goal compS: comp S S Z === S (S Z)
+";
+
+/// `ite`'s polymorphic result is a function when its branches are.
+const ITE_MAP: &str = "
+data Bool = True | False
+data List a = Nil | Cons a (List a)
+map :: (a -> b) -> List a -> List b
+map f Nil = Nil
+map f (Cons x xs) = Cons (f x) (map f xs)
+ite :: Bool -> a -> a -> a
+ite True x y = x
+ite False x y = y
+goal iteNil: ite c (map f) (map g) Nil === Nil
+goal iteMap: ite c (map f) (map f) === map f
+";
+
+fn proves_and_checks(session: &Session, goal: &str) -> cycleq::Verdict {
+    let v = session.prove(goal).unwrap();
+    assert!(v.is_proved(), "{goal}: {:?}", v.result.outcome);
+    cycleq::check(
+        &v.result.proof,
+        session.program(),
+        GlobalCheck::VariableTraces,
+    )
+    .unwrap_or_else(|e| panic!("{goal}: {e}"));
+    v
+}
+
+#[test]
+fn over_applied_defined_symbols_reduce() {
+    // The clause contracts the prefix `twice S` and re-applies `Z`, so the
+    // ground goals are decided by evaluation, like the exact-arity `compS`.
+    let session = Session::from_source(POINT_FREE).unwrap();
+    for goal in ["twiceS", "compS"] {
+        proves_and_checks(&session, goal);
+    }
+    let v = session.prove("twiceWrong").unwrap();
+    assert!(v.is_refuted(), "{:?}", v.result.outcome);
+}
+
+#[test]
+fn over_applied_defined_symbols_offer_case_splits() {
+    // `ite c (map f) (map g) Nil` is stuck on `c` in its prefix `ite c _ _`.
+    let session = Session::from_source(ITE_MAP).unwrap();
+    let v = proves_and_checks(&session, "iteNil");
+    assert!(v.render_proof().unwrap().contains("[Case c]"));
+}
+
+#[test]
+fn arrow_typed_ite_takes_function_extensionality_once() {
+    // `ite`'s result type is its branches' type, here `List a -> List b`:
+    // the FunExt test must not rule the arrow out, and after FunExt the
+    // over-applied `ite c (map f) (map f) x` splits on `c`.
+    let session = Session::from_source(ITE_MAP).unwrap();
+    let v = proves_and_checks(&session, "iteMap");
+    let funext = v
+        .result
+        .proof
+        .nodes()
+        .filter(|(_, n)| matches!(n.rule, cycleq::RuleApp::FunExt { .. }))
+        .count();
+    assert_eq!(funext, 1);
+}
