@@ -2,26 +2,18 @@
 //!
 //! CycleQ goals are proved independently — the paper's evaluation (§6.1) is
 //! per-goal wall clock over a suite — so a batch of goals is an
-//! embarrassingly parallel workload. This crate provides the two pieces
-//! that turn the one-goal prover into a suite-scale engine:
+//! embarrassingly parallel workload. [`BatchScheduler`] is a std-only
+//! work-stealing executor (`std::thread::scope` + per-worker deques, no
+//! external crates) that fans indexed tasks out across `--jobs` workers and
+//! returns results in *task order*, independent of completion order;
+//! seeding is cost-ordered ([`BatchScheduler::run_with_costs`]) so
+//! predicted-heavy goals start first and bound the batch's tail latency.
 //!
-//! - [`BatchScheduler`]: a std-only work-stealing executor
-//!   (`std::thread::scope` + per-worker deques, no external crates) that
-//!   fans indexed tasks out across `--jobs` workers and returns results in
-//!   *task order*, independent of completion order; seeding is
-//!   cost-ordered ([`BatchScheduler::run_with_costs`]) so predicted-heavy
-//!   goals start first and bound the batch's tail latency;
-//! - [`SharedNormalFormCache`] (re-exported from `cycleq_rewrite`): the
-//!   program-scoped cache each worker's `MemoRewriter` consults, so hint
-//!   goals, re-proved lemmas and benchmark suites share reductions across
-//!   workers and across `prove` calls.
-//!
-//! Each worker owns its own term store and memo table (per-goal search
-//! stays lock-free); the shared cache is the only synchronised state, and
-//! it is sharded. `cycleq::Session::prove_all` and
+//! Tasks share no state through the scheduler: each goal's search owns its
+//! term store and memo table, so a goal's verdict and counters are the same
+//! whichever worker runs it. `cycleq::Session::prove_all` and
 //! `cycleq_benchsuite::run_suite` are the main consumers.
 
 mod scheduler;
 
-pub use cycleq_rewrite::{CacheStats, SharedNormalFormCache};
 pub use scheduler::{available_parallelism, panic_message, BatchScheduler, TaskPanic};

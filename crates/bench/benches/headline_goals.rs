@@ -5,13 +5,6 @@
 //! - Fig. 4: commutativity of addition, proved with no hints;
 //! - Fig. 1: the mutual-induction functor law;
 //! - Fig. 9: `map id xs ≈ xs`.
-//!
-//! The `cache_cold_vs_shared` group re-proves the same goal through one
-//! session twice over: `cold` detaches the shared normal-form cache (every
-//! prove recomputes all reductions, the pre-batching behaviour), `shared`
-//! keeps the program-scoped cache attached so iterations after the first
-//! replay reductions from it — the single-goal view of what a batch run
-//! shares across workers.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use cycleq::{Engine, Session};
@@ -20,16 +13,6 @@ use cycleq_benchsuite::{MUTUAL_PRELUDE, PRELUDE};
 fn session(prelude: &str, goal: &str) -> Session {
     let src = format!("{prelude}\ngoal g: {goal}\n");
     Engine::builder().recheck(false).build().load(&src).unwrap()
-}
-
-fn cold_session(prelude: &str, goal: &str) -> Session {
-    let src = format!("{prelude}\ngoal g: {goal}\n");
-    Engine::builder()
-        .recheck(false)
-        .shared_cache(false)
-        .build()
-        .load(&src)
-        .unwrap()
 }
 
 fn bench(c: &mut Criterion) {
@@ -60,30 +43,6 @@ fn bench(c: &mut Criterion) {
         });
     }
     group.finish();
-
-    let mut cache_group = c.benchmark_group("cache_cold_vs_shared");
-    for (name, prelude, goal) in [
-        ("fig4_add_comm", PRELUDE, "add x y === add y x"),
-        ("fig9_map_id", PRELUDE, "map id xs === xs"),
-    ] {
-        let cold = cold_session(prelude, goal);
-        cache_group.bench_function(format!("{name}_cold"), |b| {
-            b.iter(|| {
-                let v = cold.prove("g").unwrap();
-                assert!(v.is_proved());
-                v.result.stats.nodes_created
-            })
-        });
-        let shared = session(prelude, goal);
-        cache_group.bench_function(format!("{name}_shared"), |b| {
-            b.iter(|| {
-                let v = shared.prove("g").unwrap();
-                assert!(v.is_proved());
-                v.result.stats.nodes_created
-            })
-        });
-    }
-    cache_group.finish();
 }
 
 criterion_group!(benches, bench);

@@ -77,9 +77,11 @@ OPTIONS:
                         (Subst) lemmas for every requested goal
     --jobs N            Prove goals in parallel on N worker threads
                         (0 = one per hardware thread; default 1). Output
-                        stays in declaration order; live per-goal progress
-                        lines stream to stderr as goals finish, and a batch
-                        summary line with shared-cache statistics is
+                        stays in declaration order, and only the wall time
+                        changes: verdicts, proofs and --stats counters are
+                        the same at any N, unless --timeout-ms cuts a goal
+                        short. Live per-goal progress lines stream to
+                        stderr as goals finish, and a batch summary line is
                         printed at the end
     --format FMT        Output format: `text` (default) or `json` — one
                         machine-readable JSON object per goal plus a batch
@@ -102,7 +104,7 @@ OPTIONS:
                         in Perfetto or chrome://tracing, one track per
                         worker thread
     --metrics-out FILE  Write the process-wide metrics registry (goal,
-                        search, cache, size-change, batch and phase-time
+                        search, size-change, batch and phase-time
                         families) in Prometheus text exposition format
     -h, --help          Print this help
     -V, --version       Print version
@@ -322,16 +324,11 @@ fn print_goal_json(verdict: &Verdict, time: Duration) {
 fn print_batch_json(report: &BatchReport) {
     println!(
         "{{\"type\":\"batch\",\"proved\":{},\"total\":{},\"jobs\":{},\"panicked\":{},\
-         \"cache\":{{\"hits\":{},\"misses\":{},\"entries\":{},\"evictions\":{}}},\
          \"recheck_ms\":{:.3},\"elapsed_ms\":{:.3}}}",
         report.proved(),
         report.goals.len(),
         report.jobs,
         report.panicked(),
-        report.cache.hits,
-        report.cache.misses,
-        report.cache.entries,
-        report.cache.evictions,
         report.recheck.as_secs_f64() * 1000.0,
         report.stats.elapsed.as_secs_f64() * 1000.0,
     );
@@ -570,15 +567,11 @@ fn run_batch(
         Format::Text => {
             let summary = format!(
                 "batch: proved {}/{} | jobs={} | panicked={} | \
-                 cache hits={} misses={} entries={} | \
                  elapsed={:?} | recheck={:?}",
                 report.proved(),
                 report.goals.len(),
                 report.jobs,
                 report.panicked(),
-                report.cache.hits,
-                report.cache.misses,
-                report.cache.entries,
                 report.stats.elapsed,
                 report.recheck,
             );

@@ -8,7 +8,7 @@ use std::path::PathBuf;
 use std::process::{Command, Output};
 
 /// The pinned `SearchStats::entries()` key list, in order.
-const EXPECTED: [&str; 19] = [
+const EXPECTED: [&str; 17] = [
     "nodes_created",
     "rounds",
     "rule_reduce",
@@ -25,8 +25,6 @@ const EXPECTED: [&str; 19] = [
     "graphs_subsumed",
     "interned_graphs",
     "reduce_memo_hits",
-    "shared_cache_hits",
-    "shared_cache_misses",
     "interned_nodes",
 ];
 
@@ -135,16 +133,12 @@ fn prometheus_families_cover_the_schema_and_match_summed_goal_stats() {
         );
     }
     // The fixed observability families are present too.
-    for family in [
+    let fixed = [
         "cycleq_goals_total",
         "cycleq_goal_seconds",
         "cycleq_check_seconds",
         "cycleq_check_reducts_total",
         "cycleq_check_memo_hits_total",
-        "cycleq_cache_hits_total",
-        "cycleq_cache_misses_total",
-        "cycleq_cache_evictions_total",
-        "cycleq_cache_entries",
         "cycleq_sizechange_compositions_total",
         "cycleq_sizechange_memo_hits_total",
         "cycleq_sizechange_subsumed_total",
@@ -154,15 +148,18 @@ fn prometheus_families_cover_the_schema_and_match_summed_goal_stats() {
         "cycleq_batch_task_panics_total",
         "cycleq_goal_panics_total",
         "cycleq_goal_retries_total",
-        "cycleq_cache_poison_recoveries_total",
         "cycleq_lock_poison_recoveries_total",
         "cycleq_phase_seconds",
-    ] {
+    ];
+    for family in fixed {
         assert!(
             prom.contains(&format!("# TYPE {family} ")),
             "family {family} missing from:\n{prom}"
         );
     }
+    // And nothing else: these are all the families a prove run exports.
+    let exported = prom.lines().filter(|l| l.starts_with("# TYPE ")).count();
+    assert_eq!(exported, EXPECTED.len() + fixed.len(), "in:\n{prom}");
 
     // Counters exported by the registry equal the per-goal NDJSON stats
     // summed over the batch — the same numbers, whichever surface you read.

@@ -2,13 +2,12 @@
 //! per-program [`Session`](crate::Session) handles.
 //!
 //! An [`Engine`] owns everything that is *program-independent*: the search
-//! configuration, the worker count, the re-checking and cache policies, and
+//! configuration, the worker count, the re-checking and retry policies, and
 //! an optional [`EventSink`] that streams [`ProveEvent`]s out of running
 //! batches. Loading a program through [`Engine::load`] yields a
 //! [`Session`](crate::Session) — a cheap handle pairing the engine's
-//! settings with one parsed program and its program-scoped normal-form
-//! cache. One engine can serve many programs; clones of an engine (and of
-//! its sessions) share settings by reference.
+//! settings with one parsed program. One engine can serve many programs;
+//! clones of an engine (and of its sessions) share settings by reference.
 //!
 //! Three cross-cutting mechanisms ride on the engine:
 //!
@@ -57,7 +56,6 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use cycleq_batch::available_parallelism;
-use cycleq_rewrite::SharedNormalFormCache;
 use cycleq_search::{Budget, CancelToken, RetryPolicy, SearchConfig};
 
 use crate::{Error, Session, Verdict};
@@ -201,8 +199,6 @@ pub(crate) struct Settings {
     pub(crate) config: SearchConfig,
     pub(crate) jobs: usize,
     pub(crate) recheck: bool,
-    pub(crate) shared_cache: bool,
-    pub(crate) cache_capacity: Option<usize>,
     pub(crate) sink: Option<Arc<dyn EventSink>>,
     pub(crate) retry: RetryPolicy,
 }
@@ -213,8 +209,6 @@ impl fmt::Debug for Settings {
             .field("config", &self.config)
             .field("jobs", &self.jobs)
             .field("recheck", &self.recheck)
-            .field("shared_cache", &self.shared_cache)
-            .field("cache_capacity", &self.cache_capacity)
             .field("sink", &self.sink.is_some())
             .field("retry", &self.retry)
             .finish()
@@ -227,8 +221,6 @@ impl Default for Settings {
             config: SearchConfig::default(),
             jobs: 1,
             recheck: true,
-            shared_cache: true,
-            cache_capacity: None,
             sink: None,
             retry: RetryPolicy::none(),
         }
@@ -244,7 +236,6 @@ impl Default for Settings {
 ///     .config(SearchConfig::default())
 ///     .jobs(4)
 ///     .recheck(true)
-///     .cache_capacity(100_000)
 ///     .build();
 /// let session = engine
 ///     .load(
@@ -264,7 +255,7 @@ pub struct EngineBuilder {
 
 impl EngineBuilder {
     /// A builder with the default settings: default [`SearchConfig`], one
-    /// worker, re-checking on, unbounded shared cache, no event sink.
+    /// worker, re-checking on, no retries, no event sink.
     pub fn new() -> EngineBuilder {
         EngineBuilder::default()
     }
@@ -291,20 +282,6 @@ impl EngineBuilder {
     /// search time).
     pub fn recheck(mut self, recheck: bool) -> EngineBuilder {
         self.settings.recheck = recheck;
-        self
-    }
-
-    /// Whether sessions get a program-scoped shared normal-form cache (on
-    /// by default; disable for benchmarking the cache itself).
-    pub fn shared_cache(mut self, shared_cache: bool) -> EngineBuilder {
-        self.settings.shared_cache = shared_cache;
-        self
-    }
-
-    /// Bounds each session's shared normal-form cache to roughly `capacity`
-    /// entries, evicting second-chance once full (unbounded by default).
-    pub fn cache_capacity(mut self, capacity: usize) -> EngineBuilder {
-        self.settings.cache_capacity = Some(capacity);
         self
     }
 
@@ -375,25 +352,17 @@ impl Engine {
     /// Parses, type checks and loads a program, returning a cheap
     /// per-program [`Session`](crate::Session) handle that shares this
     /// engine's settings. One engine can hold sessions for many programs;
-    /// each session owns its own program-scoped normal-form cache.
+    /// sessions share nothing but those settings.
     ///
     /// # Errors
     ///
     /// Returns the first frontend error.
     pub fn load(&self, src: &str) -> Result<Session, Error> {
         let module = cycleq_lang::parse_module(src)?;
-        let cache = self
-            .settings
-            .shared_cache
-            .then(|| match self.settings.cache_capacity {
-                Some(cap) => SharedNormalFormCache::with_capacity(cap),
-                None => SharedNormalFormCache::new(),
-            });
         Ok(Session::assemble(
             self.settings.clone(),
             module,
             Arc::from(src),
-            cache,
         ))
     }
 
@@ -409,8 +378,8 @@ impl Engine {
 
     /// A point-in-time snapshot of the process-wide metrics registry:
     /// every `cycleq_*` counter, gauge, and latency histogram the stack
-    /// has recorded so far (search counters, shared-cache activity,
-    /// size-change closure work, batch scheduling, re-check timing).
+    /// has recorded so far (search counters, size-change closure work,
+    /// batch scheduling, re-check timing).
     ///
     /// The registry is process-global — the snapshot covers *all* engines
     /// and sessions, which is exactly the payload a metrics endpoint wants;

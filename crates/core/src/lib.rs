@@ -19,7 +19,7 @@
 //! | [`cycleq_lang`] | the Haskell-like frontend (§6) |
 //! | [`cycleq_analysis`] | static checks of the Remark 2.1 preconditions |
 //! | `cycleq_ri` | rewriting induction and the Thm 4.3 translation (§4); not re-exported |
-//! | [`cycleq_batch`] | parallel goal batching and the shared normal-form cache |
+//! | [`cycleq_batch`] | parallel goal batching |
 //!
 //! # Quickstart
 //!
@@ -44,9 +44,9 @@
 //! Long-lived embedders configure an [`Engine`] once and load cheap
 //! per-program [`Session`] handles from it. Goals are independent, so a
 //! multi-goal program proves as one parallel batch — results come back in
-//! declaration order with aggregated statistics, goals share reductions
-//! through the session's program-scoped normal-form cache, and progress
-//! streams to an optional [`EventSink`] in completion order:
+//! declaration order with aggregated statistics, each goal's verdict and
+//! counters are the same at any worker count, and progress streams to an
+//! optional [`EventSink`] in completion order:
 //!
 //! ```
 //! use cycleq::Engine;
@@ -117,7 +117,7 @@ pub use cycleq_proof::{
     program_fingerprint, render_dot, render_text, Certificate, CertificateError, CheckError,
     CheckReport, GlobalCheck, NodeId, Preproof, RuleApp,
 };
-pub use cycleq_rewrite::{CacheStats, CancelToken, Program, SharedNormalFormCache};
+pub use cycleq_rewrite::{CancelToken, Program};
 pub use cycleq_search::{
     Budget, LemmaPolicy, Outcome, ProofResult, Prover, RetryPolicy, SearchConfig, SearchStats,
 };
@@ -228,9 +228,11 @@ impl Verdict {
 /// the [`Engine`] that loaded it.
 ///
 /// Sessions are created by [`Engine::load`]; [`Session::from_source`]
-/// remains as a one-liner for the default engine. Clones share the
-/// program-scoped normal-form cache, so proving through a clone warms the
-/// original and vice versa.
+/// remains as a one-liner for the default engine. Every prove call starts
+/// from scratch: no search state survives between calls or is shared
+/// between goals. Unless a wall-clock budget cuts a call short, proving a
+/// goal twice gives the same verdict, proof and counters, through the
+/// session or through any clone of it.
 #[derive(Clone, Debug)]
 pub struct Session {
     /// Program-independent settings inherited from the engine.
@@ -239,11 +241,6 @@ pub struct Session {
     /// The program source as loaded, embedded into exported certificates so
     /// they are self-contained (and fingerprinted against tampering).
     source: Arc<str>,
-    /// The program-scoped shared normal-form cache. Every `prove` call
-    /// consults and populates it, so reductions are shared across goals,
-    /// hints, deepening rounds and worker threads. `None` only with
-    /// [`EngineBuilder::shared_cache`]`(false)`.
-    cache: Option<SharedNormalFormCache>,
     /// Predicted per-goal costs recorded from a previous run
     /// ([`Session::with_cost_hints`]); goals missing here fall back to
     /// goal-size prediction.
@@ -264,17 +261,11 @@ impl Session {
         Engine::new().load(src)
     }
 
-    pub(crate) fn assemble(
-        settings: Arc<Settings>,
-        module: Module,
-        source: Arc<str>,
-        cache: Option<SharedNormalFormCache>,
-    ) -> Session {
+    pub(crate) fn assemble(settings: Arc<Settings>, module: Module, source: Arc<str>) -> Session {
         Session {
             settings,
             module,
             source,
-            cache,
             cost_hints: HashMap::new(),
             last_profile: Arc::new(std::sync::Mutex::new(None)),
         }
@@ -321,15 +312,6 @@ impl Session {
         let profile = cycleq_trace::metrics().snapshot().delta(&before).profile();
         *cycleq_trace::lock_recover(&self.last_profile) = Some(profile);
         out
-    }
-
-    /// Hit/miss/size/eviction counters of the shared normal-form cache
-    /// (all zero when the cache is disabled).
-    pub fn shared_cache_stats(&self) -> CacheStats {
-        self.cache
-            .as_ref()
-            .map(SharedNormalFormCache::stats)
-            .unwrap_or_default()
     }
 
     /// The loaded module.
@@ -548,9 +530,6 @@ impl Session {
             hint_eqs.push(hd.rename_into(&mut vars));
         }
         let mut prover = Prover::with_config(&self.module.program, config.clone());
-        if let Some(cache) = &self.cache {
-            prover = prover.with_shared_cache(cache.clone());
-        }
         if let Some(observer) = observer {
             prover = prover.with_round_observer(observer);
         }
@@ -601,10 +580,10 @@ impl Session {
 
     /// Attempts to prove **every declared goal**, fanning the batch out
     /// across [`Session::jobs`] workers. Results come back in declaration
-    /// order regardless of which worker finished when; each worker owns its
-    /// own term store and memo table, with the session's shared normal-form
-    /// cache the only synchronised state. Streams [`ProveEvent`]s to the
-    /// engine's sink, when one is configured.
+    /// order regardless of which worker finished when; each goal's search
+    /// owns its term store and memo table, so workers share no search state
+    /// and the worker count changes only the wall time. Streams
+    /// [`ProveEvent`]s to the engine's sink, when one is configured.
     pub fn prove_all(&self) -> BatchReport {
         let (budget, cancel) = engine::unbounded();
         self.prove_all_with(&budget, &cancel)
@@ -790,7 +769,6 @@ impl Session {
             goals: reports,
             stats,
             jobs: scheduler.jobs(),
-            cache: self.shared_cache_stats(),
             recheck,
         };
         if let Some(sink) = &sink {
@@ -920,11 +898,10 @@ pub struct BatchReport {
     /// of the whole batch; the gauges (`closure_graphs`,
     /// `interned_nodes`, `interned_graphs`) are summed across goals.
     pub stats: SearchStats,
-    /// Worker threads used.
+    /// Worker threads used. Unless a wall-clock budget cuts a goal short,
+    /// only the batch's wall time depends on it: the per-goal verdicts and
+    /// counters are the same at any count.
     pub jobs: usize,
-    /// Shared normal-form cache counters at the end of the batch
-    /// (session-lifetime totals, so earlier `prove` calls count too).
-    pub cache: CacheStats,
     /// Total time spent in the independent re-checker, summed across the
     /// proved goals (zero when re-checking is disabled). Summed CPU time,
     /// not wall clock: with `jobs > 1` rechecks overlap.
@@ -1103,19 +1080,6 @@ goal comm: add x y === add y x
     }
 
     #[test]
-    fn batch_shares_reductions_through_the_session_cache() {
-        let s = Engine::builder().jobs(2).build().load(SRC).unwrap();
-        let report = s.prove_all();
-        assert!(
-            report.stats.shared_cache_hits > 0,
-            "goals over one program must share normal forms: {:?}",
-            report.stats
-        );
-        assert!(report.cache.entries > 0);
-        assert_eq!(report.cache.hits, report.stats.shared_cache_hits);
-    }
-
-    #[test]
     fn prove_many_validates_names_up_front() {
         let s = Session::from_source(SRC).unwrap();
         assert!(matches!(
@@ -1135,32 +1099,6 @@ goal comm: add x y === add y x
     fn jobs_zero_selects_hardware_parallelism() {
         let s = Engine::builder().jobs(0).build().load(SRC).unwrap();
         assert!(s.jobs() >= 1);
-    }
-
-    #[test]
-    fn disabled_shared_cache_still_proves() {
-        let s = Engine::builder()
-            .shared_cache(false)
-            .build()
-            .load(SRC)
-            .unwrap();
-        let v = s.prove("comm").unwrap();
-        assert!(v.is_proved());
-        assert_eq!(s.shared_cache_stats(), CacheStats::default());
-    }
-
-    #[test]
-    fn bounded_cache_engine_still_proves_and_reports_capacity() {
-        let s = Engine::builder()
-            .cache_capacity(1_000)
-            .build()
-            .load(SRC)
-            .unwrap();
-        let report = s.prove_all();
-        assert_eq!(report.proved(), 2);
-        // No eviction pressure at this size, but the plumbing is live.
-        assert_eq!(report.cache.evictions, 0);
-        assert!(report.cache.entries > 0);
     }
 
     #[test]
@@ -1270,15 +1208,16 @@ goal comm: add x y === add y x
     }
 
     #[test]
-    fn repeated_prove_calls_reuse_the_cache() {
+    fn repeated_prove_calls_are_independent() {
+        // No search state outlives a prove call, so the second call redoes
+        // the first exactly: same counters, same proof.
         let s = Session::from_source(SRC).unwrap();
         let first = s.prove("comm").unwrap();
         let second = s.prove("comm").unwrap();
-        assert!(second.result.stats.shared_cache_hits > 0);
+        assert_eq!(first.result.stats.entries(), second.result.stats.entries());
         assert_eq!(
-            first.is_proved(),
-            second.is_proved(),
-            "cache reuse must not change the verdict"
+            first.render_proof().unwrap(),
+            second.render_proof().unwrap()
         );
     }
 

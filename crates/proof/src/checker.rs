@@ -381,7 +381,7 @@ pub fn check(
     mode: GlobalCheck,
 ) -> Result<CheckReport, CheckError> {
     // A fresh store per call: independence from the search store is the
-    // point. No shared normal-form cache is attached for the same reason.
+    // point.
     let mut rw = MemoRewriter::new(&prog.sig, &prog.trs);
     check_with(proof, prog, mode, &mut rw)
 }
@@ -390,8 +390,8 @@ pub fn check(
 ///
 /// The rewriter must have been built from the *same program* (its signature
 /// and rules); reusing it across proofs of one program keeps the reduct memo
-/// warm, which is the batch-recheck fast path. It must not share a store (or
-/// a shared cache) with the search that produced the proofs.
+/// warm, which is the batch-recheck fast path. It must not share a store
+/// with the search that produced the proofs.
 pub fn check_with(
     proof: &Preproof,
     prog: &Program,

@@ -61,8 +61,9 @@ impl<E> Preproof<E> {
     }
 
     /// Mutable access to the variable store (for allocating fresh
-    /// variables, e.g. the argument of a `(FunExt)` step; `(Case)` splits
-    /// use [`Preproof::fresh_case_branches`]).
+    /// variables, e.g. the argument of a `(FunExt)` step with
+    /// [`VarStore::fresh_distinct`]; `(Case)` splits use
+    /// [`Preproof::fresh_case_branches`]).
     pub fn vars_mut(&mut self) -> &mut VarStore {
         &mut self.vars
     }
@@ -70,11 +71,19 @@ impl<E> Preproof<E> {
     /// Allocates the fresh variables of a `(Case)` split on `var`: one
     /// branch per constructor of `var`'s datatype, in declaration order,
     /// with one fresh variable per constructor argument, named `{var}'`
-    /// for a single argument and `{var}'1`, `{var}'2`, … otherwise.
+    /// for a single argument and `{var}'1`, `{var}'2`, … otherwise. A name
+    /// that a variable of `taken` (the free variables of the split node's
+    /// equation) already has is primed further (see
+    /// [`VarStore::fresh_distinct`]).
     ///
     /// Returns `None` (allocating nothing) when `var` is not of datatype
     /// type, and no branches for a datatype without constructors.
-    pub fn fresh_case_branches(&mut self, sig: &Signature, var: VarId) -> Option<Vec<CaseBranch>> {
+    pub fn fresh_case_branches(
+        &mut self,
+        sig: &Signature,
+        var: VarId,
+        taken: &[VarId],
+    ) -> Option<Vec<CaseBranch>> {
         let ty = self.vars.ty(var).clone();
         let (data, ty_args) = ty.as_data()?;
         let base = self.vars.name(var).to_string();
@@ -97,7 +106,7 @@ impl<E> Preproof<E> {
                         } else {
                             format!("{base}'{}", i + 1)
                         };
-                        self.vars.fresh(&name, (*t).clone())
+                        self.vars.fresh_distinct(&name, (*t).clone(), taken)
                     })
                     .collect();
                 CaseBranch { con, fresh }

@@ -14,7 +14,7 @@ use crate::trs::{Program, Trs};
 /// [`Rule::apply_root`](crate::Rule::apply_root) succeeds.
 ///
 /// This is the test oracle for [`MemoRewriter`](crate::MemoRewriter): no
-/// store, no memo table, no shared cache. On fuel exhaustion it returns
+/// store, no memo table. On fuel exhaustion it returns
 /// the partial reduct with `in_normal_form: false`.
 pub fn reference_normalize(sig: &Signature, trs: &Trs, t: &Term, fuel: usize) -> Normalized {
     fn step(sig: &Signature, trs: &Trs, t: &Term) -> Option<Term> {

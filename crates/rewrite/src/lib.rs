@@ -39,7 +39,6 @@ mod limits;
 mod memo;
 mod orders;
 mod rule;
-mod shared_cache;
 mod trs;
 
 pub mod fixtures;
@@ -52,7 +51,6 @@ pub use orders::{
     check_rules_decreasing, DecreasingOrder, Lpo, Precedence, SubtermOrder, TermOrder,
 };
 pub use rule::{Rule, RuleError, RuleId};
-pub use shared_cache::{CacheStats, SharedNormalFormCache};
 pub use trs::{Program, Trs};
 
 /// Reduction by the plain leftmost-outermost normaliser,

@@ -19,14 +19,15 @@
 //! [`reference_normalize`](crate::fixtures::reference_normalize) — while
 //! sharing all repeated work through the store.
 //!
+//! Each rewriter's table is its own: nothing is shared between rewriters
+//! or threads, so what a search counts depends on its goal alone.
+//!
 //! The search is not the only client: the independent proof checker
 //! (`cycleq_proof::check`) builds its *own* `MemoRewriter` from the
 //! program, so its store never shares `TermId`s — or bugs — with the one the
 //! search used, and a single rewriter can be reused across the proofs of a
-//! batch (`cycleq_proof::check_with`) to keep the reduct memo warm. Checkers must
-//! not attach a [`SharedNormalFormCache`] that the search populated: the
-//! whole point of the separate code path is that nothing computed during
-//! search is trusted during certification.
+//! batch (`cycleq_proof::check_with`) to keep the reduct memo warm. Nothing
+//! computed during search is trusted during certification.
 //!
 //! Normalisation is triply bounded: by step fuel, by an
 //! optional wall-clock deadline, and by an optional [`CancelToken`] — the
@@ -48,14 +49,13 @@
 //! branch unblocks the rule. [`MemoRewriter::case_candidates_id`] and
 //! [`MemoRewriter::root_case_candidates_id`] compute these variables.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::HashMap;
 use std::time::Instant;
 
-use cycleq_term::{Head, IdSubst, Signature, SymId, Term, TermId, TermStore, VarId};
+use cycleq_term::{Head, IdSubst, Signature, Term, TermId, TermStore, VarId};
 
 use crate::limits::{Interrupted, RunLimits};
 use crate::rule::Rule;
-use crate::shared_cache::SharedNormalFormCache;
 use crate::trs::Trs;
 
 /// Default number of contractions allowed per normalisation.
@@ -115,17 +115,6 @@ struct RunBudget {
 /// How many contractions may pass between deadline polls.
 const DEADLINE_POLL_MASK: u32 = 63;
 
-/// Upper bound on the node count of a subject consulted against (and
-/// published to) the shared cache. Every defined-headed subterm on the
-/// cold path pays an O(size) canonical encoding before reducing, so a
-/// nested defined spine costs O(depth × size) encoding on first contact;
-/// bounding the participating subject size bounds that product to
-/// something negligible while still covering every goal-sized term a
-/// realistic suite normalises. (Deep numeral-tower intermediates exceed
-/// the bound and simply skip the shared cache — their reductions are
-/// cheap to replay locally relative to the transfer cost anyway.)
-const MAX_SHARED_SUBJECT_NODES: usize = 512;
-
 /// Upper bound on intermediate reducts remembered per `norm` frame for
 /// back-filling the memo table. A non-terminating root loop (`loop x →
 /// loop x`) spins until fuel or deadline stops it; without a cap its chain
@@ -178,13 +167,6 @@ pub struct MemoRewriter<'a> {
     /// `t ↦ t↓R`, complete normal forms only (never partial reductions).
     memo: HashMap<TermId, TermId>,
     memo_hits: u64,
-    /// Optional program-scoped cache shared with other rewriters (other
-    /// workers, other `prove` calls). Consulted on local memo misses for
-    /// defined-headed subjects; populated with every complete normal form
-    /// computed here.
-    shared: Option<SharedNormalFormCache>,
-    shared_hits: u64,
-    shared_misses: u64,
 }
 
 impl<'a> MemoRewriter<'a> {
@@ -197,24 +179,12 @@ impl<'a> MemoRewriter<'a> {
             store: TermStore::new(),
             memo: HashMap::new(),
             memo_hits: 0,
-            shared: None,
-            shared_hits: 0,
-            shared_misses: 0,
         }
     }
 
     /// Overrides the per-normalisation fuel bound.
     pub fn with_fuel(mut self, fuel: usize) -> MemoRewriter<'a> {
         self.fuel = fuel;
-        self
-    }
-
-    /// Attaches a program-scoped [`SharedNormalFormCache`]: normal forms
-    /// computed here become visible to every other rewriter holding a clone
-    /// of the cache, and vice versa. The cache MUST belong to the same
-    /// program as `trs` (see the `shared_cache` module docs).
-    pub fn with_shared_cache(mut self, cache: SharedNormalFormCache) -> MemoRewriter<'a> {
-        self.shared = Some(cache);
         self
     }
 
@@ -247,16 +217,6 @@ impl<'a> MemoRewriter<'a> {
     /// Number of memo-table hits since construction.
     pub fn memo_hits(&self) -> u64 {
         self.memo_hits
-    }
-
-    /// Number of shared-cache hits scored by *this* rewriter.
-    pub fn shared_cache_hits(&self) -> u64 {
-        self.shared_hits
-    }
-
-    /// Number of shared-cache misses charged to *this* rewriter.
-    pub fn shared_cache_misses(&self) -> u64 {
-        self.shared_misses
     }
 
     /// Attempts a root contraction, trying the head's rules in order.
@@ -421,97 +381,6 @@ impl<'a> MemoRewriter<'a> {
             self.memo_hits += 1;
             return Ok(nf);
         }
-        // Defined-headed subjects are worth consulting the shared cache
-        // for; constructor/variable-headed ones only decompose into their
-        // arguments, and encoding every node of a constructor spine would
-        // make first contact with a deep term quadratic. Subjects above
-        // `MAX_SHARED_SUBJECT_NODES` are skipped outright, which bounds
-        // the analogous quadratic for nested *defined* spines too.
-        //
-        // A hit is returned without charging the budget: a cached entry is
-        // a *true* normal form (only complete reductions are published),
-        // and fuel exists to guard against divergence, not as a semantic
-        // bound. At the fuel boundary this means a warm cache can succeed
-        // where a cold run would give up — it can only ever prove more.
-        let mut pending = None;
-        if self.shared.is_some()
-            && self.defined_head(id).is_some()
-            && self.store.size(id) <= MAX_SHARED_SUBJECT_NODES
-        {
-            let cache = self.shared.clone().expect("just checked");
-            let mut rename = BTreeMap::new();
-            let key = self.store.canonical_words(id, &mut rename);
-            if let Some(nf) = cache
-                .lookup(&key)
-                .and_then(|value| self.decode_shared_hit(id, &value, &rename))
-            {
-                return Ok(nf);
-            }
-            self.shared_misses += 1;
-            // Keep the key and rename map: on completion the publish path
-            // reuses them instead of re-encoding the subject.
-            pending = Some((cache, key, rename));
-        }
-        let nf = self.norm_uncached(id, budget)?;
-        if let Some((cache, key, rename)) = pending {
-            self.shared_publish(cache, key, rename, id, nf);
-        }
-        Ok(nf)
-    }
-
-    /// Decodes a shared-cache value into this store against the subject's
-    /// rename map, memoising it locally. `None` means the entry is
-    /// undecodable here (a malformed or out-of-range encoding — treated as
-    /// a miss). Note this is *not* a general defence against sharing one
-    /// cache between different programs: an entry whose symbol indices
-    /// happen to be valid in both signatures decodes to whatever those
-    /// indices mean locally. Keeping the cache program-scoped is the
-    /// caller's contract (see the `shared_cache` module docs; `Session`
-    /// upholds it by construction).
-    fn decode_shared_hit(
-        &mut self,
-        id: TermId,
-        value: &[u32],
-        rename: &BTreeMap<VarId, u32>,
-    ) -> Option<TermId> {
-        // Invert the subject's first-occurrence numbering; canonical codes
-        // are contiguous from 0, so sorting by code yields the table.
-        let mut pairs: Vec<(u32, VarId)> = rename.iter().map(|(v, c)| (*c, *v)).collect();
-        pairs.sort_unstable();
-        let inverse: Vec<VarId> = pairs.into_iter().map(|(_, v)| v).collect();
-        let nf = self.store.decode_canonical(value, &inverse)?;
-        self.shared_hits += 1;
-        self.memo.insert(id, nf);
-        self.memo.insert(nf, nf);
-        Some(nf)
-    }
-
-    /// Publishes a freshly computed complete normal form to the shared
-    /// cache, reusing the subject key and rename map built by the lookup.
-    /// Partial (fuel-cut) reductions never reach this point.
-    fn shared_publish(
-        &mut self,
-        cache: SharedNormalFormCache,
-        key: Vec<u32>,
-        mut rename: BTreeMap<VarId, u32>,
-        id: TermId,
-        nf: TermId,
-    ) {
-        if !SharedNormalFormCache::admits(self.store.size(id), self.store.size(nf)) {
-            return;
-        }
-        let vars_in_subject = rename.len();
-        let value = self.store.canonical_words(nf, &mut rename);
-        // Rule right-hand sides introduce no fresh variables, so the normal
-        // form's variables are always a subset of the subject's; if that
-        // invariant ever broke the entry would be undecodable — drop it.
-        if rename.len() != vars_in_subject {
-            return;
-        }
-        cache.publish(key.into_boxed_slice(), value.into_boxed_slice());
-    }
-
-    fn norm_uncached(&mut self, id: TermId, budget: &mut RunBudget) -> Result<TermId, Stop> {
         // Ids known to reduce to whatever normal form we end up at.
         let mut chain = vec![id];
         let mut cur = id;
@@ -705,11 +574,6 @@ impl<'a> MemoRewriter<'a> {
     pub fn subst(&mut self, id: TermId, theta: &IdSubst) -> TermId {
         self.store.subst(id, theta)
     }
-
-    /// The head symbol of the signature's view of an id, when defined.
-    pub fn defined_head(&self, id: TermId) -> Option<SymId> {
-        self.store.head_sym(id).filter(|s| self.sig.is_defined(*s))
-    }
 }
 
 #[cfg(test)]
@@ -888,102 +752,6 @@ mod tests {
         );
         // Nothing partial was memoised by the aborted run.
         assert_eq!(memo.memo_len(), 0);
-    }
-
-    #[test]
-    fn shared_cache_crosses_rewriter_boundaries() {
-        let p = nat_list_program();
-        let cache = SharedNormalFormCache::new();
-        let t = Term::apps(p.f.add, vec![p.f.num(3), p.f.num(4)]);
-
-        let mut producer =
-            MemoRewriter::new(&p.prog.sig, &p.prog.trs).with_shared_cache(cache.clone());
-        let first = producer.normalize(&t);
-        assert!(first.steps > 0);
-        assert_eq!(first.term, p.f.num(7));
-        assert!(!cache.is_empty(), "normal forms were published");
-
-        // A brand-new rewriter (fresh store, fresh memo) gets the normal
-        // form from the shared cache without re-contracting anything.
-        let mut consumer =
-            MemoRewriter::new(&p.prog.sig, &p.prog.trs).with_shared_cache(cache.clone());
-        let second = consumer.normalize(&t);
-        assert_eq!(second.term, first.term);
-        assert_eq!(second.steps, 0, "shared hit performs no contractions");
-        assert!(consumer.shared_cache_hits() > 0);
-    }
-
-    #[test]
-    fn shared_cache_hits_are_alpha_invariant() {
-        let p = nat_list_program();
-        let cache = SharedNormalFormCache::new();
-        let mut vars = VarStore::new();
-        let x = vars.fresh("x", p.f.nat_ty());
-        let y = vars.fresh("y", p.f.nat_ty());
-
-        // add (S x) y is stuck only after one contraction: S (add x y).
-        let mut producer =
-            MemoRewriter::new(&p.prog.sig, &p.prog.trs).with_shared_cache(cache.clone());
-        let t1 = Term::apps(p.f.add, vec![p.f.s(Term::var(x)), Term::var(y)]);
-        let n1 = producer.normalize(&t1);
-        assert!(n1.in_normal_form);
-
-        // The same goal up to renaming, in a different rewriter with
-        // different VarIds, must hit and decode to *its* variables.
-        let mut other_vars = VarStore::new();
-        let a = other_vars.fresh("a", p.f.nat_ty());
-        let b = other_vars.fresh("b", p.f.nat_ty());
-        let mut consumer =
-            MemoRewriter::new(&p.prog.sig, &p.prog.trs).with_shared_cache(cache.clone());
-        let t2 = Term::apps(p.f.add, vec![p.f.s(Term::var(a)), Term::var(b)]);
-        let n2 = consumer.normalize(&t2);
-        assert!(consumer.shared_cache_hits() > 0, "α-renamed subject hits");
-        assert_eq!(n2.steps, 0);
-        assert_eq!(
-            n2.term,
-            p.f.s(Term::apps(p.f.add, vec![Term::var(a), Term::var(b)])),
-            "decoded normal form uses the consumer's variables"
-        );
-    }
-
-    #[test]
-    fn partial_reductions_are_never_published() {
-        let p = nat_list_program();
-        let cache = SharedNormalFormCache::new();
-        let mut memo = MemoRewriter::new(&p.prog.sig, &p.prog.trs)
-            .with_fuel(2)
-            .with_shared_cache(cache.clone());
-        let t = Term::apps(p.f.add, vec![p.f.num(5), p.f.num(5)]);
-        let n = memo.normalize(&t);
-        assert!(!n.in_normal_form);
-        assert!(
-            cache.is_empty(),
-            "a fuel-cut reduction must not poison the shared cache"
-        );
-    }
-
-    #[test]
-    fn shared_cached_normalize_agrees_with_plain() {
-        let p = nat_list_program();
-        let cache = SharedNormalFormCache::new();
-        let mut vars = VarStore::new();
-        let x = vars.fresh("x", p.f.nat_ty());
-        let samples = vec![
-            Term::apps(p.f.add, vec![p.f.num(2), p.f.num(3)]),
-            Term::apps(p.f.add, vec![Term::var(x), p.f.num(1)]),
-            Term::apps(p.f.add, vec![p.f.s(Term::var(x)), p.f.num(2)]),
-            p.f.num(4),
-        ];
-        // Run every sample through two cache-sharing rewriters; both must
-        // agree with the plain leftmost-outermost reference normaliser.
-        for _ in 0..2 {
-            let mut memo =
-                MemoRewriter::new(&p.prog.sig, &p.prog.trs).with_shared_cache(cache.clone());
-            for t in &samples {
-                let plain = reference_normalize(&p.prog.sig, &p.prog.trs, t, DEFAULT_FUEL);
-                assert_eq!(memo.normalize(t).term, plain.term, "on {t:?}");
-            }
-        }
     }
 
     /// The blocked variables of an owned term.

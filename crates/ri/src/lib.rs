@@ -51,7 +51,7 @@ use std::collections::VecDeque;
 
 use cycleq_proof::{NodeId, Preproof, RuleApp, Side, SubstApp};
 use cycleq_rewrite::{check_rules_decreasing, Lpo, MemoRewriter, Program, RuleId, TermOrder};
-use cycleq_term::{match_term, Equation, Position, Subst, Term, VarStore};
+use cycleq_term::{match_term, Equation, Position, Subst, Term, VarId, VarStore};
 
 /// Limits for the rewriting-induction loop.
 #[derive(Clone, Debug)]
@@ -403,7 +403,8 @@ impl<'a> RiState<'a> {
         let Some(&v) = self.rw.root_case_candidates_id(sub).first() else {
             return false;
         };
-        let Some(branches) = self.proof.fresh_case_branches(&self.prog.sig, v) else {
+        let taken: Vec<VarId> = eq.vars().into_iter().collect();
+        let Some(branches) = self.proof.fresh_case_branches(&self.prog.sig, v, &taken) else {
             return false;
         };
         let mut premises = Vec::with_capacity(branches.len());

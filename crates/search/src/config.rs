@@ -105,11 +105,13 @@ pub struct SearchStats {
     pub interned_graphs: usize,
     /// Normal forms served from the memoised rewriter's cache.
     pub reduce_memo_hits: u64,
-    /// Normal forms served from the program-scoped *shared* cache (other
-    /// workers, other goals, earlier deepening rounds). Zero when no shared
-    /// cache is attached.
+    /// Always 0, as no normal form is shared between rewriters. Kept only
+    /// because the benchmark reads it, and left out of
+    /// [`SearchStats::entries`] and [`SearchStats::absorb`]; ROADMAP item 5
+    /// deletes it together with the benchmark's `rewrite.shared_*` metrics.
     pub shared_cache_hits: u64,
-    /// Shared-cache lookups that found nothing.
+    /// Always 0, like [`SearchStats::shared_cache_hits`], and deleted with
+    /// it.
     pub shared_cache_misses: u64,
     /// Distinct hash-consed term nodes interned during the search.
     pub interned_nodes: usize,
@@ -141,8 +143,6 @@ impl SearchStats {
         self.graphs_subsumed += other.graphs_subsumed;
         self.interned_graphs += other.interned_graphs;
         self.reduce_memo_hits += other.reduce_memo_hits;
-        self.shared_cache_hits += other.shared_cache_hits;
-        self.shared_cache_misses += other.shared_cache_misses;
         self.interned_nodes += other.interned_nodes;
         self.elapsed += other.elapsed;
     }
@@ -180,8 +180,6 @@ impl SearchStats {
             ("graphs_subsumed", self.graphs_subsumed),
             ("interned_graphs", self.interned_graphs as u64),
             ("reduce_memo_hits", self.reduce_memo_hits),
-            ("shared_cache_hits", self.shared_cache_hits),
-            ("shared_cache_misses", self.shared_cache_misses),
             ("interned_nodes", self.interned_nodes as u64),
         ]
     }

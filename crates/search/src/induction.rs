@@ -64,7 +64,8 @@ pub fn structural_induction(
 ) -> Result<(Preproof, NodeId), InductionError> {
     let mut proof = Preproof::with_vars(vars);
     let vty = proof.vars().ty(var).clone();
-    let Some(branches) = proof.fresh_case_branches(&prog.sig, var) else {
+    let taken: Vec<VarId> = goal.vars().into_iter().collect();
+    let Some(branches) = proof.fresh_case_branches(&prog.sig, var, &taken) else {
         return Err(InductionError::NotADatatype);
     };
     let root = proof.push_open(goal.clone());

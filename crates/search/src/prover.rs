@@ -33,9 +33,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use cycleq_proof::{edge_graph_id, InternedPreproof, NodeId, Preproof, RuleApp, Side, SubstApp};
-use cycleq_rewrite::{
-    CancelToken, Interrupted, MemoRewriter, NormalizedId, Program, RunLimits, SharedNormalFormCache,
-};
+use cycleq_rewrite::{CancelToken, Interrupted, MemoRewriter, NormalizedId, Program, RunLimits};
 use cycleq_sizechange::{CompanionClosure, CompanionMark, Soundness};
 use cycleq_term::{CanonKey, Equation, Head, IdSubst, TermId, TyUnifier, Type, VarId, VarStore};
 
@@ -110,7 +108,6 @@ pub type RoundObserver = Arc<dyn Fn(usize, Duration) + Send + Sync>;
 pub struct Prover<'a> {
     prog: &'a Program,
     config: SearchConfig,
-    shared: Option<SharedNormalFormCache>,
     observer: Option<RoundObserver>,
 }
 
@@ -118,7 +115,6 @@ impl fmt::Debug for Prover<'_> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("Prover")
             .field("config", &self.config)
-            .field("shared", &self.shared.is_some())
             .field("observer", &self.observer.is_some())
             .finish_non_exhaustive()
     }
@@ -130,7 +126,6 @@ impl<'a> Prover<'a> {
         Prover {
             prog,
             config: SearchConfig::default(),
-            shared: None,
             observer: None,
         }
     }
@@ -140,7 +135,6 @@ impl<'a> Prover<'a> {
         Prover {
             prog,
             config,
-            shared: None,
             observer: None,
         }
     }
@@ -150,16 +144,6 @@ impl<'a> Prover<'a> {
     /// the first.
     pub fn with_round_observer(mut self, observer: RoundObserver) -> Prover<'a> {
         self.observer = Some(observer);
-        self
-    }
-
-    /// Attaches a program-scoped shared normal-form cache: every deepening
-    /// round's rewriter consults and populates it, so reductions are shared
-    /// across rounds, across goals and across worker threads. The cache
-    /// must have been created for `prog` (see
-    /// [`cycleq_rewrite::SharedNormalFormCache`]).
-    pub fn with_shared_cache(mut self, cache: SharedNormalFormCache) -> Prover<'a> {
-        self.shared = Some(cache);
         self
     }
 
@@ -280,10 +264,7 @@ impl<'a> Prover<'a> {
         fuel: usize,
         depth_limit: usize,
     ) -> Round<'_> {
-        let mut rw = MemoRewriter::new(&self.prog.sig, &self.prog.trs).with_fuel(fuel);
-        if let Some(cache) = &self.shared {
-            rw = rw.with_shared_cache(cache.clone());
-        }
+        let rw = MemoRewriter::new(&self.prog.sig, &self.prog.trs).with_fuel(fuel);
         let mut search = Search {
             prog: self.prog,
             config: &self.config,
@@ -330,8 +311,6 @@ impl<'a> Prover<'a> {
         stats.graphs_subsumed = search.closure.subsumed();
         stats.interned_graphs = search.closure.interned_graphs();
         stats.reduce_memo_hits = search.rw.memo_hits();
-        stats.shared_cache_hits = search.rw.shared_cache_hits();
-        stats.shared_cache_misses = search.rw.shared_cache_misses();
         stats.interned_nodes = search.rw.store().len();
         Round {
             outcome,
@@ -606,7 +585,8 @@ impl<'a> Search<'a> {
         //    implicitly universally quantified and are generalised to fresh
         //    rigid type variables.
         if let Some(arg_ty) = self.funext_arg_type(lid) {
-            let x = self.proof.vars_mut().fresh("x", arg_ty);
+            let taken = self.node_vars(node);
+            let x = self.proof.vars_mut().fresh_distinct("x", arg_ty, &taken);
             let xid = self.rw.store_mut().var(x);
             let prem_l = self.rw.store_mut().apply_args(lid, &[xid]);
             let prem_r = self.rw.store_mut().apply_args(rid, &[xid]);
@@ -774,13 +754,18 @@ impl<'a> Search<'a> {
                 cands.push(v);
             }
         }
+        let taken = if cands.is_empty() {
+            Vec::new()
+        } else {
+            self.node_vars(node)
+        };
         for v in cands {
             // The frame is taken first so that backtracking also frees the
             // branches' fresh variables.
             let frame = self.mark();
             let Some(branches) = self
                 .proof
-                .fresh_case_branches(&self.prog.sig, v)
+                .fresh_case_branches(&self.prog.sig, v, &taken)
                 .filter(|branches| !branches.is_empty())
             else {
                 continue;
@@ -1298,48 +1283,6 @@ mod tests {
         assert!(res.stats.nodes_created > 0);
         assert!(res.stats.case_splits >= 1);
         assert!(res.stats.elapsed.as_nanos() > 0);
-    }
-
-    #[test]
-    fn shared_cache_is_reused_across_goals_without_changing_outcomes() {
-        let p = nat_list_program();
-        let cache = SharedNormalFormCache::new();
-        let goals = |vars: &mut VarStore| {
-            let x = vars.fresh("x", p.f.nat_ty());
-            let y = vars.fresh("y", p.f.nat_ty());
-            vec![
-                Equation::new(
-                    Term::apps(p.f.add, vec![Term::var(x), Term::sym(p.f.zero)]),
-                    Term::var(x),
-                ),
-                Equation::new(
-                    Term::apps(p.f.add, vec![Term::var(x), p.f.s(Term::var(y))]),
-                    p.f.s(Term::apps(p.f.add, vec![Term::var(x), Term::var(y)])),
-                ),
-                Equation::new(
-                    Term::apps(p.f.add, vec![Term::var(x), Term::var(y)]),
-                    Term::apps(p.f.add, vec![Term::var(y), Term::var(x)]),
-                ),
-            ]
-        };
-        let mut total_hits = 0;
-        for (i, goal) in goals(&mut VarStore::new()).into_iter().enumerate() {
-            let mut vars = VarStore::new();
-            let eqs = goals(&mut vars);
-            let plain = Prover::new(&p.prog).prove(eqs[i].clone(), vars.clone());
-            let cached = Prover::new(&p.prog)
-                .with_shared_cache(cache.clone())
-                .prove(goal, vars);
-            assert_eq!(plain.outcome, cached.outcome, "goal {i}");
-            if cached.outcome.is_proved() {
-                check(&cached.proof, &p.prog, GlobalCheck::VariableTraces).unwrap();
-            }
-            total_hits += cached.stats.shared_cache_hits;
-        }
-        assert!(
-            total_hits > 0,
-            "related goals over the same program must share reductions"
-        );
     }
 
     #[test]

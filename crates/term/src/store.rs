@@ -491,62 +491,6 @@ impl TermStore {
         }
     }
 
-    /// The canonical flat encoding of a single term, with the caller's
-    /// variable rename map threaded through so that several terms can be
-    /// encoded against a *shared* renaming (the shared normal-form cache
-    /// encodes a subject and its normal form this way: the normal form's
-    /// variables are a subset of the subject's, so both encodings use the
-    /// subject's first-occurrence numbering).
-    ///
-    /// Two terms produce the same words for the same rename-map state iff
-    /// they are α-equivalent (modulo variable types, which reduction never
-    /// consults) — this is what makes the encoding usable as a
-    /// store-independent cache key.
-    pub fn canonical_words(&self, id: TermId, rename: &mut BTreeMap<VarId, u32>) -> Vec<u32> {
-        let mut out = Vec::with_capacity(3 * self.size(id));
-        self.encode_canonical(id, rename, &mut out);
-        out
-    }
-
-    /// Decodes a flat encoding produced by [`TermStore::canonical_words`]
-    /// back into *this* store, mapping variable codes through `inverse`
-    /// (`inverse[code]` is the local [`VarId`] for canonical code `code`).
-    ///
-    /// Returns `None` when the words are malformed or reference a variable
-    /// code outside `inverse` — callers treat that as a cache miss rather
-    /// than an error, since a foreign entry can never be validated locally.
-    pub fn decode_canonical(&mut self, words: &[u32], inverse: &[VarId]) -> Option<TermId> {
-        let (id, rest) = self.decode_words(words, inverse)?;
-        rest.is_empty().then_some(id)
-    }
-
-    fn decode_words<'w>(
-        &mut self,
-        words: &'w [u32],
-        inverse: &[VarId],
-    ) -> Option<(TermId, &'w [u32])> {
-        let (&tag, rest) = words.split_first()?;
-        let (&code, rest) = rest.split_first()?;
-        let head = match tag {
-            0 => Head::Var(*inverse.get(code as usize)?),
-            1 => Head::Sym(SymId::from_index(code as usize)),
-            _ => return None,
-        };
-        let (&argc, mut rest) = rest.split_first()?;
-        // Every argument needs at least three words; reject (rather than
-        // try to allocate for) argument counts the input cannot contain.
-        if argc as usize > rest.len() / 3 {
-            return None;
-        }
-        let mut args = Vec::with_capacity(argc as usize);
-        for _ in 0..argc {
-            let (a, r) = self.decode_words(rest, inverse)?;
-            args.push(a);
-            rest = r;
-        }
-        Some((self.node(head, args), rest))
-    }
-
     /// The α- and orientation-invariant key of the equation `a ≈ b`,
     /// agreeing with [`crate::Equation::canonical_key`] on the resolved
     /// terms.
@@ -755,61 +699,6 @@ mod tests {
             Term::apps(f.add, vec![Term::sym(f.zero)])
         );
         assert_eq!(store.subst(pid, &theta), sid);
-    }
-
-    #[test]
-    fn canonical_words_round_trip_across_stores() {
-        let f = NatList::new();
-        let mut vars = VarStore::new();
-        let x = vars.fresh("x", f.nat_ty());
-        let y = vars.fresh("y", f.nat_ty());
-        let mut producer = TermStore::new();
-        let t = Term::apps(f.add, vec![Term::var(x), f.s(Term::var(y))]);
-        let id = producer.intern(&t);
-        let mut rename = BTreeMap::new();
-        let words = producer.canonical_words(id, &mut rename);
-
-        // A different store with *different* variables for the same shape
-        // produces identical words (α-invariance)...
-        let mut other_vars = VarStore::new();
-        let a = other_vars.fresh("a", f.nat_ty());
-        let b = other_vars.fresh("b", f.nat_ty());
-        let mut consumer = TermStore::new();
-        let t2 = Term::apps(f.add, vec![Term::var(a), f.s(Term::var(b))]);
-        let id2 = consumer.intern(&t2);
-        let mut rename2 = BTreeMap::new();
-        let words2 = consumer.canonical_words(id2, &mut rename2);
-        assert_eq!(words, words2);
-
-        // ...and decoding against the consumer's inverse map reconstructs
-        // the consumer's own term.
-        let mut inverse: Vec<(u32, VarId)> = rename2.iter().map(|(v, c)| (*c, *v)).collect();
-        inverse.sort_unstable();
-        let inverse: Vec<VarId> = inverse.into_iter().map(|(_, v)| v).collect();
-        let decoded = consumer.decode_canonical(&words, &inverse).unwrap();
-        assert_eq!(decoded, id2);
-    }
-
-    #[test]
-    fn decode_canonical_rejects_garbage() {
-        let f = NatList::new();
-        let mut store = TermStore::new();
-        // Unknown tag.
-        assert_eq!(store.decode_canonical(&[7, 0, 0], &[]), None);
-        // Variable code outside the inverse table.
-        assert_eq!(store.decode_canonical(&[0, 3, 0], &[]), None);
-        // Absurd argument count (must not attempt the allocation).
-        assert_eq!(store.decode_canonical(&[1, 0, u32::MAX], &[]), None);
-        // Trailing words after a complete term.
-        let id = store.intern(&f.num(1));
-        let mut rename = BTreeMap::new();
-        let mut words = store.canonical_words(id, &mut rename);
-        words.push(1);
-        assert_eq!(store.decode_canonical(&words, &[]), None);
-        // Truncated input.
-        let ok = store.canonical_words(id, &mut BTreeMap::new());
-        assert_eq!(store.decode_canonical(&ok[..ok.len() - 1], &[]), None);
-        assert_eq!(store.decode_canonical(&ok, &[]), Some(id));
     }
 
     #[test]

@@ -52,6 +52,18 @@ impl VarStore {
         id
     }
 
+    /// Allocates a fresh variable named `name`, with `'` appended as often
+    /// as it takes to differ from the name of every variable in `taken`.
+    /// A rule that introduces a variable passes the free variables of the
+    /// node it applies to, so that no two variables of a node print alike.
+    pub fn fresh_distinct(&mut self, name: &str, ty: Type, taken: &[VarId]) -> VarId {
+        let mut name = name.to_string();
+        while taken.iter().any(|&v| self.name(v) == name) {
+            name.push('\'');
+        }
+        self.fresh(&name, ty)
+    }
+
     /// Allocates a fresh variable named after `base` (e.g. `x` ↦ `x'`),
     /// used by the `Case` rule when introducing constructor arguments.
     pub fn fresh_from(&mut self, base: VarId, ty: Type) -> VarId {
@@ -146,6 +158,22 @@ mod tests {
         let x2 = vars.fresh_from(x1, nat.clone());
         assert_eq!(vars.name(x1), "x'");
         assert_eq!(vars.name(x2), "x''");
+    }
+
+    #[test]
+    fn fresh_distinct_primes_past_taken_names() {
+        let mut vars = VarStore::new();
+        let nat = Type::data0(DataId::from_index(0));
+        let x = vars.fresh("x", nat.clone());
+        let xp = vars.fresh("x'", nat.clone());
+        let y = vars.fresh("y", nat.clone());
+        let free = vars.fresh_distinct("z", nat.clone(), &[x, xp]);
+        assert_eq!(vars.name(free), "z");
+        let clash = vars.fresh_distinct("x'", nat.clone(), &[x, xp, y]);
+        assert_eq!(vars.name(clash), "x''");
+        // Only the names of `taken` count.
+        let untaken = vars.fresh_distinct("x'", nat, &[y]);
+        assert_eq!(vars.name(untaken), "x'");
     }
 
     #[test]

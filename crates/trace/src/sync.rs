@@ -2,13 +2,12 @@
 //!
 //! A thread that panics while holding a [`Mutex`] poisons it; every later
 //! `.lock().expect(..)` then aborts the process even though the panicking
-//! frame has long unwound. For the long-lived prover substrate (shared
-//! caches, scheduler queues, trace sinks) that turns one bad goal into a
-//! process-wide outage. [`lock_recover`] instead clears the poison flag,
+//! frame has long unwound. For the long-lived prover substrate (scheduler
+//! queues, the metrics registry, trace sinks) that turns one bad goal into
+//! a process-wide outage. [`lock_recover`] instead clears the poison flag,
 //! counts the recovery, and hands back the guard — callers that need
-//! stronger invariants than "the data is structurally valid" (e.g. the
-//! shared normal-form cache, which drops a poisoned shard's entries) layer
-//! their own repair on top.
+//! stronger invariants than "the data is structurally valid" layer their
+//! own repair on top.
 //!
 //! Recoveries are counted in a plain process-wide atomic (surfaced as the
 //! `cycleq_lock_poison_recoveries_total` counter family in

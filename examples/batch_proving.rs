@@ -1,5 +1,5 @@
-//! Batch proving: prove every goal of a program in parallel, sharing
-//! normal forms across goals through the session's program-scoped cache.
+//! Batch proving: prove every goal of a program in parallel, with the
+//! same verdicts and counters as a sequential run.
 //!
 //! Run with `cargo run --example batch_proving`.
 
@@ -24,8 +24,8 @@ goal assoc: add (add x y) z === add x (add y z)
 goal mulZeroRight: mul x Z === Z
 ";
     // `jobs(0)` means one worker per hardware thread; any fixed count
-    // works too. Each worker owns its term store — the only shared state is
-    // the normal-form cache, so verdicts are identical to a sequential run.
+    // works too. Each goal's search owns its term store and memo table, so
+    // verdicts and counters are identical to a sequential run.
     let session = Engine::builder().jobs(0).build().load(source)?;
     let report = session.prove_all();
 
@@ -47,12 +47,6 @@ goal mulZeroRight: mul x Z === Z
         report.goals.len(),
         report.jobs,
         report.stats.elapsed,
-    );
-    // Overlapping goals (comm reuses succRight-shaped reductions, assoc
-    // reuses both) score hits in the shared cache.
-    println!(
-        "shared normal-form cache: {} hits, {} misses, {} entries",
-        report.cache.hits, report.cache.misses, report.cache.entries,
     );
     assert!(report.all_proved());
     Ok(())

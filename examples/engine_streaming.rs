@@ -84,20 +84,18 @@ goal mulZeroRight: mul x Z === Z
         );
     }
     println!(
-        "{} of {} goals proved | jobs={} | cache: {} hits, {} entries",
+        "{} of {} goals proved | jobs={}",
         report.proved(),
         report.goals.len(),
         report.jobs,
-        report.cache.hits,
-        report.cache.entries,
     );
     assert!(report.all_proved());
 
     // A second run seeded with the first run's measured times starts the
     // slowest goals first (cost-ordered scheduling).
-    let warmed = session.clone().with_cost_hints(&report);
-    let second = warmed.prove_all();
+    let seeded = session.clone().with_cost_hints(&report);
+    let second = seeded.prove_all();
     assert!(second.all_proved());
-    println!("warm re-run: {:?}", second.stats.elapsed);
+    println!("cost-ordered re-run: {:?}", second.stats.elapsed);
     Ok(())
 }

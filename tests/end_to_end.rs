@@ -239,3 +239,42 @@ fn arrow_typed_ite_takes_function_extensionality_once() {
         .count();
     assert_eq!(funext, 1);
 }
+
+/// Goals whose variables already carry the names the rules would give
+/// their fresh variables: `x` for FunExt, `x'` for a split on `x`.
+const NAME_CLASH: &str = "
+data Bool = True | False
+data Nat = Z | S Nat
+data List a = Nil | Cons a (List a)
+add :: Nat -> Nat -> Nat
+add Z y = y
+add (S x) y = S (add x y)
+map :: (a -> b) -> List a -> List b
+map f Nil = Nil
+map f (Cons x xs) = Cons (f x) (map f xs)
+ite :: Bool -> a -> a -> a
+ite True x y = x
+ite False x y = y
+goal iteMap: ite c (map x) (map x) === map x
+goal zr: add x x' === add x' x
+";
+
+#[test]
+fn fresh_variables_never_share_a_name_within_a_node() {
+    let session = Session::from_source(NAME_CLASH).unwrap();
+    for goal in ["iteMap", "zr"] {
+        let v = proves_and_checks(&session, goal);
+        let proof = &v.result.proof;
+        for (id, node) in proof.nodes() {
+            let vars = node.eq.vars();
+            let names: std::collections::BTreeSet<&str> =
+                vars.iter().map(|&x| proof.vars().name(x)).collect();
+            assert_eq!(
+                names.len(),
+                vars.len(),
+                "{goal}: node {id:?} prints two variables alike:\n{}",
+                v.render_proof().unwrap()
+            );
+        }
+    }
+}

@@ -11,6 +11,7 @@ use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 use std::time::Duration;
 
 use cycleq::{Engine, EventSink, ProveEvent, SearchConfig, Session};
+use cycleq_benchsuite::{Expectation, ISAPLANNER, PRELUDE};
 
 const SUITE_SRC: &str = "data Nat = Z | S Nat
 add :: Nat -> Nat -> Nat
@@ -131,30 +132,24 @@ fn concurrent_events_bracket_every_goal_and_carry_round_times() {
     }
 }
 
-#[test]
-fn counter_totals_are_deterministic_across_job_counts() {
-    // With the shared normal-form cache disabled, every goal's search is
-    // fully independent, so per-goal counters — and their batch totals —
-    // must be identical whatever the worker count.
-    let _guard = registry_lock();
+/// Proves every goal of `src` on one worker and on `jobs` workers, and
+/// asserts that each goal's counters, and their batch totals, agree.
+fn assert_counters_independent_of_jobs(src: &str, config: SearchConfig, jobs: usize) {
     let run = |jobs: usize| {
         Engine::builder()
-            .config(SearchConfig {
-                timeout: Some(Duration::from_secs(10)),
-                ..SearchConfig::default()
-            })
+            .config(config.clone())
             .jobs(jobs)
-            .shared_cache(false)
             .build()
-            .load(SUITE_SRC)
-            .expect("suite source loads")
+            .load(src)
+            .expect("source loads")
             .prove_all()
     };
     let sequential = run(1);
-    let parallel = run(4);
+    let parallel = run(jobs);
     for (s, p) in sequential.goals.iter().zip(&parallel.goals) {
         assert_eq!(s.goal, p.goal);
         let (sv, pv) = (s.verdict().unwrap(), p.verdict().unwrap());
+        assert_eq!(sv.result.outcome, pv.result.outcome, "goal {}", s.goal);
         assert_eq!(
             sv.result.stats.entries(),
             pv.result.stats.entries(),
@@ -173,6 +168,41 @@ fn counter_totals_are_deterministic_across_job_counts() {
             "batch total {key} must not depend on the worker count"
         );
     }
+}
+
+#[test]
+fn counter_totals_are_deterministic_across_job_counts() {
+    // Goals share no search state, so per-goal counters — and their batch
+    // totals — must be identical whatever the worker count.
+    let _guard = registry_lock();
+    assert_counters_independent_of_jobs(
+        SUITE_SRC,
+        SearchConfig {
+            timeout: Some(Duration::from_secs(10)),
+            ..SearchConfig::default()
+        },
+        4,
+    );
+    // IsaPlanner goals over one prelude normalise many of the same terms,
+    // node-budgeted so that no counter depends on the clock.
+    let mut src = format!("{PRELUDE}\n");
+    let goals = ISAPLANNER
+        .iter()
+        .filter(|p| p.expectation == Expectation::InScope && p.hints.is_empty())
+        .take(24);
+    for p in goals {
+        let statement = p.goal.expect("in-scope problems state a goal");
+        src.push_str(&format!("goal {}: {statement}\n", p.goal_name()));
+    }
+    assert_counters_independent_of_jobs(
+        &src,
+        SearchConfig {
+            max_nodes: 2000,
+            timeout: None,
+            ..SearchConfig::default()
+        },
+        2,
+    );
 }
 
 #[test]
