@@ -512,6 +512,34 @@ fn tampered_certificate_fails_check_with_exit_code_three() {
 }
 
 #[test]
+fn forged_goal_line_fails_check_with_exit_code_three() {
+    let file = quickstart();
+    let dir = cert_dir("forged_goal");
+    let out = run(&[
+        "--no-proof",
+        "--emit-certs",
+        dir.to_str().unwrap(),
+        file.to_str().unwrap(),
+        "addZeroRight",
+    ]);
+    assert!(out.status.success());
+    let cert = dir.join("addZeroRight.cqc");
+    let text = std::fs::read_to_string(&cert).unwrap();
+    // The goal line is outside the fingerprint: claim another goal.
+    let forged = text.replace("\ngoal addZeroRight\n", "\ngoal addComm\n");
+    assert_ne!(forged, text);
+    std::fs::write(&cert, forged).unwrap();
+    let out = run(&["check", cert.to_str().unwrap()]);
+    assert_eq!(out.status.code(), Some(3));
+    let stdout = String::from_utf8(out.stdout).unwrap();
+    assert!(
+        stdout.contains("INVALID (no node of the proof states goal `addComm`)"),
+        "{stdout}"
+    );
+    assert!(stdout.contains("check: valid 0/1"), "{stdout}");
+}
+
+#[test]
 fn check_without_files_is_a_usage_error() {
     let out = run(&["check"]);
     assert_eq!(out.status.code(), Some(2));

@@ -868,9 +868,11 @@ pub struct CertificateCheck {
 
 /// Validates certificate text end to end: parse (version, structure,
 /// program fingerprint), re-elaborate the embedded program source, compare
-/// the serialized size-change edge graphs against recomputed ones, and run
-/// the embedded proof through the independent interned checker. Nothing
-/// from the proving session is trusted — only the bytes of the certificate.
+/// the serialized size-change edge graphs against recomputed ones, run
+/// the embedded proof through the independent interned checker, and check
+/// that the program declares the goal the certificate names and that the
+/// proof states it. Nothing from the proving session is trusted — only
+/// the bytes of the certificate.
 ///
 /// # Errors
 ///
@@ -880,6 +882,8 @@ pub fn check_certificate(text: &str) -> Result<CertificateCheck, Error> {
     let cert = Certificate::parse(text).map_err(Error::Certificate)?;
     let module = cycleq_lang::parse_module(cert.program_src())?;
     let report = cert.verify(&module.program).map_err(Error::Certificate)?;
+    cert.check_goal(module.goal(cert.goal()).map(|g| (&g.eq, &g.vars)))
+        .map_err(Error::Certificate)?;
     metrics::record_check(&report);
     Ok(CertificateCheck {
         goal: cert.goal().to_string(),
@@ -1017,6 +1021,38 @@ goal wrong: add x Z === Z
         assert!(matches!(
             check_certificate(&partial),
             Err(Error::Certificate(CertificateError::Truncated))
+        ));
+    }
+
+    #[test]
+    fn certificates_are_bound_to_the_goal_they_name() {
+        let s = Session::from_source(SRC).unwrap();
+        let v = s.prove("zeroRight").unwrap();
+        let text = s.export_certificate(&v).unwrap();
+        assert_eq!(check_certificate(&text).unwrap().goal, "zeroRight");
+        let forge = |goal: &str| text.replace("\ngoal zeroRight\n", &format!("\ngoal {goal}\n"));
+        // Declared goals the proof does not state, true (`comm`) and false
+        // (`wrong`): the goal line is outside the fingerprint.
+        for other in ["comm", "wrong"] {
+            let forged = forge(other);
+            assert_ne!(forged, text);
+            assert!(
+                matches!(
+                    check_certificate(&forged),
+                    Err(Error::Certificate(CertificateError::GoalMismatch {
+                        ref goal,
+                        declared: true,
+                    })) if goal == other
+                ),
+                "{other}"
+            );
+        }
+        assert!(matches!(
+            check_certificate(&forge("nowhere")),
+            Err(Error::Certificate(CertificateError::GoalMismatch {
+                declared: false,
+                ..
+            }))
         ));
     }
 

@@ -12,7 +12,7 @@ use std::collections::HashMap;
 
 use cycleq_rewrite::{Program, RuleId, Trs};
 use cycleq_term::{
-    Equation, Signature, Subst, SymId, Term, TyUnifier, TyVarId, Type, VarId, VarStore,
+    Equation, Signature, Subst, SymId, Term, TyUnifier, TyVarId, Type, TypeError, VarId, VarStore,
 };
 
 use crate::ast::{Decl, RawTerm, RawType};
@@ -81,6 +81,11 @@ impl Module {
     pub fn decl_line(&self, name: &str) -> Option<u32> {
         self.decl_lines.get(name).copied()
     }
+}
+
+/// A type error at `line`, its types named against `sig`.
+fn type_error(line: u32, sig: &Signature, e: &TypeError) -> LangError {
+    LangError::new(line, LangErrorKind::Type(e.display(sig).to_string()))
 }
 
 fn type_spine(raw: &RawType) -> (&RawType, Vec<&RawType>) {
@@ -416,9 +421,9 @@ fn lower_clause(
     for (pat, want) in pattern_terms.iter().zip(&arg_tys) {
         let got = pat
             .infer_type(sig, trs.vars(), &mut uni)
-            .map_err(|e| LangError::new(line, LangErrorKind::Type(e.to_string())))?;
+            .map_err(|e| type_error(line, sig, &e))?;
         uni.unify(&got, want)
-            .map_err(|e| LangError::new(line, LangErrorKind::Type(e.to_string())))?;
+            .map_err(|e| type_error(line, sig, &e))?;
     }
     // Result type: remaining arrows.
     let result_ty = Type::arrows(
@@ -436,9 +441,9 @@ fn lower_clause(
     };
     let rhs_ty = rhs_term
         .infer_type(sig, trs.vars(), &mut uni)
-        .map_err(|e| LangError::new(line, LangErrorKind::Type(e.to_string())))?;
+        .map_err(|e| type_error(line, sig, &e))?;
     uni.unify(&rhs_ty, &result_ty)
-        .map_err(|e| LangError::new(line, LangErrorKind::Type(e.to_string())))?;
+        .map_err(|e| type_error(line, sig, &e))?;
     // Rigidity: signature variables must remain themselves.
     for i in 0..scheme.num_vars() {
         let v = TyVarId(i);
@@ -483,12 +488,11 @@ fn lower_goal(
     let rhs_term = build_term(rhs, sig, &mut env, &mut vars, &mut uni, true)?;
     let lt = lhs_term
         .infer_type(sig, &vars, &mut uni)
-        .map_err(|e| LangError::new(line, LangErrorKind::Type(e.to_string())))?;
+        .map_err(|e| type_error(line, sig, &e))?;
     let rt = rhs_term
         .infer_type(sig, &vars, &mut uni)
-        .map_err(|e| LangError::new(line, LangErrorKind::Type(e.to_string())))?;
-    uni.unify(&lt, &rt)
-        .map_err(|e| LangError::new(line, LangErrorKind::Type(e.to_string())))?;
+        .map_err(|e| type_error(line, sig, &e))?;
+    uni.unify(&lt, &rt).map_err(|e| type_error(line, sig, &e))?;
     // Solve and generalise goal variable types.
     let mut canon = HashMap::new();
     for idx in 0..vars.len() {
@@ -605,6 +609,33 @@ f x = True
 ";
         let err = lower(&parse(src).unwrap()).unwrap_err();
         assert!(matches!(err.kind, LangErrorKind::Type(_)));
+    }
+
+    #[test]
+    fn type_errors_name_their_types() {
+        let clause = "data Nat = Z | S Nat
+data Bool = True | False
+f :: Nat -> Nat
+f x = True
+";
+        let err = lower(&parse(clause).unwrap()).unwrap_err();
+        assert_eq!(
+            err.to_string(),
+            "line 4: type error: cannot unify `Bool` with `Nat`"
+        );
+        // Metavariables are named by first occurrence, not by id.
+        let goal = "data Nat = Z | S Nat
+data List a = Nil | Cons a (List a)
+len :: List a -> Nat
+len Nil = Z
+len (Cons y ys) = S (len ys)
+goal g: len x === x
+";
+        let err = lower(&parse(goal).unwrap()).unwrap_err();
+        assert_eq!(
+            err.to_string(),
+            "line 6: type error: cannot unify `Nat` with `List ?a`"
+        );
     }
 
     #[test]

@@ -24,8 +24,13 @@ impl Parser {
             .unwrap_or(1)
     }
 
+    /// Moves the current token out and advances. The parser never looks
+    /// back, so the consumed slot keeps only a placeholder.
     fn next(&mut self) -> Option<Spanned> {
-        let t = self.toks.get(self.pos).cloned();
+        let t = self.toks.get_mut(self.pos).map(|s| Spanned {
+            token: std::mem::replace(&mut s.token, Token::Sep),
+            line: s.line,
+        });
         self.pos += 1;
         t
     }

@@ -22,8 +22,12 @@
 //! lines are [`CertificateError::Truncated`], an edited program no longer
 //! matches the header fingerprint ([`CertificateError::FingerprintMismatch`]),
 //! an edited edge graph disagrees with the one recomputed from the proof
-//! ([`CertificateError::EdgeGraphMismatch`]), and a damaged proof fails the
-//! checker itself ([`CertificateError::Check`]).
+//! ([`CertificateError::EdgeGraphMismatch`]), a damaged proof fails the
+//! checker itself ([`CertificateError::Check`]), and a goal line naming a
+//! goal the embedded program does not declare, or one that no node of the
+//! proof states, is [`CertificateError::GoalMismatch`]
+//! ([`Certificate::check_goal`]; the fingerprint covers the program, not
+//! the goal line).
 
 use std::error::Error;
 use std::fmt;
@@ -58,6 +62,11 @@ pub enum CertificateError {
     EdgeGraphMismatch { node: usize, premise: usize },
     /// The proof itself failed the independent checker.
     Check(CheckError),
+    /// The certificate does not prove the goal it names: the embedded
+    /// program declares no goal of that name (`declared` is false), or no
+    /// node of the proof states the declared goal's equation over its
+    /// variables.
+    GoalMismatch { goal: String, declared: bool },
 }
 
 impl fmt::Display for CertificateError {
@@ -77,6 +86,14 @@ impl fmt::Display for CertificateError {
                 "size-change edge graph for node {node} premise {premise} does not match the proof"
             ),
             CertificateError::Check(e) => write!(f, "proof check failed: {e}"),
+            CertificateError::GoalMismatch {
+                goal,
+                declared: false,
+            } => write!(f, "the embedded program declares no goal `{goal}`"),
+            CertificateError::GoalMismatch {
+                goal,
+                declared: true,
+            } => write!(f, "no node of the proof states goal `{goal}`"),
         }
     }
 }
@@ -600,6 +617,38 @@ impl Certificate {
     /// The deserialized preproof.
     pub fn proof(&self) -> &Preproof {
         &self.proof
+    }
+
+    /// Binds the certificate's goal name to its proof. `declared` is the
+    /// named goal's equation and variable store as the embedded program
+    /// declares them, or `None` when it declares no such goal. The search
+    /// roots a proof at the goal's equation and starts the proof's variable
+    /// store with the goal's variables, so the goal's variables must be a
+    /// prefix of the proof's (same names, same types), and some node must
+    /// state exactly the goal's equation.
+    ///
+    /// # Errors
+    ///
+    /// [`CertificateError::GoalMismatch`] when either does not hold.
+    pub fn check_goal(
+        &self,
+        declared: Option<(&Equation, &VarStore)>,
+    ) -> Result<(), CertificateError> {
+        let mismatch = |declared| CertificateError::GoalMismatch {
+            goal: self.goal.clone(),
+            declared,
+        };
+        let (eq, vars) = declared.ok_or_else(|| mismatch(false))?;
+        let proof_vars = self.proof.vars();
+        let prefix = vars.len() <= proof_vars.len()
+            && vars
+                .iter()
+                .all(|(v, name, ty)| proof_vars.name(v) == name && proof_vars.ty(v) == ty);
+        if prefix && self.proof.nodes().any(|(_, node)| node.eq == *eq) {
+            Ok(())
+        } else {
+            Err(mismatch(true))
+        }
     }
 
     /// Re-validates the certificate against an elaborated program: symbol

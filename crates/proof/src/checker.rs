@@ -30,7 +30,8 @@ use std::time::{Duration, Instant};
 use cycleq_rewrite::{MemoRewriter, Program};
 use cycleq_sizechange::Soundness;
 use cycleq_term::{
-    Head, IdSubst, Signature, TermId, TermStore, TyUnifier, TyVarId, Type, TypeError, VarStore,
+    Head, IdSubst, Signature, TermId, TermStore, TyUnifier, TyVarId, Type, TypeError, TypeScheme,
+    VarStore,
 };
 
 use crate::edges::check_global;
@@ -128,16 +129,13 @@ fn err(node: NodeId, kind: CheckErrorKind) -> CheckError {
     }
 }
 
-fn pair_eq_modulo_flip(a: (TermId, TermId), b: (TermId, TermId)) -> bool {
-    (a.0 == b.0 && a.1 == b.1) || (a.0 == b.1 && a.1 == b.0)
+/// A type error at `node`, its types named against `sig`.
+fn ill_typed(node: NodeId, sig: &Signature, e: &TypeError) -> CheckError {
+    err(node, CheckErrorKind::IllTyped(e.display(sig).to_string()))
 }
 
-/// A cached principal type with its metavariables renumbered `0..nvars` in
-/// first-occurrence order. Re-instantiated with fresh metavariables on
-/// every cache hit, exactly as re-inference would allocate them.
-struct CanonTy {
-    canon: Type,
-    nvars: u32,
+fn pair_eq_modulo_flip(a: (TermId, TermId), b: (TermId, TermId)) -> bool {
+    (a.0 == b.0 && a.1 == b.1) || (a.0 == b.1 && a.1 == b.0)
 }
 
 /// Outcome of the unifier-free typing attempt ([`ground_ty_of_id`]).
@@ -194,17 +192,17 @@ fn match_ground(pat: &Type, t: &Type, bind: &mut [Option<Type>]) -> bool {
 /// no binding maps. Anything undetermined bails to the unifier-based
 /// [`ty_of_id`], and a definite mismatch reports [`FastTy::Fail`] so the
 /// node re-runs owned inference for the exact error text. Ground results
-/// land in the same `cache` the unifier path uses (`nvars == 0`).
+/// land in the same `cache` the unifier path uses, as monomorphic schemes.
 fn ground_ty_of_id(
     store: &TermStore,
     sig: &Signature,
     vars: &VarStore,
-    cache: &mut HashMap<TermId, CanonTy>,
+    cache: &mut HashMap<TermId, TypeScheme>,
     id: TermId,
 ) -> FastTy {
     if let Some(c) = cache.get(&id) {
-        return if c.nvars == 0 {
-            FastTy::Ground(c.canon.clone())
+        return if c.num_vars() == 0 {
+            FastTy::Ground(c.body().clone())
         } else {
             FastTy::Bail
         };
@@ -266,13 +264,7 @@ fn ground_ty_of_id(
             return FastTy::Bail;
         }
     }
-    cache.insert(
-        id,
-        CanonTy {
-            canon: cur.clone(),
-            nvars: 0,
-        },
-    );
+    cache.insert(id, TypeScheme::mono(cur.clone()));
     FastTy::Ground(cur)
 }
 
@@ -282,7 +274,7 @@ fn unifier_ty_check(
     store: &TermStore,
     sig: &Signature,
     vars: &VarStore,
-    cache: &mut HashMap<TermId, CanonTy>,
+    cache: &mut HashMap<TermId, TypeScheme>,
     cl: TermId,
     cr: TermId,
 ) -> bool {
@@ -312,17 +304,11 @@ fn ty_of_id(
     sig: &Signature,
     vars: &VarStore,
     uni: &mut TyUnifier,
-    cache: &mut HashMap<TermId, CanonTy>,
+    cache: &mut HashMap<TermId, TypeScheme>,
     id: TermId,
 ) -> Result<(Type, bool), TypeError> {
     if let Some(c) = cache.get(&id) {
-        if c.nvars == 0 {
-            return Ok((c.canon.clone(), true));
-        }
-        let map: std::collections::BTreeMap<TyVarId, Type> = (0..c.nvars)
-            .map(|i| (TyVarId(i), Type::Var(uni.fresh())))
-            .collect();
-        return Ok((c.canon.subst(&map), true));
+        return Ok((c.instantiate(&mut || uni.fresh()), true));
     }
     let (head_ty, mut pure) = match store.head(id) {
         Head::Var(v) => {
@@ -337,9 +323,7 @@ fn ty_of_id(
         let arg = store.args(id)[i];
         let (arg_ty, arg_pure) = ty_of_id(store, sig, vars, uni, cache, arg)?;
         pure &= arg_pure;
-        let res = Type::Var(uni.fresh());
-        uni.unify(&cur, &Type::arrow(arg_ty, res.clone()))?;
-        cur = res;
+        cur = uni.apply(cur, arg_ty)?;
     }
     let ty = uni.resolve(&cur);
     if pure {
@@ -354,13 +338,7 @@ fn ty_of_id(
                 .collect();
             ty.subst(&map)
         };
-        cache.insert(
-            id,
-            CanonTy {
-                canon,
-                nvars: free.len() as u32,
-            },
-        );
+        cache.insert(id, TypeScheme::poly(free.len() as u32, canon));
     }
     Ok((ty, pure))
 }
@@ -412,7 +390,7 @@ pub fn check_with(
     // Ground principal types per interned subterm, shared across nodes —
     // the nodes of a cyclic proof overlap heavily, so inference is mostly
     // cache hits after the first few nodes.
-    let mut ty_cache: HashMap<TermId, CanonTy> = HashMap::new();
+    let mut ty_cache: HashMap<TermId, TypeScheme> = HashMap::new();
     for (id, node) in proof.nodes() {
         for p in &node.premises {
             if p.index() >= proof.len() {
@@ -448,14 +426,14 @@ pub fn check_with(
                 .eq
                 .lhs()
                 .infer_type(&prog.sig, proof.vars(), &mut uni)
-                .map_err(|e| err(id, CheckErrorKind::IllTyped(e.to_string())))?;
+                .map_err(|e| ill_typed(id, &prog.sig, &e))?;
             let rt = node
                 .eq
                 .rhs()
                 .infer_type(&prog.sig, proof.vars(), &mut uni)
-                .map_err(|e| err(id, CheckErrorKind::IllTyped(e.to_string())))?;
+                .map_err(|e| ill_typed(id, &prog.sig, &e))?;
             uni.unify(&lt, &rt)
-                .map_err(|e| err(id, CheckErrorKind::IllTyped(e.to_string())))?;
+                .map_err(|e| ill_typed(id, &prog.sig, &e))?;
         }
         let premise_ids = |i: usize| ids[node.premises[i].index()];
         match &node.rule {
@@ -583,7 +561,7 @@ pub fn check_with(
                         .sym(k)
                         .scheme()
                         .instantiate_with(ty_args)
-                        .map_err(|e| err(id, CheckErrorKind::IllTyped(e.to_string())))?;
+                        .map_err(|e| ill_typed(id, &prog.sig, &e))?;
                     let (arg_tys, _) = inst.uncurry();
                     let store = rw.store_mut();
                     for (v, want_ty) in branch.fresh.iter().zip(arg_tys) {
@@ -835,7 +813,7 @@ mod tests {
         let eq = Equation::new(Term::var(x), Term::var(x));
         let root = proof.push_open(eq.clone());
         let zb = proof.push_open(Equation::new(Term::sym(p.f.zero), Term::sym(p.f.zero)));
-        let xp = proof.vars_mut().fresh_from(x, p.f.nat_ty());
+        let xp = proof.vars_mut().fresh_distinct("x", p.f.nat_ty(), &[x]);
         let sb = proof.push_open(Equation::new(p.f.s(Term::var(xp)), p.f.s(Term::var(xp))));
         proof.justify(zb, RuleApp::Refl, vec![]);
         proof.justify(sb, RuleApp::Refl, vec![]);

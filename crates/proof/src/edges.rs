@@ -345,7 +345,7 @@ mod tests {
             Term::apps(p.f.add, vec![Term::sym(p.f.zero), Term::var(y)]),
             Term::var(y),
         );
-        let xp = proof.vars_mut().fresh_from(x, p.f.nat_ty());
+        let xp = proof.vars_mut().fresh_distinct("x", p.f.nat_ty(), &[x]);
         let s_eq = Equation::new(
             Term::apps(p.f.add, vec![p.f.s(Term::var(xp)), Term::var(y)]),
             Term::var(y),

@@ -72,14 +72,28 @@ pub fn check(
                 .eq
                 .lhs()
                 .infer_type(&prog.sig, proof.vars(), &mut uni)
-                .map_err(|e| err(id, CheckErrorKind::IllTyped(e.to_string())))?;
+                .map_err(|e| {
+                    err(
+                        id,
+                        CheckErrorKind::IllTyped(e.display(&prog.sig).to_string()),
+                    )
+                })?;
             let rt = node
                 .eq
                 .rhs()
                 .infer_type(&prog.sig, proof.vars(), &mut uni)
-                .map_err(|e| err(id, CheckErrorKind::IllTyped(e.to_string())))?;
-            uni.unify(&lt, &rt)
-                .map_err(|e| err(id, CheckErrorKind::IllTyped(e.to_string())))?;
+                .map_err(|e| {
+                    err(
+                        id,
+                        CheckErrorKind::IllTyped(e.display(&prog.sig).to_string()),
+                    )
+                })?;
+            uni.unify(&lt, &rt).map_err(|e| {
+                err(
+                    id,
+                    CheckErrorKind::IllTyped(e.display(&prog.sig).to_string()),
+                )
+            })?;
         }
         let premise_eq = |i: usize| &proof.node(node.premises[i]).eq;
         match &node.rule {

@@ -56,6 +56,6 @@ pub use signature::{DataDecl, DataId, Signature, SignatureError, SymDecl, SymId,
 pub use store::{IdSubst, TermId, TermStore};
 pub use subst::Subst;
 pub use term::{Head, Term};
-pub use types::{TyUnifier, TyVarId, Type, TypeError, TypeScheme};
+pub use types::{TyUnifier, TyVarId, Type, TypeError, TypeErrorDisplay, TypeScheme};
 pub use unify::{unify, UnifyError};
 pub use var::{VarId, VarStore};

@@ -5,7 +5,7 @@ use std::fmt;
 
 use crate::signature::Signature;
 use crate::term::{Head, Term};
-use crate::types::Type;
+use crate::types::{TyVarId, Type};
 use crate::var::VarStore;
 
 /// Displays a term with symbol and variable names resolved.
@@ -64,59 +64,75 @@ impl fmt::Display for TermDisplay<'_> {
 #[derive(Copy, Clone, Debug)]
 pub struct TypeDisplay<'a> {
     ty: &'a Type,
-    sig: &'a Signature,
+    sig: Option<&'a Signature>,
+    metas: &'a [TyVarId],
 }
 
 impl Type {
     /// Renders the type against a signature.
     pub fn display<'a>(&'a self, sig: &'a Signature) -> TypeDisplay<'a> {
-        TypeDisplay { ty: self, sig }
+        TypeDisplay {
+            ty: self,
+            sig: Some(sig),
+            metas: &[],
+        }
     }
 }
 
-fn fmt_type(ty: &Type, sig: &Signature, parens: bool, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-    match ty {
-        Type::Var(v) => write!(f, "{}", v.display_name()),
-        Type::Data(d, args) => {
-            if args.is_empty() {
-                return write!(f, "{}", sig.data(*d).name());
+impl<'a> TypeDisplay<'a> {
+    /// Renders `ty` with the variables of `metas` named `?a`, `?b`, … by
+    /// their position in `metas`, and datatypes by index (`#0`) when there
+    /// is no signature.
+    pub(crate) fn with_metas(
+        ty: &'a Type,
+        sig: Option<&'a Signature>,
+        metas: &'a [TyVarId],
+    ) -> TypeDisplay<'a> {
+        TypeDisplay { ty, sig, metas }
+    }
+
+    fn fmt_type(&self, ty: &Type, parens: bool, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match ty {
+            Type::Var(v) => match self.metas.iter().position(|m| m == v) {
+                Some(i) => write!(f, "?{}", TyVarId(i as u32).display_name()),
+                None => write!(f, "{}", v.display_name()),
+            },
+            Type::Data(d, args) => {
+                if parens && !args.is_empty() {
+                    write!(f, "(")?;
+                }
+                match self.sig {
+                    Some(sig) => write!(f, "{}", sig.data(*d).name())?,
+                    None => write!(f, "#{}", d.index())?,
+                }
+                for a in args {
+                    write!(f, " ")?;
+                    self.fmt_type(a, true, f)?;
+                }
+                if parens && !args.is_empty() {
+                    write!(f, ")")?;
+                }
+                Ok(())
             }
-            if parens {
-                write!(f, "(")?;
+            Type::Arrow(a, b) => {
+                if parens {
+                    write!(f, "(")?;
+                }
+                self.fmt_type(a, !matches!(a.as_ref(), Type::Var(_) | Type::Data(..)), f)?;
+                write!(f, " -> ")?;
+                self.fmt_type(b, false, f)?;
+                if parens {
+                    write!(f, ")")?;
+                }
+                Ok(())
             }
-            write!(f, "{}", sig.data(*d).name())?;
-            for a in args {
-                write!(f, " ")?;
-                fmt_type(a, sig, true, f)?;
-            }
-            if parens {
-                write!(f, ")")?;
-            }
-            Ok(())
-        }
-        Type::Arrow(a, b) => {
-            if parens {
-                write!(f, "(")?;
-            }
-            fmt_type(
-                a,
-                sig,
-                !matches!(a.as_ref(), Type::Var(_) | Type::Data(..)),
-                f,
-            )?;
-            write!(f, " -> ")?;
-            fmt_type(b, sig, false, f)?;
-            if parens {
-                write!(f, ")")?;
-            }
-            Ok(())
         }
     }
 }
 
 impl fmt::Display for TypeDisplay<'_> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        fmt_type(self.ty, self.sig, false, f)
+        self.fmt_type(self.ty, false, f)
     }
 }
 
@@ -124,7 +140,6 @@ impl fmt::Display for TypeDisplay<'_> {
 mod tests {
     use super::*;
     use crate::fixtures::NatList;
-    use crate::types::TyVarId;
 
     #[test]
     fn terms_print_with_minimal_parens() {

@@ -213,9 +213,9 @@ impl Term {
         })
     }
 
-    /// Infers the type of the term, unifying against the expected type if
-    /// provided. Polymorphic symbols are instantiated with fresh
-    /// metavariables from `uni`.
+    /// Infers the type of the term. Polymorphic symbols are instantiated
+    /// with fresh metavariables from `uni`, and each argument is applied
+    /// through [`TyUnifier::apply`]; the result is resolved once, here.
     ///
     /// # Errors
     ///
@@ -227,21 +227,25 @@ impl Term {
         vars: &VarStore,
         uni: &mut TyUnifier,
     ) -> Result<Type, TypeError> {
-        let head_ty = match self.head {
+        let ty = self.infer_unresolved(sig, vars, uni)?;
+        Ok(uni.resolve(&ty))
+    }
+
+    fn infer_unresolved(
+        &self,
+        sig: &Signature,
+        vars: &VarStore,
+        uni: &mut TyUnifier,
+    ) -> Result<Type, TypeError> {
+        let mut cur = match self.head {
             Head::Var(v) => vars.ty(v).clone(),
-            Head::Sym(s) => {
-                let scheme = sig.sym(s).scheme();
-                scheme.instantiate(&mut || uni.fresh())
-            }
+            Head::Sym(s) => sig.sym(s).scheme().instantiate(&mut || uni.fresh()),
         };
-        let mut cur = head_ty;
         for arg in &self.args {
-            let arg_ty = arg.infer_type(sig, vars, uni)?;
-            let res = Type::Var(uni.fresh());
-            uni.unify(&cur, &Type::arrow(arg_ty, res.clone()))?;
-            cur = res;
+            let arg_ty = arg.infer_unresolved(sig, vars, uni)?;
+            cur = uni.apply(cur, arg_ty)?;
         }
-        Ok(uni.resolve(&cur))
+        Ok(cur)
     }
 
     /// The fully-applied constructor view: `Some((k, args))` when the head is

@@ -10,8 +10,10 @@
 use std::collections::BTreeMap;
 use std::error::Error;
 use std::fmt;
+use std::rc::Rc;
 
-use crate::signature::DataId;
+use crate::pretty::TypeDisplay;
+use crate::signature::{DataId, Signature};
 
 /// A type variable, used both for polymorphic schemes and as a unification
 /// metavariable during inference.
@@ -142,15 +144,6 @@ impl Type {
         acc
     }
 
-    /// Whether `v` occurs in the type.
-    pub fn contains(&self, v: TyVarId) -> bool {
-        match self {
-            Type::Var(w) => *w == v,
-            Type::Data(_, args) => args.iter().any(|a| a.contains(v)),
-            Type::Arrow(a, b) => a.contains(v) || b.contains(v),
-        }
-    }
-
     /// Applies a type substitution.
     pub fn subst(&self, map: &BTreeMap<TyVarId, Type>) -> Type {
         match self {
@@ -212,15 +205,14 @@ impl TypeScheme {
         &self.body
     }
 
-    /// Instantiates the scheme with fresh metavariables drawn from `fresh`.
+    /// Instantiates the scheme with fresh metavariables drawn from `fresh`,
+    /// one per quantified variable in order.
     pub fn instantiate(&self, fresh: &mut impl FnMut() -> TyVarId) -> Type {
         if self.num_vars == 0 {
             return self.body.clone();
         }
-        let map: BTreeMap<TyVarId, Type> = (0..self.num_vars)
-            .map(|i| (TyVarId(i), Type::Var(fresh())))
-            .collect();
-        self.body.subst(&map)
+        let args: Vec<Type> = (0..self.num_vars).map(|_| Type::Var(fresh())).collect();
+        subst_bound(&self.body, &args)
     }
 
     /// Instantiates the scheme with the given type arguments.
@@ -236,20 +228,34 @@ impl TypeScheme {
                 got: args.len(),
             });
         }
-        let map: BTreeMap<TyVarId, Type> = args
-            .iter()
-            .enumerate()
-            .map(|(i, a)| (TyVarId(i as u32), a.clone()))
-            .collect();
-        Ok(self.body.subst(&map))
+        Ok(subst_bound(&self.body, args))
+    }
+}
+
+/// Replaces each `TyVarId(i)` with `i < args.len()` by `args[i]`.
+fn subst_bound(ty: &Type, args: &[Type]) -> Type {
+    match ty {
+        Type::Var(v) => args.get(v.0 as usize).cloned().unwrap_or(Type::Var(*v)),
+        Type::Data(d, targs) => {
+            Type::Data(*d, targs.iter().map(|a| subst_bound(a, args)).collect())
+        }
+        Type::Arrow(a, b) => Type::arrow(subst_bound(a, args), subst_bound(b, args)),
     }
 }
 
 /// Errors arising from type-level operations.
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub enum TypeError {
-    /// Two types could not be unified.
-    Mismatch(String, String),
+    /// Two types could not be unified. Both are resolved; variables with
+    /// ids at or above `floor` are the unifier's metavariables.
+    Mismatch {
+        /// The type on the left of the failed step.
+        left: Type,
+        /// The type on the right of the failed step.
+        right: Type,
+        /// The unifier's first metavariable id.
+        floor: u32,
+    },
     /// The occurs check failed: a variable would appear inside its own
     /// solution.
     Occurs(TyVarId),
@@ -264,10 +270,44 @@ pub enum TypeError {
     TooManyArguments,
 }
 
-impl fmt::Display for TypeError {
+impl TypeError {
+    /// Renders the error with datatype names from `sig`. Metavariables are
+    /// named `?a`, `?b`, … by first occurrence, so the text does not depend
+    /// on how many of them the unifier allocated.
+    pub fn display<'a>(&'a self, sig: &'a Signature) -> TypeErrorDisplay<'a> {
+        TypeErrorDisplay {
+            err: self,
+            sig: Some(sig),
+        }
+    }
+}
+
+/// Displays a [`TypeError`], with datatype names when a signature is at
+/// hand ([`TypeError::display`]) and datatype indices (`#0`) otherwise.
+#[derive(Copy, Clone, Debug)]
+pub struct TypeErrorDisplay<'a> {
+    err: &'a TypeError,
+    sig: Option<&'a Signature>,
+}
+
+impl fmt::Display for TypeErrorDisplay<'_> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            TypeError::Mismatch(a, b) => write!(f, "cannot unify `{a}` with `{b}`"),
+        match self.err {
+            TypeError::Mismatch { left, right, floor } => {
+                let mut metas = left.vars();
+                for v in right.vars() {
+                    if !metas.contains(&v) {
+                        metas.push(v);
+                    }
+                }
+                metas.retain(|v| v.0 >= *floor);
+                write!(
+                    f,
+                    "cannot unify `{}` with `{}`",
+                    TypeDisplay::with_metas(left, self.sig, &metas),
+                    TypeDisplay::with_metas(right, self.sig, &metas)
+                )
+            }
             TypeError::Occurs(v) => {
                 write!(
                     f,
@@ -286,7 +326,59 @@ impl fmt::Display for TypeError {
     }
 }
 
+impl fmt::Display for TypeError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        TypeErrorDisplay {
+            err: self,
+            sig: None,
+        }
+        .fmt(f)
+    }
+}
+
 impl Error for TypeError {}
+
+/// What a variable is solved by: another variable, or a type shared with
+/// every chain that reaches it.
+#[derive(Clone, Debug)]
+enum Solution {
+    Var(TyVarId),
+    Type(Rc<Type>),
+}
+
+/// A type reached by following variable solutions: the caller's own type,
+/// a variable the walk ended at, or a solution shared with the unifier.
+/// Either way the head is not a solved variable.
+enum Walked<'a> {
+    Given(&'a Type),
+    Var(Type),
+    Solved(Rc<Type>),
+}
+
+impl std::ops::Deref for Walked<'_> {
+    type Target = Type;
+
+    fn deref(&self) -> &Type {
+        match self {
+            Walked::Given(t) => t,
+            Walked::Var(t) => t,
+            Walked::Solved(t) => t,
+        }
+    }
+}
+
+impl Walked<'_> {
+    /// The solution that binds a variable to this type, sharing it when the
+    /// unifier already holds it.
+    fn into_solution(self) -> Solution {
+        match self {
+            Walked::Given(&Type::Var(v)) | Walked::Var(Type::Var(v)) => Solution::Var(v),
+            Walked::Given(t) => Solution::Type(Rc::new(t.clone())),
+            Walked::Var(t) => Solution::Type(Rc::new(t)),
+            Walked::Solved(t) => Solution::Type(t),
+        }
+    }
+}
 
 /// A first-order unifier for types, used by type inference in the frontend
 /// and by the proof checker when validating equations.
@@ -296,35 +388,103 @@ impl Error for TypeError {}
 /// metavariables. When a rigid variable meets a metavariable, the
 /// metavariable is the one eliminated, so rigid variables survive
 /// unification whenever possible.
+///
+/// Representation: the solution of the metavariable `floor + i` sits in
+/// slot `i` of a vector that [`TyUnifier::fresh`] extends. Solutions of
+/// other variables (rigid ones, and ids this unifier never allocated) are
+/// rare and live in a short list. A solution is kept as it was given,
+/// unresolved, and a solved type is shared behind an `Rc`: following a
+/// chain of solutions copies nothing, [`TyUnifier::unify`] compares the
+/// heads it reaches that way, and the occurs check runs through the
+/// solutions. Only [`TyUnifier::resolve`] builds a substituted type.
 #[derive(Clone, Debug, Default)]
 pub struct TyUnifier {
-    map: BTreeMap<TyVarId, Type>,
+    metas: Vec<Option<Solution>>,
+    others: Vec<(TyVarId, Solution)>,
     floor: u32,
-    next: u32,
 }
 
 impl TyUnifier {
     /// Creates a unifier whose fresh (meta)variables start at `floor`.
     pub fn new(floor: u32) -> TyUnifier {
         TyUnifier {
-            map: BTreeMap::new(),
+            metas: Vec::new(),
+            others: Vec::new(),
             floor,
-            next: floor,
         }
     }
 
     /// Allocates a fresh metavariable.
     pub fn fresh(&mut self) -> TyVarId {
-        let v = TyVarId(self.next);
-        self.next += 1;
+        let v = TyVarId(self.floor + self.metas.len() as u32);
+        // A solution recorded before the id was allocated moves to its slot.
+        let early = self
+            .others
+            .iter()
+            .position(|(w, _)| *w == v)
+            .map(|i| self.others.swap_remove(i).1);
+        self.metas.push(early);
         v
+    }
+
+    fn solution(&self, v: TyVarId) -> Option<&Solution> {
+        match v.0.checked_sub(self.floor) {
+            Some(i) if (i as usize) < self.metas.len() => self.metas[i as usize].as_ref(),
+            _ => self.others.iter().find(|(w, _)| *w == v).map(|(_, s)| s),
+        }
+    }
+
+    fn bind(&mut self, v: TyVarId, s: Solution) {
+        match v.0.checked_sub(self.floor) {
+            Some(i) if (i as usize) < self.metas.len() => self.metas[i as usize] = Some(s),
+            _ => self.others.push((v, s)),
+        }
+    }
+
+    /// Follows `ty` through the solutions of its head variable.
+    fn walk<'a>(&self, ty: &'a Type) -> Walked<'a> {
+        let mut cur = Walked::Given(ty);
+        loop {
+            let Type::Var(v) = *cur else { return cur };
+            match self.solution(v) {
+                Some(Solution::Var(w)) => cur = Walked::Var(Type::Var(*w)),
+                Some(Solution::Type(t)) => cur = Walked::Solved(Rc::clone(t)),
+                None => return cur,
+            }
+        }
+    }
+
+    /// Whether the unsolved variable `v` occurs in `ty` under the current
+    /// solutions.
+    fn occurs(&self, v: TyVarId, ty: &Type) -> bool {
+        match ty {
+            Type::Var(w) => {
+                *w == v
+                    || match self.solution(*w) {
+                        Some(Solution::Var(x)) => self.occurs(v, &Type::Var(*x)),
+                        Some(Solution::Type(t)) => self.occurs(v, t),
+                        None => false,
+                    }
+            }
+            Type::Data(_, args) => args.iter().any(|a| self.occurs(v, a)),
+            Type::Arrow(a, b) => self.occurs(v, a) || self.occurs(v, b),
+        }
+    }
+
+    fn mismatch(&self, left: &Type, right: &Type) -> TypeError {
+        TypeError::Mismatch {
+            left: self.resolve(left),
+            right: self.resolve(right),
+            floor: self.floor,
+        }
     }
 
     /// Resolves a type to its current solved form.
     pub fn resolve(&self, ty: &Type) -> Type {
         match ty {
-            Type::Var(v) => match self.map.get(v) {
-                Some(t) => self.resolve(&t.clone()),
+            Type::Var(v) => match self.solution(*v) {
+                Some(Solution::Var(w)) => self.resolve(&Type::Var(*w)),
+                Some(Solution::Type(t)) => self.resolve(t),
                 None => Type::Var(*v),
             },
             Type::Data(d, args) => Type::Data(*d, args.iter().map(|a| self.resolve(a)).collect()),
@@ -339,36 +499,36 @@ impl TyUnifier {
     /// Returns [`TypeError::Mismatch`] for a constructor clash and
     /// [`TypeError::Occurs`] when the occurs check fails.
     pub fn unify(&mut self, a: &Type, b: &Type) -> Result<(), TypeError> {
-        let a = self.resolve(a);
-        let b = self.resolve(b);
-        match (&a, &b) {
+        let a = self.walk(a);
+        let b = self.walk(b);
+        match (&*a, &*b) {
             (Type::Var(v), Type::Var(w)) if v == w => Ok(()),
-            (Type::Var(v), Type::Var(w)) => {
+            (&Type::Var(v), &Type::Var(w)) => {
                 // Prefer eliminating the metavariable.
                 if v.0 >= self.floor || w.0 < self.floor {
-                    self.map.insert(*v, b);
+                    self.bind(v, Solution::Var(w));
                 } else {
-                    self.map.insert(*w, a);
+                    self.bind(w, Solution::Var(v));
                 }
                 Ok(())
             }
-            (Type::Var(v), _) => {
-                if b.contains(*v) {
-                    return Err(TypeError::Occurs(*v));
+            (&Type::Var(v), _) => {
+                if self.occurs(v, &b) {
+                    return Err(TypeError::Occurs(v));
                 }
-                self.map.insert(*v, b);
+                self.bind(v, b.into_solution());
                 Ok(())
             }
-            (_, Type::Var(w)) => {
-                if a.contains(*w) {
-                    return Err(TypeError::Occurs(*w));
+            (_, &Type::Var(w)) => {
+                if self.occurs(w, &a) {
+                    return Err(TypeError::Occurs(w));
                 }
-                self.map.insert(*w, a);
+                self.bind(w, a.into_solution());
                 Ok(())
             }
             (Type::Data(d1, args1), Type::Data(d2, args2)) => {
                 if d1 != d2 || args1.len() != args2.len() {
-                    return Err(TypeError::Mismatch(format!("{a:?}"), format!("{b:?}")));
+                    return Err(self.mismatch(&a, &b));
                 }
                 for (x, y) in args1.iter().zip(args2) {
                     self.unify(x, y)?;
@@ -379,7 +539,46 @@ impl TyUnifier {
                 self.unify(a1, a2)?;
                 self.unify(b1, b2)
             }
-            _ => Err(TypeError::Mismatch(format!("{a:?}"), format!("{b:?}"))),
+            _ => Err(self.mismatch(&a, &b)),
+        }
+    }
+
+    /// The type of a function of type `fun` applied to an argument of type
+    /// `arg`: the function's domain is unified with `arg` and its codomain
+    /// is returned, unresolved. An unsolved variable in function position
+    /// is solved by `arg → ?r` for a fresh `?r`, which is returned.
+    ///
+    /// # Errors
+    ///
+    /// [`TypeError::Mismatch`] when `fun` is a datatype,
+    /// [`TypeError::Occurs`] when the function's variable occurs in `arg`,
+    /// and the errors of unifying the domain with `arg`.
+    pub fn apply(&mut self, fun: Type, arg: Type) -> Result<Type, TypeError> {
+        if let Type::Arrow(dom, cod) = fun {
+            self.unify(&dom, &arg)?;
+            return Ok(*cod);
+        }
+        let walked = self.walk(&fun);
+        match &*walked {
+            Type::Arrow(dom, cod) => {
+                self.unify(dom, &arg)?;
+                Ok(cod.as_ref().clone())
+            }
+            &Type::Var(v) => {
+                // `?r` joins the occurs check: an id the unifier did not
+                // allocate itself may already be in use.
+                let r = self.fresh();
+                let want = Type::arrow(arg, Type::Var(r));
+                if self.occurs(v, &want) {
+                    return Err(TypeError::Occurs(v));
+                }
+                self.bind(v, Solution::Type(Rc::new(want)));
+                Ok(Type::Var(r))
+            }
+            Type::Data(..) => {
+                let r = self.fresh();
+                Err(self.mismatch(&walked, &Type::arrow(arg, Type::Var(r))))
+            }
         }
     }
 }

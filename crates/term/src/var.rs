@@ -64,13 +64,6 @@ impl VarStore {
         self.fresh(&name, ty)
     }
 
-    /// Allocates a fresh variable named after `base` (e.g. `x` ↦ `x'`),
-    /// used by the `Case` rule when introducing constructor arguments.
-    pub fn fresh_from(&mut self, base: VarId, ty: Type) -> VarId {
-        let name = format!("{}'", self.name(base));
-        self.fresh(&name, ty)
-    }
-
     /// The display name of a variable.
     ///
     /// # Panics
@@ -147,17 +140,6 @@ mod tests {
         assert_eq!(vars.name(y), "y");
         assert_eq!(vars.ty(x), &nat);
         assert_eq!(vars.len(), 2);
-    }
-
-    #[test]
-    fn fresh_from_primes_the_name() {
-        let mut vars = VarStore::new();
-        let nat = Type::data0(DataId::from_index(0));
-        let x = vars.fresh("x", nat.clone());
-        let x1 = vars.fresh_from(x, nat.clone());
-        let x2 = vars.fresh_from(x1, nat.clone());
-        assert_eq!(vars.name(x1), "x'");
-        assert_eq!(vars.name(x2), "x''");
     }
 
     #[test]
