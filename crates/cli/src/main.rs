@@ -17,8 +17,8 @@ use std::time::Duration;
 
 use cycleq::{
     analyze_source, analyze_with_fixes, available_parallelism, check_certificate, unified_diff,
-    BatchReport, BatchScheduler, Diagnostic, Engine, Outcome, ProveEvent, RetryPolicy,
-    SearchConfig, SearchStats, Session, Verdict,
+    BatchReport, BatchScheduler, Diagnostic, Engine, Outcome, ProveEvent, SearchConfig,
+    SearchStats, Session, Verdict,
 };
 
 /// Some goal was not proved, but none was refuted (exhausted / timeout /
@@ -92,12 +92,6 @@ OPTIONS:
     --max-nodes N       Cap proof nodes created during search
     --max-depth N       Cap DFS depth (rule applications per branch)
     --timeout-ms N      Wall-clock budget per goal; 0 means unbounded
-    --retry N           Re-run each goal that times out, exhausts its node
-                        budget, or panics up to N more times, escalating
-                        its budgets per attempt (default 0: one attempt)
-    --retry-escalation F
-                        Budget growth factor per retry (default 2.0):
-                        attempt k runs with limits scaled by F^(k-1)
     --trace-out FILE    Record hierarchical spans (prove_goal > round >
                         expand / normalize / closure_update / check) and
                         write them as Chrome trace-event JSON — loadable
@@ -116,15 +110,6 @@ EXIT STATUS:
         goal was refuted
     2   usage or load error
     3   a goal was refuted (a ground counterexample exists)
-
-ENVIRONMENT:
-    CYCLEQ_FAULTS       Deterministic fault-injection plan, e.g.
-                        `panic@expand/addComm#1,delay:50ms@normalize`
-                        (rules `ACTION@SITE[/SCOPE][#N|#every|%P]`, comma-
-                        separated; actions panic, delay:<N>ms, cancel).
-                        Injected panics are isolated into per-goal
-                        `panicked` verdicts — for testing fault tolerance
-    CYCLEQ_FAULT_SEED   Seed for probabilistic (%P) fault rules
 ";
 
 /// Output format for verdicts and summaries.
@@ -150,10 +135,6 @@ struct Options {
     /// help text promises.
     jobs: Option<usize>,
     config: SearchConfig,
-    /// Retries per goal (`--retry N`): total attempts is `N + 1`.
-    retries: u32,
-    /// Budget growth factor per retry (`--retry-escalation F`).
-    retry_escalation: f64,
 }
 
 /// Parses the command line; `Ok(None)` means help/version was printed and
@@ -172,8 +153,6 @@ fn parse_args(args: &[String]) -> Result<Option<Options>, String> {
         format: Format::Text,
         jobs: None,
         config: SearchConfig::default(),
-        retries: 0,
-        retry_escalation: 2.0,
     };
     let mut positional = Vec::new();
     let mut it = args.iter();
@@ -221,20 +200,6 @@ fn parse_args(args: &[String]) -> Result<Option<Options>, String> {
                     other => return Err(format!("unknown format `{other}` (text|json)")),
                 };
             }
-            "--retry" => {
-                let n = numeric("--retry")?;
-                opts.retries = u32::try_from(n).map_err(|_| "--retry value too large")?;
-            }
-            "--retry-escalation" => {
-                let v = it.next().ok_or("--retry-escalation requires a value")?;
-                let f: f64 = v
-                    .parse()
-                    .map_err(|_| "--retry-escalation requires a number")?;
-                if !f.is_finite() || f < 1.0 {
-                    return Err("--retry-escalation must be a finite factor >= 1.0".to_string());
-                }
-                opts.retry_escalation = f;
-            }
             "--max-nodes" => opts.config.max_nodes = numeric("--max-nodes")?,
             "--max-depth" => opts.config.max_depth = numeric("--max-depth")?,
             "--timeout-ms" => {
@@ -273,6 +238,20 @@ fn json_escape(s: &str) -> String {
     out
 }
 
+/// The verdict word of the text output (`goal NAME: WORD`).
+fn status_word(outcome: &Outcome) -> &'static str {
+    match outcome {
+        Outcome::Proved { .. } => "Proved",
+        Outcome::Refuted => "Refuted",
+        Outcome::Panicked { .. } => "Panicked",
+        Outcome::Exhausted
+        | Outcome::Timeout
+        | Outcome::NodeBudget
+        | Outcome::Cancelled
+        | Outcome::HintFailed { .. } => "GaveUp",
+    }
+}
+
 /// The granular verdict word for `--format json`.
 fn verdict_word(outcome: &Outcome) -> &'static str {
     match outcome {
@@ -300,18 +279,16 @@ fn json_stats(s: &SearchStats) -> String {
     format!("{{{}}}", fields.join(","))
 }
 
-/// One NDJSON object per goal: verdict, attempts, stats, recheck counters,
-/// elapsed. The `recheck_*` keys are always present; they are zero when
-/// re-checking did not run (unproved goals, or rechecking disabled).
+/// One NDJSON object per goal: verdict, stats, recheck counters, elapsed.
+/// The `recheck_*` keys are always present; they are zero when re-checking
+/// did not run (unproved goals, or rechecking disabled).
 fn print_goal_json(verdict: &Verdict, time: Duration) {
     let recheck = verdict.recheck.unwrap_or_default();
     println!(
-        "{{\"type\":\"goal\",\"goal\":\"{}\",\"verdict\":\"{}\",\"attempts\":{},\
-         \"time_ms\":{:.3},\
+        "{{\"type\":\"goal\",\"goal\":\"{}\",\"verdict\":\"{}\",\"time_ms\":{:.3},\
          \"recheck_ms\":{:.3},\"recheck_reducts\":{},\"recheck_memo_hits\":{},\"stats\":{}}}",
         json_escape(&verdict.goal),
         verdict_word(&verdict.result.outcome),
-        verdict.attempts,
         time.as_secs_f64() * 1000.0,
         recheck.elapsed.as_secs_f64() * 1000.0,
         recheck.reducts_checked,
@@ -335,15 +312,7 @@ fn print_batch_json(report: &BatchReport) {
 }
 
 fn print_verdict(opts: &Options, verdict: &Verdict) {
-    let status = if verdict.is_proved() {
-        "Proved"
-    } else if verdict.is_refuted() {
-        "Refuted"
-    } else if matches!(verdict.result.outcome, Outcome::Panicked { .. }) {
-        "Panicked"
-    } else {
-        "GaveUp"
-    };
+    let status = status_word(&verdict.result.outcome);
     // In DOT mode only graphs go to stdout, so the output pipes straight
     // into `dot`; verdict and stats lines move to stderr.
     let annotate = |line: &str| {
@@ -413,10 +382,7 @@ fn run(opts: &Options) -> Result<Tally, String> {
         .map_err(|e| format!("cannot read `{}`: {e}", opts.file))?;
     let mut builder = Engine::builder()
         .config(opts.config.clone())
-        .jobs(opts.jobs.unwrap_or(1))
-        .retry(
-            RetryPolicy::new(opts.retries.saturating_add(1)).with_escalation(opts.retry_escalation),
-        );
+        .jobs(opts.jobs.unwrap_or(1));
     if opts.jobs.is_some() {
         // Live per-goal progress to stderr, streamed in completion order
         // while stdout keeps the declaration-ordered verdicts.
@@ -482,7 +448,7 @@ fn run(opts: &Options) -> Result<Tally, String> {
                 tally.refuted = true;
             } else if !verdict.is_proved() {
                 // Exhausted, Timeout, NodeBudget, Cancelled, HintFailed
-                // or Panicked (isolated by the fault boundary).
+                // or Panicked (isolated by the panic boundary).
                 tally.gave_up = true;
             }
             print_verdict(opts, &verdict);
@@ -915,18 +881,6 @@ fn run_check(args: &[String]) -> ExitCode {
 }
 
 fn main() -> ExitCode {
-    // Deterministic fault injection, for testing fault tolerance: a plan in
-    // `CYCLEQ_FAULTS` arms panic/delay/cancel rules at the span sites before
-    // any work starts. Absent the variable this is a no-op and every span
-    // site stays on its fast path.
-    match cycleq::trace::FaultPlan::from_env() {
-        Ok(Some(plan)) => cycleq::trace::install_fault_plan(plan),
-        Ok(None) => {}
-        Err(msg) => {
-            eprintln!("error: invalid CYCLEQ_FAULTS: {msg}\n\n{USAGE}");
-            return ExitCode::from(EXIT_USAGE);
-        }
-    }
     let args: Vec<String> = std::env::args().skip(1).collect();
     if args.first().map(String::as_str) == Some("check") {
         return run_check(&args[1..]);
@@ -955,5 +909,21 @@ fn main() -> ExitCode {
             eprintln!("error: {msg}");
             ExitCode::from(EXIT_USAGE)
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn panicked_outcomes_have_their_own_words() {
+        let panicked = Outcome::Panicked {
+            message: "boom".to_string(),
+        };
+        assert_eq!(status_word(&panicked), "Panicked");
+        assert_eq!(verdict_word(&panicked), "panicked");
+        assert_eq!(status_word(&Outcome::Timeout), "GaveUp");
+        assert_eq!(status_word(&Outcome::Refuted), "Refuted");
     }
 }

@@ -1053,79 +1053,6 @@ fn prove_alias_and_trace_out_write_perfetto_loadable_json() {
     std::fs::remove_file(&prom).ok();
 }
 
-fn run_with_env(args: &[&str], env: &[(&str, &str)]) -> Output {
-    let mut cmd = Command::new(env!("CARGO_BIN_EXE_cycleq"));
-    cmd.args(args);
-    for (k, v) in env {
-        cmd.env(k, v);
-    }
-    cmd.output().expect("binary runs")
-}
-
-#[test]
-fn injected_panic_is_isolated_into_a_per_goal_verdict() {
-    // A fault plan panics the first `expand` under addComm; the other two
-    // goals must keep their verdicts and the batch must complete with the
-    // gave-up exit code, not a crash.
-    let file = quickstart();
-    let out = run_with_env(
-        &["--no-proof", "--jobs", "2", file.to_str().unwrap()],
-        &[("CYCLEQ_FAULTS", "panic@expand/addComm#1")],
-    );
-    assert_eq!(
-        out.status.code(),
-        Some(1),
-        "stderr: {}",
-        String::from_utf8_lossy(&out.stderr)
-    );
-    let stdout = String::from_utf8(out.stdout).unwrap();
-    assert!(stdout.contains("goal addComm: Panicked"), "{stdout}");
-    assert!(stdout.contains("goal addZeroRight: Proved"), "{stdout}");
-    assert!(stdout.contains("goal addSuccRight: Proved"), "{stdout}");
-    assert!(
-        stdout.contains("batch: proved 2/3 | jobs=2 | panicked=1"),
-        "{stdout}"
-    );
-}
-
-#[test]
-fn retry_recovers_an_injected_panic_on_the_second_attempt() {
-    // With `--retry 1` the panicked first attempt is re-run; the fault
-    // rule's `#1` occurrence is spent, so the retry proves the goal and the
-    // NDJSON records two attempts.
-    let file = quickstart();
-    let out = run_with_env(
-        &["--format", "json", "--retry", "1", file.to_str().unwrap()],
-        &[("CYCLEQ_FAULTS", "panic@expand/addComm#1")],
-    );
-    assert_eq!(
-        out.status.code(),
-        Some(0),
-        "stderr: {}",
-        String::from_utf8_lossy(&out.stderr)
-    );
-    let stdout = String::from_utf8(out.stdout).unwrap();
-    let comm = stdout
-        .lines()
-        .find(|l| l.contains("\"goal\":\"addComm\""))
-        .unwrap_or_else(|| panic!("no addComm object in:\n{stdout}"));
-    assert_eq!(json_value(comm, "verdict"), Some("proved"), "{comm}");
-    assert_eq!(json_value(comm, "attempts"), Some("2"), "{comm}");
-    let batch = stdout.lines().last().unwrap();
-    assert_eq!(json_value(batch, "panicked"), Some("0"), "{batch}");
-}
-
-#[test]
-fn malformed_fault_plan_is_a_usage_error() {
-    let file = quickstart();
-    let out = run_with_env(
-        &[file.to_str().unwrap()],
-        &[("CYCLEQ_FAULTS", "detonate@expand")],
-    );
-    assert_eq!(out.status.code(), Some(2));
-    assert!(String::from_utf8_lossy(&out.stderr).contains("CYCLEQ_FAULTS"));
-}
-
 #[test]
 fn batch_mode_streams_progress_lines_to_stderr() {
     let file = quickstart();

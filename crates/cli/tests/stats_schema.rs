@@ -147,7 +147,6 @@ fn prometheus_families_cover_the_schema_and_match_summed_goal_stats() {
         "cycleq_batch_queue_depth",
         "cycleq_batch_task_panics_total",
         "cycleq_goal_panics_total",
-        "cycleq_goal_retries_total",
         "cycleq_lock_poison_recoveries_total",
         "cycleq_phase_seconds",
     ];

@@ -2,14 +2,14 @@
 //! per-program [`Session`](crate::Session) handles.
 //!
 //! An [`Engine`] owns everything that is *program-independent*: the search
-//! configuration, the worker count, the re-checking and retry policies, and
-//! an optional [`EventSink`] that streams [`ProveEvent`]s out of running
-//! batches. Loading a program through [`Engine::load`] yields a
+//! configuration, the worker count, the re-checking policy, and an optional
+//! [`EventSink`] that streams [`ProveEvent`]s out of running batches.
+//! Loading a program through [`Engine::load`] yields a
 //! [`Session`](crate::Session) — a cheap handle pairing the engine's
 //! settings with one parsed program. One engine can serve many programs;
 //! clones of an engine (and of its sessions) share settings by reference.
 //!
-//! Three cross-cutting mechanisms ride on the engine:
+//! Four cross-cutting mechanisms ride on the engine:
 //!
 //! - **Budgets and cancellation** ([`Budget`], [`CancelToken`]): every
 //!   prove call accepts an external resource ceiling and a shareable
@@ -23,6 +23,10 @@
 //! - **Cost-ordered scheduling**: batch goals are seeded heaviest-first
 //!   (predicted by goal size, or by recorded times from a previous report
 //!   via [`Session::with_cost_hints`](crate::Session::with_cost_hints)).
+//! - **Panic isolation**: a panic while proving one goal (a prover bug, or
+//!   an event sink that panics) becomes that goal's
+//!   [`Outcome::Panicked`](cycleq_search::Outcome::Panicked) verdict; the
+//!   rest of the batch runs on unchanged.
 //!
 //! ```
 //! use cycleq::{Engine, ProveEvent};
@@ -56,7 +60,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use cycleq_batch::available_parallelism;
-use cycleq_search::{Budget, CancelToken, RetryPolicy, SearchConfig};
+use cycleq_search::{Budget, CancelToken, SearchConfig};
 
 use crate::{Error, Session, Verdict};
 
@@ -72,7 +76,7 @@ pub enum GoalStatus {
     GaveUp,
     /// The search was cancelled through its [`CancelToken`].
     Cancelled,
-    /// The search panicked; the engine's fault boundary isolated it into a
+    /// The search panicked; the engine's panic boundary isolated it into a
     /// per-goal failure (see [`Outcome::Panicked`](cycleq_search::Outcome)).
     Panicked,
     /// A per-goal error (e.g. a proof that failed re-checking).
@@ -200,7 +204,6 @@ pub(crate) struct Settings {
     pub(crate) jobs: usize,
     pub(crate) recheck: bool,
     pub(crate) sink: Option<Arc<dyn EventSink>>,
-    pub(crate) retry: RetryPolicy,
 }
 
 impl fmt::Debug for Settings {
@@ -210,7 +213,6 @@ impl fmt::Debug for Settings {
             .field("jobs", &self.jobs)
             .field("recheck", &self.recheck)
             .field("sink", &self.sink.is_some())
-            .field("retry", &self.retry)
             .finish()
     }
 }
@@ -222,7 +224,6 @@ impl Default for Settings {
             jobs: 1,
             recheck: true,
             sink: None,
-            retry: RetryPolicy::none(),
         }
     }
 }
@@ -255,7 +256,7 @@ pub struct EngineBuilder {
 
 impl EngineBuilder {
     /// A builder with the default settings: default [`SearchConfig`], one
-    /// worker, re-checking on, no retries, no event sink.
+    /// worker, re-checking on, no event sink.
     pub fn new() -> EngineBuilder {
         EngineBuilder::default()
     }
@@ -282,24 +283,6 @@ impl EngineBuilder {
     /// search time).
     pub fn recheck(mut self, recheck: bool) -> EngineBuilder {
         self.settings.recheck = recheck;
-        self
-    }
-
-    /// Sets the retry policy applied to every goal this engine's sessions
-    /// prove: resource failures (timeout, node budget, isolated panic) are
-    /// re-run with budgets escalated by the policy's factor, up to its
-    /// attempt cap. Off by default ([`RetryPolicy::none`]).
-    ///
-    /// ```
-    /// use cycleq::{Engine, RetryPolicy};
-    ///
-    /// let engine = Engine::builder()
-    ///     .retry(RetryPolicy::new(3).with_escalation(4.0))
-    ///     .build();
-    /// # let _ = engine;
-    /// ```
-    pub fn retry(mut self, retry: RetryPolicy) -> EngineBuilder {
-        self.settings.retry = retry;
         self
     }
 

@@ -119,7 +119,7 @@ pub use cycleq_proof::{
 };
 pub use cycleq_rewrite::{CancelToken, Program};
 pub use cycleq_search::{
-    Budget, LemmaPolicy, Outcome, ProofResult, Prover, RetryPolicy, SearchConfig, SearchStats,
+    Budget, LemmaPolicy, Outcome, ProofResult, Prover, SearchConfig, SearchStats,
 };
 pub use cycleq_term::{Equation, Signature, Term, Type, VarStore};
 
@@ -175,10 +175,6 @@ pub struct Verdict {
     /// (the default) and the goal was proved. Carries the recheck's
     /// wall-clock time and reduct/memo counters.
     pub recheck: Option<CheckReport>,
-    /// Search attempts this verdict took (1 unless the engine's
-    /// [`RetryPolicy`] re-ran a timeout, node-budget, or panicked attempt
-    /// with escalated budgets). The stats describe the final attempt only.
-    pub attempts: u32,
     /// Signature snapshot for rendering.
     sig: Signature,
 }
@@ -398,16 +394,14 @@ impl Session {
         self.with_profile(|| self.prove_goal(goal, hints, budget, Some(cancel), None))
     }
 
-    /// The one prove path every public entry point funnels through: the
-    /// fault boundary around [`Session::prove_goal_attempt`]. Each attempt
-    /// runs under `catch_unwind`, so a panicking search (a prover bug, or a
-    /// deterministic fault injected via `CYCLEQ_FAULTS`) becomes a
-    /// structured [`Outcome::Panicked`] verdict instead of tearing down the
-    /// caller; the engine's [`RetryPolicy`] then re-runs resource failures
-    /// (timeout, node budget, panic) with budgets escalated per attempt.
+    /// The one prove path every public entry point funnels through. The
+    /// search runs under `catch_unwind`, so a panic inside it (a prover bug,
+    /// or an event sink the search calls) becomes a structured
+    /// [`Outcome::Panicked`] verdict for this goal instead of tearing down
+    /// the caller.
     ///
-    /// Metrics are recorded here — once per goal, on its **final** outcome —
-    /// so retried attempts are never double-counted.
+    /// Metrics are recorded here, so each goal counts exactly once whatever
+    /// its entry point or worker.
     fn prove_goal(
         &self,
         goal: &str,
@@ -416,81 +410,28 @@ impl Session {
         cancel: Option<&CancelToken>,
         observer: Option<cycleq_search::RoundObserver>,
     ) -> Result<Verdict, Error> {
-        let policy = &self.settings.retry;
-        // When a fault plan is installed, scope this thread to the goal's
-        // name so `panic@site/goal` rules target it, and give `cancel@site`
-        // rules a token to trip. An owned token backs the hook when the
-        // caller did not pass one.
-        let owned_cancel;
-        let (cancel, _scope) = if cycleq_trace::faults_active() {
-            owned_cancel = match cancel {
-                Some(token) => token.clone(),
-                None => CancelToken::new(),
-            };
-            let hook = {
-                let token = owned_cancel.clone();
-                Arc::new(move || token.cancel()) as Arc<dyn Fn() + Send + Sync>
-            };
-            (
-                Some(&owned_cancel),
-                Some(cycleq_trace::fault_scope_with_cancel(goal, hook)),
-            )
-        } else {
-            (cancel, None)
-        };
-        let mut attempt = 1u32;
-        loop {
-            let attempt_budget = policy.escalate_budget(budget, attempt);
-            let attempt_config = policy.escalate_config(&self.settings.config, attempt);
-            let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                self.prove_goal_attempt(
-                    goal,
-                    hints,
-                    &attempt_budget,
-                    &attempt_config,
-                    cancel,
-                    observer.clone(),
-                )
-            }))
-            .unwrap_or_else(|payload| {
-                metrics::record_goal_panic();
-                let message = cycleq_batch::panic_message(payload.as_ref());
-                Ok(self.panicked_verdict(goal, message, attempt))
-            });
-            let retryable = match &outcome {
-                Ok(v) => policy.should_retry(&v.result.outcome, attempt),
-                Err(_) => false,
-            };
-            if retryable {
-                metrics::record_goal_retry();
-                if let Some(backoff) = policy.backoff {
-                    std::thread::sleep(backoff);
-                }
-                attempt += 1;
-                continue;
-            }
-            // Absorb the goal into the process-wide registry here — the one
-            // funnel every prove path passes through — so each goal counts
-            // exactly once regardless of entry point, worker, or retry
-            // count.
-            let status = GoalStatus::of(&outcome);
-            return match outcome {
-                Ok(mut v) => {
-                    v.attempts = attempt;
-                    metrics::record_goal(status, &v.result.stats, v.recheck.as_ref());
-                    Ok(v)
-                }
-                Err(e) => {
-                    metrics::record_goal_error();
-                    Err(e)
-                }
-            };
+        let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            self.prove_goal_attempt(goal, hints, budget, cancel, observer)
+        }))
+        .unwrap_or_else(|payload| {
+            metrics::record_goal_panic();
+            let message = cycleq_batch::panic_message(payload.as_ref());
+            Ok(self.panicked_verdict(goal, message))
+        });
+        match &outcome {
+            Ok(v) => metrics::record_goal(
+                GoalStatus::of(&outcome),
+                &v.result.stats,
+                v.recheck.as_ref(),
+            ),
+            Err(_) => metrics::record_goal_error(),
         }
+        outcome
     }
 
-    /// A synthetic verdict for a goal whose search attempt panicked: the
-    /// structured failure the fault boundary substitutes for the unwind.
-    fn panicked_verdict(&self, goal: &str, message: String, attempts: u32) -> Verdict {
+    /// A synthetic verdict for a goal whose search panicked: the structured
+    /// failure a panic boundary substitutes for the unwind.
+    fn panicked_verdict(&self, goal: &str, message: String) -> Verdict {
         Verdict {
             goal: goal.to_string(),
             result: ProofResult {
@@ -499,20 +440,17 @@ impl Session {
                 stats: SearchStats::default(),
             },
             recheck: None,
-            attempts,
             sig: self.module.program.sig.clone(),
         }
     }
 
-    /// One search attempt, on explicit limits (the retry wrapper escalates
-    /// them per attempt). Records no metrics: the wrapper does, once, on the
-    /// goal's final outcome.
+    /// One search of `goal`, plus the re-check of its proof. Records no
+    /// metrics: [`Session::prove_goal`] does.
     fn prove_goal_attempt(
         &self,
         goal: &str,
         hints: &[&str],
         budget: &Budget,
-        config: &SearchConfig,
         cancel: Option<&CancelToken>,
         observer: Option<cycleq_search::RoundObserver>,
     ) -> Result<Verdict, Error> {
@@ -529,7 +467,7 @@ impl Session {
                 .ok_or_else(|| Error::UnknownGoal(h.to_string()))?;
             hint_eqs.push(hd.rename_into(&mut vars));
         }
-        let mut prover = Prover::with_config(&self.module.program, config.clone());
+        let mut prover = Prover::with_config(&self.module.program, self.settings.config.clone());
         if let Some(observer) = observer {
             prover = prover.with_round_observer(observer);
         }
@@ -552,7 +490,6 @@ impl Session {
             goal: goal.to_string(),
             result,
             recheck,
-            attempts: 1,
             sig: self.module.program.sig.clone(),
         })
     }
@@ -710,11 +647,9 @@ impl Session {
                     });
                     let outcome =
                         self.prove_goal(name, hints, &goal_budget, Some(cancel), observer);
-                    let attempts = outcome.as_ref().map_or(1, |v| v.attempts);
                     let report = GoalReport {
                         goal: name.to_string(),
                         outcome,
-                        attempts,
                         time: goal_start.elapsed(),
                     };
                     if let Some(sink) = &sink {
@@ -729,11 +664,11 @@ impl Session {
                 }
             })
             .collect();
-        // The catching variant is a second fault boundary: `prove_goal`
+        // The catching variant is the outer panic boundary: `prove_goal`
         // already isolates panics inside the search, so a `TaskPanic` here
-        // means the panic escaped that inner boundary (e.g. inside an event
-        // sink). It still becomes a structured per-goal report rather than
-        // tearing down the batch.
+        // means the panic escaped that inner boundary (e.g. an event sink
+        // panicking on `GoalStarted`). It still becomes a structured
+        // per-goal report rather than tearing down the batch.
         let reports: Vec<GoalReport> = scheduler
             .run_with_costs_catching(tasks, &costs)
             .into_iter()
@@ -741,12 +676,11 @@ impl Session {
             .map(|(result, &name)| {
                 result.unwrap_or_else(|panic| {
                     metrics::record_goal_panic();
-                    let verdict = self.panicked_verdict(name, panic.message, 1);
+                    let verdict = self.panicked_verdict(name, panic.message);
                     metrics::record_goal(GoalStatus::Panicked, &verdict.result.stats, None);
                     GoalReport {
                         goal: name.to_string(),
                         outcome: Ok(verdict),
-                        attempts: 1,
                         time: Duration::ZERO,
                     }
                 })
@@ -820,9 +754,6 @@ pub struct GoalReport {
     /// The verdict, or the per-goal error (e.g. a proof that failed
     /// re-checking).
     pub outcome: Result<Verdict, Error>,
-    /// Search attempts this goal took (1 unless the engine's
-    /// [`RetryPolicy`] re-ran a resource failure with escalated budgets).
-    pub attempts: u32,
     /// Wall-clock time this goal occupied its worker (parse excluded,
     /// search and re-check included).
     pub time: Duration,
@@ -844,8 +775,8 @@ impl GoalReport {
         self.verdict().is_some_and(Verdict::is_refuted)
     }
 
-    /// Whether the goal's search panicked (final attempt included) and was
-    /// isolated by the fault boundary.
+    /// Whether the goal's search panicked and was isolated by a panic
+    /// boundary.
     pub fn is_panicked(&self) -> bool {
         self.verdict()
             .is_some_and(|v| matches!(v.result.outcome, Outcome::Panicked { .. }))
@@ -934,7 +865,7 @@ impl BatchReport {
         self.goals.iter().any(|g| !g.is_proved() && !g.is_refuted())
     }
 
-    /// Number of goals whose search panicked and was isolated by the fault
+    /// Number of goals whose search panicked and was isolated by a panic
     /// boundary (their reports carry [`Outcome::Panicked`] verdicts).
     pub fn panicked(&self) -> usize {
         self.goals.iter().filter(|g| g.is_panicked()).count()

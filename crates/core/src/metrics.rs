@@ -26,7 +26,6 @@ pub(crate) struct GoalMetrics {
     check_reducts: Counter,
     check_memo_hits: Counter,
     goal_panics: Counter,
-    goal_retries: Counter,
 }
 
 impl std::fmt::Debug for GoalMetrics {
@@ -109,11 +108,7 @@ pub(crate) fn goal_metrics() -> &'static GoalMetrics {
             ),
             goal_panics: registry.counter(
                 "cycleq_goal_panics_total",
-                "Goal search attempts that panicked and were isolated by the fault boundary.",
-            ),
-            goal_retries: registry.counter(
-                "cycleq_goal_retries_total",
-                "Goal attempts re-run by the retry policy with escalated budgets.",
+                "Goal searches that panicked and were isolated by a panic boundary.",
             ),
         }
     })
@@ -147,16 +142,11 @@ pub(crate) fn record_goal_error() {
     }
 }
 
-/// Records one goal search attempt that panicked and was isolated by the
-/// fault boundary (`catch_unwind` in `Session::prove_goal` or the batch
+/// Records one goal search that panicked and was isolated by a panic
+/// boundary (`catch_unwind` in `Session::prove_goal` or the batch
 /// scheduler's catching runner).
 pub(crate) fn record_goal_panic() {
     goal_metrics().goal_panics.inc();
-}
-
-/// Records one attempt re-run by the retry policy.
-pub(crate) fn record_goal_retry() {
-    goal_metrics().goal_retries.inc();
 }
 
 /// Records one checker run (re-check or certificate validation).

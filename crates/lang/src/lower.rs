@@ -636,6 +636,15 @@ goal g: len x === x
             err.to_string(),
             "line 6: type error: cannot unify `Nat` with `List ?a`"
         );
+        // So are the metavariables of a failed occurs check.
+        let occurs = "data Nat = Z | S Nat
+goal g: x x === x
+";
+        let err = lower(&parse(occurs).unwrap()).unwrap_err();
+        assert_eq!(
+            err.to_string(),
+            "line 2: type error: cannot construct the infinite type `?a` = `?a -> ?b`"
+        );
     }
 
     #[test]

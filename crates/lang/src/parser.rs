@@ -55,6 +55,37 @@ impl Parser {
         }
     }
 
+    /// Consumes an uppercase name; any other token is reported, unconsumed.
+    fn upper_name(&mut self, expected: &str) -> Result<String, LangError> {
+        if !matches!(self.peek(), Some(Token::Upper(_))) {
+            return Err(self.err(expected));
+        }
+        let Some(Spanned {
+            token: Token::Upper(n),
+            ..
+        }) = self.next()
+        else {
+            unreachable!()
+        };
+        Ok(n)
+    }
+
+    /// Consumes a lowercase name and returns it with its line; any other
+    /// token is reported, unconsumed.
+    fn lower_name(&mut self, expected: &str) -> Result<(String, u32), LangError> {
+        if !matches!(self.peek(), Some(Token::Lower(_))) {
+            return Err(self.err(expected));
+        }
+        let Some(Spanned {
+            token: Token::Lower(n),
+            line,
+        }) = self.next()
+        else {
+            unreachable!()
+        };
+        Ok((n, line))
+    }
+
     fn eat_seps(&mut self) {
         while self.peek() == Some(&Token::Sep) {
             self.pos += 1;
@@ -166,34 +197,15 @@ impl Parser {
 
     fn parse_data(&mut self) -> Result<Decl, LangError> {
         let line = self.expect(&Token::Data, "`data`")?;
-        let name = match self.next() {
-            Some(Spanned {
-                token: Token::Upper(n),
-                ..
-            }) => n,
-            _ => return Err(self.err("a datatype name")),
-        };
+        let name = self.upper_name("a datatype name")?;
         let mut params = Vec::new();
         while let Some(Token::Lower(_)) = self.peek() {
-            let Some(Spanned {
-                token: Token::Lower(p),
-                ..
-            }) = self.next()
-            else {
-                unreachable!()
-            };
-            params.push(p);
+            params.push(self.lower_name("a type parameter")?.0);
         }
         self.expect(&Token::Equals, "`=`")?;
         let mut cons = Vec::new();
         loop {
-            let cname = match self.next() {
-                Some(Spanned {
-                    token: Token::Upper(n),
-                    ..
-                }) => n,
-                _ => return Err(self.err("a constructor name")),
-            };
+            let cname = self.upper_name("a constructor name")?;
             let mut args = Vec::new();
             while matches!(
                 self.peek(),
@@ -218,13 +230,7 @@ impl Parser {
 
     fn parse_goal(&mut self) -> Result<Decl, LangError> {
         let line = self.expect(&Token::Goal, "`goal`")?;
-        let name = match self.next() {
-            Some(Spanned {
-                token: Token::Lower(n),
-                ..
-            }) => n,
-            _ => return Err(self.err("a goal name")),
-        };
+        let (name, _) = self.lower_name("a goal name")?;
         self.expect(&Token::Colon, "`:`")?;
         let lhs = self.parse_term()?;
         self.expect(&Token::EqEqEq, "`===`")?;
@@ -238,13 +244,7 @@ impl Parser {
     }
 
     fn parse_sig_or_clause(&mut self) -> Result<Decl, LangError> {
-        let (name, line) = match self.next() {
-            Some(Spanned {
-                token: Token::Lower(n),
-                line,
-            }) => (n, line),
-            _ => return Err(self.err("a function name")),
-        };
+        let (name, line) = self.lower_name("a function name")?;
         if self.peek() == Some(&Token::ColonColon) {
             self.next();
             let ty = self.parse_type()?;
@@ -353,6 +353,26 @@ mod tests {
     fn reports_error_lines() {
         let err = parse("data Nat = Z\n???\n").unwrap_err();
         assert_eq!(err.line, 2);
+    }
+
+    #[test]
+    fn errors_name_the_rejected_token() {
+        for (src, message) in [
+            (
+                "data Nat = Z\ngoal Foo: Z === Z\n",
+                "line 2: unexpected `Foo`, expected a goal name",
+            ),
+            (
+                "data nat = Z | S nat\n",
+                "line 1: unexpected `nat`, expected a datatype name",
+            ),
+            (
+                "data Nat = Z | s Nat\n",
+                "line 1: unexpected `s`, expected a constructor name",
+            ),
+        ] {
+            assert_eq!(parse(src).unwrap_err().to_string(), message, "{src}");
+        }
     }
 
     #[test]

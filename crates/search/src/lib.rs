@@ -37,11 +37,9 @@ mod budget;
 mod config;
 mod induction;
 mod prover;
-mod retry;
 
 pub use budget::Budget;
 pub use config::{LemmaPolicy, SearchConfig, SearchStats};
 pub use cycleq_rewrite::CancelToken;
 pub use induction::{structural_induction, InductionError};
 pub use prover::{Outcome, ProofResult, Prover, RoundObserver};
-pub use retry::RetryPolicy;

@@ -69,7 +69,7 @@ pub enum Outcome {
         /// Index of the failing hint.
         index: usize,
     },
-    /// The search panicked and was isolated by the engine's fault boundary
+    /// The search panicked and was isolated by the engine's panic boundary
     /// (the search itself never constructs this variant).
     Panicked {
         /// The panic payload, when it was a string.

@@ -256,9 +256,17 @@ pub enum TypeError {
         /// The unifier's first metavariable id.
         floor: u32,
     },
-    /// The occurs check failed: a variable would appear inside its own
-    /// solution.
-    Occurs(TyVarId),
+    /// The occurs check failed: `var` would appear inside its own solution
+    /// `ty`, which is resolved. Variables with ids at or above `floor` are
+    /// the unifier's metavariables.
+    Occurs {
+        /// The variable the unifier tried to solve.
+        var: TyVarId,
+        /// The type that contains it.
+        ty: Type,
+        /// The unifier's first metavariable id.
+        floor: u32,
+    },
     /// A type scheme was instantiated with the wrong number of arguments.
     SchemeArity {
         /// Number of quantified variables.
@@ -294,13 +302,7 @@ impl fmt::Display for TypeErrorDisplay<'_> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self.err {
             TypeError::Mismatch { left, right, floor } => {
-                let mut metas = left.vars();
-                for v in right.vars() {
-                    if !metas.contains(&v) {
-                        metas.push(v);
-                    }
-                }
-                metas.retain(|v| v.0 >= *floor);
+                let metas = metas_of(left, right, *floor);
                 write!(
                     f,
                     "cannot unify `{}` with `{}`",
@@ -308,11 +310,14 @@ impl fmt::Display for TypeErrorDisplay<'_> {
                     TypeDisplay::with_metas(right, self.sig, &metas)
                 )
             }
-            TypeError::Occurs(v) => {
+            TypeError::Occurs { var, ty, floor } => {
+                let var = Type::Var(*var);
+                let metas = metas_of(&var, ty, *floor);
                 write!(
                     f,
-                    "occurs check failed for type variable {}",
-                    v.display_name()
+                    "cannot construct the infinite type `{}` = `{}`",
+                    TypeDisplay::with_metas(&var, self.sig, &metas),
+                    TypeDisplay::with_metas(ty, self.sig, &metas)
                 )
             }
             TypeError::SchemeArity { expected, got } => write!(
@@ -324,6 +329,19 @@ impl fmt::Display for TypeErrorDisplay<'_> {
             }
         }
     }
+}
+
+/// The metavariables (ids at or above `floor`) of `left` and then `right`,
+/// by first occurrence.
+fn metas_of(left: &Type, right: &Type, floor: u32) -> Vec<TyVarId> {
+    let mut metas = left.vars();
+    for v in right.vars() {
+        if !metas.contains(&v) {
+            metas.push(v);
+        }
+    }
+    metas.retain(|v| v.0 >= floor);
+    metas
 }
 
 impl fmt::Display for TypeError {
@@ -471,6 +489,14 @@ impl TyUnifier {
         }
     }
 
+    fn occurs_error(&self, var: TyVarId, ty: &Type) -> TypeError {
+        TypeError::Occurs {
+            var,
+            ty: self.resolve(ty),
+            floor: self.floor,
+        }
+    }
+
     fn mismatch(&self, left: &Type, right: &Type) -> TypeError {
         TypeError::Mismatch {
             left: self.resolve(left),
@@ -514,14 +540,14 @@ impl TyUnifier {
             }
             (&Type::Var(v), _) => {
                 if self.occurs(v, &b) {
-                    return Err(TypeError::Occurs(v));
+                    return Err(self.occurs_error(v, &b));
                 }
                 self.bind(v, b.into_solution());
                 Ok(())
             }
             (_, &Type::Var(w)) => {
                 if self.occurs(w, &a) {
-                    return Err(TypeError::Occurs(w));
+                    return Err(self.occurs_error(w, &a));
                 }
                 self.bind(w, a.into_solution());
                 Ok(())
@@ -570,7 +596,7 @@ impl TyUnifier {
                 let r = self.fresh();
                 let want = Type::arrow(arg, Type::Var(r));
                 if self.occurs(v, &want) {
-                    return Err(TypeError::Occurs(v));
+                    return Err(self.occurs_error(v, &want));
                 }
                 self.bind(v, Solution::Type(Rc::new(want)));
                 Ok(Type::Var(r))
@@ -656,7 +682,14 @@ mod tests {
         let mut u = TyUnifier::new(10);
         let a = Type::Var(TyVarId(0));
         let arrow = Type::arrow(a.clone(), Type::data0(d(0)));
-        assert_eq!(u.unify(&a, &arrow), Err(TypeError::Occurs(TyVarId(0))));
+        assert_eq!(
+            u.unify(&a, &arrow),
+            Err(TypeError::Occurs {
+                var: TyVarId(0),
+                ty: arrow,
+                floor: 10,
+            })
+        );
     }
 
     #[test]

@@ -54,7 +54,7 @@ fn ty() -> impl Strategy<Value = Type> {
 fn kind(e: TypeError) -> Failure {
     match e {
         TypeError::Mismatch { .. } => Failure::Mismatch,
-        TypeError::Occurs(_) => Failure::Occurs,
+        TypeError::Occurs { .. } => Failure::Occurs,
         other => panic!("unexpected type error {other:?}"),
     }
 }

@@ -17,17 +17,11 @@
 //!    captures all of them at once and renders Prometheus text exposition
 //!    format — the payload a future `cycleq serve` daemon will expose.
 //!
-//! Two robustness primitives ride along because this crate sits at the
-//! bottom of the dependency graph:
-//!
-//! - [`lock_recover`] — poison-recovering mutex acquisition (counted in the
-//!   `cycleq_lock_poison_recoveries_total` family), used by every shared
-//!   lock in the stack instead of `.expect("poisoned")`;
-//! - [`FaultPlan`] — deterministic fault injection hooked at the span sites
-//!   (panic / delay / cancel at the n-th occurrence of a site, optionally
-//!   scoped to one goal), configured programmatically or via the
-//!   `CYCLEQ_FAULTS` environment variable. A single relaxed atomic load
-//!   when no plan is installed.
+//! One robustness primitive rides along because this crate sits at the
+//! bottom of the dependency graph: [`lock_recover`], poison-recovering
+//! mutex acquisition (counted in the `cycleq_lock_poison_recoveries_total`
+//! family), used by every shared lock in the stack instead of
+//! `.expect("poisoned")`.
 //!
 //! The span taxonomy used by the prover stack:
 //!
@@ -58,16 +52,11 @@
 //! ```
 
 mod chrome;
-mod fault;
 mod registry;
 mod span;
 mod sync;
 
 pub use chrome::Trace;
-pub use fault::{
-    clear_fault_plan, fault_scope, fault_scope_with_cancel, faults_active, install_fault_plan,
-    FaultAction, FaultPlan, FaultRule, FaultScope, FireSpec,
-};
 pub use registry::{
     metrics, Counter, FamilySnapshot, Gauge, Histogram, HistogramSnapshot, MetricKind,
     MetricSample, MetricsSnapshot, PhaseStat, Profile, Registry, SampleValue,

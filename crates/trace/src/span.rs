@@ -1,8 +1,7 @@
 //! Hierarchical spans over thread-local buffers.
 //!
 //! Cost model:
-//! - disabled (default): two relaxed atomic loads per [`span`] call (span
-//!   timing plus the fault-injection hook, both off by default);
+//! - disabled (default): one relaxed atomic load per [`span`] call;
 //! - enabled: two `Instant` reads plus a lock-free histogram update per
 //!   span (per-thread handle cache, no registry lock on the hot path);
 //! - collecting: additionally one `Vec` push per span; buffers flush into
@@ -180,15 +179,9 @@ pub struct SpanGuard {
     start: Option<Instant>,
 }
 
-/// Opens a span; prefer the [`span!`](crate::span!) macro.
-///
-/// Span sites double as fault-injection points: when a
-/// [`FaultPlan`](crate::FaultPlan) is installed (never in production), the
-/// matching rule's action runs here before the span opens.
+/// Opens a span; prefer the [`span!`](crate::span!) macro. When tracing is
+/// disabled this is one relaxed atomic load.
 pub fn span(name: &'static str) -> SpanGuard {
-    if crate::fault::faults_active() {
-        crate::fault::hit(name);
-    }
     if !ENABLED.load(Ordering::Relaxed) {
         return SpanGuard { name, start: None };
     }

@@ -1,21 +1,23 @@
-//! End-to-end fault tolerance: a panicking goal inside a parallel batch is
-//! isolated into a structured `Panicked` verdict without perturbing any
-//! other goal's verdict, and the engine's retry policy recovers injected
-//! resource failures on escalated budgets.
+//! Panic isolation end to end: a goal that panics inside a parallel batch
+//! becomes a structured `Panicked` verdict without perturbing any other
+//! goal's verdict, at any worker count.
 //!
-//! Fault plans are process-global, so every test that installs one holds
-//! `PLAN_LOCK` for its whole body.
+//! The trigger is an event sink that panics on one goal's event, so no
+//! library code exists to make a goal panic. A panic on `RoundDeepened` is
+//! raised from inside the search, so `Session::prove_goal`'s `catch_unwind`
+//! (the inner boundary) catches it. A panic on `GoalStarted` is raised
+//! before the search starts, so the batch scheduler's catching runner (the
+//! outer boundary) catches it.
+//!
+//! The metrics registry is process-global, so every case that panics runs
+//! in one test.
 
 use std::path::Path;
-use std::sync::Mutex;
-use std::time::Duration;
 
-use cycleq::trace::{clear_fault_plan, install_fault_plan, FaultPlan, FaultRule, FireSpec};
-use cycleq::{BatchReport, Engine, Outcome, RetryPolicy, SearchConfig};
+use cycleq::{BatchReport, Engine, Outcome, ProveEvent, SearchConfig};
 
-static PLAN_LOCK: Mutex<()> = Mutex::new(());
-
-/// Eight goals over one program; `g3` (commutativity) is the fault target.
+/// Eight goals over one program; `g3` (commutativity) is the one that
+/// panics.
 const SRC: &str = "data Nat = Z | S Nat
 add :: Nat -> Nat -> Nat
 add Z y = y
@@ -30,124 +32,116 @@ goal g6: add (add x y) Z === add x y
 goal g7: add Z Z === Z
 ";
 
-fn prove_all(jobs: usize) -> BatchReport {
-    Engine::builder()
-        .jobs(jobs)
+const INNER_MESSAGE: &str = "sink panicked on g3's RoundDeepened";
+const OUTER_MESSAGE: &str = "sink panicked on g3's GoalStarted";
+
+/// Panics from inside `g3`'s search, on its first deepening round.
+fn panic_in_search(event: &ProveEvent) {
+    if let ProveEvent::RoundDeepened { goal, .. } = event {
+        if goal == "g3" {
+            panic!("{INNER_MESSAGE}");
+        }
+    }
+}
+
+/// Panics in `g3`'s batch task, before its search starts.
+fn panic_before_search(event: &ProveEvent) {
+    if let ProveEvent::GoalStarted { goal, .. } = event {
+        if goal == "g3" {
+            panic!("{OUTER_MESSAGE}");
+        }
+    }
+}
+
+/// Proves every goal. Depth 1 plus steps of 1 make `g3` run five deepening
+/// rounds, so its `RoundDeepened` events fire.
+fn prove_all(jobs: usize, sink: Option<fn(&ProveEvent)>) -> BatchReport {
+    let config = SearchConfig {
+        initial_depth: 1,
+        depth_step: 1,
+        ..SearchConfig::default()
+    };
+    let mut builder = Engine::builder().config(config).jobs(jobs);
+    if let Some(sink) = sink {
+        builder = builder.on_event(sink);
+    }
+    builder
         .build()
         .load(SRC)
         .expect("fixture elaborates")
         .prove_all()
 }
 
-#[test]
-fn injected_panic_isolates_one_goal_and_preserves_the_rest() {
-    let _guard = PLAN_LOCK
-        .lock()
-        .unwrap_or_else(std::sync::PoisonError::into_inner);
-    clear_fault_plan();
-    let baseline = prove_all(1);
-    assert!(baseline.all_proved(), "fixture must prove clean");
-    for jobs in [1, 4] {
-        install_fault_plan(
-            FaultPlan::new().rule(
-                FaultRule::panic_at("expand")
-                    .scoped("g3")
-                    .with_fire(FireSpec::Every),
-            ),
-        );
-        let report = prove_all(jobs);
-        clear_fault_plan();
-        assert_eq!(report.goals.len(), 8, "batch completed every goal");
-        assert_eq!(report.panicked(), 1, "exactly the faulted goal panicked");
-        assert!(report.any_gave_up() && !report.any_refuted());
-        for (b, g) in baseline.goals.iter().zip(&report.goals) {
-            assert_eq!(b.goal, g.goal, "order preserved at jobs={jobs}");
-            let verdict = g.verdict().expect("panic was isolated, not an error");
-            if g.goal == "g3" {
-                match &verdict.result.outcome {
-                    Outcome::Panicked { message } => assert!(
-                        message.contains("fault injection"),
-                        "panic message surfaced: {message}"
-                    ),
-                    other => panic!("faulted goal reported {other:?}"),
-                }
-            } else {
-                // Byte-identical outcome (including the proof root) to the
-                // fault-free baseline, whatever the worker count.
-                assert_eq!(
-                    format!("{:?}", b.verdict().unwrap().result.outcome),
-                    format!("{:?}", verdict.result.outcome),
-                    "goal {} drifted under a sibling's fault at jobs={jobs}",
-                    g.goal
-                );
+/// Proves every goal with `sink` attached, returning the report and how
+/// far `cycleq_goal_panics_total` and `cycleq_batch_task_panics_total`
+/// rose meanwhile.
+fn prove_all_counting_panics(jobs: usize, sink: fn(&ProveEvent)) -> (BatchReport, u64, u64) {
+    let before = cycleq::trace::metrics().snapshot();
+    let report = prove_all(jobs, Some(sink));
+    let delta = cycleq::trace::metrics().snapshot().delta(&before);
+    let count = |family: &str| delta.value(family).unwrap_or(0);
+    (
+        report,
+        count("cycleq_goal_panics_total"),
+        count("cycleq_batch_task_panics_total"),
+    )
+}
+
+/// `g3` panicked with `message`, and every other goal's outcome equals the
+/// baseline's.
+fn assert_isolated(baseline: &BatchReport, report: &BatchReport, message: &str, jobs: usize) {
+    assert_eq!(report.goals.len(), 8, "batch completed every goal");
+    assert_eq!(report.panicked(), 1, "exactly the target goal panicked");
+    assert!(report.any_gave_up() && !report.any_refuted());
+    for (b, g) in baseline.goals.iter().zip(&report.goals) {
+        assert_eq!(b.goal, g.goal, "order preserved at jobs={jobs}");
+        let verdict = g.verdict().expect("panic was isolated, not an error");
+        if g.goal == "g3" {
+            assert!(g.is_panicked());
+            match &verdict.result.outcome {
+                Outcome::Panicked { message: m } => assert_eq!(m, message),
+                other => panic!("target goal reported {other:?}"),
             }
+        } else {
+            // Byte-identical outcome (including the proof root) to the
+            // panic-free baseline, whatever the worker count.
+            assert_eq!(
+                format!("{:?}", b.verdict().unwrap().result.outcome),
+                format!("{:?}", verdict.result.outcome),
+                "goal {} drifted under a sibling's panic at jobs={jobs}",
+                g.goal
+            );
         }
     }
 }
 
 #[test]
-fn retry_recovers_an_injected_timeout_on_an_escalated_budget() {
-    let _guard = PLAN_LOCK
-        .lock()
-        .unwrap_or_else(std::sync::PoisonError::into_inner);
-    // A one-second delay injected into the first `normalize` under `g3`
-    // blows the 250ms first-attempt timeout; the occurrence is spent, so
-    // the second attempt (limits ×8 → 2s) proves the goal.
-    install_fault_plan(
-        FaultPlan::new()
-            .rule(FaultRule::delay_at("normalize", Duration::from_secs(1)).scoped("g3")),
-    );
-    let config = SearchConfig {
-        timeout: Some(Duration::from_millis(250)),
-        ..SearchConfig::default()
-    };
-    let verdict = Engine::builder()
-        .config(config)
-        .retry(RetryPolicy::new(2).with_escalation(8.0))
-        .build()
-        .load(SRC)
-        .expect("fixture elaborates")
-        .prove("g3")
-        .expect("retry path returns a verdict");
-    clear_fault_plan();
-    assert!(verdict.is_proved(), "second attempt succeeds");
-    assert_eq!(verdict.attempts, 2, "exactly one retry was spent");
-}
-
-#[test]
-fn retry_recovers_an_injected_panic() {
-    let _guard = PLAN_LOCK
-        .lock()
-        .unwrap_or_else(std::sync::PoisonError::into_inner);
-    install_fault_plan(FaultPlan::new().rule(FaultRule::panic_at("expand").scoped("g3")));
-    let report = Engine::builder()
-        .retry(RetryPolicy::new(2))
-        .build()
-        .load(SRC)
-        .expect("fixture elaborates")
-        .prove_all();
-    clear_fault_plan();
-    assert!(report.all_proved(), "panicked attempt was retried");
-    let g3 = report.goals.iter().find(|g| g.goal == "g3").unwrap();
-    assert_eq!(g3.attempts, 2);
-    assert!(report
-        .goals
-        .iter()
-        .all(|g| g.goal == "g3" || g.attempts == 1));
-}
-
-#[test]
-fn without_retry_a_panicked_goal_keeps_its_panicked_verdict() {
-    let _guard = PLAN_LOCK
-        .lock()
-        .unwrap_or_else(std::sync::PoisonError::into_inner);
-    install_fault_plan(FaultPlan::new().rule(FaultRule::panic_at("expand").scoped("g3")));
-    let report = prove_all(2);
-    clear_fault_plan();
-    assert_eq!(report.panicked(), 1);
-    let g3 = report.goals.iter().find(|g| g.goal == "g3").unwrap();
-    assert!(g3.is_panicked());
-    assert_eq!(g3.attempts, 1, "default policy performs no retries");
+fn injected_panic_isolates_one_goal_and_preserves_the_rest() {
+    let baseline = prove_all(1, None);
+    assert!(baseline.all_proved(), "fixture must prove clean");
+    // Each boundary records the goal's panic once; only a panic that
+    // escapes its batch task also counts as a task panic. The outer
+    // boundary runs first, so it is checked even when the inner one fails.
+    let cases = [
+        (
+            "outer",
+            panic_before_search as fn(&ProveEvent),
+            OUTER_MESSAGE,
+            (1, 1),
+        ),
+        ("inner", panic_in_search, INNER_MESSAGE, (1, 0)),
+    ];
+    for (boundary, sink, message, counts) in cases {
+        for jobs in [1, 2, 4] {
+            let (report, goal_panics, task_panics) = prove_all_counting_panics(jobs, sink);
+            assert_isolated(&baseline, &report, message, jobs);
+            assert_eq!(
+                (goal_panics, task_panics),
+                counts,
+                "{boundary} boundary at jobs={jobs}: (goal panics, task panics)"
+            );
+        }
+    }
 }
 
 /// Grep-pin: every shared lock in the workspace goes through the
