@@ -66,12 +66,22 @@ pub fn poison_recoveries() -> u64 {
 
 #[cfg(test)]
 mod tests {
-    use std::sync::{Arc, Mutex};
+    use std::sync::{Arc, Mutex, PoisonError};
 
     use super::*;
 
+    /// The recovery counter is process-wide, so every test that reads or
+    /// bumps it holds this lock; otherwise one test's recovery lands
+    /// between another's before-and-after reads.
+    static COUNTER_LOCK: Mutex<()> = Mutex::new(());
+
+    fn hold_counter() -> MutexGuard<'static, ()> {
+        COUNTER_LOCK.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
     #[test]
     fn recovers_and_clears_poison() {
+        let _counter = hold_counter();
         let m = Arc::new(Mutex::new(vec![1, 2, 3]));
         let m2 = Arc::clone(&m);
         let join = std::thread::spawn(move || {
@@ -98,6 +108,7 @@ mod tests {
 
     #[test]
     fn unpoisoned_lock_is_untouched() {
+        let _counter = hold_counter();
         let m = Mutex::new(7_u8);
         let before = poison_recoveries();
         assert_eq!(*lock_recover(&m), 7);
@@ -106,6 +117,7 @@ mod tests {
 
     #[test]
     fn recoveries_surface_in_snapshot() {
+        let _counter = hold_counter();
         let m = Arc::new(Mutex::new(()));
         let m2 = Arc::clone(&m);
         let _ = std::thread::spawn(move || {

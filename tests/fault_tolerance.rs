@@ -9,12 +9,21 @@
 //! before the search starts, so the batch scheduler's catching runner (the
 //! outer boundary) catches it.
 //!
-//! The metrics registry is process-global, so every case that panics runs
-//! in one test.
+//! The metrics registry is process-global, so every test that makes a goal
+//! panic holds `PANIC_LOCK`; otherwise one test's panic lands inside
+//! another's counter delta.
 
 use std::path::Path;
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 use cycleq::{BatchReport, Engine, Outcome, ProveEvent, SearchConfig};
+
+static PANIC_LOCK: Mutex<()> = Mutex::new(());
+
+fn hold_panics() -> MutexGuard<'static, ()> {
+    PANIC_LOCK.lock().unwrap_or_else(PoisonError::into_inner)
+}
 
 /// Eight goals over one program; `g3` (commutativity) is the one that
 /// panics.
@@ -53,15 +62,19 @@ fn panic_before_search(event: &ProveEvent) {
     }
 }
 
-/// Proves every goal. Depth 1 plus steps of 1 make `g3` run five deepening
-/// rounds, so its `RoundDeepened` events fire.
-fn prove_all(jobs: usize, sink: Option<fn(&ProveEvent)>) -> BatchReport {
-    let config = SearchConfig {
+/// Depth 1 plus steps of 1 make `g3` run five deepening rounds, so its
+/// `RoundDeepened` events fire.
+fn shallow_steps() -> SearchConfig {
+    SearchConfig {
         initial_depth: 1,
         depth_step: 1,
         ..SearchConfig::default()
-    };
-    let mut builder = Engine::builder().config(config).jobs(jobs);
+    }
+}
+
+/// Proves every goal under [`shallow_steps`].
+fn prove_all(jobs: usize, sink: Option<fn(&ProveEvent)>) -> BatchReport {
+    let mut builder = Engine::builder().config(shallow_steps()).jobs(jobs);
     if let Some(sink) = sink {
         builder = builder.on_event(sink);
     }
@@ -117,6 +130,7 @@ fn assert_isolated(baseline: &BatchReport, report: &BatchReport, message: &str, 
 
 #[test]
 fn injected_panic_isolates_one_goal_and_preserves_the_rest() {
+    let _panics = hold_panics();
     let baseline = prove_all(1, None);
     assert!(baseline.all_proved(), "fixture must prove clean");
     // Each boundary records the goal's panic once; only a panic that
@@ -142,6 +156,46 @@ fn injected_panic_isolates_one_goal_and_preserves_the_rest() {
             );
         }
     }
+}
+
+/// A panic that would not recur on a second run still leaves its goal
+/// `Panicked`: the engine runs each goal's search once and does not re-run
+/// it after a panic.
+#[test]
+fn without_retry_a_panicked_goal_keeps_its_panicked_verdict() {
+    let _panics = hold_panics();
+    let fired = Arc::new(AtomicBool::new(false));
+    let g3_rounds = Arc::new(AtomicUsize::new(0));
+    let sink = {
+        let (fired, g3_rounds) = (Arc::clone(&fired), Arc::clone(&g3_rounds));
+        move |event: &ProveEvent| {
+            if let ProveEvent::RoundDeepened { goal, .. } = event {
+                if goal == "g3" {
+                    g3_rounds.fetch_add(1, Ordering::Relaxed);
+                    if !fired.swap(true, Ordering::Relaxed) {
+                        panic!("{INNER_MESSAGE}");
+                    }
+                }
+            }
+        }
+    };
+    let report = Engine::builder()
+        .config(shallow_steps())
+        .jobs(2)
+        .on_event(sink)
+        .build()
+        .load(SRC)
+        .expect("fixture elaborates")
+        .prove_all();
+    assert!(fired.load(Ordering::Relaxed), "the one-shot panic fired");
+    assert_eq!(report.panicked(), 1);
+    let g3 = report.goals.iter().find(|g| g.goal == "g3").unwrap();
+    assert!(g3.is_panicked());
+    assert_eq!(
+        g3_rounds.load(Ordering::Relaxed),
+        1,
+        "g3's search stopped at the panicking round and was not run again"
+    );
 }
 
 /// Grep-pin: every shared lock in the workspace goes through the
