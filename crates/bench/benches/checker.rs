@@ -1,19 +1,10 @@
-//! Cold vs warm proof checking on the headline proofs.
-//!
-//! Two variants per proof:
-//!
-//! - `interned_cold`: [`cycleq::check`] with a fresh [`MemoRewriter`] per
-//!   call — what a single `cycleq check` of one certificate pays;
-//! - `interned_warm`: [`cycleq::check_with`] reusing one checker-side
-//!   rewriter across iterations — what rechecking many proofs over the
-//!   same program pays per proof after the first.
-//!
-//! `interned_warm` shows the headroom from cross-proof memoisation.
+//! Cold proof checking on the headline proofs: [`cycleq::check`] with a
+//! fresh checker-side rewriter per call — what a single `cycleq check` of
+//! one certificate, or the re-check of one proved goal, pays.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use cycleq::{check, check_with, Engine, GlobalCheck};
+use cycleq::{check, Engine, GlobalCheck};
 use cycleq_benchsuite::{MUTUAL_PRELUDE, PRELUDE};
-use cycleq_rewrite::MemoRewriter;
 
 fn bench(c: &mut Criterion) {
     let cases = [
@@ -37,15 +28,6 @@ fn bench(c: &mut Criterion) {
         group.bench_function(format!("{name}_interned_cold"), |b| {
             b.iter(|| {
                 check(proof, prog, GlobalCheck::VariableTraces)
-                    .unwrap()
-                    .nodes
-            })
-        });
-        group.bench_function(format!("{name}_interned_warm"), |b| {
-            let mut rw = MemoRewriter::new(&prog.sig, &prog.trs);
-            check_with(proof, prog, GlobalCheck::VariableTraces, &mut rw).unwrap();
-            b.iter(|| {
-                check_with(proof, prog, GlobalCheck::VariableTraces, &mut rw)
                     .unwrap()
                     .nodes
             })

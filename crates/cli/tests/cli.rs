@@ -602,6 +602,58 @@ fn check_batch_survives_one_unreadable_file_among_good_ones() {
     );
 }
 
+#[test]
+fn check_batch_survives_a_crafted_count_among_good_files() {
+    // A count far past the tokens of its line must make that one file
+    // INVALID, not abort the batch on a terabyte allocation.
+    let file = quickstart();
+    let dir = cert_dir("crafted_count");
+    let out = run(&[
+        "--no-proof",
+        "--emit-certs",
+        dir.to_str().unwrap(),
+        file.to_str().unwrap(),
+    ]);
+    assert!(out.status.success());
+    let crafted = dir.join("addZeroRight.cqc");
+    let text = std::fs::read_to_string(&crafted).unwrap();
+    let forged = text.replace("\nvar x 3 1 0 0\n", "\nvar x 1099511627776 1 0 0\n");
+    assert_ne!(forged, text);
+    std::fs::write(&crafted, forged).unwrap();
+    let certs: Vec<String> = ["addComm", "addZeroRight", "addSuccRight"]
+        .iter()
+        .map(|goal| {
+            dir.join(format!("{goal}.cqc"))
+                .to_str()
+                .unwrap()
+                .to_string()
+        })
+        .collect();
+    for jobs in ["1", "2"] {
+        let mut args = vec!["check", "--jobs", jobs];
+        args.extend(certs.iter().map(String::as_str));
+        let out = run(&args);
+        assert_eq!(
+            out.status.code(),
+            Some(3),
+            "jobs={jobs} stderr: {}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        let stdout = String::from_utf8(out.stdout).unwrap();
+        assert!(
+            stdout.contains(&format!(
+                "cert {}: INVALID (malformed certificate",
+                crafted.display()
+            )),
+            "{stdout}"
+        );
+        assert!(
+            stdout.contains(&format!("check: valid 2/3 | jobs={jobs}")),
+            "good files must still validate:\n{stdout}"
+        );
+    }
+}
+
 /// Writes a lint fixture to the temp dir, returning its path.
 fn lint_file(name: &str, src: &str) -> PathBuf {
     let dir = std::env::temp_dir().join("cycleq-cli-test-lint");

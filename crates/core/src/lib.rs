@@ -113,9 +113,9 @@ pub use cycleq_analysis::{
 pub use cycleq_batch::{available_parallelism, BatchScheduler};
 pub use cycleq_lang::{parse_module, GoalDef, LangError, Module};
 pub use cycleq_proof::{
-    check, check_global, check_with, cycle_witnesses, export_certificate, global_edges,
-    program_fingerprint, render_dot, render_text, Certificate, CertificateError, CheckError,
-    CheckReport, GlobalCheck, NodeId, Preproof, RuleApp,
+    check, check_global, cycle_witnesses, export_certificate, global_edges, program_fingerprint,
+    render_dot, render_text, Certificate, CertificateError, CheckError, CheckReport, GlobalCheck,
+    NodeId, Preproof, RuleApp,
 };
 pub use cycleq_rewrite::{CancelToken, Program};
 pub use cycleq_search::{
@@ -394,9 +394,11 @@ impl Session {
         self.with_profile(|| self.prove_goal(goal, hints, budget, Some(cancel), None))
     }
 
-    /// The one prove path every public entry point funnels through. The
-    /// search runs under `catch_unwind`, so a panic inside it (a prover bug,
-    /// or an event sink the search calls) becomes a structured
+    /// The one prove path every public entry point funnels through. With
+    /// `events` (the goal's position in a batch request, and the sink), it
+    /// streams the goal's `GoalStarted` and `RoundDeepened` events. The
+    /// search and those events run under `catch_unwind`, so a panic inside
+    /// them (a prover bug, or a sink that panics) becomes a structured
     /// [`Outcome::Panicked`] verdict for this goal instead of tearing down
     /// the caller.
     ///
@@ -408,9 +410,25 @@ impl Session {
         hints: &[&str],
         budget: &Budget,
         cancel: Option<&CancelToken>,
-        observer: Option<cycleq_search::RoundObserver>,
+        events: Option<(usize, &Arc<dyn EventSink>)>,
     ) -> Result<Verdict, Error> {
         let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            let observer = events.map(|(index, sink)| {
+                sink.event(&ProveEvent::GoalStarted {
+                    index,
+                    goal: goal.to_string(),
+                });
+                let sink = Arc::clone(sink);
+                let goal = goal.to_string();
+                Arc::new(move |depth: usize, elapsed: Duration| {
+                    sink.event(&ProveEvent::RoundDeepened {
+                        index,
+                        goal: goal.clone(),
+                        depth,
+                        elapsed,
+                    });
+                }) as cycleq_search::RoundObserver
+            });
             self.prove_goal_attempt(goal, hints, budget, cancel, observer)
         }))
         .unwrap_or_else(|payload| {
@@ -495,11 +513,10 @@ impl Session {
     }
 
     /// Serializes a proved verdict into a self-contained certificate: the
-    /// program source (fingerprinted), the proof's variables, nodes and
-    /// rule instances, and its size-change edge graphs. The text can be
-    /// written to a file and later re-validated — on any machine, without
-    /// the original session — via [`check_certificate`] or the `cycleq
-    /// check` subcommand.
+    /// program source (fingerprinted) and the proof's variables, nodes and
+    /// rule instances. The text can be written to a file and later
+    /// re-validated — on any machine, without the original session — via
+    /// [`check_certificate`] or the `cycleq check` subcommand.
     ///
     /// # Errors
     ///
@@ -610,12 +627,6 @@ impl Session {
                 let started = &started;
                 move |_worker: usize| {
                     let goal_start = Instant::now();
-                    if let Some(sink) = &sink {
-                        sink.event(&ProveEvent::GoalStarted {
-                            index,
-                            goal: name.to_string(),
-                        });
-                    }
                     let goal_budget = match batch_deadline {
                         None => budget.clone(),
                         Some(deadline) => {
@@ -633,20 +644,8 @@ impl Session {
                         }
                     };
                     started.fetch_add(1, Ordering::Relaxed);
-                    let observer = sink.as_ref().map(|sink| {
-                        let sink = sink.clone();
-                        let goal = name.to_string();
-                        Arc::new(move |depth: usize, elapsed: Duration| {
-                            sink.event(&ProveEvent::RoundDeepened {
-                                index,
-                                goal: goal.clone(),
-                                depth,
-                                elapsed,
-                            });
-                        }) as cycleq_search::RoundObserver
-                    });
-                    let outcome =
-                        self.prove_goal(name, hints, &goal_budget, Some(cancel), observer);
+                    let events = sink.as_ref().map(|sink| (index, sink));
+                    let outcome = self.prove_goal(name, hints, &goal_budget, Some(cancel), events);
                     let report = GoalReport {
                         goal: name.to_string(),
                         outcome,
@@ -665,10 +664,11 @@ impl Session {
             })
             .collect();
         // The catching variant is the outer panic boundary: `prove_goal`
-        // already isolates panics inside the search, so a `TaskPanic` here
-        // means the panic escaped that inner boundary (e.g. an event sink
-        // panicking on `GoalStarted`). It still becomes a structured
-        // per-goal report rather than tearing down the batch.
+        // already isolates panics inside the search and its events, so a
+        // `TaskPanic` here means the panic escaped that inner boundary
+        // (e.g. an event sink panicking on `GoalFinished`). It still
+        // becomes a structured per-goal report rather than tearing down
+        // the batch.
         let reports: Vec<GoalReport> = scheduler
             .run_with_costs_catching(tasks, &costs)
             .into_iter()
@@ -798,8 +798,7 @@ pub struct CertificateCheck {
 }
 
 /// Validates certificate text end to end: parse (version, structure,
-/// program fingerprint), re-elaborate the embedded program source, compare
-/// the serialized size-change edge graphs against recomputed ones, run
+/// program fingerprint), re-elaborate the embedded program source, run
 /// the embedded proof through the independent interned checker, and check
 /// that the program declares the goal the certificate names and that the
 /// proof states it. Nothing from the proving session is trusted — only

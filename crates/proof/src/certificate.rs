@@ -2,12 +2,13 @@
 //!
 //! A certificate packages everything needed to re-validate a proof offline:
 //! a versioned header with a fingerprint of the program source, the program
-//! source itself, the proof's variables (names and types), every node
-//! (equation, rule instance, premises), and the size-change edge graphs
-//! justifying the global condition (Definition 5.3). `cycleq check` parses
-//! certificate files and re-runs the independent checker
-//! ([`crate::check`]) against a program re-elaborated from the
-//! embedded source — nothing from the proving session is trusted.
+//! source itself, the proof's variables (names and types), and every node
+//! (equation, rule instance, premises). `cycleq check` parses certificate
+//! files and re-runs the independent checker ([`crate::check`]) against a
+//! program re-elaborated from the embedded source — nothing from the
+//! proving session is trusted. The size-change graphs of the global
+//! condition (Definition 5.3) are not serialized: the checker derives them
+//! from the proof.
 //!
 //! The format is line-oriented text, versioned by the first line. Terms are
 //! serialized as self-delimiting prefix tokens (`v<idx>/<argc>` for a
@@ -15,36 +16,36 @@
 //! `argc` subterm encodings), so no lengths or brackets are needed. Types
 //! reuse [`cycleq_term::Type::encode`]'s flat `u32` words. The embedded
 //! program and goal name are escaped onto one line each (`\\`, `\n`, and in
-//! space-delimited positions `\s`).
+//! space-delimited positions `\s`). Counts read from the text never size
+//! an allocation up front: vectors grow as their tokens arrive, so a forged
+//! count ends in [`CertificateError::Truncated`] or
+//! [`CertificateError::Malformed`], not in an allocation failure.
 //!
 //! Tampering is caught at distinct layers with distinct errors: a bumped
 //! version is [`CertificateError::UnsupportedVersion`], missing trailing
 //! lines are [`CertificateError::Truncated`], an edited program no longer
 //! matches the header fingerprint ([`CertificateError::FingerprintMismatch`]),
-//! an edited edge graph disagrees with the one recomputed from the proof
-//! ([`CertificateError::EdgeGraphMismatch`]), a damaged proof fails the
-//! checker itself ([`CertificateError::Check`]), and a goal line naming a
-//! goal the embedded program does not declare, or one that no node of the
-//! proof states, is [`CertificateError::GoalMismatch`]
-//! ([`Certificate::check_goal`]; the fingerprint covers the program, not
-//! the goal line).
+//! a damaged proof fails the checker itself ([`CertificateError::Check`]),
+//! and a goal line naming a goal the embedded program does not declare, or
+//! one that no node of the proof states, is
+//! [`CertificateError::GoalMismatch`] ([`Certificate::check_goal`]; the
+//! fingerprint covers the program, not the goal line).
 
 use std::error::Error;
 use std::fmt;
+use std::str::FromStr;
 
 use cycleq_rewrite::Program;
-use cycleq_sizechange::Label;
 use cycleq_term::{
     DataId, Equation, Head, Position, Subst, SymId, Term, TyVarId, Type, VarId, VarStore,
 };
 
 use crate::checker::{check, CheckError, CheckReport, GlobalCheck};
-use crate::edges::edge_graph;
 use crate::node::{CaseBranch, NodeId, RuleApp, Side, SubstApp};
 use crate::preproof::Preproof;
 
 /// The only format version this build reads and writes.
-const VERSION_LINE: &str = "cycleq-certificate v1";
+const VERSION_LINE: &str = "cycleq-certificate v2";
 
 /// Why a certificate was rejected before (or during) checking.
 #[derive(Clone, PartialEq, Eq, Debug)]
@@ -57,9 +58,6 @@ pub enum CertificateError {
     FingerprintMismatch { expected: u64, got: u64 },
     /// A structural parse failure (bad token, index out of range, …).
     Malformed(String),
-    /// A serialized size-change edge graph disagrees with the one recomputed
-    /// from the proof (Definition 5.3).
-    EdgeGraphMismatch { node: usize, premise: usize },
     /// The proof itself failed the independent checker.
     Check(CheckError),
     /// The certificate does not prove the goal it names: the embedded
@@ -81,10 +79,6 @@ impl fmt::Display for CertificateError {
                 "program fingerprint mismatch: header says {expected:016x}, source hashes to {got:016x}"
             ),
             CertificateError::Malformed(why) => write!(f, "malformed certificate: {why}"),
-            CertificateError::EdgeGraphMismatch { node, premise } => write!(
-                f,
-                "size-change edge graph for node {node} premise {premise} does not match the proof"
-            ),
             CertificateError::Check(e) => write!(f, "proof check failed: {e}"),
             CertificateError::GoalMismatch {
                 goal,
@@ -252,36 +246,9 @@ pub fn export_certificate(goal: &str, program_src: &str, proof: &Preproof) -> St
         out.push_str(&line);
         out.push('\n');
     }
-    let mut edge_lines = Vec::new();
-    for (v, node) in proof.nodes() {
-        if matches!(node.rule, RuleApp::Open) {
-            continue;
-        }
-        for i in 0..node.premises.len() {
-            let g = edge_graph(proof, v, i);
-            let mut line = format!("edge {} {} {}", v.index(), i, g.len());
-            for (x, y, label) in g.edges() {
-                let l = match label {
-                    Label::Strict => "s",
-                    Label::NonStrict => "n",
-                };
-                line.push_str(&format!(" {} {} {}", x.index(), y.index(), l));
-            }
-            edge_lines.push(line);
-        }
-    }
-    out.push_str(&format!("edges {}\n", edge_lines.len()));
-    for line in edge_lines {
-        out.push_str(&line);
-        out.push('\n');
-    }
     out.push_str("end\n");
     out
 }
-
-/// One declared size-change edge: `(node, premise index, sorted edge
-/// triples)`.
-type CertEdge = (NodeId, usize, Vec<(VarId, VarId, Label)>);
 
 /// A parsed certificate, ready to be [`verified`](Certificate::verify).
 #[derive(Clone, Debug)]
@@ -289,8 +256,6 @@ pub struct Certificate {
     goal: String,
     program_src: String,
     proof: Preproof,
-    /// Declared edges in node order.
-    edges: Vec<CertEdge>,
 }
 
 /// A token cursor over one certificate line.
@@ -315,7 +280,8 @@ impl<'a> Cursor<'a> {
         self.toks.next().ok_or_else(|| self.bad("missing token"))
     }
 
-    fn usize(&mut self) -> Result<usize, CertificateError> {
+    /// One number token; a value out of `T`'s range is malformed.
+    fn num<T: FromStr>(&mut self) -> Result<T, CertificateError> {
         let t = self.next()?;
         t.parse()
             .map_err(|_| self.bad(&format!("expected a number, got {t:?}")))
@@ -364,7 +330,7 @@ impl<'a> Cursor<'a> {
             "s" => Head::Sym(SymId::from_index(idx)),
             _ => return Err(self.bad(&format!("bad term token {t:?}"))),
         };
-        let mut args = Vec::with_capacity(argc);
+        let mut args = Vec::new();
         for _ in 0..argc {
             args.push(self.term(num_vars)?);
         }
@@ -372,7 +338,7 @@ impl<'a> Cursor<'a> {
     }
 
     fn var_id(&mut self, num_vars: usize) -> Result<VarId, CertificateError> {
-        let idx = self.usize()?;
+        let idx: usize = self.num()?;
         if idx >= num_vars {
             return Err(self.bad(&format!("variable index {idx} out of range")));
         }
@@ -386,8 +352,8 @@ fn decode_type(words: &mut std::slice::Iter<'_, u32>) -> Option<Type> {
         0 => Some(Type::Var(TyVarId(*words.next()?))),
         1 => {
             let d = DataId::from_index(*words.next()? as usize);
-            let argc = *words.next()? as usize;
-            let mut args = Vec::with_capacity(argc);
+            let argc = *words.next()?;
+            let mut args = Vec::new();
             for _ in 0..argc {
                 args.push(decode_type(words)?);
             }
@@ -447,7 +413,7 @@ impl Certificate {
         let (n, line) = next_line()?;
         let mut c = Cursor::new(line, n + 1);
         c.expect("vars")?;
-        let num_vars = c.usize()?;
+        let num_vars: usize = c.num()?;
         c.finish()?;
         let mut vars = VarStore::new();
         for _ in 0..num_vars {
@@ -457,10 +423,10 @@ impl Certificate {
             let mut c = Cursor::new(line, n + 1);
             c.expect("var")?;
             let name = unescape(c.next()?)?;
-            let nwords = c.usize()?;
-            let mut words = Vec::with_capacity(nwords);
+            let nwords: usize = c.num()?;
+            let mut words = Vec::new();
             for _ in 0..nwords {
-                words.push(c.usize()? as u32);
+                words.push(c.num()?);
             }
             c.finish()?;
             let ty = decode_type(&mut words.iter())
@@ -471,10 +437,10 @@ impl Certificate {
         let (n, line) = next_line()?;
         let mut c = Cursor::new(line, n + 1);
         c.expect("nodes")?;
-        let num_nodes = c.usize()?;
+        let num_nodes: usize = c.num()?;
         c.finish()?;
         let mut proof = Preproof::with_vars(vars);
-        let mut rules = Vec::with_capacity(num_nodes);
+        let mut rules = Vec::new();
         for _ in 0..num_nodes {
             let (n, line) = next_line()?;
             let mut c = Cursor::new(line, n + 1);
@@ -482,10 +448,10 @@ impl Certificate {
             let lhs = c.term(num_vars)?;
             let rhs = c.term(num_vars)?;
             c.expect("prem")?;
-            let nprem = c.usize()?;
-            let mut premises = Vec::with_capacity(nprem);
+            let nprem: usize = c.num()?;
+            let mut premises = Vec::new();
             for _ in 0..nprem {
-                let p = c.usize()?;
+                let p: usize = c.num()?;
                 if p >= num_nodes {
                     return Err(c.bad(&format!("premise {p} out of range")));
                 }
@@ -502,12 +468,12 @@ impl Certificate {
                 },
                 "case" => {
                     let var = c.var_id(num_vars)?;
-                    let nbranches = c.usize()?;
-                    let mut branches = Vec::with_capacity(nbranches);
+                    let nbranches: usize = c.num()?;
+                    let mut branches = Vec::new();
                     for _ in 0..nbranches {
-                        let con = SymId::from_index(c.usize()?);
-                        let nfresh = c.usize()?;
-                        let mut fresh = Vec::with_capacity(nfresh);
+                        let con = SymId::from_index(c.num()?);
+                        let nfresh: usize = c.num()?;
+                        let mut fresh = Vec::new();
                         for _ in 0..nfresh {
                             fresh.push(c.var_id(num_vars)?);
                         }
@@ -521,17 +487,17 @@ impl Certificate {
                         "R" => Side::Rhs,
                         t => return Err(c.bad(&format!("bad side {t:?}"))),
                     };
-                    let npos = c.usize()?;
-                    let mut indices = Vec::with_capacity(npos);
+                    let npos: usize = c.num()?;
+                    let mut indices = Vec::new();
                     for _ in 0..npos {
-                        indices.push(c.usize()? as u32);
+                        indices.push(c.num()?);
                     }
-                    let lemma_flipped = match c.usize()? {
+                    let lemma_flipped = match c.num::<usize>()? {
                         0 => false,
                         1 => true,
                         f => return Err(c.bad(&format!("bad flip flag {f}"))),
                     };
-                    let nbind = c.usize()?;
+                    let nbind: usize = c.num()?;
                     let mut theta = Subst::new();
                     for _ in 0..nbind {
                         let v = c.var_id(num_vars)?;
@@ -557,38 +523,6 @@ impl Certificate {
             }
         }
 
-        let (n, line) = next_line()?;
-        let mut c = Cursor::new(line, n + 1);
-        c.expect("edges")?;
-        let num_edges = c.usize()?;
-        c.finish()?;
-        let mut edges = Vec::with_capacity(num_edges);
-        for _ in 0..num_edges {
-            let (n, line) = next_line()?;
-            let mut c = Cursor::new(line, n + 1);
-            c.expect("edge")?;
-            let v = c.usize()?;
-            if v >= num_nodes {
-                return Err(c.bad(&format!("edge node {v} out of range")));
-            }
-            let premise = c.usize()?;
-            let ntriples = c.usize()?;
-            let mut triples = Vec::with_capacity(ntriples);
-            for _ in 0..ntriples {
-                let x = c.var_id(num_vars)?;
-                let y = c.var_id(num_vars)?;
-                let label = match c.next()? {
-                    "s" => Label::Strict,
-                    "n" => Label::NonStrict,
-                    t => return Err(c.bad(&format!("bad label {t:?}"))),
-                };
-                triples.push((x, y, label));
-            }
-            c.finish()?;
-            triples.sort();
-            edges.push((NodeId::from_index(v), premise, triples));
-        }
-
         let (_, line) = next_line()?;
         if line != "end" {
             return Err(CertificateError::Malformed(format!(
@@ -600,7 +534,6 @@ impl Certificate {
             goal,
             program_src,
             proof,
-            edges,
         })
     }
 
@@ -652,15 +585,13 @@ impl Certificate {
     }
 
     /// Re-validates the certificate against an elaborated program: symbol
-    /// and datatype indices are bounds-checked, the serialized size-change
-    /// edge graphs are recomputed from the proof and compared, and finally
-    /// the proof is run through the independent interned checker with the
-    /// full global condition.
+    /// and datatype indices are bounds-checked, then the proof is run
+    /// through the independent interned checker with the full global
+    /// condition.
     ///
     /// # Errors
     ///
-    /// [`CertificateError::Malformed`] for out-of-range indices,
-    /// [`CertificateError::EdgeGraphMismatch`] for tampered edge graphs, and
+    /// [`CertificateError::Malformed`] for out-of-range indices and
     /// [`CertificateError::Check`] when the proof itself does not check.
     pub fn verify(&self, prog: &Program) -> Result<CheckReport, CertificateError> {
         let num_syms = prog.sig.num_syms();
@@ -721,42 +652,6 @@ impl Certificate {
             }
         }
 
-        // The serialized edge graphs must enumerate exactly the proof's
-        // (node, premise) edges in canonical order, with exactly the triples
-        // Definition 5.3 assigns them.
-        let mut want = Vec::new();
-        for (v, node) in self.proof.nodes() {
-            if matches!(node.rule, RuleApp::Open) {
-                continue;
-            }
-            for i in 0..node.premises.len() {
-                want.push((v, i));
-            }
-        }
-        if self.edges.len() != want.len() {
-            return Err(CertificateError::Malformed(format!(
-                "expected {} edge graphs, got {}",
-                want.len(),
-                self.edges.len()
-            )));
-        }
-        for ((v, i), (cv, ci, triples)) in want.into_iter().zip(&self.edges) {
-            if v != *cv || i != *ci {
-                return Err(CertificateError::Malformed(
-                    "edge graph list out of order".into(),
-                ));
-            }
-            let mut computed: Vec<(VarId, VarId, Label)> =
-                edge_graph(&self.proof, v, i).edges().collect();
-            computed.sort();
-            if computed != *triples {
-                return Err(CertificateError::EdgeGraphMismatch {
-                    node: v.index(),
-                    premise: i,
-                });
-            }
-        }
-
         check(&self.proof, prog, GlobalCheck::VariableTraces).map_err(CertificateError::Check)
     }
 }
@@ -807,11 +702,94 @@ mod tests {
     #[test]
     fn wrong_version_is_rejected() {
         let (_, proof) = tiny_proof();
-        let text = export_certificate("g", "p", &proof).replace("v1", "v9");
-        assert!(matches!(
-            Certificate::parse(&text),
-            Err(CertificateError::UnsupportedVersion(_))
-        ));
+        let text = export_certificate("g", "p", &proof);
+        let (first, body) = text.split_once('\n').unwrap();
+        assert_eq!(first, "cycleq-certificate v2");
+        // `v1` carried serialized edge graphs; it is refused, not upgraded.
+        for version in ["cycleq-certificate v9", "cycleq-certificate v1"] {
+            assert_eq!(
+                Certificate::parse(&format!("{version}\n{body}")).unwrap_err(),
+                CertificateError::UnsupportedVersion(version.into())
+            );
+        }
+    }
+
+    /// Parses without validating, so the rules need not check: a variable
+    /// `x` split by `(Case)` into `Z` and `S x'`, whose successor branch
+    /// carries a `(Subst)` at a non-root position.
+    fn count_fixture() -> (String, usize) {
+        let p = nat_list_program();
+        let mut proof = Preproof::new();
+        let x = proof.vars_mut().fresh("x", p.f.nat_ty());
+        let xp = proof.vars_mut().fresh("x'", p.f.nat_ty());
+        let root = proof.push_open(Equation::new(Term::var(x), Term::var(x)));
+        let zb = proof.push_open(Equation::new(Term::sym(p.f.zero), Term::sym(p.f.zero)));
+        let sb = proof.push_open(Equation::new(p.f.s(Term::var(xp)), p.f.s(Term::var(xp))));
+        proof.justify(
+            root,
+            RuleApp::Case {
+                var: x,
+                branches: vec![
+                    CaseBranch {
+                        con: p.f.zero,
+                        fresh: vec![],
+                    },
+                    CaseBranch {
+                        con: p.f.succ,
+                        fresh: vec![xp],
+                    },
+                ],
+            },
+            vec![zb, sb],
+        );
+        proof.justify(zb, RuleApp::Refl, vec![]);
+        let mut theta = Subst::new();
+        theta.insert(x, Term::var(xp));
+        proof.justify(
+            sb,
+            RuleApp::Subst(SubstApp {
+                side: Side::Lhs,
+                pos: Position::from_indices(vec![0]),
+                theta,
+                lemma_flipped: false,
+            }),
+            vec![root, zb],
+        );
+        let text = export_certificate("g", "p", &proof);
+        assert!(Certificate::parse(&text).is_ok());
+        (text, p.f.succ.index())
+    }
+
+    #[test]
+    fn crafted_counts_and_words_are_malformed() {
+        let (text, succ) = count_fixture();
+        // 2^40: sizing a vector by this count up front would ask for
+        // terabytes and abort the process instead of returning an error.
+        let huge = 1u64 << 40;
+        let edits = [
+            ("var x 3 1 0 0", format!("var x {huge} 1 0 0")),
+            ("nodes 3", format!("nodes {huge}")),
+            ("node v0/0", format!("node v0/{huge}")),
+            (" prem 2 1 2 ", format!(" prem {huge} 1 2 ")),
+            (" case 0 2 ", format!(" case 0 {huge} ")),
+            (&*format!(" {succ} 1 1\n"), format!(" {succ} {huge} 1\n")),
+            (" subst L 1 0 ", format!(" subst L {huge} 0 ")),
+            // Past `u32::MAX`: a type word or position index that would
+            // wrap to a valid one.
+            ("var x 3 1 0 0", format!("var x 3 {} 0 0", (1u64 << 32) + 1)),
+            (" subst L 1 0 ", format!(" subst L 1 {} ", 1u64 << 32)),
+        ];
+        for (from, to) in edits {
+            assert_eq!(text.matches(from).count(), 1, "{from:?} in\n{text}");
+            let crafted = text.replace(from, &to);
+            assert!(
+                matches!(
+                    Certificate::parse(&crafted),
+                    Err(CertificateError::Malformed(_))
+                ),
+                "{to:?} parsed"
+            );
+        }
     }
 
     #[test]
@@ -840,30 +818,6 @@ mod tests {
         assert!(matches!(
             Certificate::parse(&tampered),
             Err(CertificateError::FingerprintMismatch { .. })
-        ));
-    }
-
-    #[test]
-    fn tampered_edge_graph_is_detected() {
-        let p = nat_list_program();
-        let mut proof = Preproof::new();
-        let x = proof.vars_mut().fresh("x", p.f.nat_ty());
-        let conc = proof.push_open(Equation::new(p.f.s(Term::var(x)), p.f.s(Term::var(x))));
-        let prem = proof.push_open(Equation::new(Term::var(x), Term::var(x)));
-        proof.justify(prem, RuleApp::Refl, vec![]);
-        proof.justify(conc, RuleApp::Cong, vec![prem]);
-        let text = export_certificate("g", "p", &proof);
-        // The Cong edge carries the identity graph on x: `0 0 n`. Claim a
-        // strict decrease instead.
-        assert!(text.contains(" 0 0 n"));
-        let tampered = text.replace(" 0 0 n", " 0 0 s");
-        let cert = Certificate::parse(&tampered).unwrap();
-        assert!(matches!(
-            cert.verify(&p.prog),
-            Err(CertificateError::EdgeGraphMismatch {
-                node: 0,
-                premise: 0
-            })
         ));
     }
 

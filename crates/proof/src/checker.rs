@@ -115,8 +115,7 @@ pub struct CheckReport {
     /// normal forms per node: both conclusion and both premise sides).
     pub reducts_checked: u64,
     /// Normal forms answered from the checker's memo table: reducts are
-    /// shared across the nodes of one proof, and across proofs when one
-    /// rewriter is reused through [`check_with`].
+    /// shared across the nodes of one proof.
     pub memo_hits: u64,
     /// Wall-clock time of the whole check.
     pub elapsed: Duration,
@@ -138,138 +137,9 @@ fn pair_eq_modulo_flip(a: (TermId, TermId), b: (TermId, TermId)) -> bool {
     (a.0 == b.0 && a.1 == b.1) || (a.0 == b.1 && a.1 == b.0)
 }
 
-/// Outcome of the unifier-free typing attempt ([`ground_ty_of_id`]).
-enum FastTy {
-    /// The subterm's principal type, ground.
-    Ground(Type),
-    /// Not decidable structurally (polymorphic residue, or a variable with
-    /// type variables in its declared type) — fall back to unifier-based
-    /// inference.
-    Bail,
-    /// A definite type mismatch — the node must re-run the owned inference
-    /// to reproduce its exact error.
-    Fail,
-}
-
-/// One-directional matching of a scheme pattern against a ground type,
-/// binding scheme variables (`TyVarId(0..bind.len())`) on first use.
-/// Returns false on any mismatch — which, with `t` ground, is exactly when
-/// unification would fail.
-fn match_ground(pat: &Type, t: &Type, bind: &mut [Option<Type>]) -> bool {
-    match pat {
-        Type::Var(v) => {
-            let i = v.0 as usize;
-            match &bind[i] {
-                Some(b) => b == t,
-                None => {
-                    bind[i] = Some(t.clone());
-                    true
-                }
-            }
-        }
-        Type::Data(d, args) => match t {
-            Type::Data(d2, args2) => {
-                d == d2
-                    && args.len() == args2.len()
-                    && args
-                        .iter()
-                        .zip(args2)
-                        .all(|(a, b)| match_ground(a, b, bind))
-            }
-            _ => false,
-        },
-        Type::Arrow(a, b) => match t {
-            Type::Arrow(a2, b2) => match_ground(a, a2, bind) && match_ground(b, b2, bind),
-            _ => false,
-        },
-    }
-}
-
-/// Unifier-free typing for the common fully-monomorphic case: if every
-/// free variable has a ground declared type and every polymorphic head is
-/// fully determined by its (ground) arguments, the principal type falls
-/// out of structural matching alone — no metavariables, no occurs checks,
-/// no binding maps. Anything undetermined bails to the unifier-based
-/// [`ty_of_id`], and a definite mismatch reports [`FastTy::Fail`] so the
-/// node re-runs owned inference for the exact error text. Ground results
-/// land in the same `cache` the unifier path uses, as monomorphic schemes.
-fn ground_ty_of_id(
-    store: &TermStore,
-    sig: &Signature,
-    vars: &VarStore,
-    cache: &mut HashMap<TermId, TypeScheme>,
-    id: TermId,
-) -> FastTy {
-    if let Some(c) = cache.get(&id) {
-        return if c.num_vars() == 0 {
-            FastTy::Ground(c.body().clone())
-        } else {
-            FastTy::Bail
-        };
-    }
-    let (mut cur, mut bind): (Type, Vec<Option<Type>>) = match store.head(id) {
-        Head::Var(v) => {
-            let t = vars.ty(v).clone();
-            if !t.vars().is_empty() {
-                return FastTy::Bail;
-            }
-            (t, Vec::new())
-        }
-        Head::Sym(s) => {
-            let scheme = sig.sym(s).scheme();
-            (
-                scheme.body().clone(),
-                vec![None; scheme.num_vars() as usize],
-            )
-        }
-    };
-    for i in 0..store.args(id).len() {
-        let arg = store.args(id)[i];
-        let at = match ground_ty_of_id(store, sig, vars, cache, arg) {
-            FastTy::Ground(t) => t,
-            other => return other,
-        };
-        // Resolve a scheme variable in function position through the
-        // bindings collected so far; unbound means the type is not yet
-        // determined structurally.
-        while let Type::Var(v) = cur {
-            match &bind[v.0 as usize] {
-                Some(b) => cur = b.clone(),
-                None => return FastTy::Bail,
-            }
-        }
-        match cur {
-            Type::Arrow(p, r) => {
-                if !match_ground(&p, &at, &mut bind) {
-                    return FastTy::Fail;
-                }
-                cur = *r;
-            }
-            _ => return FastTy::Fail,
-        }
-    }
-    // Apply the bindings to the result; any leftover scheme variable means
-    // the type is polymorphic and the unifier path must take over.
-    let free = cur.vars();
-    if !free.is_empty() {
-        if free.iter().any(|v| bind[v.0 as usize].is_none()) {
-            return FastTy::Bail;
-        }
-        let map: std::collections::BTreeMap<TyVarId, Type> = free
-            .into_iter()
-            .map(|v| (v, bind[v.0 as usize].clone().expect("checked above")))
-            .collect();
-        cur = cur.subst(&map);
-        if !cur.vars().is_empty() {
-            return FastTy::Bail;
-        }
-    }
-    cache.insert(id, TypeScheme::mono(cur.clone()));
-    FastTy::Ground(cur)
-}
-
-/// The unifier-based equation type check on interned ids. Used when
-/// [`ground_ty_of_id`] bails.
+/// Types both sides of an equation on interned ids with [`ty_of_id`] and
+/// unifies the results. False means the node must re-run the owned
+/// inference, for the exact error text.
 fn unifier_ty_check(
     store: &TermStore,
     sig: &Signature,
@@ -346,8 +216,7 @@ fn ty_of_id(
 /// Checks the preproof against the program on a freshly interned store.
 ///
 /// `(Reduce)` validation runs on the id level with reducts memoized across
-/// nodes. Use [`check_with`] to reuse one rewriter (and its memo) across
-/// many checks of proofs over the same program.
+/// nodes.
 ///
 /// # Errors
 ///
@@ -358,27 +227,11 @@ pub fn check(
     prog: &Program,
     mode: GlobalCheck,
 ) -> Result<CheckReport, CheckError> {
+    let _span = cycleq_trace::span!("check");
+    let start = Instant::now();
     // A fresh store per call: independence from the search store is the
     // point.
     let mut rw = MemoRewriter::new(&prog.sig, &prog.trs);
-    check_with(proof, prog, mode, &mut rw)
-}
-
-/// [`check`] with a caller-supplied rewriter.
-///
-/// The rewriter must have been built from the *same program* (its signature
-/// and rules); reusing it across proofs of one program keeps the reduct memo
-/// warm, which is the batch-recheck fast path. It must not share a store
-/// with the search that produced the proofs.
-pub fn check_with(
-    proof: &Preproof,
-    prog: &Program,
-    mode: GlobalCheck,
-    rw: &mut MemoRewriter<'_>,
-) -> Result<CheckReport, CheckError> {
-    let _span = cycleq_trace::span!("check");
-    let start = Instant::now();
-    let hits_before = rw.memo_hits();
     // Intern every node equation up front, into the checker's own store:
     // nothing the search interned is trusted here.
     let ids: Vec<(TermId, TermId)> = proof
@@ -387,8 +240,8 @@ pub fn check_with(
         .collect();
     let mut back_edges = 0;
     let mut reducts_checked = 0u64;
-    // Ground principal types per interned subterm, shared across nodes —
-    // the nodes of a cyclic proof overlap heavily, so inference is mostly
+    // Principal types per interned subterm, shared across nodes — the
+    // nodes of a cyclic proof overlap heavily, so inference is mostly
     // cache hits after the first few nodes.
     let mut ty_cache: HashMap<TermId, TypeScheme> = HashMap::new();
     for (id, node) in proof.nodes() {
@@ -400,27 +253,11 @@ pub fn check_with(
                 back_edges += 1;
             }
         }
-        // Type check on the id level, memoizing ground subterm types: the
-        // nodes of a cyclic proof share most of their subterms, so after
-        // the first few nodes inference is mostly cache hits. Should the
-        // fast path reject, the node is re-checked with owned-term
-        // inference, whose error text the report carries.
+        // Type check on the id level. Should it reject, the node is
+        // re-checked with owned-term inference, whose error text the
+        // report carries.
         let (cl, cr) = ids[id.index()];
-        let fast_ok = {
-            let store = rw.store();
-            let sig = &prog.sig;
-            let vars = proof.vars();
-            match ground_ty_of_id(store, sig, vars, &mut ty_cache, cl) {
-                FastTy::Ground(lt) => match ground_ty_of_id(store, sig, vars, &mut ty_cache, cr) {
-                    FastTy::Ground(rt) => lt == rt,
-                    FastTy::Bail => unifier_ty_check(store, sig, vars, &mut ty_cache, cl, cr),
-                    FastTy::Fail => false,
-                },
-                FastTy::Bail => unifier_ty_check(store, sig, vars, &mut ty_cache, cl, cr),
-                FastTy::Fail => false,
-            }
-        };
-        if !fast_ok {
+        if !unifier_ty_check(rw.store(), &prog.sig, proof.vars(), &mut ty_cache, cl, cr) {
             let mut uni = TyUnifier::new(10_000);
             let lt = node
                 .eq
@@ -664,7 +501,7 @@ pub fn check_with(
         back_edges,
         global_verified,
         reducts_checked,
-        memo_hits: rw.memo_hits() - hits_before,
+        memo_hits: rw.memo_hits(),
         elapsed: start.elapsed(),
     })
 }
@@ -862,30 +699,5 @@ mod tests {
         proof.justify(conc, RuleApp::Cong, vec![prem, prem]);
         let e = check(&proof, &p.prog, GlobalCheck::VariableTraces).unwrap_err();
         assert_eq!(e.kind, CheckErrorKind::NotACongruence);
-    }
-
-    #[test]
-    fn reuse_across_proofs_hits_the_memo() {
-        let p = nat_list_program();
-        let build = |n: usize| {
-            let mut proof = Preproof::new();
-            let conc = proof.push_open(Equation::new(
-                Term::apps(p.f.add, vec![p.f.num(n), p.f.num(n)]),
-                p.f.num(2 * n),
-            ));
-            let prem = proof.push_open(Equation::new(p.f.num(2 * n), p.f.num(2 * n)));
-            proof.justify(prem, RuleApp::Refl, vec![]);
-            proof.justify(conc, RuleApp::Reduce, vec![prem]);
-            proof
-        };
-        let mut rw = MemoRewriter::new(&p.prog.sig, &p.prog.trs);
-        let a = build(3);
-        let b = build(3);
-        let cold = check_with(&a, &p.prog, GlobalCheck::VariableTraces, &mut rw).unwrap();
-        let warm = check_with(&b, &p.prog, GlobalCheck::VariableTraces, &mut rw).unwrap();
-        assert_eq!(cold.reducts_checked, 4);
-        // Every normal form of the second, identical proof is answered from
-        // the memo populated by the first.
-        assert!(warm.memo_hits >= warm.reducts_checked);
     }
 }

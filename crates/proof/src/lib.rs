@@ -17,8 +17,7 @@
 //! The [`check`] function is an independent checker validating both local
 //! rule instances and the global condition; everything the search or the
 //! rewriting-induction translation produces is re-checked here. It runs on
-//! a private hash-consed store with reducts memoized across nodes, and
-//! [`check_with`] reuses one rewriter across the proofs of a batch.
+//! a private hash-consed store with reducts memoized across nodes.
 //! [`export_certificate`] serializes proofs into self-contained
 //! [`Certificate`]s that can be re-validated offline (`cycleq check`).
 
@@ -31,7 +30,7 @@ mod render;
 mod transform;
 
 pub use certificate::{export_certificate, program_fingerprint, Certificate, CertificateError};
-pub use checker::{check, check_with, CheckError, CheckErrorKind, CheckReport, GlobalCheck};
+pub use checker::{check, CheckError, CheckErrorKind, CheckReport, GlobalCheck};
 pub use edges::{check_global, cycle_witnesses, edge_graph, edge_graph_id, global_edges};
 pub use node::{CaseBranch, Node, NodeId, RuleApp, Side, SubstApp};
 pub use preproof::{InternedPreproof, Preproof};

@@ -24,10 +24,9 @@
 //!
 //! The search is not the only client: the independent proof checker
 //! (`cycleq_proof::check`) builds its *own* `MemoRewriter` from the
-//! program, so its store never shares `TermId`s — or bugs — with the one the
-//! search used, and a single rewriter can be reused across the proofs of a
-//! batch (`cycleq_proof::check_with`) to keep the reduct memo warm. Nothing
-//! computed during search is trusted during certification.
+//! program for each proof, so its store never shares `TermId`s — or bugs —
+//! with the one the search used. Nothing computed during search is trusted
+//! during certification.
 //!
 //! Normalisation is triply bounded: by step fuel, by an
 //! optional wall-clock deadline, and by an optional [`CancelToken`] — the

@@ -3,11 +3,12 @@
 //! goal's verdict, at any worker count.
 //!
 //! The trigger is an event sink that panics on one goal's event, so no
-//! library code exists to make a goal panic. A panic on `RoundDeepened` is
-//! raised from inside the search, so `Session::prove_goal`'s `catch_unwind`
-//! (the inner boundary) catches it. A panic on `GoalStarted` is raised
-//! before the search starts, so the batch scheduler's catching runner (the
-//! outer boundary) catches it.
+//! library code exists to make a goal panic. `GoalStarted` and
+//! `RoundDeepened` are raised inside `Session::prove_goal`'s `catch_unwind`
+//! (the inner boundary), so the goal still gets its `GoalFinished` event
+//! and its time. `GoalFinished` is raised after `prove_goal` returns, so a
+//! panic on it escapes to the batch scheduler's catching runner (the outer
+//! boundary).
 //!
 //! The metrics registry is process-global, so every test that makes a goal
 //! panic holds `PANIC_LOCK`; otherwise one test's panic lands inside
@@ -16,8 +17,9 @@
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
+use std::time::Duration;
 
-use cycleq::{BatchReport, Engine, Outcome, ProveEvent, SearchConfig};
+use cycleq::{BatchReport, Engine, EngineBuilder, GoalStatus, Outcome, ProveEvent, SearchConfig};
 
 static PANIC_LOCK: Mutex<()> = Mutex::new(());
 
@@ -41,23 +43,33 @@ goal g6: add (add x y) Z === add x y
 goal g7: add Z Z === Z
 ";
 
-const INNER_MESSAGE: &str = "sink panicked on g3's RoundDeepened";
-const OUTER_MESSAGE: &str = "sink panicked on g3's GoalStarted";
+const SEARCH_MESSAGE: &str = "sink panicked on g3's RoundDeepened";
+const START_MESSAGE: &str = "sink panicked on g3's GoalStarted";
+const FINISH_MESSAGE: &str = "sink panicked on g3's GoalFinished";
 
 /// Panics from inside `g3`'s search, on its first deepening round.
 fn panic_in_search(event: &ProveEvent) {
     if let ProveEvent::RoundDeepened { goal, .. } = event {
         if goal == "g3" {
-            panic!("{INNER_MESSAGE}");
+            panic!("{SEARCH_MESSAGE}");
         }
     }
 }
 
-/// Panics in `g3`'s batch task, before its search starts.
-fn panic_before_search(event: &ProveEvent) {
+/// Panics as `g3` starts, before its search.
+fn panic_on_start(event: &ProveEvent) {
     if let ProveEvent::GoalStarted { goal, .. } = event {
         if goal == "g3" {
-            panic!("{OUTER_MESSAGE}");
+            panic!("{START_MESSAGE}");
+        }
+    }
+}
+
+/// Panics in `g3`'s batch task after its verdict, outside `prove_goal`.
+fn panic_on_finish(event: &ProveEvent) {
+    if let ProveEvent::GoalFinished { goal, .. } = event {
+        if goal == "g3" {
+            panic!("{FINISH_MESSAGE}");
         }
     }
 }
@@ -72,32 +84,61 @@ fn shallow_steps() -> SearchConfig {
     }
 }
 
-/// Proves every goal under [`shallow_steps`].
-fn prove_all(jobs: usize, sink: Option<fn(&ProveEvent)>) -> BatchReport {
-    let mut builder = Engine::builder().config(shallow_steps()).jobs(jobs);
-    if let Some(sink) = sink {
-        builder = builder.on_event(sink);
-    }
-    builder
+/// An engine searching under [`shallow_steps`] on `jobs` workers.
+fn engine(jobs: usize) -> EngineBuilder {
+    Engine::builder().config(shallow_steps()).jobs(jobs)
+}
+
+/// Proves every goal of [`SRC`].
+fn prove_all(engine: EngineBuilder) -> BatchReport {
+    engine
         .build()
         .load(SRC)
         .expect("fixture elaborates")
         .prove_all()
 }
 
-/// Proves every goal with `sink` attached, returning the report and how
-/// far `cycleq_goal_panics_total` and `cycleq_batch_task_panics_total`
-/// rose meanwhile.
-fn prove_all_counting_panics(jobs: usize, sink: fn(&ProveEvent)) -> (BatchReport, u64, u64) {
+/// What one batch with a panicking sink produced.
+struct PanicRun {
+    report: BatchReport,
+    /// How far `cycleq_goal_panics_total` rose.
+    goal_panics: u64,
+    /// How far `cycleq_batch_task_panics_total` rose.
+    task_panics: u64,
+    /// `GoalFinished { status: Panicked }` events the sink saw for `g3`.
+    g3_panicked_finishes: usize,
+}
+
+/// Proves every goal with `sink` attached, counting panics and `g3`'s
+/// `Panicked` finish events.
+fn prove_all_counting_panics(jobs: usize, sink: fn(&ProveEvent)) -> PanicRun {
+    let finishes = Arc::new(AtomicUsize::new(0));
+    let counting = {
+        let finishes = Arc::clone(&finishes);
+        move |event: &ProveEvent| {
+            if let ProveEvent::GoalFinished {
+                goal,
+                status: GoalStatus::Panicked,
+                ..
+            } = event
+            {
+                if goal == "g3" {
+                    finishes.fetch_add(1, Ordering::Relaxed);
+                }
+            }
+            sink(event);
+        }
+    };
     let before = cycleq::trace::metrics().snapshot();
-    let report = prove_all(jobs, Some(sink));
+    let report = prove_all(engine(jobs).on_event(counting));
     let delta = cycleq::trace::metrics().snapshot().delta(&before);
     let count = |family: &str| delta.value(family).unwrap_or(0);
-    (
+    PanicRun {
         report,
-        count("cycleq_goal_panics_total"),
-        count("cycleq_batch_task_panics_total"),
-    )
+        goal_panics: count("cycleq_goal_panics_total"),
+        task_panics: count("cycleq_batch_task_panics_total"),
+        g3_panicked_finishes: finishes.load(Ordering::Relaxed),
+    }
 }
 
 /// `g3` panicked with `message`, and every other goal's outcome equals the
@@ -131,7 +172,7 @@ fn assert_isolated(baseline: &BatchReport, report: &BatchReport, message: &str, 
 #[test]
 fn injected_panic_isolates_one_goal_and_preserves_the_rest() {
     let _panics = hold_panics();
-    let baseline = prove_all(1, None);
+    let baseline = prove_all(engine(1));
     assert!(baseline.all_proved(), "fixture must prove clean");
     // Each boundary records the goal's panic once; only a panic that
     // escapes its batch task also counts as a task panic. The outer
@@ -139,21 +180,32 @@ fn injected_panic_isolates_one_goal_and_preserves_the_rest() {
     let cases = [
         (
             "outer",
-            panic_before_search as fn(&ProveEvent),
-            OUTER_MESSAGE,
+            panic_on_finish as fn(&ProveEvent),
+            FINISH_MESSAGE,
             (1, 1),
         ),
-        ("inner", panic_in_search, INNER_MESSAGE, (1, 0)),
+        ("inner (search)", panic_in_search, SEARCH_MESSAGE, (1, 0)),
+        ("inner (start)", panic_on_start, START_MESSAGE, (1, 0)),
     ];
     for (boundary, sink, message, counts) in cases {
         for jobs in [1, 2, 4] {
-            let (report, goal_panics, task_panics) = prove_all_counting_panics(jobs, sink);
-            assert_isolated(&baseline, &report, message, jobs);
+            let run = prove_all_counting_panics(jobs, sink);
+            assert_isolated(&baseline, &run.report, message, jobs);
             assert_eq!(
-                (goal_panics, task_panics),
+                (run.goal_panics, run.task_panics),
                 counts,
                 "{boundary} boundary at jobs={jobs}: (goal panics, task panics)"
             );
+            if run.task_panics == 0 {
+                // Caught inside its task, the goal streams its own
+                // `Panicked` finish and keeps its measured time.
+                let g3 = run.report.goals.iter().find(|g| g.goal == "g3").unwrap();
+                assert_eq!(
+                    (run.g3_panicked_finishes, g3.time > Duration::ZERO),
+                    (1, true),
+                    "{boundary} boundary at jobs={jobs}: (g3 Panicked finishes, g3 timed)"
+                );
+            }
         }
     }
 }
@@ -173,20 +225,13 @@ fn without_retry_a_panicked_goal_keeps_its_panicked_verdict() {
                 if goal == "g3" {
                     g3_rounds.fetch_add(1, Ordering::Relaxed);
                     if !fired.swap(true, Ordering::Relaxed) {
-                        panic!("{INNER_MESSAGE}");
+                        panic!("{SEARCH_MESSAGE}");
                     }
                 }
             }
         }
     };
-    let report = Engine::builder()
-        .config(shallow_steps())
-        .jobs(2)
-        .on_event(sink)
-        .build()
-        .load(SRC)
-        .expect("fixture elaborates")
-        .prove_all();
+    let report = prove_all(engine(2).on_event(sink));
     assert!(fired.load(Ordering::Relaxed), "the one-shot panic fired");
     assert_eq!(report.panicked(), 1);
     let g3 = report.goals.iter().find(|g| g.goal == "g3").unwrap();

@@ -136,65 +136,65 @@ type Counts = (
 const SEARCH_COUNTS: &[Counts] = {
     use RunStatus::{Exhausted, NodeBudget, Proved};
     &[
-        ("IP01", 2000, Proved, 12, 2, 1, 2, 1, Some(0xa86a8ca1ca1eee1e)),
-        ("IP06", 2000, Proved, 10, 1, 0, 2, 1, Some(0x44759049e5af686a)),
-        ("IP07", 2000, Proved, 6, 1, 0, 1, 1, Some(0x664cd0e17d16308f)),
-        ("IP08", 2000, Proved, 6, 1, 0, 1, 1, Some(0x8513a646a1d07afc)),
-        ("IP09", 2000, Proved, 797, 415, 110, 123, 1, Some(0x513c790c8a79a8b3)),
-        ("IP10", 2000, Proved, 6, 1, 0, 1, 1, Some(0x01caad2fd38456e4)),
-        ("IP11", 2000, Proved, 2, 0, 0, 0, 1, Some(0x1d609f39b6615674)),
-        ("IP12", 2000, Proved, 11, 3, 2, 2, 1, Some(0x918e4e3efbca2d47)),
-        ("IP13", 2000, Proved, 2, 0, 0, 0, 1, Some(0x451dfb7ca5fab939)),
+        ("IP01", 2000, Proved, 12, 2, 1, 2, 1, Some(0x73cad60f20bc78b4)),
+        ("IP06", 2000, Proved, 10, 1, 0, 2, 1, Some(0xcc2d8e1eb0f514aa)),
+        ("IP07", 2000, Proved, 6, 1, 0, 1, 1, Some(0xd787899e86248013)),
+        ("IP08", 2000, Proved, 6, 1, 0, 1, 1, Some(0x6f1976f0ea36eb5c)),
+        ("IP09", 2000, Proved, 797, 415, 110, 123, 1, Some(0x94c8020021951669)),
+        ("IP10", 2000, Proved, 6, 1, 0, 1, 1, Some(0x462d04233bf47994)),
+        ("IP11", 2000, Proved, 2, 0, 0, 0, 1, Some(0x54366f5314a8093e)),
+        ("IP12", 2000, Proved, 11, 3, 2, 2, 1, Some(0xee07ab834aaba994)),
+        ("IP13", 2000, Proved, 2, 0, 0, 0, 1, Some(0x61d217efff7e722e)),
         ("IP14", 2000, Exhausted, 460, 160, 4, 118, 2, None),
-        ("IP17", 2000, Proved, 5, 0, 0, 1, 1, Some(0xc3582205b2bc259d)),
-        ("IP18", 2000, Proved, 6, 1, 0, 1, 1, Some(0xf453670aea13c1dd)),
-        ("IP19", 2000, Proved, 11, 3, 2, 2, 1, Some(0xd0a1b62d78787031)),
-        ("IP21", 2000, Proved, 6, 1, 0, 1, 1, Some(0x045fe7f6c0179d13)),
-        ("IP22", 2000, Proved, 31, 13, 12, 5, 1, Some(0x1eb7a7fe09da6cde)),
-        ("IP23", 2000, Proved, 20, 7, 6, 3, 1, Some(0x8797cb169960dc2a)),
-        ("IP24", 2000, Proved, 21, 5, 3, 4, 1, Some(0x6e926fbf4ee06f63)),
-        ("IP25", 2000, Proved, 21, 6, 4, 4, 1, Some(0x7c7f888ce9a78cd7)),
-        ("IP28", 2000, Proved, 24, 5, 2, 5, 1, Some(0xd12e8b5786165508)),
-        ("IP31", 2000, Proved, 31, 13, 12, 5, 1, Some(0xd90f4880c9e66dba)),
-        ("IP32", 2000, Proved, 20, 7, 6, 3, 1, Some(0x17dc38509e72f5c5)),
-        ("IP33", 2000, Proved, 11, 3, 2, 2, 1, Some(0xe0ee99d638aaf1c6)),
-        ("IP34", 2000, Proved, 16, 4, 3, 3, 1, Some(0xde2a9e6ce0036b99)),
-        ("IP35", 2000, Proved, 5, 0, 0, 1, 1, Some(0xee05d625617171d2)),
-        ("IP36", 2000, Proved, 8, 1, 0, 1, 1, Some(0x6ce4dd7108e7609a)),
-        ("IP40", 2000, Proved, 2, 0, 0, 0, 1, Some(0xdbe385ce99e00057)),
-        ("IP41", 2000, Proved, 13, 3, 2, 2, 1, Some(0x1d8b18690c3b6e99)),
-        ("IP42", 2000, Proved, 2, 0, 0, 0, 1, Some(0x5caea9a7410be457)),
+        ("IP17", 2000, Proved, 5, 0, 0, 1, 1, Some(0x42a7be140db53487)),
+        ("IP18", 2000, Proved, 6, 1, 0, 1, 1, Some(0xce84baefaae44453)),
+        ("IP19", 2000, Proved, 11, 3, 2, 2, 1, Some(0x9f10fe348b5346a0)),
+        ("IP21", 2000, Proved, 6, 1, 0, 1, 1, Some(0xe2d63122c83d7a61)),
+        ("IP22", 2000, Proved, 31, 13, 12, 5, 1, Some(0x61f93b97fb6b2b13)),
+        ("IP23", 2000, Proved, 20, 7, 6, 3, 1, Some(0xbd00cc48002d0bcc)),
+        ("IP24", 2000, Proved, 21, 5, 3, 4, 1, Some(0x3ee4592f35687257)),
+        ("IP25", 2000, Proved, 21, 6, 4, 4, 1, Some(0x7ec6576fb870a984)),
+        ("IP28", 2000, Proved, 24, 5, 2, 5, 1, Some(0x5eeef76f98482ec8)),
+        ("IP31", 2000, Proved, 31, 13, 12, 5, 1, Some(0xf72706c5c43ff2bf)),
+        ("IP32", 2000, Proved, 20, 7, 6, 3, 1, Some(0x192e8e93e5ecbc9f)),
+        ("IP33", 2000, Proved, 11, 3, 2, 2, 1, Some(0xb9dcb518e8916964)),
+        ("IP34", 2000, Proved, 16, 4, 3, 3, 1, Some(0xaf648f883b6cd72a)),
+        ("IP35", 2000, Proved, 5, 0, 0, 1, 1, Some(0x1e4999edf786868c)),
+        ("IP36", 2000, Proved, 8, 1, 0, 1, 1, Some(0xa03fc2264ff32ef8)),
+        ("IP40", 2000, Proved, 2, 0, 0, 0, 1, Some(0x17684c013ba83e74)),
+        ("IP41", 2000, Proved, 13, 3, 2, 2, 1, Some(0x841c245209f2415e)),
+        ("IP42", 2000, Proved, 2, 0, 0, 0, 1, Some(0xfdb618edace0d1c7)),
         ("IP43", 2000, Exhausted, 8, 0, 0, 2, 1, None),
-        ("IP44", 2000, Proved, 5, 0, 0, 1, 1, Some(0x1db9a33548caa153)),
-        ("IP45", 2000, Proved, 2, 0, 0, 0, 1, Some(0x0fe715cf4f41d744)),
-        ("IP46", 2000, Proved, 2, 0, 0, 0, 1, Some(0x8930c1f5efb6f12f)),
-        ("IP49", 2000, Proved, 74, 42, 21, 11, 1, Some(0x464b2bd5ee92c722)),
-        ("IP50", 2000, Proved, 13, 2, 1, 2, 1, Some(0xdc84ad11fa070259)),
-        ("IP51", 2000, Proved, 12, 1, 0, 2, 1, Some(0x8cac84722fff766f)),
-        ("IP55", 2000, Proved, 42, 21, 5, 7, 1, Some(0x28203b3ea81472a8)),
-        ("IP57", 2000, Proved, 25, 6, 4, 5, 1, Some(0x2ee57355b951e7af)),
-        ("IP58", 2000, Proved, 25, 6, 4, 5, 1, Some(0x580ad97dd922491d)),
-        ("IP61", 2000, Proved, 53, 33, 14, 9, 1, Some(0xdce98859589f67c9)),
-        ("IP64", 2000, Proved, 10, 1, 0, 2, 1, Some(0xd864d0553be18898)),
+        ("IP44", 2000, Proved, 5, 0, 0, 1, 1, Some(0x6f1a51963f812427)),
+        ("IP45", 2000, Proved, 2, 0, 0, 0, 1, Some(0xf3623f55f420e631)),
+        ("IP46", 2000, Proved, 2, 0, 0, 0, 1, Some(0x1785025afe92e04e)),
+        ("IP49", 2000, Proved, 74, 42, 21, 11, 1, Some(0xbcfa80866566964f)),
+        ("IP50", 2000, Proved, 13, 2, 1, 2, 1, Some(0xea4e5f666875b39d)),
+        ("IP51", 2000, Proved, 12, 1, 0, 2, 1, Some(0x12aeaa27dfdbbe92)),
+        ("IP55", 2000, Proved, 42, 21, 5, 7, 1, Some(0x56f2ff993e1b129e)),
+        ("IP57", 2000, Proved, 25, 6, 4, 5, 1, Some(0xd58a6e1f3dc9c067)),
+        ("IP58", 2000, Proved, 25, 6, 4, 5, 1, Some(0x2e7cbfd3b7386241)),
+        ("IP61", 2000, Proved, 53, 33, 14, 9, 1, Some(0x111072f67120cbec)),
+        ("IP64", 2000, Proved, 10, 1, 0, 2, 1, Some(0x4bde4a5bbb1ded51)),
         ("IP66", 2000, Exhausted, 8, 0, 0, 2, 1, None),
-        ("IP67", 2000, Proved, 12, 2, 1, 2, 1, Some(0x6538097001e37316)),
+        ("IP67", 2000, Proved, 12, 2, 1, 2, 1, Some(0x084aa8efd655a0a4)),
         ("IP73", 2000, Exhausted, 8, 0, 0, 2, 1, None),
-        ("IP79", 2000, Proved, 783, 441, 131, 140, 1, Some(0xc48121ad0a3dee56)),
-        ("IP80", 2000, Proved, 25, 5, 4, 5, 1, Some(0x8c67c2ec03868c3d)),
-        ("IP82", 2000, Proved, 19, 5, 4, 3, 1, Some(0xefc912174c3e6142)),
-        ("IP83", 2000, Proved, 22, 5, 4, 4, 1, Some(0x87e63208bb750bd7)),
-        ("IP84", 2000, Proved, 18, 4, 3, 3, 1, Some(0x9e0e898e5662f5b0)),
-        ("M01", 2000, Proved, 15, 2, 0, 2, 1, Some(0xde11ca625839195b)),
-        ("M02", 2000, Proved, 15, 2, 0, 2, 1, Some(0x6f2e177e363aa454)),
-        ("M03", 2000, Proved, 13, 2, 0, 2, 1, Some(0x6436df65b84af2d6)),
-        ("M04", 2000, Proved, 96, 8, 0, 22, 2, Some(0x214b40fe9dd5aa3b)),
-        ("M05", 2000, Proved, 13, 2, 0, 2, 1, Some(0xb118babafbdb25ff)),
-        ("M06", 2000, Proved, 154, 10, 0, 42, 2, Some(0x28f33f8446c86aa3)),
-        ("M07", 2000, Proved, 15, 2, 0, 2, 1, Some(0x57ecafe448e41579)),
-        ("M08", 2000, Proved, 15, 2, 0, 2, 1, Some(0xbac8169b0e1488f2)),
-        ("F04", 2000, Proved, 22, 9, 4, 3, 1, Some(0x2cea67088dfbd953)),
-        ("F09", 2000, Proved, 8, 1, 0, 1, 1, Some(0x2ccda4b0ae3da50a)),
-        ("IP56", 4000, Proved, 3843, 1875, 836, 631, 1, Some(0xd36be1b12db26414)),
+        ("IP79", 2000, Proved, 783, 441, 131, 140, 1, Some(0x39b8b47940d5b903)),
+        ("IP80", 2000, Proved, 25, 5, 4, 5, 1, Some(0xe0c63e5e9666a1ea)),
+        ("IP82", 2000, Proved, 19, 5, 4, 3, 1, Some(0x1bbf54d3547c6027)),
+        ("IP83", 2000, Proved, 22, 5, 4, 4, 1, Some(0x50f878dd4d9b6123)),
+        ("IP84", 2000, Proved, 18, 4, 3, 3, 1, Some(0xeda22843ad225927)),
+        ("M01", 2000, Proved, 15, 2, 0, 2, 1, Some(0xf0afb34d60f8293a)),
+        ("M02", 2000, Proved, 15, 2, 0, 2, 1, Some(0x044d440b80bcb758)),
+        ("M03", 2000, Proved, 13, 2, 0, 2, 1, Some(0xc9e685bd37e62340)),
+        ("M04", 2000, Proved, 96, 8, 0, 22, 2, Some(0x58b6b8926e7d844a)),
+        ("M05", 2000, Proved, 13, 2, 0, 2, 1, Some(0xc879e3312660677f)),
+        ("M06", 2000, Proved, 154, 10, 0, 42, 2, Some(0x6a4c2fabe5957569)),
+        ("M07", 2000, Proved, 15, 2, 0, 2, 1, Some(0x40aa7070531ea7f8)),
+        ("M08", 2000, Proved, 15, 2, 0, 2, 1, Some(0xbdd74fa2fd4d9b50)),
+        ("F04", 2000, Proved, 22, 9, 4, 3, 1, Some(0xf7c58db7fdeebff4)),
+        ("F09", 2000, Proved, 8, 1, 0, 1, 1, Some(0x0b92b90314c9b1e2)),
+        ("IP56", 4000, Proved, 3843, 1875, 836, 631, 1, Some(0x97f7afb37fa52c05)),
         ("IP20", 2000, NodeBudget, 2004, 584, 558, 436, 4, None),
         ("IP52", 2000, NodeBudget, 2002, 935, 508, 396, 1, None),
     ]
