@@ -1,15 +1,14 @@
-//! A std-only work-stealing task scheduler with cost-ordered seeding.
+//! A std-only task scheduler: one queue in predicted-cost order.
 //!
 //! The build environment has no crates.io access, so there is no rayon;
-//! this is the classic scheme built from the standard library alone. Tasks
-//! are seeded into one deque per worker — heaviest predicted cost first,
-//! spread greedily across the least-loaded deques (longest-processing-time
-//! order), so a batch with a few heavy goals starts them immediately
-//! instead of discovering them last. Each worker drains its own deque from
-//! the front and, when empty, steals from the *back* of its peers' deques
-//! (back-stealing takes the work its owner would reach last, which keeps
-//! contention on opposite ends of each deque). No task ever enqueues
-//! another task, so a worker may exit as soon as every deque is empty.
+//! this is built from the standard library alone. The task indices are
+//! sorted heaviest predicted cost first (a stable sort, so equal costs keep
+//! task order), and every worker claims the next index from one atomic
+//! cursor over that order. Each idle worker thus takes the heaviest task
+//! not yet started: greedy list scheduling in predicted-cost order, so a
+//! batch with a few heavy goals starts them at once instead of discovering
+//! them last. No task ever enqueues another task, so a worker exits as
+//! soon as the cursor passes the last task.
 //!
 //! Determinism: results are written into a slot per task index, so the
 //! returned `Vec` is always in task order no matter which worker finished
@@ -17,10 +16,11 @@
 //! deterministic — tasks must not depend on execution order, only on their
 //! own input. Proof search satisfies this: goals are independent.
 
-use std::collections::VecDeque;
+use std::cmp::Reverse;
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::{Mutex, OnceLock};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Mutex, OnceLock, PoisonError};
 use std::thread;
 
 use cycleq_trace::{lock_recover, metrics, Counter, Gauge};
@@ -28,9 +28,7 @@ use cycleq_trace::{lock_recover, metrics, Counter, Gauge};
 /// Process-wide registry handles for scheduler activity.
 #[derive(Debug, Clone)]
 struct SchedulerMetrics {
-    /// Tasks a worker popped from a peer's deque instead of its own.
-    steals: Counter,
-    /// Tasks executed (own pops + steals).
+    /// Tasks executed.
     tasks: Counter,
     /// Tasks currently queued across all live batch runs.
     queue_depth: Gauge,
@@ -41,13 +39,9 @@ struct SchedulerMetrics {
 fn scheduler_metrics() -> &'static SchedulerMetrics {
     static METRICS: OnceLock<SchedulerMetrics> = OnceLock::new();
     METRICS.get_or_init(|| SchedulerMetrics {
-        steals: metrics().counter(
-            "cycleq_batch_steals_total",
-            "Batch tasks executed by a worker that stole them from a peer's queue.",
-        ),
         tasks: metrics().counter(
             "cycleq_batch_tasks_total",
-            "Batch tasks executed by the work-stealing scheduler (including inline runs).",
+            "Batch tasks executed by the scheduler (including inline runs).",
         ),
         queue_depth: metrics().gauge(
             "cycleq_batch_queue_depth",
@@ -60,8 +54,8 @@ fn scheduler_metrics() -> &'static SchedulerMetrics {
     })
 }
 
-/// A task that panicked instead of returning; the scheduler's catching
-/// entry points turn the unwind into this structured per-task failure.
+/// A task that panicked instead of returning; the scheduler turns the
+/// unwind into this structured per-task failure.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct TaskPanic {
     /// The panic payload, if it was a string (the common case for both
@@ -88,48 +82,26 @@ pub fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
-/// LPT (longest-processing-time) seeding of `n` tasks onto `workers`
-/// queues: heaviest task first, each to the least-loaded queue, ties broken
-/// by queue index so uniform costs reproduce round-robin order exactly.
-/// Returns each worker's task indices, front of the queue first.
-///
-/// Costs are a scheduling *hint*: a short slice is padded with the uniform
-/// weight 1 and extras are ignored, rather than panicking in release.
-fn lpt_seed(costs: &[u64], n: usize, workers: usize) -> Vec<Vec<usize>> {
-    let cost_of = |i: usize| costs.get(i).copied().unwrap_or(1);
-    let mut order: Vec<usize> = (0..n).collect();
-    order.sort_by_key(|&i| std::cmp::Reverse(cost_of(i)));
-    let mut queues = vec![Vec::new(); workers];
-    let mut load = vec![0u64; workers];
-    for i in order {
-        let w = (0..workers)
-            .min_by_key(|&w| (load[w], w))
-            .expect("workers >= 1");
-        load[w] = load[w].saturating_add(cost_of(i).max(1));
-        queues[w].push(i);
-    }
-    queues
-}
-
-/// Runs one task under `catch_unwind`, counting caught panics.
+/// Starts one dequeued task under `catch_unwind`, counting it and any
+/// panic it raises.
 ///
 /// `AssertUnwindSafe` is sound here because a panicking task's result slot
 /// is overwritten with the `Err` — no caller observes state the task left
 /// half-updated through the scheduler, and shared state reached through
 /// captured references is itself poison-recovering.
-fn run_task<T, F>(task: F, worker: usize, m: &SchedulerMetrics) -> Result<T, TaskPanic>
+fn run_task<T, F>(task: F, worker: usize) -> Result<T, TaskPanic>
 where
     F: FnOnce(usize) -> T,
 {
-    match catch_unwind(AssertUnwindSafe(|| task(worker))) {
-        Ok(v) => Ok(v),
-        Err(payload) => {
-            m.task_panics.inc();
-            Err(TaskPanic {
-                message: panic_message(payload.as_ref()),
-            })
+    let m = scheduler_metrics();
+    m.queue_depth.sub(1);
+    m.tasks.inc();
+    catch_unwind(AssertUnwindSafe(|| task(worker))).map_err(|payload| {
+        m.task_panics.inc();
+        TaskPanic {
+            message: panic_message(payload.as_ref()),
         }
-    }
+    })
 }
 
 /// Stack size for worker threads. Reduction and proof search recurse on
@@ -144,7 +116,7 @@ pub fn available_parallelism() -> usize {
     thread::available_parallelism().map_or(1, |n| n.get())
 }
 
-/// A fixed-width work-stealing executor for independent, indexed tasks.
+/// A fixed-width executor for independent, indexed tasks.
 #[derive(Copy, Clone, Debug)]
 pub struct BatchScheduler {
     jobs: usize,
@@ -168,78 +140,48 @@ impl BatchScheduler {
         self.jobs
     }
 
-    /// Runs every task and returns the results **in task order**, seeding
-    /// the worker queues in task order (equal predicted costs).
-    ///
-    /// Each task receives the index of the worker running it (workers own
-    /// per-worker state such as a term store, so the index lets callers
-    /// pre-allocate one slot per worker). With one worker — or a single
-    /// task — everything runs inline on the calling thread, in order: the
-    /// sequential fallback involves no threads at all.
+    /// Runs every task, all of equal predicted cost, and returns the
+    /// results **in task order**.
     ///
     /// # Panics
     ///
     /// If a task panics, the panic is caught and isolated (every other task
     /// still runs to completion), then re-raised to the caller after the
-    /// batch finishes. Use [`BatchScheduler::run_catching`] to receive
-    /// per-task failures instead.
+    /// batch finishes. Use [`BatchScheduler::run_with_costs_catching`] to
+    /// receive per-task failures instead.
     pub fn run<T, F>(&self, tasks: Vec<F>) -> Vec<T>
     where
         T: Send,
         F: FnOnce(usize) -> T + Send,
     {
-        let costs = vec![1u64; tasks.len()];
-        self.run_with_costs(tasks, &costs)
-    }
-
-    /// Like [`BatchScheduler::run`], but a panicking task yields
-    /// `Err(TaskPanic)` in its slot instead of re-raising: the batch always
-    /// completes, and the caller decides how a faulted task degrades.
-    pub fn run_catching<T, F>(&self, tasks: Vec<F>) -> Vec<Result<T, TaskPanic>>
-    where
-        T: Send,
-        F: FnOnce(usize) -> T + Send,
-    {
-        let costs = vec![1u64; tasks.len()];
+        let costs = vec![1; tasks.len()];
         self.run_with_costs_catching(tasks, &costs)
-    }
-
-    /// Runs every task and returns the results **in task order**, seeding
-    /// the worker queues by *predicted cost*: tasks are sorted
-    /// heaviest-first (ties keep task order) and assigned greedily to the
-    /// least-loaded queue, the classic longest-processing-time heuristic.
-    /// A suite with a few heavy goals starts them immediately on separate
-    /// workers instead of discovering them behind a wall of cheap ones,
-    /// which is what bounds the batch's tail latency. Work stealing then
-    /// mops up any misprediction.
-    ///
-    /// Costs are relative weights in arbitrary units (goal term size,
-    /// milliseconds from a previous run, …); only their order and rough
-    /// ratios matter. With uniform costs the seeding degenerates to the
-    /// round-robin order [`BatchScheduler::run`] promises.
-    ///
-    /// # Panics
-    ///
-    /// Propagates task panics like [`BatchScheduler::run`]. A cost-length
-    /// mismatch is a caller bug flagged by a `debug_assert`; release builds
-    /// degrade gracefully (missing costs default to 1, extras are ignored)
-    /// rather than killing a long-lived batch over a mispredicted hint.
-    pub fn run_with_costs<T, F>(&self, tasks: Vec<F>, costs: &[u64]) -> Vec<T>
-    where
-        T: Send,
-        F: FnOnce(usize) -> T + Send,
-    {
-        self.run_with_costs_catching(tasks, costs)
             .into_iter()
-            .map(|r| match r {
-                Ok(v) => v,
-                Err(p) => panic!("batch {p}"),
-            })
+            .map(|r| r.unwrap_or_else(|p| panic!("batch {p}")))
             .collect()
     }
 
-    /// Like [`BatchScheduler::run_with_costs`], but with per-task panic
-    /// isolation (see [`BatchScheduler::run_catching`]).
+    /// Runs every task and returns the results **in task order**; a
+    /// panicking task yields `Err(TaskPanic)` in its slot instead of
+    /// re-raising, so the batch always completes and the caller decides
+    /// how a faulted task degrades.
+    ///
+    /// Each task receives the index of the worker running it. Workers
+    /// start tasks heaviest *predicted cost* first, each idle worker taking
+    /// the next task in that order, so a few heavy goals start at once
+    /// instead of behind a wall of cheap ones, which is what bounds the
+    /// batch's tail latency. Costs are relative weights in arbitrary units
+    /// (goal term size, …); only their order matters, and equal costs
+    /// start in task order. With one worker — or a single task — every
+    /// task runs inline on the calling thread, in task order: the
+    /// sequential fallback involves no threads at all.
+    ///
+    /// # Panics
+    ///
+    /// A cost-length mismatch is a caller bug flagged by a `debug_assert`;
+    /// release builds degrade gracefully (a missing cost counts as 1,
+    /// extras are ignored) rather than killing a long-lived batch over a
+    /// mispredicted hint.
     pub fn run_with_costs_catching<T, F>(
         &self,
         tasks: Vec<F>,
@@ -256,67 +198,30 @@ impl BatchScheduler {
         );
         let n = tasks.len();
         let workers = self.jobs.min(n).max(1);
-        let sched_metrics = scheduler_metrics();
+        scheduler_metrics().queue_depth.add(n as u64);
         if workers == 1 {
-            sched_metrics.queue_depth.add(n as u64);
-            return tasks
-                .into_iter()
-                .map(|t| {
-                    sched_metrics.queue_depth.sub(1);
-                    sched_metrics.tasks.inc();
-                    run_task(t, 0, sched_metrics)
-                })
-                .collect();
+            return tasks.into_iter().map(|t| run_task(t, 0)).collect();
         }
-        let mut slots_of: Vec<Option<F>> = tasks.into_iter().map(Some).collect();
-        let queues: Vec<Mutex<VecDeque<(usize, F)>>> = lpt_seed(costs, n, workers)
-            .into_iter()
-            .map(|queue| {
-                let seeded = queue
-                    .into_iter()
-                    .map(|i| (i, slots_of[i].take().expect("each task seeded once")));
-                Mutex::new(seeded.collect())
-            })
-            .collect();
+        let mut order: Vec<usize> = (0..n).collect();
+        order.sort_by_key(|&i| Reverse(costs.get(i).copied().unwrap_or(1)));
+        let tasks: Vec<Mutex<Option<F>>> = tasks.into_iter().map(|t| Mutex::new(Some(t))).collect();
         let slots: Vec<Mutex<Option<Result<T, TaskPanic>>>> =
             (0..n).map(|_| Mutex::new(None)).collect();
-        sched_metrics.queue_depth.add(n as u64);
+        let cursor = AtomicUsize::new(0);
         thread::scope(|scope| {
             for w in 0..workers {
-                let queues = &queues;
-                let slots = &slots;
+                let (order, tasks, slots, cursor) = (&order, &tasks, &slots, &cursor);
                 thread::Builder::new()
                     .name(format!("cycleq-batch-{w}"))
                     .stack_size(WORKER_STACK_BYTES)
                     .spawn_scoped(scope, move || {
                         cycleq_trace::set_thread_label(&format!("worker-{w}"));
-                        loop {
-                            let (job, stolen) = {
-                                let own = lock_recover(&queues[w]).pop_front();
-                                match own {
-                                    Some(job) => (Some(job), false),
-                                    None => (
-                                        (1..workers).find_map(|off| {
-                                            lock_recover(&queues[(w + off) % workers]).pop_back()
-                                        }),
-                                        true,
-                                    ),
-                                }
-                            };
-                            match job {
-                                Some((i, task)) => {
-                                    sched_metrics.queue_depth.sub(1);
-                                    sched_metrics.tasks.inc();
-                                    if stolen {
-                                        sched_metrics.steals.inc();
-                                    }
-                                    let out = run_task(task, w, sched_metrics);
-                                    *lock_recover(&slots[i]) = Some(out);
-                                }
-                                // Every deque empty and tasks never spawn
-                                // tasks: nothing left to do.
-                                None => break,
-                            }
+                        // The cursor hands out each position once; past the
+                        // last one, nothing is left to do.
+                        while let Some(&i) = order.get(cursor.fetch_add(1, Ordering::Relaxed)) {
+                            let task = lock_recover(&tasks[i]).take();
+                            let task = task.expect("each task is claimed once");
+                            *lock_recover(&slots[i]) = Some(run_task(task, w));
                         }
                     })
                     .expect("spawn batch worker");
@@ -326,7 +231,7 @@ impl BatchScheduler {
             .into_iter()
             .map(|s| {
                 s.into_inner()
-                    .unwrap_or_else(std::sync::PoisonError::into_inner)
+                    .unwrap_or_else(PoisonError::into_inner)
                     .expect("scope joined, so every task ran")
             })
             .collect()
@@ -385,12 +290,12 @@ mod tests {
     }
 
     #[test]
-    fn idle_workers_steal_from_loaded_ones() {
+    fn idle_workers_take_the_queued_tasks() {
         // The first task to start pins its worker until every other task
-        // has finished, which is only possible if the other workers steal
-        // the tasks still queued behind it. Pinning whichever task starts
-        // first, rather than a fixed one, keeps the test independent of
-        // which threads the OS happens to run.
+        // has finished, which is only possible if the other workers take
+        // the tasks still queued. Pinning whichever task starts first,
+        // rather than a fixed one, keeps the test independent of which
+        // threads the OS happens to run.
         let workers_seen = Mutex::new(std::collections::BTreeSet::new());
         let done = AtomicUsize::new(0);
         let pinned = AtomicBool::new(false);
@@ -407,7 +312,7 @@ mod tests {
                             while done.load(Ordering::SeqCst) < 8 {
                                 assert!(
                                     std::time::Instant::now() < deadline,
-                                    "peers never stole the pinned worker's queued tasks"
+                                    "peers never took the queued tasks"
                                 );
                                 thread::sleep(Duration::from_millis(1));
                             }
@@ -421,40 +326,90 @@ mod tests {
         assert!(workers_seen.lock().unwrap().len() > 1);
     }
 
+    /// Runs `n` tasks (task `i` returns `7·i`) under `costs` on `jobs`
+    /// workers, unwrapping every result.
+    fn run_costed(jobs: usize, n: u64, costs: &[u64]) -> Vec<u64> {
+        BatchScheduler::new(jobs)
+            .run_with_costs_catching((0..n).map(|i| move |_w: usize| i * 7).collect(), costs)
+            .into_iter()
+            .map(|r| r.expect("healthy task"))
+            .collect()
+    }
+
     #[test]
     fn cost_ordered_results_stay_in_task_order() {
         // Costs descending-by-index: the scheduler reorders *execution*,
         // never results.
         let costs: Vec<u64> = (0..32).map(|i| 32 - i).collect();
-        let out = BatchScheduler::new(4)
-            .run_with_costs((0..32u64).map(|i| move |_w: usize| i * 7).collect(), &costs);
-        assert_eq!(out, (0..32).map(|i| i * 7).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn heavy_tasks_are_seeded_first() {
-        // Task 30 is predicted heaviest, so it heads its own queue: a
-        // worker picks it up first instead of discovering it last behind
-        // the cheap tasks, which all go to the other queue.
-        let heavy = 30usize;
-        let mut costs = vec![1u64; 32];
-        costs[heavy] = 1_000;
-        let queues = lpt_seed(&costs, 32, 2);
-        assert_eq!(queues[0], vec![heavy]);
-        let cheap: Vec<usize> = (0..32).filter(|&i| i != heavy).collect();
-        assert_eq!(queues[1], cheap);
-    }
-
-    #[test]
-    fn uniform_costs_reproduce_round_robin_seeding() {
         assert_eq!(
-            lpt_seed(&[1; 8], 8, 3),
-            vec![vec![0, 3, 6], vec![1, 4, 7], vec![2, 5]]
+            run_costed(4, 32, &costs),
+            (0..32).map(|i| i * 7).collect::<Vec<_>>()
         );
-        // With one worker the inline path runs in task order either way;
-        // this pins the delegation itself.
-        let out = BatchScheduler::new(1).run((0..8).map(|i| move |_w: usize| i).collect());
-        assert_eq!(out, (0..8).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn tasks_start_in_descending_cost_order() {
+        // Distinct costs, out of order. The first task to start pins its
+        // worker until every other task has finished, so the other worker
+        // starts all the rest, one after another, in the order the queue
+        // hands them out. The pinned task is one of the first two handed
+        // out, so it is one of the two heaviest.
+        let costs: Vec<u64> = vec![3, 9, 1, 7, 5, 8, 2, 6, 4];
+        let n = costs.len();
+        let started = Mutex::new(Vec::new());
+        let done = AtomicUsize::new(0);
+        let pinned = Mutex::new(None);
+        let out = BatchScheduler::new(2).run_with_costs_catching(
+            costs
+                .iter()
+                .enumerate()
+                .map(|(i, &cost)| {
+                    let (started, done, pinned) = (&started, &done, &pinned);
+                    move |w: usize| {
+                        let first = {
+                            let mut pinned = pinned.lock().unwrap();
+                            let first = pinned.is_none();
+                            if first {
+                                *pinned = Some((w, cost));
+                            }
+                            first
+                        };
+                        if first {
+                            let deadline = std::time::Instant::now() + Duration::from_secs(10);
+                            while done.load(Ordering::SeqCst) < n - 1 {
+                                assert!(
+                                    std::time::Instant::now() < deadline,
+                                    "the other worker never took the queued tasks"
+                                );
+                                thread::sleep(Duration::from_millis(1));
+                            }
+                        } else {
+                            started.lock().unwrap().push((w, cost));
+                        }
+                        done.fetch_add(1, Ordering::SeqCst);
+                        i
+                    }
+                })
+                .collect(),
+            &costs,
+        );
+        let out: Vec<usize> = out.into_iter().map(|r| r.expect("healthy task")).collect();
+        assert_eq!(out, (0..n).collect::<Vec<_>>(), "results in task order");
+        let (pinned_worker, pinned_cost) = pinned.into_inner().unwrap().expect("a task started");
+        assert!(
+            pinned_cost >= 8,
+            "pinned task of cost {pinned_cost} started first"
+        );
+        let started = started.into_inner().unwrap();
+        assert!(started.iter().all(|&(w, _)| w != pinned_worker));
+        let mut expected: Vec<u64> = costs
+            .iter()
+            .copied()
+            .filter(|&c| c != pinned_cost)
+            .collect();
+        expected.sort_unstable_by(|a, b| b.cmp(a));
+        let order: Vec<u64> = started.iter().map(|&(_, c)| c).collect();
+        assert_eq!(order, expected, "tasks started heaviest first");
     }
 
     /// A cost-length mismatch is a caller bug: debug builds assert.
@@ -462,28 +417,23 @@ mod tests {
     #[test]
     #[should_panic(expected = "one predicted cost per task")]
     fn mismatched_costs_panic_in_debug() {
-        let _ = BatchScheduler::new(2)
-            .run_with_costs((0..4).map(|i| move |_w: usize| i).collect(), &[1, 2]);
+        let _ = run_costed(2, 4, &[1, 2]);
     }
 
-    /// Release builds degrade gracefully on a cost-length mismatch: the
-    /// short slice is padded with uniform weights and every task still runs
-    /// to completion, in task order.
+    /// Release builds degrade gracefully on a cost-length mismatch: a
+    /// missing cost counts as 1 and every task still runs to completion,
+    /// in task order.
     #[cfg(not(debug_assertions))]
     #[test]
     fn mismatched_costs_pad_in_release() {
-        let out = BatchScheduler::new(2)
-            .run_with_costs((0..4).map(|i| move |_w: usize| i).collect(), &[1, 2]);
-        assert_eq!(out, vec![0, 1, 2, 3]);
-        let out = BatchScheduler::new(2)
-            .run_with_costs((0..2).map(|i| move |_w: usize| i).collect(), &[1, 2, 3, 4]);
-        assert_eq!(out, vec![0, 1]);
+        assert_eq!(run_costed(2, 4, &[1, 2]), vec![0, 7, 14, 21]);
+        assert_eq!(run_costed(2, 2, &[1, 2, 3, 4]), vec![0, 7]);
     }
 
     #[test]
     fn panicking_task_is_isolated() {
         for jobs in [1, 4] {
-            let results = BatchScheduler::new(jobs).run_catching(
+            let results = BatchScheduler::new(jobs).run_with_costs_catching(
                 (0..8)
                     .map(|i| {
                         move |_w: usize| {
@@ -492,6 +442,7 @@ mod tests {
                         }
                     })
                     .collect(),
+                &[1; 8],
             );
             assert_eq!(results.len(), 8, "jobs={jobs}");
             for (i, r) in results.iter().enumerate() {

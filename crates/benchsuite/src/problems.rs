@@ -82,7 +82,7 @@ impl Problem {
         Some(out)
     }
 
-    /// The hint goal names, for [`cycleq::Session::prove_with_hints`].
+    /// The hint goal names, for [`cycleq::Session::prove_with_budget`].
     pub fn hint_names(&self) -> Vec<&'static str> {
         self.hints.iter().map(|(n, _)| *n).collect()
     }

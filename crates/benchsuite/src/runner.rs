@@ -4,7 +4,7 @@
 use std::fmt::Write as _;
 use std::time::Duration;
 
-use cycleq::{Engine, Outcome, SearchConfig, SearchStats};
+use cycleq::{Budget, CancelToken, Engine, Outcome, SearchConfig, SearchStats};
 use cycleq_batch::BatchScheduler;
 
 use crate::problems::{Category, Expectation, Problem};
@@ -139,7 +139,12 @@ pub fn run_problem(problem: &'static Problem, config: &RunConfig) -> RunOutcome 
     } else {
         Vec::new()
     };
-    let verdict = match session.prove_with_hints(&goal_name, &hints) {
+    let verdict = match session.prove_with_budget(
+        &goal_name,
+        &hints,
+        &Budget::unlimited(),
+        &CancelToken::new(),
+    ) {
         Ok(v) => v,
         Err(e) => {
             return RunOutcome {

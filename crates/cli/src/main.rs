@@ -12,12 +12,11 @@
 
 use std::process::ExitCode;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Arc;
 use std::time::Duration;
 
 use cycleq::{
-    analyze_source, analyze_with_fixes, available_parallelism, check_certificate, unified_diff,
-    BatchReport, BatchScheduler, Diagnostic, Engine, Outcome, ProveEvent, SearchConfig,
+    analyze_source, analyze_with_fixes, check_certificate, unified_diff, BatchReport,
+    BatchScheduler, Budget, CancelToken, Diagnostic, Engine, Outcome, ProveEvent, SearchConfig,
     SearchStats, Session, Verdict,
 };
 
@@ -44,7 +43,9 @@ ARGS:
 
 SUBCOMMANDS:
     prove       Explicit alias for the default mode: `cycleq prove FILE`
-                and `cycleq FILE` are equivalent
+                and `cycleq FILE` are equivalent. Either streams one
+                progress line per finished goal to stderr, in completion
+                order, while stdout keeps the declaration-ordered verdicts
     check       Re-validate exported proof certificates. Each file is
                 parsed, its embedded program fingerprint-checked and
                 re-elaborated, and the proof re-run through the
@@ -76,13 +77,13 @@ OPTIONS:
     --hints g1,g2       Prove the named goals first and provide them as
                         (Subst) lemmas for every requested goal
     --jobs N            Prove goals in parallel on N worker threads
-                        (0 = one per hardware thread; default 1). Output
-                        stays in declaration order, and only the wall time
-                        changes: verdicts, proofs and --stats counters are
-                        the same at any N, unless --timeout-ms cuts a goal
-                        short. Live per-goal progress lines stream to
-                        stderr as goals finish, and a batch summary line is
-                        printed at the end
+                        (0 = one per hardware thread; default 1), each
+                        idle worker taking the largest goal not yet
+                        started. Output stays in declaration order, and
+                        only the wall time changes: verdicts, proofs and
+                        --stats counters are the same at any N, unless
+                        --timeout-ms cuts a goal short. A batch summary
+                        line is printed at the end
     --format FMT        Output format: `text` (default) or `json` — one
                         machine-readable JSON object per goal plus a batch
                         summary object, one per line, on stdout
@@ -130,9 +131,8 @@ struct Options {
     trace_out: Option<String>,
     metrics_out: Option<String>,
     format: Format,
-    /// `Some(n)` when `--jobs` was passed: the batch path (with its summary
-    /// line and live progress) runs even for `--jobs 1`, exactly as the
-    /// help text promises.
+    /// `Some(n)` when `--jobs` was passed: the batch summary line is
+    /// printed even for `--jobs 1`, exactly as the help text promises.
     jobs: Option<usize>,
     config: SearchConfig,
 }
@@ -380,14 +380,13 @@ impl Tally {
 fn run(opts: &Options) -> Result<Tally, String> {
     let source = std::fs::read_to_string(&opts.file)
         .map_err(|e| format!("cannot read `{}`: {e}", opts.file))?;
-    let mut builder = Engine::builder()
+    // Live per-goal progress to stderr, streamed in completion order
+    // while stdout keeps the declaration-ordered verdicts.
+    let done = AtomicUsize::new(0);
+    let engine = Engine::builder()
         .config(opts.config.clone())
-        .jobs(opts.jobs.unwrap_or(1));
-    if opts.jobs.is_some() {
-        // Live per-goal progress to stderr, streamed in completion order
-        // while stdout keeps the declaration-ordered verdicts.
-        let done = Arc::new(AtomicUsize::new(0));
-        builder = builder.on_event(move |ev: &ProveEvent| {
+        .jobs(opts.jobs.unwrap_or(1))
+        .on_event(move |ev: &ProveEvent| {
             if let ProveEvent::GoalFinished {
                 goal, status, time, ..
             } = ev
@@ -398,9 +397,8 @@ fn run(opts: &Options) -> Result<Tally, String> {
                     time.as_secs_f64() * 1000.0
                 );
             }
-        });
-    }
-    let engine = builder.build();
+        })
+        .build();
     let session = engine
         .load(&source)
         .map_err(|e| format!("{}: {e}", opts.file))?;
@@ -414,10 +412,10 @@ fn run(opts: &Options) -> Result<Tally, String> {
             None => eprintln!("{}: {d}", opts.file),
         }
     }
-    let goals: Vec<String> = if opts.goals.is_empty() {
-        session.goal_names().iter().map(|g| g.to_string()).collect()
+    let goals: Vec<&str> = if opts.goals.is_empty() {
+        session.goal_names()
     } else {
-        opts.goals.clone()
+        opts.goals.iter().map(String::as_str).collect()
     };
     if goals.is_empty() {
         return Err(format!("`{}` declares no goals", opts.file));
@@ -434,30 +432,7 @@ fn run(opts: &Options) -> Result<Tally, String> {
     if opts.trace_out.is_some() {
         cycleq::trace::start_collect();
     }
-    // JSON output always goes through the batch path: one object per goal
-    // plus the summary object, whatever the worker count.
-    let tally = if opts.jobs.is_some() || opts.format == Format::Json {
-        run_batch(opts, &session, &goals, &hints)?
-    } else {
-        let mut tally = Tally::default();
-        for goal in &goals {
-            let verdict = session
-                .prove_with_hints(goal, &hints)
-                .map_err(|e| e.to_string())?;
-            if verdict.is_refuted() {
-                tally.refuted = true;
-            } else if !verdict.is_proved() {
-                // Exhausted, Timeout, NodeBudget, Cancelled, HintFailed
-                // or Panicked (isolated by the panic boundary).
-                tally.gave_up = true;
-            }
-            print_verdict(opts, &verdict);
-            if let Some(dir) = &opts.emit_certs {
-                emit_certificate(dir, &session, &verdict)?;
-            }
-        }
-        tally
-    };
+    let tally = prove(opts, &session, &goals, &hints)?;
     write_observability(opts)?;
     Ok(tally)
 }
@@ -495,18 +470,17 @@ fn emit_certificate(dir: &str, session: &Session, verdict: &Verdict) -> Result<(
     std::fs::write(&path, text).map_err(|e| format!("cannot write `{}`: {e}", path.display()))
 }
 
-/// Batch path: proves the goals across the session's workers, printing
-/// verdicts in declaration order plus a summary. The exit code is the
-/// worst verdict, exactly as in the sequential path.
-fn run_batch(
+/// Proves the goals as one batch across the session's workers, printing
+/// verdicts in declaration order, then the batch summary when `--jobs` or
+/// `--format json` asked for it. The exit code is the worst verdict.
+fn prove(
     opts: &Options,
     session: &Session,
-    goals: &[String],
+    goals: &[&str],
     hints: &[&str],
 ) -> Result<Tally, String> {
-    let goal_refs: Vec<&str> = goals.iter().map(String::as_str).collect();
     let report = session
-        .prove_many(&goal_refs, hints)
+        .prove_many_with(goals, hints, &Budget::unlimited(), &CancelToken::new())
         .map_err(|e| e.to_string())?;
     let mut tally = Tally::default();
     for g in &report.goals {
@@ -515,6 +489,8 @@ fn run_batch(
                 if verdict.is_refuted() {
                     tally.refuted = true;
                 } else if !verdict.is_proved() {
+                    // Exhausted, Timeout, NodeBudget, Cancelled, HintFailed
+                    // or Panicked (isolated by the panic boundary).
                     tally.gave_up = true;
                 }
                 match opts.format {
@@ -530,6 +506,7 @@ fn run_batch(
     }
     match opts.format {
         Format::Json => print_batch_json(&report),
+        Format::Text if opts.jobs.is_none() => {}
         Format::Text => {
             let summary = format!(
                 "batch: proved {}/{} | jobs={} | panicked={} | \
@@ -630,7 +607,7 @@ fn run_lint(args: &[String]) -> ExitCode {
                     eprintln!("error: --jobs requires an integer value\n\n{USAGE}");
                     return ExitCode::from(EXIT_USAGE);
                 };
-                jobs = if n == 0 { available_parallelism() } else { n };
+                jobs = n;
             }
             "--format" => {
                 format = match it.next().map(String::as_str) {
@@ -697,7 +674,8 @@ fn run_lint(args: &[String]) -> ExitCode {
             }
         })
         .collect();
-    let results = BatchScheduler::new(jobs).run(tasks);
+    let scheduler = BatchScheduler::new(jobs);
+    let results = scheduler.run(tasks);
     let (file_total_ms, file_max_ms) = phase_ms(&before, "lint_file");
     // Write repaired sources back (or collect diffs), then report.
     let mut fixed = 0usize;
@@ -753,14 +731,15 @@ fn run_lint(args: &[String]) -> ExitCode {
     };
     match format {
         Format::Text => println!(
-            "lint: files={} {fixed_field}errors={errors} warnings={warnings} | jobs={jobs} | \
+            "lint: files={} {fixed_field}errors={errors} warnings={warnings} | jobs={} | \
              file total={file_total_ms:.1}ms max={file_max_ms:.1}ms | elapsed={:?}",
             files.len(),
+            scheduler.jobs(),
             start.elapsed(),
         ),
         Format::Json => println!(
             "{{\"type\":\"lint\",\"files\":{},{}\"errors\":{errors},\"warnings\":{warnings},\
-             \"jobs\":{jobs},\"file_total_ms\":{file_total_ms:.3},\
+             \"jobs\":{},\"file_total_ms\":{file_total_ms:.3},\
              \"file_max_ms\":{file_max_ms:.3},\"elapsed_ms\":{:.3}}}",
             files.len(),
             if fix {
@@ -768,6 +747,7 @@ fn run_lint(args: &[String]) -> ExitCode {
             } else {
                 String::new()
             },
+            scheduler.jobs(),
             start.elapsed().as_secs_f64() * 1000.0,
         ),
     }
@@ -810,7 +790,7 @@ fn run_check(args: &[String]) -> ExitCode {
                     eprintln!("error: --jobs requires an integer value\n\n{USAGE}");
                     return ExitCode::from(EXIT_USAGE);
                 };
-                jobs = if n == 0 { available_parallelism() } else { n };
+                jobs = n;
             }
             flag if flag.starts_with('-') && flag.len() > 1 => {
                 eprintln!("error: unknown option `{flag}`\n\n{USAGE}");
@@ -846,7 +826,8 @@ fn run_check(args: &[String]) -> ExitCode {
             }
         })
         .collect();
-    let results = BatchScheduler::new(jobs).run(tasks);
+    let scheduler = BatchScheduler::new(jobs);
+    let results = scheduler.run(tasks);
     let (file_total_ms, file_max_ms) = phase_ms(&before, "check_file");
     let mut valid = 0usize;
     for (file, result) in files.iter().zip(&results) {
@@ -870,7 +851,7 @@ fn run_check(args: &[String]) -> ExitCode {
          max={file_max_ms:.1}ms | elapsed={:?}",
         valid,
         files.len(),
-        jobs,
+        scheduler.jobs(),
         start.elapsed(),
     );
     if valid == files.len() {

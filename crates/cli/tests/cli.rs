@@ -539,6 +539,131 @@ fn forged_goal_line_fails_check_with_exit_code_three() {
     assert!(stdout.contains("check: valid 0/1"), "{stdout}");
 }
 
+/// `program` escaped onto one certificate line.
+fn escape_program(program: &str) -> String {
+    program.replace('\\', "\\\\").replace('\n', "\\n")
+}
+
+#[test]
+fn deeply_nested_forged_program_is_invalid_not_a_crash() {
+    // The fingerprint is an unkeyed hash, so a forger can embed a program
+    // of their own. One nesting 300 000 parentheses deep must make its
+    // certificate INVALID, while the other files still validate.
+    let file = quickstart();
+    let dir = cert_dir("deep_nesting");
+    let out = run(&[
+        "--no-proof",
+        "--emit-certs",
+        dir.to_str().unwrap(),
+        file.to_str().unwrap(),
+    ]);
+    assert!(out.status.success());
+    let source = std::fs::read_to_string(&file).unwrap();
+    let deep = 300_000;
+    let program = format!(
+        "{}\ngoal deep: {}Z{} === Z\n",
+        source.trim_end(),
+        "(".repeat(deep),
+        ")".repeat(deep)
+    );
+    let forged = dir.join("forged.cqc");
+    let text = std::fs::read_to_string(dir.join("addZeroRight.cqc")).unwrap();
+    let lines: Vec<String> = text
+        .lines()
+        .map(|line| {
+            if line.starts_with("fingerprint ") {
+                format!("fingerprint {:016x}", cycleq::program_fingerprint(&program))
+            } else if line.starts_with("program ") {
+                format!("program {}", escape_program(&program))
+            } else {
+                line.to_string()
+            }
+        })
+        .collect();
+    std::fs::write(&forged, lines.join("\n") + "\n").unwrap();
+    let certs = [
+        dir.join("addComm.cqc"),
+        forged.clone(),
+        dir.join("addSuccRight.cqc"),
+    ];
+    let mut args = vec!["check"];
+    args.extend(certs.iter().map(|c| c.to_str().unwrap()));
+    let out = run(&args);
+    let stdout = String::from_utf8(out.stdout).unwrap();
+    assert_eq!(
+        out.status.code(),
+        Some(3),
+        "stdout: {stdout}\nstderr: {}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let report: Vec<&str> = stdout.lines().collect();
+    assert_eq!(report.len(), 4, "{stdout}");
+    assert!(report[0].contains("addComm.cqc: valid"), "{stdout}");
+    let goal_line = source.trim_end().lines().count() + 1;
+    assert!(
+        report[1].contains(&format!(
+            "forged.cqc: INVALID (line {goal_line}: nesting deeper than {} levels)",
+            cycleq::MAX_NESTING
+        )),
+        "{stdout}"
+    );
+    assert!(report[2].contains("addSuccRight.cqc: valid"), "{stdout}");
+    assert!(
+        report[3].starts_with("check: valid 2/3 | jobs=1"),
+        "{stdout}"
+    );
+    // `cycleq lint` refuses the same source as a frontend error.
+    let deep_source = dir.join("deep.hs");
+    std::fs::write(&deep_source, &program).unwrap();
+    let out = run(&["lint", deep_source.to_str().unwrap()]);
+    assert_eq!(out.status.code(), Some(3));
+    let stdout = String::from_utf8(out.stdout).unwrap();
+    assert!(stdout.contains("nesting deeper than"), "{stdout}");
+}
+
+#[test]
+fn a_term_nested_to_the_bound_proves_and_checks() {
+    // `S (S (… Z))` with `MAX_NESTING` levels: the deepest term the
+    // frontend and the certificate reader accept still proves, exports
+    // and checks on the main thread's stack.
+    let dir = cert_dir("nesting_bound");
+    std::fs::create_dir_all(&dir).unwrap();
+    let mut term = "Z".to_string();
+    for _ in 1..cycleq::MAX_NESTING {
+        term = if term == "Z" {
+            "S Z".to_string()
+        } else {
+            format!("S ({term})")
+        };
+    }
+    let file = dir.join("deep.hs");
+    std::fs::write(
+        &file,
+        format!("data Nat = Z | S Nat\ngoal deep: {term} === {term}\n"),
+    )
+    .unwrap();
+    let out = run(&[
+        "--no-proof",
+        "--emit-certs",
+        dir.to_str().unwrap(),
+        file.to_str().unwrap(),
+    ]);
+    assert!(
+        out.status.success(),
+        "stderr: {}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let out = run(&["check", dir.join("deep.cqc").to_str().unwrap()]);
+    assert_eq!(
+        out.status.code(),
+        Some(0),
+        "stderr: {}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let stdout = String::from_utf8(out.stdout).unwrap();
+    assert!(stdout.contains("check: valid 1/1"), "{stdout}");
+}
+
 #[test]
 fn check_without_files_is_a_usage_error() {
     let out = run(&["check"]);
@@ -1107,16 +1232,25 @@ fn prove_alias_and_trace_out_write_perfetto_loadable_json() {
 
 #[test]
 fn batch_mode_streams_progress_lines_to_stderr() {
+    // With `--jobs` and in the default mode alike: every prove run is one
+    // batch, so every mode streams one progress line per finished goal.
     let file = quickstart();
-    let out = run(&["--no-proof", "--jobs", "2", file.to_str().unwrap()]);
-    assert!(out.status.success());
-    let stderr = String::from_utf8(out.stderr).unwrap();
-    for goal in ["addZeroRight", "addSuccRight", "addComm"] {
-        assert!(
-            stderr.contains(&format!("goal {goal}: proved")),
-            "no progress line for {goal} in stderr:\n{stderr}"
-        );
+    let file = file.to_str().unwrap();
+    for args in [
+        vec!["--no-proof", "--jobs", "2", file],
+        vec!["--no-proof", file],
+    ] {
+        let out = run(&args);
+        assert!(out.status.success(), "{args:?}");
+        let stderr = String::from_utf8(out.stderr).unwrap();
+        for goal in ["addZeroRight", "addSuccRight", "addComm"] {
+            assert_eq!(
+                stderr.matches(&format!("goal {goal}: proved")).count(),
+                1,
+                "{args:?}: one progress line for {goal} in stderr:\n{stderr}"
+            );
+        }
+        // Completion counter prefixes: [1] [2] [3] in some order-independent way.
+        assert!(stderr.contains("[1]") && stderr.contains("[3]"), "{args:?}");
     }
-    // Completion counter prefixes: [1] [2] [3] in some order-independent way.
-    assert!(stderr.contains("[1]") && stderr.contains("[3]"));
 }

@@ -143,7 +143,6 @@ fn prometheus_families_cover_the_schema_and_match_summed_goal_stats() {
         "cycleq_sizechange_memo_hits_total",
         "cycleq_sizechange_subsumed_total",
         "cycleq_batch_tasks_total",
-        "cycleq_batch_steals_total",
         "cycleq_batch_queue_depth",
         "cycleq_batch_task_panics_total",
         "cycleq_goal_panics_total",

@@ -3,7 +3,7 @@
 //!
 //! An [`Engine`] owns everything that is *program-independent*: the search
 //! configuration, the worker count, the re-checking policy, and an optional
-//! [`EventSink`] that streams [`ProveEvent`]s out of running batches.
+//! [`EventSink`] that streams [`ProveEvent`]s out of every prove call.
 //! Loading a program through [`Engine::load`] yields a
 //! [`Session`](crate::Session) — a cheap handle pairing the engine's
 //! settings with one parsed program. One engine can serve many programs;
@@ -16,13 +16,13 @@
 //!   cancellation token, polled at every DFS node and inside committed
 //!   reduction chains. A batch deadline is *apportioned* into per-goal
 //!   slices, so one explosive goal cannot starve its siblings.
-//! - **Streaming events**: batches report `GoalStarted` /
-//!   `RoundDeepened` / `GoalFinished` / `BatchFinished` to the engine's
-//!   sink from the worker threads, in completion order, while the final
+//! - **Streaming events**: every prove call — a single goal is a batch of
+//!   one — reports `GoalStarted` / `RoundDeepened` / `GoalFinished` /
+//!   `BatchFinished` to the engine's sink from the worker threads, in
+//!   completion order, while the final
 //!   [`BatchReport`](crate::BatchReport) stays declaration-ordered.
-//! - **Cost-ordered scheduling**: batch goals are seeded heaviest-first
-//!   (predicted by goal size, or by recorded times from a previous report
-//!   via [`Session::with_cost_hints`](crate::Session::with_cost_hints)).
+//! - **Cost-ordered scheduling**: each idle worker takes the goal with the
+//!   largest term size not yet started, so heavy goals start first.
 //! - **Panic isolation**: a panic while proving one goal (a prover bug, or
 //!   an event sink that panics) becomes that goal's
 //!   [`Outcome::Panicked`](cycleq_search::Outcome::Panicked) verdict; the
@@ -113,7 +113,8 @@ impl fmt::Display for GoalStatus {
     }
 }
 
-/// A progress event streamed out of a running batch.
+/// A progress event streamed out of a running prove call (a batch, or a
+/// single goal as a batch of one).
 ///
 /// Events are delivered **from the worker threads, in completion order**
 /// (goals finish whenever they finish); the [`BatchReport`](crate::BatchReport)
@@ -179,7 +180,7 @@ pub enum ProveEvent {
 ///     let log = log.clone();
 ///     move |ev: &ProveEvent| log.lock().unwrap().push(format!("{ev:?}"))
 /// };
-/// // `sink` implements EventSink and can be handed to EngineBuilder::event_sink.
+/// // `sink` implements EventSink and can be handed to EngineBuilder::on_event.
 /// fn assert_sink<S: EventSink>(_: &S) {}
 /// assert_sink(&sink);
 /// ```
@@ -286,16 +287,12 @@ impl EngineBuilder {
         self
     }
 
-    /// Attaches an [`EventSink`] that receives streaming [`ProveEvent`]s
-    /// from every batch run by this engine's sessions.
-    pub fn event_sink(mut self, sink: impl EventSink + 'static) -> EngineBuilder {
+    /// Attaches an [`EventSink`] — any `Fn(&ProveEvent) + Send + Sync`
+    /// closure is one — that receives streaming [`ProveEvent`]s from every
+    /// prove call of this engine's sessions.
+    pub fn on_event(mut self, sink: impl EventSink + 'static) -> EngineBuilder {
         self.settings.sink = Some(Arc::new(sink));
         self
-    }
-
-    /// Like [`EngineBuilder::event_sink`], spelled for closures.
-    pub fn on_event(self, f: impl Fn(&ProveEvent) + Send + Sync + 'static) -> EngineBuilder {
-        self.event_sink(f)
     }
 
     /// Builds the engine.

@@ -89,7 +89,7 @@
 //! assert!(verdict.is_proved());
 //! ```
 
-use std::collections::HashMap;
+use std::collections::HashSet;
 use std::error::Error as StdError;
 use std::fmt;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -121,7 +121,7 @@ pub use cycleq_rewrite::{CancelToken, Program};
 pub use cycleq_search::{
     Budget, LemmaPolicy, Outcome, ProofResult, Prover, SearchConfig, SearchStats,
 };
-pub use cycleq_term::{Equation, Signature, Term, Type, VarStore};
+pub use cycleq_term::{Equation, Signature, Term, Type, VarStore, MAX_NESTING};
 
 use engine::Settings;
 
@@ -237,10 +237,6 @@ pub struct Session {
     /// The program source as loaded, embedded into exported certificates so
     /// they are self-contained (and fingerprinted against tampering).
     source: Arc<str>,
-    /// Predicted per-goal costs recorded from a previous run
-    /// ([`Session::with_cost_hints`]); goals missing here fall back to
-    /// goal-size prediction.
-    cost_hints: HashMap<String, u64>,
     /// Phase-time profile of the most recent top-level prove call (single
     /// or batch), shared across clones. See [`Session::profile`].
     last_profile: Arc<std::sync::Mutex<Option<Profile>>>,
@@ -262,7 +258,6 @@ impl Session {
             settings,
             module,
             source,
-            cost_hints: HashMap::new(),
             last_profile: Arc::new(std::sync::Mutex::new(None)),
         }
     }
@@ -270,18 +265,6 @@ impl Session {
     /// The configured worker count.
     pub fn jobs(&self) -> usize {
         self.settings.jobs
-    }
-
-    /// Records the per-goal times of a previous [`BatchReport`] as
-    /// predicted costs for batch scheduling: goals that were slow last run
-    /// are seeded first this run. Goals absent from the report keep the
-    /// default goal-size prediction.
-    pub fn with_cost_hints(mut self, report: &BatchReport) -> Session {
-        for g in &report.goals {
-            let micros = u64::try_from(g.time.as_micros()).unwrap_or(u64::MAX);
-            self.cost_hints.insert(g.goal.clone(), micros.max(1));
-        }
-        self
     }
 
     /// The per-phase time breakdown of the most recent top-level prove
@@ -299,15 +282,6 @@ impl Session {
     /// exact attribution, profile one session at a time.
     pub fn profile(&self) -> Option<Profile> {
         cycleq_trace::lock_recover(&self.last_profile).clone()
-    }
-
-    /// Captures the registry delta of `f` as this session's last profile.
-    fn with_profile<T>(&self, f: impl FnOnce() -> T) -> T {
-        let before = cycleq_trace::metrics().snapshot();
-        let out = f();
-        let profile = cycleq_trace::metrics().snapshot().delta(&before).profile();
-        *cycleq_trace::lock_recover(&self.last_profile) = Some(profile);
-        out
     }
 
     /// The loaded module.
@@ -352,29 +326,25 @@ impl Session {
         self.module.goals.iter().map(|g| g.name.as_str()).collect()
     }
 
-    /// Attempts to prove the named goal.
+    /// Attempts to prove the named goal: a batch of one
+    /// ([`Session::prove_many_with`]), so it streams its events to the
+    /// engine's sink and records its metrics and profile as every batch
+    /// goal does.
     ///
     /// # Errors
     ///
     /// Returns [`Error::UnknownGoal`] for unknown names and
     /// [`Error::Check`] if a produced proof fails re-checking (a bug).
     pub fn prove(&self, goal: &str) -> Result<Verdict, Error> {
-        self.prove_with_hints(goal, &[])
-    }
-
-    /// Attempts to prove the named goal, first proving the named hint goals
-    /// and making them available as `(Subst)` lemmas (§6.2).
-    ///
-    /// # Errors
-    ///
-    /// As [`Session::prove`]; hints must also name declared goals.
-    pub fn prove_with_hints(&self, goal: &str, hints: &[&str]) -> Result<Verdict, Error> {
-        self.with_profile(|| self.prove_goal(goal, hints, &Budget::unlimited(), None, None))
+        let (budget, cancel) = engine::unbounded();
+        self.prove_with_budget(goal, &[], &budget, &cancel)
     }
 
     /// Attempts to prove the named goal under an external [`Budget`] and
-    /// [`CancelToken`], on top of the engine configuration's own limits
-    /// (the effective limit in each dimension is the tighter of the two).
+    /// [`CancelToken`], first proving the named hint goals and making them
+    /// available as `(Subst)` lemmas (§6.2). The budget applies on top of
+    /// the engine configuration's own limits (the effective limit in each
+    /// dimension is the tighter of the two).
     ///
     /// Cancelling the token from another thread — any clone observes the
     /// same flag — makes the search return promptly with a
@@ -383,7 +353,7 @@ impl Session {
     ///
     /// # Errors
     ///
-    /// As [`Session::prove_with_hints`].
+    /// As [`Session::prove`]; hints must also name declared goals.
     pub fn prove_with_budget(
         &self,
         goal: &str,
@@ -391,60 +361,80 @@ impl Session {
         budget: &Budget,
         cancel: &CancelToken,
     ) -> Result<Verdict, Error> {
-        self.with_profile(|| self.prove_goal(goal, hints, budget, Some(cancel), None))
+        let mut report = self.prove_many_with(&[goal], hints, budget, cancel)?;
+        report
+            .goals
+            .pop()
+            .expect("a batch of one reports one goal")
+            .outcome
     }
 
-    /// The one prove path every public entry point funnels through. With
-    /// `events` (the goal's position in a batch request, and the sink), it
-    /// streams the goal's `GoalStarted` and `RoundDeepened` events. The
-    /// search and those events run under `catch_unwind`, so a panic inside
-    /// them (a prover bug, or a sink that panics) becomes a structured
+    /// One goal of a batch: its search and the re-check of its proof,
+    /// streaming its `GoalStarted` and `RoundDeepened` events to `sink`
+    /// under its position `index` in the request. The search and those
+    /// events run under `catch_unwind`, so a panic inside them (a prover
+    /// bug, or a sink that panics) becomes a structured
     /// [`Outcome::Panicked`] verdict for this goal instead of tearing down
-    /// the caller.
-    ///
-    /// Metrics are recorded here, so each goal counts exactly once whatever
-    /// its entry point or worker.
+    /// the caller. Records no goal metrics: [`Session::prove_many_with`]
+    /// records each goal once, from its final report.
     fn prove_goal(
         &self,
-        goal: &str,
-        hints: &[&str],
+        goal: &GoalDef,
+        hints: &[&GoalDef],
         budget: &Budget,
-        cancel: Option<&CancelToken>,
-        events: Option<(usize, &Arc<dyn EventSink>)>,
+        cancel: &CancelToken,
+        index: usize,
+        sink: Option<&Arc<dyn EventSink>>,
     ) -> Result<Verdict, Error> {
-        let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            let observer = events.map(|(index, sink)| {
+        std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            let mut prover =
+                Prover::with_config(&self.module.program, self.settings.config.clone());
+            if let Some(sink) = sink {
                 sink.event(&ProveEvent::GoalStarted {
                     index,
-                    goal: goal.to_string(),
+                    goal: goal.name.clone(),
                 });
                 let sink = Arc::clone(sink);
-                let goal = goal.to_string();
-                Arc::new(move |depth: usize, elapsed: Duration| {
-                    sink.event(&ProveEvent::RoundDeepened {
-                        index,
-                        goal: goal.clone(),
-                        depth,
-                        elapsed,
-                    });
-                }) as cycleq_search::RoundObserver
-            });
-            self.prove_goal_attempt(goal, hints, budget, cancel, observer)
+                let name = goal.name.clone();
+                prover =
+                    prover.with_round_observer(Arc::new(move |depth: usize, elapsed: Duration| {
+                        sink.event(&ProveEvent::RoundDeepened {
+                            index,
+                            goal: name.clone(),
+                            depth,
+                            elapsed,
+                        });
+                    }));
+            }
+            let mut vars = goal.vars.clone();
+            let hint_eqs: Vec<Equation> = hints.iter().map(|h| h.rename_into(&mut vars)).collect();
+            let result =
+                prover.prove_with_budget(goal.eq.clone(), vars, &hint_eqs, budget, Some(cancel));
+            let recheck = match result.outcome {
+                // The independent checker derives reducts on its own
+                // hash-consed store, memoized across the proof's nodes.
+                Outcome::Proved { .. } if self.settings.recheck => Some(
+                    check(
+                        &result.proof,
+                        &self.module.program,
+                        GlobalCheck::VariableTraces,
+                    )
+                    .map_err(Error::Check)?,
+                ),
+                _ => None,
+            };
+            Ok(Verdict {
+                goal: goal.name.clone(),
+                result,
+                recheck,
+                sig: self.module.program.sig.clone(),
+            })
         }))
         .unwrap_or_else(|payload| {
             metrics::record_goal_panic();
             let message = cycleq_batch::panic_message(payload.as_ref());
-            Ok(self.panicked_verdict(goal, message))
-        });
-        match &outcome {
-            Ok(v) => metrics::record_goal(
-                GoalStatus::of(&outcome),
-                &v.result.stats,
-                v.recheck.as_ref(),
-            ),
-            Err(_) => metrics::record_goal_error(),
-        }
-        outcome
+            Ok(self.panicked_verdict(&goal.name, message))
+        })
     }
 
     /// A synthetic verdict for a goal whose search panicked: the structured
@@ -460,56 +450,6 @@ impl Session {
             recheck: None,
             sig: self.module.program.sig.clone(),
         }
-    }
-
-    /// One search of `goal`, plus the re-check of its proof. Records no
-    /// metrics: [`Session::prove_goal`] does.
-    fn prove_goal_attempt(
-        &self,
-        goal: &str,
-        hints: &[&str],
-        budget: &Budget,
-        cancel: Option<&CancelToken>,
-        observer: Option<cycleq_search::RoundObserver>,
-    ) -> Result<Verdict, Error> {
-        let g = self
-            .module
-            .goal(goal)
-            .ok_or_else(|| Error::UnknownGoal(goal.to_string()))?;
-        let mut vars = g.vars.clone();
-        let mut hint_eqs = Vec::with_capacity(hints.len());
-        for h in hints {
-            let hd = self
-                .module
-                .goal(h)
-                .ok_or_else(|| Error::UnknownGoal(h.to_string()))?;
-            hint_eqs.push(hd.rename_into(&mut vars));
-        }
-        let mut prover = Prover::with_config(&self.module.program, self.settings.config.clone());
-        if let Some(observer) = observer {
-            prover = prover.with_round_observer(observer);
-        }
-        let result = prover.prove_with_budget(g.eq.clone(), vars, &hint_eqs, budget, cancel);
-        let mut recheck = None;
-        if self.settings.recheck {
-            if let Outcome::Proved { .. } = result.outcome {
-                // The independent checker derives reducts on its own
-                // hash-consed store, memoized across the proof's nodes.
-                let report = check(
-                    &result.proof,
-                    &self.module.program,
-                    GlobalCheck::VariableTraces,
-                )
-                .map_err(Error::Check)?;
-                recheck = Some(report);
-            }
-        }
-        Ok(Verdict {
-            goal: goal.to_string(),
-            result,
-            recheck,
-            sig: self.module.program.sig.clone(),
-        })
     }
 
     /// Serializes a proved verdict into a self-contained certificate: the
@@ -547,35 +487,28 @@ impl Session {
     /// [`CancelToken`]. See [`Session::prove_many_with`] for how a batch
     /// deadline is apportioned across goals.
     pub fn prove_all_with(&self, budget: &Budget, cancel: &CancelToken) -> BatchReport {
-        let goals: Vec<String> = self.module.goals.iter().map(|g| g.name.clone()).collect();
-        let goal_refs: Vec<&str> = goals.iter().map(String::as_str).collect();
-        self.prove_many_with(&goal_refs, &[], budget, cancel)
+        let goals: Vec<&str> = self.module.goals.iter().map(|g| g.name.as_str()).collect();
+        self.prove_many_with(&goals, &[], budget, cancel)
             .expect("declared goal names are always known")
     }
 
     /// Attempts to prove the named goals (each with the given hints),
     /// batched across [`Session::jobs`] workers, returning per-goal
-    /// verdicts in the order the goals were requested.
+    /// verdicts in the order the goals were requested. Every prove call of
+    /// a session runs through here; a single goal is a batch of one.
+    ///
+    /// Each idle worker takes the goal with the largest term size not yet
+    /// started, so heavy goals start first. Every goal streams
+    /// `GoalStarted`, `RoundDeepened` and `GoalFinished` events to the
+    /// engine's sink, and the batch ends with `BatchFinished`. Each goal is
+    /// recorded once in the metrics registry, under the status of its
+    /// report, and the phase times of the whole call become the session's
+    /// [`Session::profile`].
     ///
     /// Duplicate goal names in the request are **deduplicated, preserving
     /// the first occurrence**: proving a goal twice in one batch would do
     /// identical work for identical verdicts, so the report carries one
     /// entry per distinct goal, in first-occurrence order.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Error::UnknownGoal`] when any requested goal or hint does
-    /// not name a declared goal — validated up front, before any search
-    /// runs. Per-goal failures (including a proof failing re-checking) are
-    /// reported inside the corresponding [`GoalReport`], not as a batch
-    /// error.
-    pub fn prove_many(&self, goals: &[&str], hints: &[&str]) -> Result<BatchReport, Error> {
-        let (budget, cancel) = engine::unbounded();
-        self.prove_many_with(goals, hints, &budget, &cancel)
-    }
-
-    /// [`Session::prove_many`] under an external batch [`Budget`] and
-    /// [`CancelToken`].
     ///
     /// The budget's node and fuel ceilings apply to **each goal**; its
     /// wall-clock ceiling bounds the **whole batch** and is apportioned
@@ -590,7 +523,11 @@ impl Session {
     ///
     /// # Errors
     ///
-    /// As [`Session::prove_many`].
+    /// Returns [`Error::UnknownGoal`] when any requested goal or hint does
+    /// not name a declared goal — validated up front, before any search
+    /// runs. Per-goal failures (including a proof failing re-checking) are
+    /// reported inside the corresponding [`GoalReport`], not as a batch
+    /// error.
     pub fn prove_many_with(
         &self,
         goals: &[&str],
@@ -598,32 +535,40 @@ impl Session {
         budget: &Budget,
         cancel: &CancelToken,
     ) -> Result<BatchReport, Error> {
-        for name in goals.iter().chain(hints) {
-            if self.module.goal(name).is_none() {
-                return Err(Error::UnknownGoal(name.to_string()));
+        let lookup = |name: &str| {
+            self.module
+                .goal(name)
+                .ok_or_else(|| Error::UnknownGoal(name.to_string()))
+        };
+        let mut seen = HashSet::new();
+        let mut defs = Vec::with_capacity(goals.len());
+        for &name in goals {
+            let def = lookup(name)?;
+            if seen.insert(name) {
+                defs.push(def);
             }
         }
-        // Dedupe, preserving first occurrence (see `prove_many` docs).
-        let mut seen = std::collections::HashSet::new();
-        let goals: Vec<&str> = goals
+        let hints = hints
             .iter()
-            .copied()
-            .filter(|name| seen.insert(*name))
+            .map(|&name| lookup(name))
+            .collect::<Result<Vec<_>, _>>()?;
+        let total = defs.len();
+        let costs: Vec<u64> = defs
+            .iter()
+            .map(|g| u64::try_from(g.eq.size()).unwrap_or(u64::MAX))
             .collect();
-        let total = goals.len();
-        let costs: Vec<u64> = goals.iter().map(|name| self.predicted_cost(name)).collect();
         let metrics_before = cycleq_trace::metrics().snapshot();
         let start = Instant::now();
         let batch_deadline = budget.timeout.map(|d| start + d);
         let scheduler = BatchScheduler::new(self.settings.jobs);
         let workers = scheduler.jobs().min(total.max(1)) as u32;
         let started = AtomicUsize::new(0);
-        let sink = self.settings.sink.clone();
-        let tasks: Vec<_> = goals
+        let sink = self.settings.sink.as_ref();
+        let hints = &hints;
+        let tasks: Vec<_> = defs
             .iter()
             .enumerate()
-            .map(|(index, &name)| {
-                let sink = sink.clone();
+            .map(|(index, &goal)| {
                 let started = &started;
                 move |_worker: usize| {
                     let goal_start = Instant::now();
@@ -644,14 +589,13 @@ impl Session {
                         }
                     };
                     started.fetch_add(1, Ordering::Relaxed);
-                    let events = sink.as_ref().map(|sink| (index, sink));
-                    let outcome = self.prove_goal(name, hints, &goal_budget, Some(cancel), events);
+                    let outcome = self.prove_goal(goal, hints, &goal_budget, cancel, index, sink);
                     let report = GoalReport {
-                        goal: name.to_string(),
+                        goal: goal.name.clone(),
                         outcome,
                         time: goal_start.elapsed(),
                     };
-                    if let Some(sink) = &sink {
+                    if let Some(sink) = sink {
                         sink.event(&ProveEvent::GoalFinished {
                             index,
                             goal: report.goal.clone(),
@@ -663,8 +607,8 @@ impl Session {
                 }
             })
             .collect();
-        // The catching variant is the outer panic boundary: `prove_goal`
-        // already isolates panics inside the search and its events, so a
+        // The scheduler is the outer panic boundary: `prove_goal` already
+        // isolates panics inside the search and its events, so a
         // `TaskPanic` here means the panic escaped that inner boundary
         // (e.g. an event sink panicking on `GoalFinished`). It still
         // becomes a structured per-goal report rather than tearing down
@@ -672,18 +616,18 @@ impl Session {
         let reports: Vec<GoalReport> = scheduler
             .run_with_costs_catching(tasks, &costs)
             .into_iter()
-            .zip(&goals)
-            .map(|(result, &name)| {
-                result.unwrap_or_else(|panic| {
+            .zip(&defs)
+            .map(|(result, goal)| {
+                let report = result.unwrap_or_else(|panic| {
                     metrics::record_goal_panic();
-                    let verdict = self.panicked_verdict(name, panic.message);
-                    metrics::record_goal(GoalStatus::Panicked, &verdict.result.stats, None);
                     GoalReport {
-                        goal: name.to_string(),
-                        outcome: Ok(verdict),
+                        goal: goal.name.clone(),
+                        outcome: Ok(self.panicked_verdict(&goal.name, panic.message)),
                         time: Duration::ZERO,
                     }
-                })
+                });
+                metrics::record_goal(&report);
+                report
             })
             .collect();
         let mut stats = SearchStats::default();
@@ -705,7 +649,7 @@ impl Session {
             jobs: scheduler.jobs(),
             recheck,
         };
-        if let Some(sink) = &sink {
+        if let Some(sink) = sink {
             sink.event(&ProveEvent::BatchFinished {
                 proved: report.proved(),
                 total: report.goals.len(),
@@ -719,30 +663,6 @@ impl Session {
                 .profile(),
         );
         Ok(report)
-    }
-
-    /// Predicted relative cost of a goal for batch seeding: the recorded
-    /// time from a previous run when available ([`Session::with_cost_hints`]),
-    /// the goal equation's term size otherwise.
-    ///
-    /// Recorded times (microseconds) and term sizes (node counts) are
-    /// incomparable units, so when hints exist a goal *without* one is
-    /// treated pessimistically — at least as heavy as the heaviest hinted
-    /// goal. An unknown goal is the risky one: seeding it first costs
-    /// nothing if it turns out cheap (work stealing mops up), while
-    /// seeding it last recreates exactly the tail latency this ordering
-    /// exists to avoid.
-    fn predicted_cost(&self, goal: &str) -> u64 {
-        if let Some(&cost) = self.cost_hints.get(goal) {
-            return cost;
-        }
-        let size = self
-            .module
-            .goal(goal)
-            .map(|g| u64::try_from(g.eq.size()).unwrap_or(u64::MAX))
-            .unwrap_or(1);
-        let heaviest_hint = self.cost_hints.values().copied().max().unwrap_or(0);
-        size.max(heaviest_hint)
     }
 }
 
@@ -821,7 +741,7 @@ pub fn check_certificate(text: &str) -> Result<CertificateCheck, Error> {
     })
 }
 
-/// The outcome of [`Session::prove_all`]/[`Session::prove_many`]:
+/// The outcome of [`Session::prove_all`]/[`Session::prove_many_with`]:
 /// deterministic, declaration-ordered per-goal reports plus aggregates.
 #[derive(Clone, Debug)]
 pub struct BatchReport {
@@ -1022,7 +942,10 @@ goal succRight: add x (S y) === S (add x y)
 goal comm: add x y === add y x
 ";
         let s = Session::from_source(src).unwrap();
-        let v = s.prove_with_hints("comm", &["succRight"]).unwrap();
+        let (budget, cancel) = engine::unbounded();
+        let v = s
+            .prove_with_budget("comm", &["succRight"], &budget, &cancel)
+            .unwrap();
         assert!(v.is_proved());
     }
 
@@ -1045,18 +968,24 @@ goal comm: add x y === add y x
         }
     }
 
+    /// `prove_many_with` without a budget or a token to cancel.
+    fn prove_batch(s: &Session, goals: &[&str], hints: &[&str]) -> Result<BatchReport, Error> {
+        let (budget, cancel) = engine::unbounded();
+        s.prove_many_with(goals, hints, &budget, &cancel)
+    }
+
     #[test]
     fn prove_many_validates_names_up_front() {
         let s = Session::from_source(SRC).unwrap();
         assert!(matches!(
-            s.prove_many(&["comm", "nope"], &[]),
+            prove_batch(&s, &["comm", "nope"], &[]),
             Err(Error::UnknownGoal(n)) if n == "nope"
         ));
         assert!(matches!(
-            s.prove_many(&["comm"], &["missingHint"]),
+            prove_batch(&s, &["comm"], &["missingHint"]),
             Err(Error::UnknownGoal(_))
         ));
-        let subset = s.prove_many(&["zeroRight"], &[]).unwrap();
+        let subset = prove_batch(&s, &["zeroRight"], &[]).unwrap();
         assert_eq!(subset.goals.len(), 1);
         assert!(subset.goals[0].is_proved());
     }
@@ -1070,36 +999,35 @@ goal comm: add x y === add y x
     #[test]
     fn prove_many_dedupes_duplicate_goal_names_preserving_first_occurrence() {
         let s = Session::from_source(SRC).unwrap();
-        let report = s
-            .prove_many(
-                &["zeroRight", "comm", "zeroRight", "comm", "zeroRight"],
-                &[],
-            )
-            .unwrap();
+        let report = prove_batch(
+            &s,
+            &["zeroRight", "comm", "zeroRight", "comm", "zeroRight"],
+            &[],
+        )
+        .unwrap();
         let names: Vec<&str> = report.goals.iter().map(|g| g.goal.as_str()).collect();
         assert_eq!(names, vec!["zeroRight", "comm"]);
         assert!(report.all_proved());
     }
 
+    #[derive(Default)]
+    struct Collect(std::sync::Mutex<Vec<ProveEvent>>);
+
+    impl EventSink for Collect {
+        fn event(&self, event: &ProveEvent) {
+            self.0.lock().unwrap().push(event.clone());
+        }
+    }
+
     #[test]
     fn prove_all_streams_events_for_every_goal() {
-        use std::sync::Mutex;
-
-        #[derive(Default)]
-        struct Collect(Mutex<Vec<ProveEvent>>);
-        impl EventSink for Collect {
-            fn event(&self, event: &ProveEvent) {
-                self.0.lock().unwrap().push(event.clone());
-            }
-        }
-
         let sink = Arc::new(Collect::default());
         for jobs in [1, 4] {
             sink.0.lock().unwrap().clear();
             let events = sink.clone();
             let engine = Engine::builder()
                 .jobs(jobs)
-                .event_sink(move |ev: &ProveEvent| events.event(ev))
+                .on_event(move |ev: &ProveEvent| events.event(ev))
                 .build();
             let s = engine.load(SRC).unwrap();
             let report = s.prove_all();
@@ -1148,16 +1076,48 @@ goal comm: add x y === add y x
     }
 
     #[test]
-    fn cost_hints_from_a_previous_report_reorder_scheduling() {
-        let s = Session::from_source(SRC).unwrap();
-        let first = s.prove_all();
-        let warmed = s.clone().with_cost_hints(&first);
-        let second = warmed.prove_all();
-        // Identical verdicts whatever the seeding order.
-        for (a, b) in first.goals.iter().zip(&second.goals) {
-            assert_eq!(a.goal, b.goal);
-            assert_eq!(a.is_proved(), b.is_proved());
-        }
+    fn a_single_prove_is_a_batch_of_one() {
+        let sink = Arc::new(Collect::default());
+        let events = sink.clone();
+        let s = Engine::builder()
+            .jobs(4)
+            .on_event(move |ev: &ProveEvent| events.event(ev))
+            .build()
+            .load(SRC)
+            .unwrap();
+        assert!(s.prove("zeroRight").unwrap().is_proved());
+        let log = sink.0.lock().unwrap();
+        assert!(
+            matches!(
+                log.first(),
+                Some(ProveEvent::GoalStarted { index: 0, goal }) if goal == "zeroRight"
+            ),
+            "{log:?}"
+        );
+        let finished: Vec<(usize, GoalStatus)> = log
+            .iter()
+            .filter_map(|e| match e {
+                ProveEvent::GoalFinished {
+                    index,
+                    goal,
+                    status,
+                    ..
+                } if goal == "zeroRight" => Some((*index, *status)),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(finished, vec![(0, GoalStatus::Proved)], "{log:?}");
+        assert!(
+            matches!(
+                log.last(),
+                Some(ProveEvent::BatchFinished {
+                    proved: 1,
+                    total: 1,
+                    ..
+                })
+            ),
+            "{log:?}"
+        );
     }
 
     #[test]

@@ -1,8 +1,8 @@
 //! Bridges per-goal [`SearchStats`] / [`CheckReport`] values into the
 //! process-wide `cycleq_trace` metrics registry.
 //!
-//! Every finished goal is absorbed exactly once, from the single
-//! `Session::prove_goal` funnel: counters sum across goals, gauge keys
+//! Every finished goal is absorbed exactly once, from its final report in
+//! `Session::prove_many_with`: counters sum across goals, gauge keys
 //! (end-of-search sizes) keep the latest goal's value. The family names are
 //! generated from [`SearchStats::entries`] — the same single source that
 //! feeds the CLI `--stats` line and the NDJSON `stats` object — so the
@@ -16,9 +16,10 @@ use cycleq_search::SearchStats;
 use cycleq_trace::{metrics, Counter, Gauge, Histogram};
 
 use crate::engine::GoalStatus;
+use crate::GoalReport;
 
 pub(crate) struct GoalMetrics {
-    by_status: BTreeMap<&'static str, Counter>,
+    by_status: Vec<(GoalStatus, Counter)>,
     goal_seconds: Histogram,
     search_counters: BTreeMap<&'static str, Counter>,
     search_gauges: BTreeMap<&'static str, Gauge>,
@@ -46,25 +47,25 @@ pub(crate) fn goal_metrics() -> &'static GoalMetrics {
     METRICS.get_or_init(|| {
         let registry = metrics();
         let by_status = [
-            "proved",
-            "refuted",
-            "gave-up",
-            "cancelled",
-            "panicked",
-            "error",
+            GoalStatus::Proved,
+            GoalStatus::Refuted,
+            GoalStatus::GaveUp,
+            GoalStatus::Cancelled,
+            GoalStatus::Panicked,
+            GoalStatus::Error,
         ]
-            .into_iter()
-            .map(|status| {
-                (
-                    status,
-                    registry.counter_labeled(
-                        "cycleq_goals_total",
-                        "Goals finished, by compact verdict.",
-                        leak(format!("status=\"{status}\"")),
-                    ),
-                )
-            })
-            .collect();
+        .into_iter()
+        .map(|status| {
+            (
+                status,
+                registry.counter_labeled(
+                    "cycleq_goals_total",
+                    "Goals finished, by compact verdict.",
+                    leak(format!("status=\"{status}\"")),
+                ),
+            )
+        })
+        .collect();
         let mut search_counters = BTreeMap::new();
         let mut search_gauges = BTreeMap::new();
         for (key, _) in SearchStats::default().entries() {
@@ -114,13 +115,19 @@ pub(crate) fn goal_metrics() -> &'static GoalMetrics {
     })
 }
 
-/// Records one finished goal: its compact verdict, its search counters, and
+/// Records one finished goal under the status its report carries: its
+/// compact verdict and, when it ran to a verdict, its search counters and
 /// (when the proof was re-checked) the checker's report.
-pub(crate) fn record_goal(status: GoalStatus, stats: &SearchStats, recheck: Option<&CheckReport>) {
+pub(crate) fn record_goal(report: &GoalReport) {
     let m = goal_metrics();
-    if let Some(c) = m.by_status.get(status_key(status)) {
+    let status = GoalStatus::of(&report.outcome);
+    if let Some((_, c)) = m.by_status.iter().find(|(s, _)| *s == status) {
         c.inc();
     }
+    let Ok(verdict) = &report.outcome else {
+        return;
+    };
+    let stats = &verdict.result.stats;
     m.goal_seconds.observe(stats.elapsed);
     for (key, value) in stats.entries() {
         if let Some(c) = m.search_counters.get(key) {
@@ -129,22 +136,14 @@ pub(crate) fn record_goal(status: GoalStatus, stats: &SearchStats, recheck: Opti
             g.set(value);
         }
     }
-    if let Some(report) = recheck {
+    if let Some(report) = &verdict.recheck {
         record_check(report);
     }
 }
 
-/// Records a goal that ended in a per-goal error (e.g. a proof that failed
-/// re-checking) without a usable stats block.
-pub(crate) fn record_goal_error() {
-    if let Some(c) = goal_metrics().by_status.get(status_key(GoalStatus::Error)) {
-        c.inc();
-    }
-}
-
 /// Records one goal search that panicked and was isolated by a panic
-/// boundary (`catch_unwind` in `Session::prove_goal` or the batch
-/// scheduler's catching runner).
+/// boundary (`catch_unwind` in `Session::prove_goal`, or the batch
+/// scheduler around each task).
 pub(crate) fn record_goal_panic() {
     goal_metrics().goal_panics.inc();
 }
@@ -155,15 +154,4 @@ pub(crate) fn record_check(report: &CheckReport) {
     m.check_seconds.observe(report.elapsed);
     m.check_reducts.add(report.reducts_checked);
     m.check_memo_hits.add(report.memo_hits);
-}
-
-fn status_key(status: GoalStatus) -> &'static str {
-    match status {
-        GoalStatus::Proved => "proved",
-        GoalStatus::Refuted => "refuted",
-        GoalStatus::GaveUp => "gave-up",
-        GoalStatus::Cancelled => "cancelled",
-        GoalStatus::Panicked => "panicked",
-        GoalStatus::Error => "error",
-    }
 }

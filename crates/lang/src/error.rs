@@ -31,6 +31,9 @@ pub enum LangErrorKind {
     /// A clause violates the polymorphic signature (a rigid type variable
     /// was forced to a concrete type).
     RigidEscape(String),
+    /// A term or type nests deeper than
+    /// [`MAX_NESTING`](cycleq_term::MAX_NESTING) levels.
+    TooDeep,
     /// A rewrite-rule shape violation from the rewrite layer.
     Rule(String),
 }
@@ -83,6 +86,9 @@ impl fmt::Display for LangErrorKind {
             LangErrorKind::Type(msg) => write!(f, "type error: {msg}"),
             LangErrorKind::RigidEscape(msg) => {
                 write!(f, "clause is less polymorphic than its signature: {msg}")
+            }
+            LangErrorKind::TooDeep => {
+                write!(f, "nesting deeper than {} levels", cycleq_term::MAX_NESTING)
             }
             LangErrorKind::Rule(msg) => write!(f, "invalid rule: {msg}"),
         }

@@ -4,10 +4,13 @@ use crate::ast::{Decl, RawCon, RawTerm, RawType};
 use crate::error::{LangError, LangErrorKind};
 use crate::lexer::lex;
 use crate::token::{Spanned, Token};
+use cycleq_term::MAX_NESTING;
 
 struct Parser {
     toks: Vec<Spanned>,
     pos: usize,
+    /// Parenthesised and arrow levels open around the current token.
+    open: usize,
 }
 
 impl Parser {
@@ -46,6 +49,27 @@ impl Parser {
             ),
             None => LangError::new(self.line(), LangErrorKind::UnexpectedEof),
         }
+    }
+
+    /// Opens one more parenthesised or arrow level. The recursive
+    /// productions open one per recursion, so [`MAX_NESTING`] bounds how
+    /// deep the parser recurses.
+    fn open(&mut self) -> Result<(), LangError> {
+        self.open += 1;
+        if self.open > MAX_NESTING {
+            return Err(LangError::new(self.line(), LangErrorKind::TooDeep));
+        }
+        Ok(())
+    }
+
+    /// The depth of a tree node over children at most `depth` deep,
+    /// refused beyond [`MAX_NESTING`]. Application spines are built in a
+    /// loop, so this, not [`Parser::open`], bounds their trees.
+    fn deeper(&self, depth: usize) -> Result<usize, LangError> {
+        if depth >= MAX_NESTING {
+            return Err(LangError::new(self.line(), LangErrorKind::TooDeep));
+        }
+        Ok(depth + 1)
     }
 
     fn expect(&mut self, want: &Token, expected: &str) -> Result<u32, LangError> {
@@ -93,45 +117,51 @@ impl Parser {
     }
 
     // type := btype ('->' type)?
-    fn parse_type(&mut self) -> Result<RawType, LangError> {
-        let lhs = self.parse_btype()?;
-        if self.peek() == Some(&Token::Arrow) {
-            self.next();
-            let rhs = self.parse_type()?;
-            Ok(RawType::Arrow(Box::new(lhs), Box::new(rhs)))
-        } else {
-            Ok(lhs)
+    // Each production returns its tree and the tree's depth.
+    fn parse_type(&mut self) -> Result<(RawType, usize), LangError> {
+        let (lhs, lhs_depth) = self.parse_btype()?;
+        if self.peek() != Some(&Token::Arrow) {
+            return Ok((lhs, lhs_depth));
         }
+        self.next();
+        self.open()?;
+        let (rhs, rhs_depth) = self.parse_type()?;
+        self.open -= 1;
+        let depth = self.deeper(lhs_depth.max(rhs_depth))?;
+        Ok((RawType::Arrow(Box::new(lhs), Box::new(rhs)), depth))
     }
 
     // btype := atype+
-    fn parse_btype(&mut self) -> Result<RawType, LangError> {
-        let mut t = self.parse_atype()?;
+    fn parse_btype(&mut self) -> Result<(RawType, usize), LangError> {
+        let (mut t, mut depth) = self.parse_atype()?;
         while matches!(
             self.peek(),
             Some(Token::Upper(_) | Token::Lower(_) | Token::LParen)
         ) {
-            let arg = self.parse_atype()?;
+            let (arg, arg_depth) = self.parse_atype()?;
+            depth = self.deeper(depth.max(arg_depth))?;
             t = RawType::App(Box::new(t), Box::new(arg));
         }
-        Ok(t)
+        Ok((t, depth))
     }
 
-    fn parse_atype(&mut self) -> Result<RawType, LangError> {
+    fn parse_atype(&mut self) -> Result<(RawType, usize), LangError> {
         match self.peek() {
             Some(Token::Upper(_)) | Some(Token::Lower(_)) => {
                 let Some(Spanned { token, .. }) = self.next() else {
                     unreachable!()
                 };
                 match token {
-                    Token::Upper(n) | Token::Lower(n) => Ok(RawType::Ident(n)),
+                    Token::Upper(n) | Token::Lower(n) => Ok((RawType::Ident(n), 1)),
                     _ => unreachable!(),
                 }
             }
             Some(Token::LParen) => {
                 self.next();
+                self.open()?;
                 let t = self.parse_type()?;
                 self.expect(&Token::RParen, "`)`")?;
+                self.open -= 1;
                 Ok(t)
             }
             _ => Err(self.err("a type")),
@@ -139,59 +169,42 @@ impl Parser {
     }
 
     // term := aterm+
-    fn parse_term(&mut self) -> Result<RawTerm, LangError> {
-        let mut t = self.parse_aterm()?;
+    fn parse_term(&mut self) -> Result<(RawTerm, usize), LangError> {
+        let (mut t, mut depth) = self.parse_aterm("a term")?;
         while matches!(
             self.peek(),
             Some(Token::Upper(_) | Token::Lower(_) | Token::LParen)
         ) {
-            let arg = self.parse_aterm()?;
+            let (arg, arg_depth) = self.parse_aterm("a term")?;
+            depth = self.deeper(depth.max(arg_depth))?;
             t = RawTerm::App(Box::new(t), Box::new(arg));
         }
-        Ok(t)
+        Ok((t, depth))
     }
 
-    fn parse_aterm(&mut self) -> Result<RawTerm, LangError> {
+    // aterm := var | constructor | function | '(' term ')'. Clause
+    // parameters are aterms too; `expected` names what a bad token
+    // should have been.
+    fn parse_aterm(&mut self, expected: &str) -> Result<(RawTerm, usize), LangError> {
         match self.peek() {
             Some(Token::Upper(_)) | Some(Token::Lower(_)) => {
                 let Some(Spanned { token, line }) = self.next() else {
                     unreachable!()
                 };
                 match token {
-                    Token::Upper(n) | Token::Lower(n) => Ok(RawTerm::Ident(n, line)),
+                    Token::Upper(n) | Token::Lower(n) => Ok((RawTerm::Ident(n, line), 1)),
                     _ => unreachable!(),
                 }
             }
             Some(Token::LParen) => {
                 self.next();
+                self.open()?;
                 let t = self.parse_term()?;
                 self.expect(&Token::RParen, "`)`")?;
+                self.open -= 1;
                 Ok(t)
             }
-            _ => Err(self.err("a term")),
-        }
-    }
-
-    // pattern atoms for clause parameters: var, nullary constructor, or
-    // parenthesised application.
-    fn parse_pattern_atom(&mut self) -> Result<RawTerm, LangError> {
-        match self.peek() {
-            Some(Token::Lower(_)) | Some(Token::Upper(_)) => {
-                let Some(Spanned { token, line }) = self.next() else {
-                    unreachable!()
-                };
-                match token {
-                    Token::Upper(n) | Token::Lower(n) => Ok(RawTerm::Ident(n, line)),
-                    _ => unreachable!(),
-                }
-            }
-            Some(Token::LParen) => {
-                self.next();
-                let t = self.parse_term()?;
-                self.expect(&Token::RParen, "`)`")?;
-                Ok(t)
-            }
-            _ => Err(self.err("a pattern")),
+            _ => Err(self.err(expected)),
         }
     }
 
@@ -211,7 +224,7 @@ impl Parser {
                 self.peek(),
                 Some(Token::Upper(_) | Token::Lower(_) | Token::LParen)
             ) {
-                args.push(self.parse_atype()?);
+                args.push(self.parse_atype()?.0);
             }
             cons.push(RawCon { name: cname, args });
             if self.peek() == Some(&Token::Pipe) {
@@ -232,9 +245,9 @@ impl Parser {
         let line = self.expect(&Token::Goal, "`goal`")?;
         let (name, _) = self.lower_name("a goal name")?;
         self.expect(&Token::Colon, "`:`")?;
-        let lhs = self.parse_term()?;
+        let (lhs, _) = self.parse_term()?;
         self.expect(&Token::EqEqEq, "`===`")?;
-        let rhs = self.parse_term()?;
+        let (rhs, _) = self.parse_term()?;
         Ok(Decl::Goal {
             name,
             lhs,
@@ -247,16 +260,16 @@ impl Parser {
         let (name, line) = self.lower_name("a function name")?;
         if self.peek() == Some(&Token::ColonColon) {
             self.next();
-            let ty = self.parse_type()?;
+            let (ty, _) = self.parse_type()?;
             return Ok(Decl::Sig { name, ty, line });
         }
         // Clause: patterns up to `=`.
         let mut params = Vec::new();
         while self.peek() != Some(&Token::Equals) {
-            params.push(self.parse_pattern_atom()?);
+            params.push(self.parse_aterm("a pattern")?.0);
         }
         self.expect(&Token::Equals, "`=`")?;
-        let rhs = self.parse_term()?;
+        let (rhs, _) = self.parse_term()?;
         Ok(Decl::Clause {
             name,
             params,
@@ -292,7 +305,12 @@ impl Parser {
 /// Returns the first lexical or syntactic error with its line.
 pub fn parse(src: &str) -> Result<Vec<Decl>, LangError> {
     let toks = lex(src)?;
-    Parser { toks, pos: 0 }.parse_program()
+    Parser {
+        toks,
+        pos: 0,
+        open: 0,
+    }
+    .parse_program()
 }
 
 #[cfg(test)]
@@ -378,6 +396,75 @@ mod tests {
     #[test]
     fn rejects_missing_rparen() {
         assert!(parse("f (S x = x\n").is_err());
+    }
+
+    /// Runs `f` on a thread with a main thread's 8 MiB of stack, which
+    /// [`MAX_NESTING`] is sized for: a debug build recurses in larger frames
+    /// than the test harness's 2 MiB threads hold at that depth.
+    fn on_main_sized_stack(f: impl FnOnce() + Send + 'static) {
+        std::thread::Builder::new()
+            .stack_size(8 << 20)
+            .spawn(f)
+            .unwrap()
+            .join()
+            .unwrap_or_else(|panic| std::panic::resume_unwind(panic));
+    }
+
+    #[test]
+    fn nesting_beyond_the_bound_is_an_error() {
+        on_main_sized_stack(nesting_beyond_the_bound);
+    }
+
+    #[test]
+    fn nesting_at_the_bound_parses() {
+        on_main_sized_stack(nesting_at_the_bound);
+    }
+
+    fn nesting_beyond_the_bound() {
+        // Parentheses, application spines and arrows each nest one level
+        // deeper per step; 300 000 of them must be refused, not overflow
+        // the stack.
+        let deep = 300_000;
+        let too_deep = [
+            format!(
+                "data Nat = Z\ngoal deep: {}Z{} === Z\n",
+                "(".repeat(deep),
+                ")".repeat(deep)
+            ),
+            format!("data Nat = Z\ngoal deep: f{} === Z\n", " Z".repeat(deep)),
+            format!("data Nat = Z\nf :: {}Nat\n", "Nat -> ".repeat(deep)),
+            format!(
+                "data Nat = Z\nf :: {}Nat{}\n",
+                "(".repeat(deep),
+                ")".repeat(deep)
+            ),
+        ];
+        for src in &too_deep {
+            let err = parse(src).unwrap_err();
+            assert_eq!(err.kind, LangErrorKind::TooDeep, "{}", &src[..40]);
+            assert_eq!(
+                err.to_string(),
+                format!("line 2: nesting deeper than {MAX_NESTING} levels")
+            );
+        }
+    }
+
+    fn nesting_at_the_bound() {
+        // A spine of `MAX_NESTING - 1` arguments is a tree `MAX_NESTING`
+        // deep; one more argument is too deep.
+        let spine = |args: usize| format!("goal g: f{} === Z\n", " Z".repeat(args));
+        assert!(parse(&spine(MAX_NESTING - 1)).is_ok());
+        assert_eq!(
+            parse(&spine(MAX_NESTING)).unwrap_err().kind,
+            LangErrorKind::TooDeep
+        );
+        // Parentheses open one level each.
+        let parens = |n: usize| format!("goal g: {}Z{} === Z\n", "(".repeat(n), ")".repeat(n));
+        assert!(parse(&parens(MAX_NESTING)).is_ok());
+        assert_eq!(
+            parse(&parens(MAX_NESTING + 1)).unwrap_err().kind,
+            LangErrorKind::TooDeep
+        );
     }
 
     #[test]

@@ -19,7 +19,9 @@
 //! space-delimited positions `\s`). Counts read from the text never size
 //! an allocation up front: vectors grow as their tokens arrive, so a forged
 //! count ends in [`CertificateError::Truncated`] or
-//! [`CertificateError::Malformed`], not in an allocation failure.
+//! [`CertificateError::Malformed`], not in an allocation failure. Terms and
+//! types nested deeper than [`MAX_NESTING`] levels are
+//! [`CertificateError::Malformed`] too, not a stack overflow.
 //!
 //! Tampering is caught at distinct layers with distinct errors: a bumped
 //! version is [`CertificateError::UnsupportedVersion`], missing trailing
@@ -38,6 +40,7 @@ use std::str::FromStr;
 use cycleq_rewrite::Program;
 use cycleq_term::{
     DataId, Equation, Head, Position, Subst, SymId, Term, TyVarId, Type, VarId, VarStore,
+    MAX_NESTING,
 };
 
 use crate::checker::{check, CheckError, CheckReport, GlobalCheck};
@@ -303,8 +306,12 @@ impl<'a> Cursor<'a> {
         }
     }
 
-    /// One self-delimiting term encoding.
-    fn term(&mut self, num_vars: usize) -> Result<Term, CertificateError> {
+    /// One self-delimiting term encoding, nested `depth` levels deep
+    /// (1 at the top); deeper than [`MAX_NESTING`] is malformed.
+    fn term(&mut self, num_vars: usize, depth: usize) -> Result<Term, CertificateError> {
+        if depth > MAX_NESTING {
+            return Err(self.bad(&format!("term nests deeper than {MAX_NESTING} levels")));
+        }
         let t = self.next()?;
         let (head, rest) = t
             .split_at_checked(1)
@@ -332,7 +339,7 @@ impl<'a> Cursor<'a> {
         };
         let mut args = Vec::new();
         for _ in 0..argc {
-            args.push(self.term(num_vars)?);
+            args.push(self.term(num_vars, depth + 1)?);
         }
         Ok(Term::from_parts(head, args))
     }
@@ -346,8 +353,12 @@ impl<'a> Cursor<'a> {
     }
 }
 
-/// Decodes one [`Type::encode`] word sequence.
-fn decode_type(words: &mut std::slice::Iter<'_, u32>) -> Option<Type> {
+/// Decodes one [`Type::encode`] word sequence nested `depth` levels deep
+/// (1 at the top); deeper than [`MAX_NESTING`] is not a type.
+fn decode_type(words: &mut std::slice::Iter<'_, u32>, depth: usize) -> Option<Type> {
+    if depth > MAX_NESTING {
+        return None;
+    }
     match *words.next()? {
         0 => Some(Type::Var(TyVarId(*words.next()?))),
         1 => {
@@ -355,13 +366,13 @@ fn decode_type(words: &mut std::slice::Iter<'_, u32>) -> Option<Type> {
             let argc = *words.next()?;
             let mut args = Vec::new();
             for _ in 0..argc {
-                args.push(decode_type(words)?);
+                args.push(decode_type(words, depth + 1)?);
             }
             Some(Type::Data(d, args))
         }
         2 => {
-            let a = decode_type(words)?;
-            let b = decode_type(words)?;
+            let a = decode_type(words, depth + 1)?;
+            let b = decode_type(words, depth + 1)?;
             Some(Type::arrow(a, b))
         }
         _ => None,
@@ -429,7 +440,7 @@ impl Certificate {
                 words.push(c.num()?);
             }
             c.finish()?;
-            let ty = decode_type(&mut words.iter())
+            let ty = decode_type(&mut words.iter(), 1)
                 .ok_or_else(|| CertificateError::Malformed(format!("line {}: bad type", n + 1)))?;
             vars.fresh(&name, ty);
         }
@@ -445,8 +456,8 @@ impl Certificate {
             let (n, line) = next_line()?;
             let mut c = Cursor::new(line, n + 1);
             c.expect("node")?;
-            let lhs = c.term(num_vars)?;
-            let rhs = c.term(num_vars)?;
+            let lhs = c.term(num_vars, 1)?;
+            let rhs = c.term(num_vars, 1)?;
             c.expect("prem")?;
             let nprem: usize = c.num()?;
             let mut premises = Vec::new();
@@ -501,7 +512,7 @@ impl Certificate {
                     let mut theta = Subst::new();
                     for _ in 0..nbind {
                         let v = c.var_id(num_vars)?;
-                        let t = c.term(num_vars)?;
+                        let t = c.term(num_vars, 1)?;
                         theta.insert(v, t);
                     }
                     RuleApp::Subst(SubstApp {
@@ -790,6 +801,40 @@ mod tests {
                 "{to:?} parsed"
             );
         }
+    }
+
+    #[test]
+    fn nesting_beyond_the_bound_is_malformed() {
+        let (text, succ) = count_fixture();
+        let deep = 300_000;
+        // `s<succ>/1` nests one level per token, so a term of `n` such
+        // tokens around `v0/0` is `n + 1` levels deep; likewise a type of
+        // `n` one-argument datatypes around `Nat`.
+        let term = |n: usize| format!("node{} v0/0 v0/0", format!(" s{succ}/1").repeat(n));
+        let ty = |n: usize| format!("var x {} {}1 0 0", 3 * n + 3, "1 0 1 ".repeat(n));
+        let parse = |from: &str, to: String| {
+            assert_eq!(text.matches(from).count(), 1, "{from:?} in\n{text}");
+            Certificate::parse(&text.replacen(from, &to, 1))
+        };
+        for (from, to) in [("node v0/0 v0/0", term(deep)), ("var x 3 1 0 0", ty(deep))] {
+            assert!(
+                matches!(parse(from, to), Err(CertificateError::Malformed(_))),
+                "{from:?} nested {deep} levels deep parsed"
+            );
+        }
+        // At the bound, both still parse; one level more is malformed.
+        assert!(parse("node v0/0 v0/0", term(MAX_NESTING - 1)).is_ok());
+        assert!(parse("var x 3 1 0 0", ty(MAX_NESTING - 1)).is_ok());
+        assert_eq!(
+            parse("node v0/0 v0/0", term(MAX_NESTING)).unwrap_err(),
+            CertificateError::Malformed(format!(
+                "line 9: term nests deeper than {MAX_NESTING} levels"
+            ))
+        );
+        assert!(matches!(
+            parse("var x 3 1 0 0", ty(MAX_NESTING)),
+            Err(CertificateError::Malformed(_))
+        ));
     }
 
     #[test]

@@ -154,29 +154,19 @@ impl<'a> Prover<'a> {
 
     /// Attempts to prove `goal`, whose variables live in `vars`.
     pub fn prove(&self, goal: Equation, vars: VarStore) -> ProofResult {
-        self.prove_with_hints(goal, vars, &[])
-    }
-
-    /// Attempts to prove `goal` after first proving each `hint` equation
-    /// (over the same variable store) and making the proven hints available
-    /// as `(Subst)` lemmas.
-    ///
-    /// This realises the paper's observation (§6.2) that problems such as
-    /// IsaPlanner 47/54/65/69 become provable once the commutativity of
-    /// `max`/`add` is supplied — here the hint itself is proved by the same
-    /// engine, so the final proof is checkable end to end.
-    pub fn prove_with_hints(
-        &self,
-        goal: Equation,
-        vars: VarStore,
-        hints: &[Equation],
-    ) -> ProofResult {
-        self.prove_with_budget(goal, vars, hints, &Budget::unlimited(), None)
+        self.prove_with_budget(goal, vars, &[], &Budget::unlimited(), None)
     }
 
     /// Attempts to prove `goal` under an external [`Budget`] and optional
     /// [`CancelToken`], on top of the configuration's own limits (the
-    /// effective limit in each dimension is the tighter of the two).
+    /// effective limit in each dimension is the tighter of the two), after
+    /// first proving each `hint` equation (over the same variable store)
+    /// and making the proven hints available as `(Subst)` lemmas.
+    ///
+    /// Hints realise the paper's observation (§6.2) that problems such as
+    /// IsaPlanner 47/54/65/69 become provable once the commutativity of
+    /// `max`/`add` is supplied — here the hint itself is proved by the same
+    /// engine, so the final proof is checkable end to end.
     ///
     /// Cancelling the token from another thread makes the search return
     /// [`Outcome::Cancelled`] promptly: the token is polled at every DFS
@@ -1044,7 +1034,7 @@ mod tests {
             Term::apps(p.f.add, vec![Term::var(y), Term::var(x)]),
         );
         let prover = Prover::new(&p.prog);
-        let res = prover.prove_with_hints(goal, vars, &[hint]);
+        let res = prover.prove_with_budget(goal, vars, &[hint], &Budget::unlimited(), None);
         assert!(res.outcome.is_proved(), "{:?}", res.outcome);
         check(&res.proof, &p.prog, GlobalCheck::VariableTraces).unwrap();
     }
@@ -1059,7 +1049,8 @@ mod tests {
         let add_x_zero = Term::apps(p.f.add, vec![Term::var(x), Term::sym(p.f.zero)]);
         let hint = Equation::new(add_x_zero.clone(), Term::sym(p.f.zero));
         let goal = Equation::new(add_x_zero, Term::var(x));
-        let res = Prover::new(&p.prog).prove_with_hints(goal, vars, &[hint]);
+        let res =
+            Prover::new(&p.prog).prove_with_budget(goal, vars, &[hint], &Budget::unlimited(), None);
         assert_eq!(res.outcome, Outcome::HintFailed { index: 0 });
     }
 

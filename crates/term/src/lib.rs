@@ -59,3 +59,13 @@ pub use term::{Head, Term};
 pub use types::{TyUnifier, TyVarId, Type, TypeError, TypeErrorDisplay, TypeScheme};
 pub use unify::{unify, UnifyError};
 pub use var::{VarId, VarStore};
+
+/// The deepest nesting the frontend parser and the certificate reader
+/// accept, in levels of [`Term::depth`]: a term or type whose tree is
+/// deeper, or whose source nests more parentheses or arrows than this, is
+/// refused as a frontend error or a malformed certificate. Much of the
+/// pipeline (elaboration, search, checking, rendering, dropping a term)
+/// recurses once per level, so without the bound a deeply nested input
+/// would overflow the stack instead of being reported. The goals and
+/// proofs of the paper nest a few dozen levels at most.
+pub const MAX_NESTING: usize = 1000;

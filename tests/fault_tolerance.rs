@@ -7,8 +7,7 @@
 //! `RoundDeepened` are raised inside `Session::prove_goal`'s `catch_unwind`
 //! (the inner boundary), so the goal still gets its `GoalFinished` event
 //! and its time. `GoalFinished` is raised after `prove_goal` returns, so a
-//! panic on it escapes to the batch scheduler's catching runner (the outer
-//! boundary).
+//! panic on it escapes to the batch scheduler (the outer boundary).
 //!
 //! The metrics registry is process-global, so every test that makes a goal
 //! panic holds `PANIC_LOCK`; otherwise one test's panic lands inside
@@ -105,6 +104,9 @@ struct PanicRun {
     goal_panics: u64,
     /// How far `cycleq_batch_task_panics_total` rose.
     task_panics: u64,
+    /// How far `cycleq_goals_total` rose, summed over its statuses, and
+    /// how far its `panicked` status rose.
+    goals_recorded: (u64, u64),
     /// `GoalFinished { status: Panicked }` events the sink saw for `g3`.
     g3_panicked_finishes: usize,
 }
@@ -133,10 +135,23 @@ fn prove_all_counting_panics(jobs: usize, sink: fn(&ProveEvent)) -> PanicRun {
     let report = prove_all(engine(jobs).on_event(counting));
     let delta = cycleq::trace::metrics().snapshot().delta(&before);
     let count = |family: &str| delta.value(family).unwrap_or(0);
+    let goals = |status: GoalStatus| count(&format!("cycleq_goals_total{{status=\"{status}\"}}"));
+    let statuses = [
+        GoalStatus::Proved,
+        GoalStatus::Refuted,
+        GoalStatus::GaveUp,
+        GoalStatus::Cancelled,
+        GoalStatus::Panicked,
+        GoalStatus::Error,
+    ];
     PanicRun {
         report,
         goal_panics: count("cycleq_goal_panics_total"),
         task_panics: count("cycleq_batch_task_panics_total"),
+        goals_recorded: (
+            statuses.into_iter().map(goals).sum(),
+            goals(GoalStatus::Panicked),
+        ),
         g3_panicked_finishes: finishes.load(Ordering::Relaxed),
     }
 }
@@ -195,6 +210,13 @@ fn injected_panic_isolates_one_goal_and_preserves_the_rest() {
                 (run.goal_panics, run.task_panics),
                 counts,
                 "{boundary} boundary at jobs={jobs}: (goal panics, task panics)"
+            );
+            // Each goal is recorded once, under the status its report
+            // carries, even when its sink panics after its verdict.
+            assert_eq!(
+                run.goals_recorded,
+                (run.report.goals.len() as u64, 1),
+                "{boundary} boundary at jobs={jobs}: (goals recorded, panicked goals recorded)"
             );
             if run.task_panics == 0 {
                 // Caught inside its task, the goal streams its own
