@@ -8,7 +8,10 @@
 //! *refuted* (a ground counterexample exists — distinct so scripts can tell
 //! "false" from "unknown"); 1 when the search gives up on any goal
 //! (exhausted, timeout, node budget, or a failed hint) and none is refuted;
-//! 2 on usage or load errors.
+//! 2 on usage or load errors; 141 when the reader of stdout closed the
+//! pipe (see [`output`]).
+
+mod output;
 
 use std::process::ExitCode;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -19,6 +22,7 @@ use cycleq::{
     BatchScheduler, Budget, CancelToken, Diagnostic, Engine, Outcome, ProveEvent, SearchConfig,
     SearchStats, Session, Verdict,
 };
+use output::{errln, out, outln};
 
 /// Some goal was not proved, but none was refuted (exhausted / timeout /
 /// node budget / failed hint).
@@ -109,8 +113,12 @@ EXIT STATUS:
     1   the search gave up on a goal (exhausted, timeout, node budget,
         a hint failed, or the search panicked and was isolated) and no
         goal was refuted
-    2   usage or load error
+    2   usage or load error, or stdout could not be written
     3   a goal was refuted (a ground counterexample exists)
+    141 stdout was closed before the report was written (a reader such
+        as `head` quit early); nothing further is printed. Every
+        subcommand exits so. Lines on stderr are advisory: a closed
+        stderr changes no verdict and no exit status
 ";
 
 /// Output format for verdicts and summaries.
@@ -165,11 +173,11 @@ fn parse_args(args: &[String]) -> Result<Option<Options>, String> {
         };
         match arg.as_str() {
             "-h" | "--help" => {
-                print!("{USAGE}");
+                out!("{USAGE}");
                 return Ok(None);
             }
             "-V" | "--version" => {
-                println!("cycleq {}", env!("CARGO_PKG_VERSION"));
+                outln!("cycleq {}", env!("CARGO_PKG_VERSION"));
                 return Ok(None);
             }
             "--dot" => opts.dot = true,
@@ -284,7 +292,7 @@ fn json_stats(s: &SearchStats) -> String {
 /// did not run (unproved goals, or rechecking disabled).
 fn print_goal_json(verdict: &Verdict, time: Duration) {
     let recheck = verdict.recheck.unwrap_or_default();
-    println!(
+    outln!(
         "{{\"type\":\"goal\",\"goal\":\"{}\",\"verdict\":\"{}\",\"time_ms\":{:.3},\
          \"recheck_ms\":{:.3},\"recheck_reducts\":{},\"recheck_memo_hits\":{},\"stats\":{}}}",
         json_escape(&verdict.goal),
@@ -299,7 +307,7 @@ fn print_goal_json(verdict: &Verdict, time: Duration) {
 
 /// The NDJSON batch summary object.
 fn print_batch_json(report: &BatchReport) {
-    println!(
+    outln!(
         "{{\"type\":\"batch\",\"proved\":{},\"total\":{},\"jobs\":{},\"panicked\":{},\
          \"recheck_ms\":{:.3},\"elapsed_ms\":{:.3}}}",
         report.proved(),
@@ -317,9 +325,9 @@ fn print_verdict(opts: &Options, verdict: &Verdict) {
     // into `dot`; verdict and stats lines move to stderr.
     let annotate = |line: &str| {
         if opts.dot {
-            eprintln!("{line}");
+            errln!("{line}");
         } else {
-            println!("{line}");
+            outln!("{line}");
         }
     };
     annotate(&format!("goal {}: {status}", verdict.goal));
@@ -330,7 +338,7 @@ fn print_verdict(opts: &Options, verdict: &Verdict) {
             verdict.render_proof()
         };
         match rendered {
-            Ok(text) => println!("{text}"),
+            Ok(text) => outln!("{text}"),
             Err(e) => annotate(&format!("  (proof rendering failed: {e})")),
         }
     }
@@ -392,7 +400,7 @@ fn run(opts: &Options) -> Result<Tally, String> {
             } = ev
             {
                 let n = done.fetch_add(1, Ordering::Relaxed) + 1;
-                eprintln!(
+                errln!(
                     "[{n}] goal {goal}: {status} ({:.1}ms)",
                     time.as_secs_f64() * 1000.0
                 );
@@ -408,8 +416,8 @@ fn run(opts: &Options) -> Result<Tally, String> {
     // tool), just no longer silently.
     for d in session.analyze() {
         match d.line {
-            Some(line) => eprintln!("{}:{line}: {d}", opts.file),
-            None => eprintln!("{}: {d}", opts.file),
+            Some(line) => errln!("{}:{line}: {d}", opts.file),
+            None => errln!("{}: {d}", opts.file),
         }
     }
     let goals: Vec<&str> = if opts.goals.is_empty() {
@@ -519,9 +527,9 @@ fn prove(
                 report.recheck,
             );
             if opts.dot {
-                eprintln!("{summary}");
+                errln!("{summary}");
             } else {
-                println!("{summary}");
+                outln!("{summary}");
             }
         }
     }
@@ -532,11 +540,11 @@ fn prove(
 /// indented notes.
 fn print_diagnostic_text(file: &str, d: &Diagnostic) {
     match d.line {
-        Some(line) => println!("{file}:{line}: {d}"),
-        None => println!("{file}: {d}"),
+        Some(line) => outln!("{file}:{line}: {d}"),
+        None => outln!("{file}: {d}"),
     }
     for note in &d.notes {
-        println!("  note: {note}");
+        outln!("  note: {note}");
     }
 }
 
@@ -571,7 +579,7 @@ fn print_diagnostic_json(file: &str, d: &Diagnostic) {
             )
         }
     };
-    println!(
+    outln!(
         "{{\"type\":\"diagnostic\",\"file\":\"{}\",\"line\":{line},\"code\":\"{}\",\
          \"severity\":\"{}\",\"message\":\"{}\",\"notes\":[{}],\"fix\":{fix}}}",
         json_escape(file),
@@ -595,7 +603,7 @@ fn run_lint(args: &[String]) -> ExitCode {
     while let Some(arg) = it.next() {
         match arg.as_str() {
             "-h" | "--help" => {
-                print!("{USAGE}");
+                out!("{USAGE}");
                 return ExitCode::SUCCESS;
             }
             "--deny-warnings" => deny_warnings = true,
@@ -604,7 +612,7 @@ fn run_lint(args: &[String]) -> ExitCode {
             "--jobs" => {
                 let n = it.next().and_then(|v| v.parse::<usize>().ok());
                 let Some(n) = n else {
-                    eprintln!("error: --jobs requires an integer value\n\n{USAGE}");
+                    errln!("error: --jobs requires an integer value\n\n{USAGE}");
                     return ExitCode::from(EXIT_USAGE);
                 };
                 jobs = n;
@@ -615,24 +623,24 @@ fn run_lint(args: &[String]) -> ExitCode {
                     Some("json") => Format::Json,
                     other => {
                         let other = other.unwrap_or("<missing>");
-                        eprintln!("error: unknown format `{other}` (text|json)\n\n{USAGE}");
+                        errln!("error: unknown format `{other}` (text|json)\n\n{USAGE}");
                         return ExitCode::from(EXIT_USAGE);
                     }
                 };
             }
             flag if flag.starts_with('-') && flag.len() > 1 => {
-                eprintln!("error: unknown option `{flag}`\n\n{USAGE}");
+                errln!("error: unknown option `{flag}`\n\n{USAGE}");
                 return ExitCode::from(EXIT_USAGE);
             }
             _ => files.push(arg.clone()),
         }
     }
     if dry_run && !fix {
-        eprintln!("error: --dry-run requires --fix\n\n{USAGE}");
+        errln!("error: --dry-run requires --fix\n\n{USAGE}");
         return ExitCode::from(EXIT_USAGE);
     }
     if files.is_empty() {
-        eprintln!("error: cycleq lint requires at least one program file\n\n{USAGE}");
+        errln!("error: cycleq lint requires at least one program file\n\n{USAGE}");
         return ExitCode::from(EXIT_USAGE);
     }
     // An unreadable file gets a per-file error line and the error exit
@@ -648,7 +656,7 @@ fn run_lint(args: &[String]) -> ExitCode {
                 texts.push(text);
             }
             Err(e) => {
-                eprintln!("error: cannot read `{f}`: {e}");
+                errln!("error: cannot read `{f}`: {e}");
                 io_errors += 1;
             }
         }
@@ -689,7 +697,7 @@ fn run_lint(args: &[String]) -> ExitCode {
         if dry_run {
             diffs.push_str(&unified_diff(text, repaired, file));
         } else if let Err(e) = std::fs::write(file, repaired) {
-            eprintln!("error: cannot write `{file}`: {e}");
+            errln!("error: cannot write `{file}`: {e}");
             io_errors += 1;
         }
     }
@@ -722,7 +730,7 @@ fn run_lint(args: &[String]) -> ExitCode {
         }
     }
     if dry_run && !diffs.is_empty() {
-        print!("{diffs}");
+        out!("{diffs}");
     }
     let fixed_field = if fix {
         format!("fixed={fixed} ")
@@ -730,14 +738,14 @@ fn run_lint(args: &[String]) -> ExitCode {
         String::new()
     };
     match format {
-        Format::Text => println!(
+        Format::Text => outln!(
             "lint: files={} {fixed_field}errors={errors} warnings={warnings} | jobs={} | \
              file total={file_total_ms:.1}ms max={file_max_ms:.1}ms | elapsed={:?}",
             files.len(),
             scheduler.jobs(),
             start.elapsed(),
         ),
-        Format::Json => println!(
+        Format::Json => outln!(
             "{{\"type\":\"lint\",\"files\":{},{}\"errors\":{errors},\"warnings\":{warnings},\
              \"jobs\":{},\"file_total_ms\":{file_total_ms:.3},\
              \"file_max_ms\":{file_max_ms:.3},\"elapsed_ms\":{:.3}}}",
@@ -781,26 +789,26 @@ fn run_check(args: &[String]) -> ExitCode {
     while let Some(arg) = it.next() {
         match arg.as_str() {
             "-h" | "--help" => {
-                print!("{USAGE}");
+                out!("{USAGE}");
                 return ExitCode::SUCCESS;
             }
             "--jobs" => {
                 let n = it.next().and_then(|v| v.parse::<usize>().ok());
                 let Some(n) = n else {
-                    eprintln!("error: --jobs requires an integer value\n\n{USAGE}");
+                    errln!("error: --jobs requires an integer value\n\n{USAGE}");
                     return ExitCode::from(EXIT_USAGE);
                 };
                 jobs = n;
             }
             flag if flag.starts_with('-') && flag.len() > 1 => {
-                eprintln!("error: unknown option `{flag}`\n\n{USAGE}");
+                errln!("error: unknown option `{flag}`\n\n{USAGE}");
                 return ExitCode::from(EXIT_USAGE);
             }
             _ => files.push(arg.clone()),
         }
     }
     if files.is_empty() {
-        eprintln!("error: cycleq check requires at least one certificate file\n\n{USAGE}");
+        errln!("error: cycleq check requires at least one certificate file\n\n{USAGE}");
         return ExitCode::from(EXIT_USAGE);
     }
     // An unreadable certificate is reported per-file as invalid (so the
@@ -834,7 +842,7 @@ fn run_check(args: &[String]) -> ExitCode {
         match result {
             Ok(checked) => {
                 valid += 1;
-                println!(
+                outln!(
                     "cert {file}: valid goal {} ({} nodes, {} reducts, {} memo hits, {:?})",
                     checked.goal,
                     checked.report.nodes,
@@ -843,10 +851,10 @@ fn run_check(args: &[String]) -> ExitCode {
                     checked.report.elapsed,
                 );
             }
-            Err(e) => println!("cert {file}: INVALID ({e})"),
+            Err(e) => outln!("cert {file}: INVALID ({e})"),
         }
     }
-    println!(
+    outln!(
         "check: valid {}/{} | jobs={} | file total={file_total_ms:.1}ms \
          max={file_max_ms:.1}ms | elapsed={:?}",
         valid,
@@ -880,14 +888,14 @@ fn main() -> ExitCode {
         Ok(Some(opts)) => opts,
         Ok(None) => return ExitCode::SUCCESS,
         Err(msg) => {
-            eprintln!("error: {msg}\n\n{USAGE}");
+            errln!("error: {msg}\n\n{USAGE}");
             return ExitCode::from(EXIT_USAGE);
         }
     };
     match run(&opts) {
         Ok(tally) => tally.exit_code(),
         Err(msg) => {
-            eprintln!("error: {msg}");
+            errln!("error: {msg}");
             ExitCode::from(EXIT_USAGE)
         }
     }

@@ -1,7 +1,7 @@
 //! Integration tests shelling out to the compiled `cycleq` binary.
 
 use std::path::PathBuf;
-use std::process::{Command, Output};
+use std::process::{Command, Output, Stdio};
 
 fn quickstart() -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../examples/quickstart.hs")
@@ -1253,4 +1253,69 @@ fn batch_mode_streams_progress_lines_to_stderr() {
         // Completion counter prefixes: [1] [2] [3] in some order-independent way.
         assert!(stderr.contains("[1]") && stderr.contains("[3]"), "{args:?}");
     }
+}
+
+/// Runs `cycleq` with one of its output streams a pipe whose read end is
+/// closed right after spawn (a reader such as `head` that quit), and the
+/// other captured. Every run below does milliseconds of work before its
+/// first write to the closed stream, so that write finds the pipe closed.
+fn run_with_closed_pipe(args: &[&str], close_stdout: bool) -> Output {
+    let mut child = Command::new(env!("CARGO_BIN_EXE_cycleq"))
+        .args(args)
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("binary runs");
+    if close_stdout {
+        drop(child.stdout.take());
+    } else {
+        drop(child.stderr.take());
+    }
+    child.wait_with_output().expect("child exits")
+}
+
+#[test]
+fn closed_stdout_exits_141_without_a_panic() {
+    let file = quickstart();
+    let file = file.to_str().unwrap();
+    let dir = cert_dir("closed-stdout");
+    let out = run(&["--no-proof", "--emit-certs", dir.to_str().unwrap(), file]);
+    assert!(out.status.success());
+    let certs: Vec<String> = std::fs::read_dir(&dir)
+        .unwrap()
+        .map(|e| e.unwrap().path().to_str().unwrap().to_string())
+        .collect();
+    assert_eq!(certs.len(), 3);
+    // Ten copies of each certificate and twenty of the program keep each
+    // run busy before it prints its first line.
+    let mut check = vec!["check"];
+    let mut lint = vec!["lint"];
+    for _ in 0..10 {
+        check.extend(certs.iter().map(String::as_str));
+    }
+    for _ in 0..20 {
+        lint.push(file);
+    }
+    for args in [check, lint, vec![file], vec!["--no-proof", file]] {
+        let out = run_with_closed_pipe(&args, true);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(141), "{:?}: {stderr}", args[0]);
+        assert!(!stderr.contains("panicked"), "{:?}: {stderr}", args[0]);
+    }
+}
+
+#[test]
+fn closed_stderr_changes_no_verdict() {
+    let file = quickstart();
+    let out = run_with_closed_pipe(&["--no-proof", file.to_str().unwrap()], false);
+    let stdout = String::from_utf8(out.stdout).unwrap();
+    assert_eq!(out.status.code(), Some(0), "{stdout}");
+    assert_eq!(
+        stdout.lines().collect::<Vec<_>>(),
+        [
+            "goal addZeroRight: Proved",
+            "goal addSuccRight: Proved",
+            "goal addComm: Proved"
+        ]
+    );
 }

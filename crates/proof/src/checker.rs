@@ -22,7 +22,6 @@
 //! messages, pinned verdict for verdict by the differential property tests
 //! in `tests/differential.rs`.
 
-use std::collections::HashMap;
 use std::error::Error;
 use std::fmt;
 use std::time::{Duration, Instant};
@@ -30,8 +29,8 @@ use std::time::{Duration, Instant};
 use cycleq_rewrite::{MemoRewriter, Program};
 use cycleq_sizechange::Soundness;
 use cycleq_term::{
-    Head, IdSubst, Signature, TermId, TermStore, TyUnifier, TyVarId, Type, TypeError, TypeScheme,
-    VarStore,
+    Head, IdHashMap, IdSubst, Signature, TermId, TermStore, TyUnifier, TyVarId, Type, TypeError,
+    TypeScheme, VarStore,
 };
 
 use crate::edges::check_global;
@@ -144,7 +143,7 @@ fn unifier_ty_check(
     store: &TermStore,
     sig: &Signature,
     vars: &VarStore,
-    cache: &mut HashMap<TermId, TypeScheme>,
+    cache: &mut IdHashMap<TermId, TypeScheme>,
     cl: TermId,
     cr: TermId,
 ) -> bool {
@@ -174,7 +173,7 @@ fn ty_of_id(
     sig: &Signature,
     vars: &VarStore,
     uni: &mut TyUnifier,
-    cache: &mut HashMap<TermId, TypeScheme>,
+    cache: &mut IdHashMap<TermId, TypeScheme>,
     id: TermId,
 ) -> Result<(Type, bool), TypeError> {
     if let Some(c) = cache.get(&id) {
@@ -243,7 +242,7 @@ pub fn check(
     // Principal types per interned subterm, shared across nodes — the
     // nodes of a cyclic proof overlap heavily, so inference is mostly
     // cache hits after the first few nodes.
-    let mut ty_cache: HashMap<TermId, TypeScheme> = HashMap::new();
+    let mut ty_cache: IdHashMap<TermId, TypeScheme> = IdHashMap::default();
     for (id, node) in proof.nodes() {
         for p in &node.premises {
             if p.index() >= proof.len() {

@@ -48,10 +48,9 @@
 //! branch unblocks the rule. [`MemoRewriter::case_candidates_id`] and
 //! [`MemoRewriter::root_case_candidates_id`] compute these variables.
 
-use std::collections::HashMap;
 use std::time::Instant;
 
-use cycleq_term::{Head, IdSubst, Signature, Term, TermId, TermStore, VarId};
+use cycleq_term::{Head, IdHashMap, IdSubst, Signature, Term, TermId, TermStore, VarId};
 
 use crate::limits::{Interrupted, RunLimits};
 use crate::rule::Rule;
@@ -164,7 +163,7 @@ pub struct MemoRewriter<'a> {
     fuel: usize,
     store: TermStore,
     /// `t ↦ t↓R`, complete normal forms only (never partial reductions).
-    memo: HashMap<TermId, TermId>,
+    memo: IdHashMap<TermId, TermId>,
     memo_hits: u64,
 }
 
@@ -176,7 +175,7 @@ impl<'a> MemoRewriter<'a> {
             trs,
             fuel: DEFAULT_FUEL,
             store: TermStore::new(),
-            memo: HashMap::new(),
+            memo: IdHashMap::default(),
             memo_hits: 0,
         }
     }

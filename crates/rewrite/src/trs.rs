@@ -1,8 +1,6 @@
 //! Term rewriting systems and programs.
 
-use std::collections::HashMap;
-
-use cycleq_term::{Signature, SymId, Term, VarStore};
+use cycleq_term::{IdHashMap, Signature, SymId, Term, VarStore};
 
 use crate::rule::{freshen, validate, Rule, RuleError, RuleId};
 
@@ -13,7 +11,7 @@ use crate::rule::{freshen, validate, Rule, RuleError, RuleId};
 #[derive(Clone, Debug, Default)]
 pub struct Trs {
     rules: Vec<Rule>,
-    by_head: HashMap<SymId, Vec<RuleId>>,
+    by_head: IdHashMap<SymId, Vec<RuleId>>,
     vars: VarStore,
 }
 

@@ -35,7 +35,9 @@ use std::time::{Duration, Instant};
 use cycleq_proof::{edge_graph_id, InternedPreproof, NodeId, Preproof, RuleApp, Side, SubstApp};
 use cycleq_rewrite::{CancelToken, Interrupted, MemoRewriter, NormalizedId, Program, RunLimits};
 use cycleq_sizechange::{CompanionClosure, CompanionMark, Soundness};
-use cycleq_term::{CanonKey, Equation, Head, IdSubst, TermId, TyUnifier, Type, VarId, VarStore};
+use cycleq_term::{
+    Equation, Head, IdSubst, Position, SymId, TermId, TermStore, TyUnifier, Type, VarId, VarStore,
+};
 
 use crate::budget::Budget;
 use crate::config::{LemmaPolicy, SearchConfig, SearchStats};
@@ -263,7 +265,7 @@ impl<'a> Prover<'a> {
             rw,
             closure: CompanionClosure::new(),
             lemmas: Vec::new(),
-            path_keys: Vec::new(),
+            path_goals: Vec::new(),
             stats: SearchStats::default(),
             limits: limits.clone(),
             nodes_before,
@@ -372,9 +374,10 @@ struct Search<'a> {
     /// Lemma candidates: `(Case)`-justified ancestors/cousins plus proven
     /// hints, in creation order.
     lemmas: Vec<NodeId>,
-    /// Canonical keys of the goals on the current DFS path; used to prune
-    /// `(Subst)` continuations that recreate an ancestor goal verbatim.
-    path_keys: Vec<CanonKey>,
+    /// The sides of the goals on the current DFS path, used to prune
+    /// `(Subst)` continuations that recreate an ancestor goal up to
+    /// renaming and orientation ([`TermStore::same_equation`]).
+    path_goals: Vec<(TermId, TermId)>,
     stats: SearchStats,
     /// External limits (deadline + cancellation), polled at every DFS node
     /// and inside committed reduction chains.
@@ -592,9 +595,9 @@ impl<'a> Search<'a> {
             return Ok(Solve::Failed);
         }
 
-        self.path_keys.push(self.rw.store().canonical_key(lid, rid));
+        self.path_goals.push((lid, rid));
         let result = self.solve_choice_points(node, depth, lid, rid);
-        self.path_keys.pop();
+        self.path_goals.pop();
         result
     }
 
@@ -615,6 +618,15 @@ impl<'a> Search<'a> {
             Ok(Type::Arrow(arg, _)) => Some(generalize_metas(*arg, self.proof.vars())),
             _ => None,
         }
+    }
+
+    /// Whether the equation `l ≈ r` is a goal of the current DFS path, up
+    /// to renaming and orientation.
+    fn on_path(&self, l: TermId, r: TermId) -> bool {
+        let store = self.rw.store();
+        self.path_goals
+            .iter()
+            .any(|&(a, b)| store.same_equation(a, b, l, r))
     }
 
     /// The backtrackable rules: `(Subst)` then `(Case)`, both running over
@@ -640,13 +652,15 @@ impl<'a> Search<'a> {
                 all
             }
         };
-        // Every subterm occurrence of both sides, listed once for all lemmas.
+        // Every subterm occurrence of both sides, listed and indexed by
+        // head symbol once for all lemmas.
         let positions = if candidates.is_empty() {
-            [Vec::new(), Vec::new()]
+            [SidePositions::default(), SidePositions::default()]
         } else {
+            let store = self.rw.store();
             [
-                self.rw.store().positions(lid),
-                self.rw.store().positions(rid),
+                SidePositions::new(store, lid),
+                SidePositions::new(store, rid),
             ]
         };
         for lemma_id in candidates {
@@ -660,23 +674,21 @@ impl<'a> Search<'a> {
                 } else {
                     (lemma_l, lemma_r)
                 };
-                // The pattern side must be a genuine pattern: not a bare
-                // variable (would match everything), and binding every
-                // variable of the replacement side.
-                if self.rw.store().as_var(from).is_some()
-                    || self.rw.store().head_sym(from).is_none()
-                {
+                // The pattern side must be a genuine pattern: headed by a
+                // symbol (a variable head would match everything), and
+                // binding every variable of the replacement side.
+                let Some(head) = self.rw.store().head_sym(from) else {
                     continue;
-                }
+                };
                 if !self.rw.store().vars_subset_of(to, from) {
                     continue;
                 }
                 let sides = [(Side::Lhs, lid), (Side::Rhs, rid)];
                 for ((side, side_id), side_positions) in sides.into_iter().zip(&positions) {
-                    for &(ref pos, sub) in side_positions {
-                        if self.rw.store().as_var(sub).is_some() {
-                            continue;
-                        }
+                    // Only a subterm with the pattern's head symbol can
+                    // match it, so the others are skipped unmatched.
+                    for i in side_positions.headed_by(head) {
+                        let (ref pos, sub) = side_positions.all[i];
                         let Some(theta) = self.rw.store_mut().match_terms(from, sub) else {
                             continue;
                         };
@@ -699,14 +711,12 @@ impl<'a> Search<'a> {
                         // re-deriving an ancestor goal by rewriting is a loop,
                         // not progress. Cycles must close via the lemma back
                         // edge instead.
-                        let cont_key = self.rw.store().canonical_key(cont_l, cont_r);
-                        if self.path_keys.contains(&cont_key) {
+                        if self.on_path(cont_l, cont_r) {
                             continue;
                         }
                         let nl = self.normalize_or_stop(cont_l)?;
                         let nr = self.normalize_or_stop(cont_r)?;
-                        let norm_key = self.rw.store().canonical_key(nl.id, nr.id);
-                        if self.path_keys.contains(&norm_key) {
+                        if self.on_path(nl.id, nr.id) {
                             continue;
                         }
                         let frame = self.mark();
@@ -798,6 +808,39 @@ impl<'a> Search<'a> {
         }
 
         Ok(Solve::Failed)
+    }
+}
+
+/// The subterm occurrences of one side of a node, for `(Subst)`: every
+/// `(position, subterm)` pair in preorder, and the preorder indices of the
+/// symbol-headed ones sorted by (head symbol, index). This is top-symbol
+/// indexing, the simplest discrimination tree: a pattern headed by `f` can
+/// match only a subterm headed by `f`.
+#[derive(Default)]
+struct SidePositions {
+    all: Vec<(Position, TermId)>,
+    by_head: Vec<(SymId, usize)>,
+}
+
+impl SidePositions {
+    fn new(store: &TermStore, id: TermId) -> SidePositions {
+        let all = store.positions(id);
+        let mut by_head: Vec<(SymId, usize)> = all
+            .iter()
+            .enumerate()
+            .filter_map(|(i, &(_, sub))| Some((store.head_sym(sub)?, i)))
+            .collect();
+        by_head.sort_unstable();
+        SidePositions { all, by_head }
+    }
+
+    /// The preorder indices of the subterms headed by `f`, ascending.
+    fn headed_by(&self, f: SymId) -> impl Iterator<Item = usize> + '_ {
+        let start = self.by_head.partition_point(|&(g, _)| g < f);
+        self.by_head[start..]
+            .iter()
+            .take_while(move |&&(g, _)| g == f)
+            .map(|&(_, i)| i)
     }
 }
 

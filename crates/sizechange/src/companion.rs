@@ -66,8 +66,9 @@
 //! property test pins the verdict after every step of search-shaped traces,
 //! marks and undos included.
 
-use std::collections::{HashMap, HashSet};
 use std::hash::Hash;
+
+use cycleq_term::{IdHashMap, IdHashSet};
 
 use crate::incremental::{IncrementalClosure, Mark, Soundness};
 use crate::store::{GraphId, GraphStore};
@@ -98,8 +99,8 @@ pub struct CompanionClosure<V, N> {
     inner: IncrementalClosure<V, N>,
     /// `summary(v)` for every node with a companion above it: `c(v)` and
     /// the composite graph of the tree path from `c(v)` to `v`.
-    summaries: HashMap<N, (N, GraphId)>,
-    companions: HashSet<N>,
+    summaries: IdHashMap<N, (N, GraphId)>,
+    companions: IdHashSet<N>,
     /// Every change to `summaries` and `companions`, for undo.
     log: Vec<Logged<N>>,
 }
@@ -108,8 +109,8 @@ impl<V, N> Default for CompanionClosure<V, N> {
     fn default() -> Self {
         CompanionClosure {
             inner: IncrementalClosure::default(),
-            summaries: HashMap::new(),
-            companions: HashSet::new(),
+            summaries: IdHashMap::default(),
+            companions: IdHashSet::default(),
             log: Vec::new(),
         }
     }

@@ -108,8 +108,9 @@
 //! that side condition by exhaustiveness.
 
 use std::collections::hash_map::Entry;
-use std::collections::HashMap;
 use std::hash::Hash;
+
+use cycleq_term::IdHashMap;
 
 use crate::graph::ScGraph;
 use crate::idvec::SmallIdVec;
@@ -144,14 +145,14 @@ pub struct IncrementalClosure<V, N> {
     /// Retained graphs per node pair. It is only looked up by key:
     /// saturation reaches the pairs through `succ`, so the order of
     /// composition never depends on this map.
-    graphs: HashMap<(N, N), SmallIdVec>,
+    graphs: IdHashMap<(N, N), SmallIdVec>,
     /// `succ[a]`: the nodes `d` with a retained pair `(a, d)`, in creation
     /// order (so undo pops them LIFO). The vectors, not the hash map,
     /// decide the order of composition, which keeps it deterministic.
-    succ: HashMap<N, Vec<N>>,
+    succ: IdHashMap<N, Vec<N>>,
     /// `edges_in[c]`: the proof edges `(a, e)` entering `c`, in the order
     /// they were added.
-    edges_in: HashMap<N, Vec<(N, GraphId)>>,
+    edges_in: IdHashMap<N, Vec<(N, GraphId)>>,
     /// Insertion log: (src, dst, graph, was_bad).
     trail: Vec<(N, N, GraphId, bool)>,
     /// The target of every proof edge added, in order, for undo to pop
@@ -178,9 +179,9 @@ impl<V, N> Default for IncrementalClosure<V, N> {
     fn default() -> Self {
         IncrementalClosure {
             store: GraphStore::default(),
-            graphs: HashMap::new(),
-            succ: HashMap::new(),
-            edges_in: HashMap::new(),
+            graphs: IdHashMap::default(),
+            succ: IdHashMap::default(),
+            edges_in: IdHashMap::default(),
             trail: Vec::new(),
             edge_targets: Vec::new(),
             bad: 0,

@@ -13,7 +13,8 @@
 //! the variable type `V` and the node type `N`, so the same machinery
 //! verifies proofs (variables = term variables, nodes = proof vertices) and
 //! program termination (variables = argument positions, nodes = function
-//! symbols).
+//! symbols). It takes only the id hasher from `cycleq_term`: every table
+//! here is keyed by ids or by the bit planes of graphs.
 //!
 //! Every closure is an [`IncrementalClosure`]: trail-based saturation over
 //! the hash-consed [`GraphStore`] (per-graph bit planes, cached Theorem 5.2

@@ -37,9 +37,11 @@
 //! (and the executable specification the property tests compare against);
 //! it lowers into the store via [`GraphStore::intern`].
 
-use std::collections::HashMap;
+use std::collections::hash_map::Entry;
 use std::fmt;
 use std::hash::Hash;
+
+use cycleq_term::IdHashMap;
 
 use crate::graph::{Label, ScGraph};
 
@@ -223,10 +225,10 @@ pub struct GraphStore<V> {
     /// Dense index → variable.
     vars: Vec<V>,
     /// Variable → dense index.
-    var_ids: HashMap<V, u32>,
+    var_ids: IdHashMap<V, u32>,
     nodes: Vec<GraphNode>,
-    dedup: HashMap<GraphData, GraphId>,
-    seq_memo: HashMap<(GraphId, GraphId), GraphId>,
+    dedup: IdHashMap<GraphData, GraphId>,
+    seq_memo: IdHashMap<(GraphId, GraphId), GraphId>,
     compositions: u64,
     memo_hits: u64,
 }
@@ -235,10 +237,10 @@ impl<V> Default for GraphStore<V> {
     fn default() -> Self {
         GraphStore {
             vars: Vec::new(),
-            var_ids: HashMap::new(),
+            var_ids: IdHashMap::default(),
             nodes: Vec::new(),
-            dedup: HashMap::new(),
-            seq_memo: HashMap::new(),
+            dedup: IdHashMap::default(),
+            seq_memo: IdHashMap::default(),
             compositions: 0,
             memo_hits: 0,
         }
@@ -267,8 +269,8 @@ where
 
     fn var_index(&mut self, v: V) -> u32 {
         match self.var_ids.entry(v) {
-            std::collections::hash_map::Entry::Occupied(e) => *e.get(),
-            std::collections::hash_map::Entry::Vacant(e) => {
+            Entry::Occupied(e) => *e.get(),
+            Entry::Vacant(e) => {
                 let id = self.vars.len() as u32;
                 self.vars.push(v);
                 e.insert(id);

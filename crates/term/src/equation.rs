@@ -2,11 +2,11 @@
 //!
 //! Equations are written `M ≈ N` and are interchangeable with `N ≈ M`
 //! (symmetry is built into the representation rather than being an inference
-//! rule, Remark 3.1). [`Equation::canonical_key`] produces an
-//! α-invariant, orientation-invariant fingerprint used for memoisation and
-//! lemma deduplication during proof search.
+//! rule, Remark 3.1). Proof search compares equations up to renaming and
+//! orientation on interned ids, with [`crate::TermStore::same_equation`].
+//! Its test oracle, the owned canonical key, is compiled only for tests.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 use std::fmt;
 
 use crate::signature::Signature;
@@ -21,17 +21,11 @@ pub struct Equation {
     rhs: Term,
 }
 
-/// An α- and orientation-invariant fingerprint of an equation.
+/// An α- and orientation-invariant fingerprint of an equation: the test
+/// oracle of [`crate::TermStore::same_equation`].
+#[cfg(test)]
 #[derive(Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
-pub struct CanonKey(Vec<u32>);
-
-impl CanonKey {
-    /// Builds a key from an already-canonical word sequence (used by the
-    /// interned-term encoder in [`crate::TermStore`]).
-    pub(crate) fn from_words(words: Vec<u32>) -> CanonKey {
-        CanonKey(words)
-    }
-}
+pub(crate) struct CanonKey(Vec<u32>);
 
 impl Equation {
     /// Creates the equation `lhs ≈ rhs`.
@@ -93,9 +87,10 @@ impl Equation {
 
     /// An α-invariant, orientation-invariant key: the lexicographically
     /// smaller of the canonical encodings of `(lhs, rhs)` and `(rhs, lhs)`.
-    pub fn canonical_key(&self) -> CanonKey {
+    #[cfg(test)]
+    pub(crate) fn canonical_key(&self) -> CanonKey {
         fn encode(a: &Term, b: &Term) -> Vec<u32> {
-            let mut rename = BTreeMap::new();
+            let mut rename = std::collections::BTreeMap::new();
             let mut out = Vec::new();
             a.encode_canonical(&mut rename, &mut out);
             out.push(u32::MAX); // separator
@@ -141,6 +136,107 @@ impl fmt::Display for EquationDisplay<'_> {
 mod tests {
     use super::*;
     use crate::fixtures::NatList;
+    use crate::{TermStore, Type};
+    use proptest::prelude::*;
+    use proptest::test_runner::Config;
+
+    /// Terms over `Z`, `S`, `add`, the variables `vs` and the function
+    /// variable `g` applied to one argument.
+    fn term(f: &NatList, vs: &[VarId], g: VarId) -> impl Strategy<Value = Term> {
+        let (zero, succ, add) = (f.zero, f.succ, f.add);
+        let vs = vs.to_vec();
+        let leaf = prop_oneof![
+            Just(Term::sym(zero)),
+            (0..vs.len()).prop_map(move |i| Term::var(vs[i])),
+        ];
+        leaf.prop_recursive(4, 24, 2, move |inner| {
+            prop_oneof![
+                inner.clone().prop_map(move |t| Term::apps(succ, vec![t])),
+                inner.clone().prop_map(move |t| Term::var_apps(g, vec![t])),
+                (inner.clone(), inner).prop_map(move |(a, b)| Term::apps(add, vec![a, b])),
+            ]
+        })
+    }
+
+    fn cfg(cases: u32) -> Config {
+        Config {
+            cases,
+            ..Config::default()
+        }
+    }
+
+    #[test]
+    fn canonical_key_invariant_under_renaming() {
+        let f = NatList::new();
+        let mut vars = VarStore::new();
+        let vs: Vec<VarId> = (0..4)
+            .map(|i| vars.fresh(&format!("x{i}"), f.nat_ty()))
+            .collect();
+        let g = vars.fresh("g", Type::arrow(f.nat_ty(), f.nat_ty()));
+        // Rename every variable v_i to a fresh w_i (injectively).
+        let mut renaming = Subst::new();
+        for (i, v) in vs.iter().enumerate() {
+            let w = vars.fresh(&format!("w{i}"), f.nat_ty());
+            renaming.insert(*v, Term::var(w));
+        }
+        proptest!(cfg(128), |(t in term(&f, &vs, g))| {
+            let t2 = renaming.apply(&t);
+            let e1 = Equation::new(t.clone(), t.clone());
+            let e2 = Equation::new(t2.clone(), t2);
+            prop_assert_eq!(e1.canonical_key(), e2.canonical_key());
+        });
+    }
+
+    /// The path check's oracle: `TermStore::same_equation` holds exactly
+    /// when the owned canonical keys are equal, in both argument orders,
+    /// on random pairs against an unrelated pair, an injectively renamed
+    /// copy, the flipped pair and its renamed copy, and a non-injectively
+    /// renamed copy (which turns `add x y` into `add x x`).
+    #[test]
+    fn same_equation_agrees_with_canonical_keys() {
+        let f = NatList::new();
+        let mut vars = VarStore::new();
+        let vs: Vec<VarId> = (0..3)
+            .map(|i| vars.fresh(&format!("x{i}"), f.nat_ty()))
+            .collect();
+        let fun = Type::arrow(f.nat_ty(), f.nat_ty());
+        let g = vars.fresh("g", fun.clone());
+        let h = vars.fresh("h", fun);
+        let ws: Vec<VarId> = (0..3)
+            .map(|i| vars.fresh(&format!("w{i}"), f.nat_ty()))
+            .collect();
+        // Injective: x_i ↦ w_{i+1 mod 3} and g ↦ h. Non-injective:
+        // x_0, x_1 ↦ x_0 and x_2 ↦ x_1.
+        let mut injective = Subst::singleton(g, Term::var(h));
+        let mut collapse = Subst::new();
+        for (i, &v) in vs.iter().enumerate() {
+            injective.insert(v, Term::var(ws[(i + 1) % 3]));
+            collapse.insert(v, Term::var(vs[i / 2]));
+        }
+        let t = || term(&f, &vs, g);
+        proptest!(cfg(512), |(a in t(), b in t(), c in t(), d in t())| {
+            let eq = Equation::new(a, b);
+            let renamed = eq.subst(&injective);
+            let candidates = [
+                (Equation::new(c, d), None),
+                (renamed.clone(), Some(true)),
+                (eq.flipped(), Some(true)),
+                (renamed.flipped(), Some(true)),
+                (eq.subst(&collapse), None),
+            ];
+            let mut store = TermStore::new();
+            let (l, r) = (store.intern(eq.lhs()), store.intern(eq.rhs()));
+            for (other, expected) in candidates {
+                let oracle = eq.canonical_key() == other.canonical_key();
+                if let Some(expected) = expected {
+                    prop_assert_eq!(oracle, expected);
+                }
+                let (ol, or) = (store.intern(other.lhs()), store.intern(other.rhs()));
+                prop_assert_eq!(store.same_equation(l, r, ol, or), oracle);
+                prop_assert_eq!(store.same_equation(ol, or, l, r), oracle);
+            }
+        });
+    }
 
     #[test]
     fn canonical_key_is_orientation_invariant() {

@@ -35,6 +35,7 @@
 //! ```
 
 mod equation;
+mod hash;
 mod matching;
 mod position;
 mod pretty;
@@ -48,7 +49,8 @@ mod var;
 
 pub mod fixtures;
 
-pub use equation::{CanonKey, Equation};
+pub use equation::Equation;
+pub use hash::{IdBuildHasher, IdHashMap, IdHashSet, IdHasher};
 pub use matching::match_term;
 pub use position::{Position, Positions};
 pub use pretty::{TermDisplay, TypeDisplay};

@@ -13,15 +13,20 @@
 //! - a stable identity to memoise derived facts against — most importantly
 //!   reduction normal forms (see `cycleq_rewrite`'s memoised rewriter).
 //!
+//! The hash-consing table and the substitution memo are keyed by ids, so
+//! they hash with the seeded multiply-rotate [`crate::IdHasher`] rather
+//! than SipHash. Equations are compared up to renaming and orientation on
+//! ids too ([`TermStore::same_equation`]), without building canonical keys.
+//!
 //! The owned [`Term`] API remains the boundary representation: the frontend
 //! lowers to owned terms, pretty-printing and the independent proof checker
 //! consume owned terms, and [`TermStore::intern`]/[`TermStore::resolve`]
 //! convert at the edges. Ids are only meaningful relative to the store that
 //! produced them; stores grow monotonically, so ids are never invalidated.
 
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::{BTreeMap, BTreeSet};
 
-use crate::equation::CanonKey;
+use crate::hash::IdHashMap;
 use crate::position::Position;
 use crate::signature::{Signature, SymId};
 use crate::term::{Head, Term};
@@ -61,7 +66,7 @@ struct NodeData {
 #[derive(Clone, Debug, Default)]
 pub struct TermStore {
     nodes: Vec<NodeData>,
-    table: HashMap<(Head, Box<[TermId]>), TermId>,
+    table: IdHashMap<(Head, Box<[TermId]>), TermId>,
 }
 
 impl TermStore {
@@ -360,7 +365,7 @@ impl TermStore {
         if theta.is_empty() {
             return id;
         }
-        let mut memo = HashMap::new();
+        let mut memo = IdHashMap::default();
         self.subst_memo(id, theta, &mut memo)
     }
 
@@ -368,7 +373,7 @@ impl TermStore {
         &mut self,
         id: TermId,
         theta: &IdSubst,
-        memo: &mut HashMap<TermId, TermId>,
+        memo: &mut IdHashMap<TermId, TermId>,
     ) -> TermId {
         // A subterm none of whose variables θ binds is its own image (ground
         // subterms included): hash-consing would rebuild exactly `id`.
@@ -464,48 +469,58 @@ impl TermStore {
         }
     }
 
-    /// Encodes the term into the flat canonical integer sequence used for
-    /// α-invariant keys; identical to [`Term::encode_canonical`].
-    pub fn encode_canonical(
-        &self,
-        id: TermId,
-        rename: &mut BTreeMap<VarId, u32>,
-        out: &mut Vec<u32>,
-    ) {
-        let n = &self.nodes[id.index()];
-        match n.head {
-            Head::Var(v) => {
-                let next = rename.len() as u32;
-                let nn = *rename.entry(v).or_insert(next);
-                out.push(0);
-                out.push(nn);
-            }
-            Head::Sym(s) => {
-                out.push(1);
-                out.push(s.index() as u32);
+    /// Whether the equations `a ≈ b` and `c ≈ d` are equal up to a
+    /// bijective renaming of their variables, in either orientation.
+    ///
+    /// This is equality of the α- and orientation-invariant canonical keys
+    /// of the two equations, decided on ids without building a key: equal
+    /// id pairs agree at once, pairs whose cached sizes differ disagree at
+    /// once, and otherwise one simultaneous walk per orientation grows the
+    /// renaming in a small vector. Variable types play no part, as in the
+    /// key.
+    pub fn same_equation(&self, a: TermId, b: TermId, c: TermId, d: TermId) -> bool {
+        if (a, b) == (c, d) || (a, b) == (d, c) {
+            return true;
+        }
+        let mut rename = Vec::new();
+        for (c, d) in [(c, d), (d, c)] {
+            rename.clear();
+            if self.size(a) == self.size(c)
+                && self.size(b) == self.size(d)
+                && self.alpha_walk(a, c, &mut rename)
+                && self.alpha_walk(b, d, &mut rename)
+            {
+                return true;
             }
         }
-        out.push(n.args.len() as u32);
-        for &a in n.args.iter() {
-            self.encode_canonical(a, rename, out);
-        }
+        false
     }
 
-    /// The α- and orientation-invariant key of the equation `a ≈ b`,
-    /// agreeing with [`crate::Equation::canonical_key`] on the resolved
-    /// terms.
-    pub fn canonical_key(&self, a: TermId, b: TermId) -> CanonKey {
-        let encode = |x: TermId, y: TermId| {
-            let mut rename = BTreeMap::new();
-            let mut out = Vec::new();
-            self.encode_canonical(x, &mut rename, &mut out);
-            out.push(u32::MAX); // separator
-            self.encode_canonical(y, &mut rename, &mut out);
-            out
-        };
-        let fwd = encode(a, b);
-        let bwd = encode(b, a);
-        CanonKey::from_words(fwd.min(bwd))
+    /// Walks `s` and `t` together, extending `rename`, a bijection between
+    /// the variables of the one side and those of the other; `false` when
+    /// no extension makes `t` the renamed `s`.
+    fn alpha_walk(&self, s: TermId, t: TermId, rename: &mut Vec<(VarId, VarId)>) -> bool {
+        let (ns, nt) = (&self.nodes[s.index()], &self.nodes[t.index()]);
+        if ns.size != nt.size || ns.args.len() != nt.args.len() {
+            return false;
+        }
+        // A ground term is a renaming only of itself.
+        if ns.ground || nt.ground {
+            return s == t;
+        }
+        match (ns.head, nt.head) {
+            (Head::Sym(f), Head::Sym(g)) if f == g => {}
+            (Head::Var(u), Head::Var(v)) => match rename.iter().find(|&&(x, y)| x == u || y == v) {
+                Some(&pair) if pair != (u, v) => return false,
+                Some(_) => {}
+                None => rename.push((u, v)),
+            },
+            _ => return false,
+        }
+        ns.args
+            .iter()
+            .zip(nt.args.iter())
+            .all(|(&x, &y)| self.alpha_walk(x, y, rename))
     }
 }
 
@@ -571,7 +586,7 @@ impl FromIterator<(VarId, TermId)> for IdSubst {
 mod tests {
     use super::*;
     use crate::fixtures::NatList;
-    use crate::{match_term, Equation, Subst, VarStore};
+    use crate::{match_term, Subst, VarStore};
 
     #[test]
     fn interning_is_idempotent_and_shares() {
@@ -702,18 +717,40 @@ mod tests {
     }
 
     #[test]
-    fn canonical_key_agrees_with_equation() {
+    fn same_equation_decides_alpha_variants() {
         let f = NatList::new();
         let mut vars = VarStore::new();
         let x = vars.fresh("x", f.nat_ty());
         let y = vars.fresh("y", f.nat_ty());
+        let z = vars.fresh("z", f.nat_ty());
         let mut store = TermStore::new();
-        let l = Term::apps(f.add, vec![Term::var(x), Term::var(y)]);
-        let r = Term::apps(f.add, vec![Term::var(y), Term::var(x)]);
-        let lid = store.intern(&l);
-        let rid = store.intern(&r);
-        let eq = Equation::new(l, r);
-        assert_eq!(store.canonical_key(lid, rid), eq.canonical_key());
-        assert_eq!(store.canonical_key(rid, lid), eq.canonical_key());
+        let mut id = |t: Term| store.intern(&t);
+        let add = |a: VarId, b: VarId| Term::apps(f.add, vec![Term::var(a), Term::var(b)]);
+        let (xy, yx, yz, zy, xx) = (
+            id(add(x, y)),
+            id(add(y, x)),
+            id(add(y, z)),
+            id(add(z, y)),
+            id(add(x, x)),
+        );
+        let (sx, sy) = (id(f.s(Term::var(x))), id(f.s(Term::var(y))));
+        let (vx, vy) = (id(Term::var(x)), id(Term::var(y)));
+        // Identical pairs, flipped pairs and renamed pairs are the same
+        // equation, whichever argument comes first.
+        for (a, b, c, d) in [
+            (xy, yx, xy, yx),
+            (xy, yx, yx, xy),
+            (xy, yx, yz, zy),
+            (vx, sx, sy, vy),
+        ] {
+            assert!(store.same_equation(a, b, c, d));
+            assert!(store.same_equation(c, d, a, b));
+        }
+        // The renaming must be a bijection across both sides: `add x y`
+        // is not `add x x`, and `x ≈ S x` is not `x ≈ S y`.
+        for (a, b, c, d) in [(xy, vx, xx, vx), (vx, sx, vx, sy), (xy, yx, xy, xy)] {
+            assert!(!store.same_equation(a, b, c, d));
+            assert!(!store.same_equation(c, d, a, b));
+        }
     }
 }

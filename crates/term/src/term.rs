@@ -266,9 +266,11 @@ impl Term {
     }
 
     /// Encodes the term into a flat integer sequence under a variable
-    /// renaming, used to build memoisation keys. Variables are numbered by
-    /// first occurrence via `rename`.
-    pub fn encode_canonical(
+    /// renaming, for the canonical key of the test oracle
+    /// (`Equation::canonical_key`). Variables are numbered by first
+    /// occurrence via `rename`.
+    #[cfg(test)]
+    pub(crate) fn encode_canonical(
         &self,
         rename: &mut std::collections::BTreeMap<VarId, u32>,
         out: &mut Vec<u32>,
@@ -495,5 +497,20 @@ mod tests {
         };
         assert_eq!(enc(&t1), enc(&t2));
         assert_ne!(enc(&t1), enc(&t3));
+    }
+
+    #[test]
+    fn encode_canonical_table_is_deterministic() {
+        let f = NatList::new();
+        let mut vars = VarStore::new();
+        let x = vars.fresh("x", f.nat_ty());
+        let t = Term::apps(f.add, vec![Term::var(x), f.num(1)]);
+        let mut m1 = std::collections::BTreeMap::new();
+        let mut o1 = Vec::new();
+        t.encode_canonical(&mut m1, &mut o1);
+        let mut m2 = std::collections::BTreeMap::new();
+        let mut o2 = Vec::new();
+        t.encode_canonical(&mut m2, &mut o2);
+        assert_eq!(o1, o2);
     }
 }

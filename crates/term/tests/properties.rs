@@ -1,8 +1,6 @@
 //! Property-based tests for the term layer: substitution laws, matching and
 //! unification soundness, and position round-trips.
 
-use std::collections::BTreeMap;
-
 use cycleq_term::fixtures::NatList;
 use cycleq_term::{match_term, unify, Position, Subst, Term, Type, VarStore};
 use proptest::prelude::*;
@@ -167,24 +165,6 @@ fn position_count_equals_term_size() {
 }
 
 #[test]
-fn canonical_key_invariant_under_renaming() {
-    let (f, vars, vs) = fixture_vars();
-    let mut vars = vars;
-    // Rename every variable v_i to a fresh w_i (injectively).
-    let mut renaming = Subst::new();
-    for (i, v) in vs.iter().enumerate() {
-        let w = vars.fresh(&format!("w{i}"), f.nat_ty());
-        renaming.insert(*v, Term::var(w));
-    }
-    proptest!(cfg(), |(t in nat_term(&f, &vs))| {
-        let t2 = renaming.apply(&t);
-        let e1 = cycleq_term::Equation::new(t.clone(), t.clone());
-        let e2 = cycleq_term::Equation::new(t2.clone(), t2);
-        prop_assert_eq!(e1.canonical_key(), e2.canonical_key());
-    });
-}
-
-#[test]
 fn interner_round_trips_and_dedupes() {
     let (f, _vars, vs) = fixture_vars();
     proptest!(cfg(), |(t in nat_term(&f, &vs))| {
@@ -231,19 +211,6 @@ fn interned_subst_and_matching_agree_with_owned() {
 }
 
 #[test]
-fn interned_canonical_key_agrees_with_equation() {
-    let (f, _vars, vs) = fixture_vars();
-    proptest!(cfg(), |(a in nat_term(&f, &vs), b in nat_term(&f, &vs))| {
-        let mut store = cycleq_term::TermStore::new();
-        let aid = store.intern(&a);
-        let bid = store.intern(&b);
-        let eq = cycleq_term::Equation::new(a, b);
-        prop_assert_eq!(store.canonical_key(aid, bid), eq.canonical_key());
-        prop_assert_eq!(store.canonical_key(bid, aid), eq.canonical_key());
-    });
-}
-
-#[test]
 fn interned_positions_agree_with_owned() {
     let (f, _vars, vs) = fixture_vars();
     proptest!(cfg(), |(t in nat_term(&f, &vs))| {
@@ -275,21 +242,6 @@ fn position_display_is_stable() {
     let p = Position::from_indices(vec![0, 2, 1]);
     assert_eq!(p.to_string(), "0.2.1");
     assert_eq!(Position::root().to_string(), "ε");
-}
-
-#[test]
-fn encode_canonical_table_is_deterministic() {
-    let f = NatList::new();
-    let mut vars = VarStore::new();
-    let x = vars.fresh("x", f.nat_ty());
-    let t = Term::apps(f.add, vec![Term::var(x), f.num(1)]);
-    let mut m1 = BTreeMap::new();
-    let mut o1 = Vec::new();
-    t.encode_canonical(&mut m1, &mut o1);
-    let mut m2 = BTreeMap::new();
-    let mut o2 = Vec::new();
-    t.encode_canonical(&mut m2, &mut o2);
-    assert_eq!(o1, o2);
 }
 
 /// A signature for the function-extensionality filter: the `NatList`
