@@ -20,39 +20,10 @@ use std::cmp::Reverse;
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Mutex, OnceLock, PoisonError};
+use std::sync::{Mutex, PoisonError};
 use std::thread;
 
-use cycleq_trace::{lock_recover, metrics, Counter, Gauge};
-
-/// Process-wide registry handles for scheduler activity.
-#[derive(Debug, Clone)]
-struct SchedulerMetrics {
-    /// Tasks executed.
-    tasks: Counter,
-    /// Tasks currently queued across all live batch runs.
-    queue_depth: Gauge,
-    /// Tasks whose panic was caught and isolated into a [`TaskPanic`].
-    task_panics: Counter,
-}
-
-fn scheduler_metrics() -> &'static SchedulerMetrics {
-    static METRICS: OnceLock<SchedulerMetrics> = OnceLock::new();
-    METRICS.get_or_init(|| SchedulerMetrics {
-        tasks: metrics().counter(
-            "cycleq_batch_tasks_total",
-            "Batch tasks executed by the scheduler (including inline runs).",
-        ),
-        queue_depth: metrics().gauge(
-            "cycleq_batch_queue_depth",
-            "Batch tasks currently queued and not yet started, across live runs.",
-        ),
-        task_panics: metrics().counter(
-            "cycleq_batch_task_panics_total",
-            "Batch tasks that panicked and were isolated into per-task failures.",
-        ),
-    })
-}
+use cycleq_trace::lock_recover;
 
 /// A task that panicked instead of returning; the scheduler turns the
 /// unwind into this structured per-task failure.
@@ -82,8 +53,7 @@ pub fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
-/// Starts one dequeued task under `catch_unwind`, counting it and any
-/// panic it raises.
+/// Starts one dequeued task under `catch_unwind`.
 ///
 /// `AssertUnwindSafe` is sound here because a panicking task's result slot
 /// is overwritten with the `Err` — no caller observes state the task left
@@ -93,14 +63,8 @@ fn run_task<T, F>(task: F, worker: usize) -> Result<T, TaskPanic>
 where
     F: FnOnce(usize) -> T,
 {
-    let m = scheduler_metrics();
-    m.queue_depth.sub(1);
-    m.tasks.inc();
-    catch_unwind(AssertUnwindSafe(|| task(worker))).map_err(|payload| {
-        m.task_panics.inc();
-        TaskPanic {
-            message: panic_message(payload.as_ref()),
-        }
+    catch_unwind(AssertUnwindSafe(|| task(worker))).map_err(|payload| TaskPanic {
+        message: panic_message(payload.as_ref()),
     })
 }
 
@@ -198,7 +162,6 @@ impl BatchScheduler {
         );
         let n = tasks.len();
         let workers = self.jobs.min(n).max(1);
-        scheduler_metrics().queue_depth.add(n as u64);
         if workers == 1 {
             return tasks.into_iter().map(|t| run_task(t, 0)).collect();
         }

@@ -19,9 +19,8 @@
 //! selected problem's module source as `<id>.hs` — the corpus that
 //! `cycleq lint` sweeps in CI. `--profile` appends a per-problem
 //! phase-time table (prove_goal / round / expand / normalize /
-//! closure_update / undo / check) read back from the `cycleq_trace` registry —
-//! combine with `--jobs 1` (the default) for exact per-problem
-//! attribution. Exits non-zero when any problem is refuted or errors (a
+//! closure_update / undo / check), each row that problem's own spans at
+//! any `--jobs`. Exits non-zero when any problem is refuted or errors (a
 //! mis-encoded property), so CI catches those too.
 
 use std::time::Duration;

@@ -34,9 +34,8 @@ pub struct RunConfig {
     pub emit_certs: Option<std::path::PathBuf>,
     /// Capture a per-problem phase-time breakdown ([`RunOutcome::profile`],
     /// rendered by [`profile_table`]) by enabling the `cycleq_trace` span
-    /// machinery. The underlying metrics registry is process-global, so
-    /// with `jobs > 1` concurrent problems attribute phase time to each
-    /// other — profile with `jobs: 1` for exact per-problem numbers.
+    /// machinery. Each profile holds its own problem's spans only, at any
+    /// `jobs`.
     pub profile: bool,
 }
 
@@ -450,6 +449,32 @@ mod tests {
         let p = &MUTUAL[0];
         let out = run_problem(p, &RunConfig::default());
         assert!(out.status.is_proved(), "{:?}", out.status);
+    }
+
+    #[test]
+    fn parallel_profiles_hold_each_problems_own_spans() {
+        let quick: Vec<&'static Problem> = crate::all_problems()
+            .into_iter()
+            .filter(|p| p.category != Category::IsaPlanner)
+            .collect();
+        let config = RunConfig {
+            jobs: 2,
+            profile: true,
+            with_hints: true,
+            ..RunConfig::default()
+        };
+        let outcomes = run_suite(&quick, &config);
+        for o in &outcomes {
+            // A problem proves one goal; its hints, if any, are proved
+            // inside that goal's own search.
+            let profile = o.profile.as_ref().expect("profiled");
+            assert_eq!(
+                profile.phase("prove_goal").map(|p| p.count),
+                Some(1),
+                "{}: one prove_goal span",
+                o.problem.id
+            );
+        }
     }
 
     #[test]

@@ -15,7 +15,7 @@ mod output;
 
 use std::process::ExitCode;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use cycleq::{
     analyze_source, analyze_with_fixes, check_certificate, unified_diff, BatchReport,
@@ -102,9 +102,10 @@ OPTIONS:
                         write them as Chrome trace-event JSON — loadable
                         in Perfetto or chrome://tracing, one track per
                         worker thread
-    --metrics-out FILE  Write the process-wide metrics registry (goal,
-                        search, size-change, batch and phase-time
-                        families) in Prometheus text exposition format
+    --metrics-out FILE  Write this run's counts (goal verdicts, the
+                        --stats counters summed over the goals, re-check
+                        and phase times) in Prometheus text exposition
+                        format
     -h, --help          Print this help
     -V, --version       Print version
 
@@ -275,9 +276,9 @@ fn verdict_word(outcome: &Outcome) -> &'static str {
 }
 
 /// The NDJSON `stats` object, generated from [`SearchStats::entries`] — the
-/// same single source that feeds the `--stats` line and the metrics
-/// registry, so the three surfaces cannot drift (schema pinned by
-/// `tests/stats_schema.rs`).
+/// same single source that feeds the `--stats` line and the
+/// `--metrics-out` families, so the three surfaces cannot drift (schema
+/// pinned by `tests/stats_schema.rs`).
 fn json_stats(s: &SearchStats) -> String {
     let fields: Vec<String> = s
         .entries()
@@ -344,7 +345,7 @@ fn print_verdict(opts: &Options, verdict: &Verdict) {
     }
     if opts.stats {
         // Generated from the same `entries()` list as the NDJSON stats
-        // object and the metrics registry (see `json_stats`).
+        // object and the `--metrics-out` families (see `json_stats`).
         let s = &verdict.result.stats;
         let fields: Vec<String> = s
             .entries()
@@ -440,21 +441,30 @@ fn run(opts: &Options) -> Result<Tally, String> {
     if opts.trace_out.is_some() {
         cycleq::trace::start_collect();
     }
-    let tally = prove(opts, &session, &goals, &hints)?;
-    write_observability(opts)?;
+    let report = session
+        .prove_many_with(&goals, &hints, &Budget::unlimited(), &CancelToken::new())
+        .map_err(|e| e.to_string())?;
+    let tally = print_report(opts, &session, &report)?;
+    write_observability(opts, &session, &report)?;
     Ok(tally)
 }
 
 /// Writes the `--trace-out` (Chrome trace-event JSON) and `--metrics-out`
-/// (Prometheus text) artifacts, when requested.
-fn write_observability(opts: &Options) -> Result<(), String> {
+/// (Prometheus text, from the run's report and profile) artifacts, when
+/// requested.
+fn write_observability(
+    opts: &Options,
+    session: &Session,
+    report: &BatchReport,
+) -> Result<(), String> {
     if let Some(path) = &opts.trace_out {
         let trace = cycleq::trace::finish_collect();
         std::fs::write(path, trace.to_chrome_json())
             .map_err(|e| format!("cannot write `{path}`: {e}"))?;
     }
     if let Some(path) = &opts.metrics_out {
-        std::fs::write(path, cycleq::trace::metrics().snapshot().to_prometheus())
+        let profile = session.profile().unwrap_or_default();
+        std::fs::write(path, report.to_prometheus(&profile))
             .map_err(|e| format!("cannot write `{path}`: {e}"))?;
     }
     Ok(())
@@ -478,18 +488,10 @@ fn emit_certificate(dir: &str, session: &Session, verdict: &Verdict) -> Result<(
     std::fs::write(&path, text).map_err(|e| format!("cannot write `{}`: {e}", path.display()))
 }
 
-/// Proves the goals as one batch across the session's workers, printing
-/// verdicts in declaration order, then the batch summary when `--jobs` or
-/// `--format json` asked for it. The exit code is the worst verdict.
-fn prove(
-    opts: &Options,
-    session: &Session,
-    goals: &[&str],
-    hints: &[&str],
-) -> Result<Tally, String> {
-    let report = session
-        .prove_many_with(goals, hints, &Budget::unlimited(), &CancelToken::new())
-        .map_err(|e| e.to_string())?;
+/// Prints a batch's verdicts in declaration order, then the batch summary
+/// when `--jobs` or `--format json` asked for it. The exit code is the
+/// worst verdict.
+fn print_report(opts: &Options, session: &Session, report: &BatchReport) -> Result<Tally, String> {
     let mut tally = Tally::default();
     for g in &report.goals {
         match &g.outcome {
@@ -513,7 +515,7 @@ fn prove(
         }
     }
     match opts.format {
-        Format::Json => print_batch_json(&report),
+        Format::Json => print_batch_json(report),
         Format::Text if opts.jobs.is_none() => {}
         Format::Text => {
             let summary = format!(
@@ -662,29 +664,25 @@ fn run_lint(args: &[String]) -> ExitCode {
         }
     }
     let files = readable;
-    // Per-file timing flows through the span machinery into the process
-    // registry (`cycleq_phase_seconds{phase="lint_file"}`); the summary
-    // below reads it back from there rather than keeping bespoke timers.
-    cycleq::trace::set_enabled(true);
-    let before = cycleq::trace::metrics().snapshot();
-    let start = std::time::Instant::now();
+    let start = Instant::now();
     let tasks: Vec<_> = texts
         .iter()
         .map(|text| {
             move |_worker: usize| {
-                let _span = cycleq::trace::span!("lint_file");
-                if fix {
+                let file_start = Instant::now();
+                let linted = if fix {
                     let out = analyze_with_fixes(text);
                     (out.diagnostics, out.applied, Some(out.source))
                 } else {
                     (analyze_source(text), 0, None)
-                }
+                };
+                (linted, file_start.elapsed())
             }
         })
         .collect();
     let scheduler = BatchScheduler::new(jobs);
-    let results = scheduler.run(tasks);
-    let (file_total_ms, file_max_ms) = phase_ms(&before, "lint_file");
+    let (results, times): (Vec<_>, Vec<_>) = scheduler.run(tasks).into_iter().unzip();
+    let (file_total_ms, file_max_ms) = total_and_max_ms(&times);
     // Write repaired sources back (or collect diffs), then report.
     let mut fixed = 0usize;
     let mut diffs = String::new();
@@ -768,16 +766,11 @@ fn run_lint(args: &[String]) -> ExitCode {
     }
 }
 
-/// Total and maximum per-file time of a span phase, in milliseconds, read
-/// back from the registry delta since `before`.
-fn phase_ms(before: &cycleq::MetricsSnapshot, phase: &str) -> (f64, f64) {
-    let after = cycleq::trace::metrics().snapshot();
-    let delta = after.delta(before);
-    let profile = delta.profile();
-    profile
-        .phase(phase)
-        .map(|p| (p.total_seconds * 1000.0, p.max_seconds * 1000.0))
-        .unwrap_or((0.0, 0.0))
+/// The total and the maximum of per-file times, in milliseconds.
+fn total_and_max_ms(times: &[Duration]) -> (f64, f64) {
+    let total: Duration = times.iter().sum();
+    let max = times.iter().max().copied().unwrap_or_default();
+    (total.as_secs_f64() * 1000.0, max.as_secs_f64() * 1000.0)
 }
 
 /// `cycleq check <FILES>... [--jobs N]`: re-validates certificate files in
@@ -817,26 +810,23 @@ fn run_check(args: &[String]) -> ExitCode {
         .iter()
         .map(|f| std::fs::read_to_string(f).map_err(|e| format!("cannot read: {e}")))
         .collect();
-    // As in `run_lint`: per-file timing comes back out of the registry's
-    // `cycleq_phase_seconds{phase="check_file"}` histogram.
-    cycleq::trace::set_enabled(true);
-    let before = cycleq::trace::metrics().snapshot();
-    let start = std::time::Instant::now();
+    let start = Instant::now();
     let tasks: Vec<_> = texts
         .iter()
         .map(|text| {
             move |_worker: usize| match text {
                 Ok(text) => {
-                    let _span = cycleq::trace::span!("check_file");
-                    check_certificate(text).map_err(|e| e.to_string())
+                    let file_start = Instant::now();
+                    let checked = check_certificate(text).map_err(|e| e.to_string());
+                    (checked, file_start.elapsed())
                 }
-                Err(e) => Err(e.clone()),
+                Err(e) => (Err(e.clone()), Duration::ZERO),
             }
         })
         .collect();
     let scheduler = BatchScheduler::new(jobs);
-    let results = scheduler.run(tasks);
-    let (file_total_ms, file_max_ms) = phase_ms(&before, "check_file");
+    let (results, times): (Vec<_>, Vec<_>) = scheduler.run(tasks).into_iter().unzip();
+    let (file_total_ms, file_max_ms) = total_and_max_ms(&times);
     let mut valid = 0usize;
     for (file, result) in files.iter().zip(&results) {
         match result {

@@ -1,8 +1,8 @@
 //! Pins the stats schema across its three surfaces — the `--stats` line,
-//! the `--format json` stats object, and the metrics registry exported by
-//! `--metrics-out` — against one expected key list. All three are generated
-//! from `SearchStats::entries()`, so a key added or renamed in one place
-//! must show up in all of them (and in this file) or these tests fail.
+//! the `--format json` stats object, and the families `--metrics-out`
+//! exports — against one expected key list. All three are generated from
+//! `SearchStats::entries()`, so a key added or renamed in one place must
+//! show up in all of them (and in this file) or these tests fail.
 
 use std::path::PathBuf;
 use std::process::{Command, Output};
@@ -118,8 +118,8 @@ fn prometheus_families_cover_the_schema_and_match_summed_goal_stats() {
     let prom = std::fs::read_to_string(&prom_path).expect("metrics file written");
     std::fs::remove_file(&prom_path).ok();
 
-    // Every schema key surfaces as a registry family: counters summed
-    // across goals as `cycleq_search_<key>_total`, gauges as
+    // Every schema key surfaces as a family: counters summed across goals
+    // as `cycleq_search_<key>_total`, gauges (summed the same way) as
     // `cycleq_search_<key>`.
     for key in EXPECTED {
         let family = if GAUGES.contains(&key) {
@@ -139,12 +139,6 @@ fn prometheus_families_cover_the_schema_and_match_summed_goal_stats() {
         "cycleq_check_seconds",
         "cycleq_check_reducts_total",
         "cycleq_check_memo_hits_total",
-        "cycleq_sizechange_compositions_total",
-        "cycleq_sizechange_memo_hits_total",
-        "cycleq_sizechange_subsumed_total",
-        "cycleq_batch_tasks_total",
-        "cycleq_batch_queue_depth",
-        "cycleq_batch_task_panics_total",
         "cycleq_goal_panics_total",
         "cycleq_lock_poison_recoveries_total",
         "cycleq_phase_seconds",
@@ -159,17 +153,20 @@ fn prometheus_families_cover_the_schema_and_match_summed_goal_stats() {
     let exported = prom.lines().filter(|l| l.starts_with("# TYPE ")).count();
     assert_eq!(exported, EXPECTED.len() + fixed.len(), "in:\n{prom}");
 
-    // Counters exported by the registry equal the per-goal NDJSON stats
-    // summed over the batch — the same numbers, whichever surface you read.
+    // Every exported sample, gauges included, equals the per-goal NDJSON
+    // stats summed over the batch — the same numbers, whichever surface
+    // you read, and whichever goal finished last.
     let goal_lines: Vec<&str> = stdout
         .lines()
         .filter(|l| l.contains("\"type\":\"goal\""))
         .collect();
     assert_eq!(goal_lines.len(), 3, "quickstart declares 3 goals");
     for key in EXPECTED {
-        if GAUGES.contains(&key) {
-            continue;
-        }
+        let family = if GAUGES.contains(&key) {
+            format!("cycleq_search_{key}")
+        } else {
+            format!("cycleq_search_{key}_total")
+        };
         let summed: u64 = goal_lines
             .iter()
             .map(|l| {
@@ -181,13 +178,15 @@ fn prometheus_families_cover_the_schema_and_match_summed_goal_stats() {
                     .unwrap()
             })
             .sum();
-        let exported = prom_value(&prom, &format!("cycleq_search_{key}_total"))
-            .unwrap_or_else(|| panic!("no sample for {key} in:\n{prom}"));
-        assert_eq!(exported, summed, "{key}: registry diverges from NDJSON");
+        let exported =
+            prom_value(&prom, &family).unwrap_or_else(|| panic!("no sample for {key} in:\n{prom}"));
+        assert_eq!(exported, summed, "{key}: export diverges from NDJSON");
     }
-    assert_eq!(
-        prom_value(&prom, "cycleq_batch_tasks_total"),
-        Some(3),
-        "one scheduler task per goal"
-    );
+    // Each goal is counted once, under one status.
+    let goals_total: u64 = prom
+        .lines()
+        .filter_map(|l| l.strip_prefix("cycleq_goals_total{"))
+        .map(|rest| rest.rsplit(' ').next().unwrap().parse::<u64>().unwrap())
+        .sum();
+    assert_eq!(goals_total, 3, "one cycleq_goals_total count per goal");
 }

@@ -355,29 +355,6 @@ impl Engine {
     pub fn jobs(&self) -> usize {
         self.settings.jobs
     }
-
-    /// A point-in-time snapshot of the process-wide metrics registry:
-    /// every `cycleq_*` counter, gauge, and latency histogram the stack
-    /// has recorded so far (search counters, size-change closure work,
-    /// batch scheduling, re-check timing).
-    ///
-    /// The registry is process-global — the snapshot covers *all* engines
-    /// and sessions, which is exactly the payload a metrics endpoint wants;
-    /// use [`MetricsSnapshot::delta`](cycleq_trace::MetricsSnapshot::delta)
-    /// to scope it to a window, or render it with
-    /// [`MetricsSnapshot::to_prometheus`](cycleq_trace::MetricsSnapshot::to_prometheus).
-    ///
-    /// ```
-    /// let engine = cycleq::Engine::new();
-    /// let before = engine.metrics();
-    /// // ... prove things ...
-    /// let after = engine.metrics();
-    /// let window = after.delta(&before);
-    /// let _ = window.to_prometheus();
-    /// ```
-    pub fn metrics(&self) -> cycleq_trace::MetricsSnapshot {
-        cycleq_trace::metrics().snapshot()
-    }
 }
 
 /// Convenience: an unlimited [`Budget`] plus a fresh [`CancelToken`], for

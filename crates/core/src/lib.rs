@@ -93,18 +93,18 @@ use std::collections::HashSet;
 use std::error::Error as StdError;
 use std::fmt;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, PoisonError};
 use std::time::{Duration, Instant};
 
 mod engine;
 
 pub use engine::{Engine, EngineBuilder, EventSink, GoalStatus, ProveEvent};
 
-/// Re-export of the observability crate: spans, the metrics registry,
-/// Chrome-trace collection, and Prometheus rendering. See the README's
-/// *Observability* section.
+/// Re-export of the observability crate: spans, per-thread phase
+/// profiles, Chrome-trace collection, and Prometheus rendering. See the
+/// README's *Observability* section.
 pub use cycleq_trace as trace;
-pub use cycleq_trace::{MetricsSnapshot, PhaseStat, Profile};
+pub use cycleq_trace::{PhaseStat, Profile};
 
 pub use cycleq_analysis::{
     analyze, analyze_source, analyze_with_fixes, apply_fixes, lang_error_diagnostic, unified_diff,
@@ -125,7 +125,7 @@ pub use cycleq_term::{Equation, Signature, Term, Type, VarStore, MAX_NESTING};
 
 use engine::Settings;
 
-mod metrics;
+mod prometheus;
 
 /// Errors surfaced by a [`Session`].
 #[derive(Clone, Debug)]
@@ -268,7 +268,9 @@ impl Session {
     }
 
     /// The per-phase time breakdown of the most recent top-level prove
-    /// call through this session (single goal or batch; clones share it).
+    /// call through this session (single goal or batch; clones share it):
+    /// exactly the spans of that call's goals, on whichever workers ran
+    /// them, whatever other sessions prove at the same time.
     ///
     /// Phase timings come from the `cycleq_trace` span machinery, which is
     /// disabled by default: enable it with
@@ -276,10 +278,6 @@ impl Session {
     /// `--trace-out`/`--metrics-out` and `suite --profile` do) — otherwise
     /// the returned profile has no phases. Returns `None` before the first
     /// prove call.
-    ///
-    /// The underlying registry is process-global, so with *other* sessions
-    /// proving concurrently their phase time is attributed here too; for
-    /// exact attribution, profile one session at a time.
     pub fn profile(&self) -> Option<Profile> {
         cycleq_trace::lock_recover(&self.last_profile).clone()
     }
@@ -328,8 +326,7 @@ impl Session {
 
     /// Attempts to prove the named goal: a batch of one
     /// ([`Session::prove_many_with`]), so it streams its events to the
-    /// engine's sink and records its metrics and profile as every batch
-    /// goal does.
+    /// engine's sink and records its profile as every batch goal does.
     ///
     /// # Errors
     ///
@@ -375,8 +372,7 @@ impl Session {
     /// events run under `catch_unwind`, so a panic inside them (a prover
     /// bug, or a sink that panics) becomes a structured
     /// [`Outcome::Panicked`] verdict for this goal instead of tearing down
-    /// the caller. Records no goal metrics: [`Session::prove_many_with`]
-    /// records each goal once, from its final report.
+    /// the caller.
     fn prove_goal(
         &self,
         goal: &GoalDef,
@@ -431,7 +427,6 @@ impl Session {
             })
         }))
         .unwrap_or_else(|payload| {
-            metrics::record_goal_panic();
             let message = cycleq_batch::panic_message(payload.as_ref());
             Ok(self.panicked_verdict(&goal.name, message))
         })
@@ -500,10 +495,10 @@ impl Session {
     /// Each idle worker takes the goal with the largest term size not yet
     /// started, so heavy goals start first. Every goal streams
     /// `GoalStarted`, `RoundDeepened` and `GoalFinished` events to the
-    /// engine's sink, and the batch ends with `BatchFinished`. Each goal is
-    /// recorded once in the metrics registry, under the status of its
-    /// report, and the phase times of the whole call become the session's
-    /// [`Session::profile`].
+    /// engine's sink, and the batch ends with `BatchFinished`. Each goal
+    /// empties the phase table of the thread it runs on before it starts
+    /// and takes it when it ends, so the session's [`Session::profile`]
+    /// becomes exactly the spans of this call's goals.
     ///
     /// Duplicate goal names in the request are **deduplicated, preserving
     /// the first occurrence**: proving a goal twice in one batch would do
@@ -557,19 +552,19 @@ impl Session {
             .iter()
             .map(|g| u64::try_from(g.eq.size()).unwrap_or(u64::MAX))
             .collect();
-        let metrics_before = cycleq_trace::metrics().snapshot();
         let start = Instant::now();
         let batch_deadline = budget.timeout.map(|d| start + d);
         let scheduler = BatchScheduler::new(self.settings.jobs);
         let workers = scheduler.jobs().min(total.max(1)) as u32;
         let started = AtomicUsize::new(0);
+        let profile = std::sync::Mutex::new(Profile::default());
         let sink = self.settings.sink.as_ref();
         let hints = &hints;
         let tasks: Vec<_> = defs
             .iter()
             .enumerate()
             .map(|(index, &goal)| {
-                let started = &started;
+                let (started, profile) = (&started, &profile);
                 move |_worker: usize| {
                     let goal_start = Instant::now();
                     let goal_budget = match batch_deadline {
@@ -589,7 +584,10 @@ impl Session {
                         }
                     };
                     started.fetch_add(1, Ordering::Relaxed);
+                    // Whatever ran on this thread before is not this goal's.
+                    let _ = cycleq_trace::take_profile();
                     let outcome = self.prove_goal(goal, hints, &goal_budget, cancel, index, sink);
+                    cycleq_trace::lock_recover(profile).merge(&cycleq_trace::take_profile());
                     let report = GoalReport {
                         goal: goal.name.clone(),
                         outcome,
@@ -618,16 +616,11 @@ impl Session {
             .into_iter()
             .zip(&defs)
             .map(|(result, goal)| {
-                let report = result.unwrap_or_else(|panic| {
-                    metrics::record_goal_panic();
-                    GoalReport {
-                        goal: goal.name.clone(),
-                        outcome: Ok(self.panicked_verdict(&goal.name, panic.message)),
-                        time: Duration::ZERO,
-                    }
-                });
-                metrics::record_goal(&report);
-                report
+                result.unwrap_or_else(|panic| GoalReport {
+                    goal: goal.name.clone(),
+                    outcome: Ok(self.panicked_verdict(&goal.name, panic.message)),
+                    time: Duration::ZERO,
+                })
             })
             .collect();
         let mut stats = SearchStats::default();
@@ -656,12 +649,8 @@ impl Session {
                 elapsed: report.stats.elapsed,
             });
         }
-        *cycleq_trace::lock_recover(&self.last_profile) = Some(
-            cycleq_trace::metrics()
-                .snapshot()
-                .delta(&metrics_before)
-                .profile(),
-        );
+        let profile = profile.into_inner().unwrap_or_else(PoisonError::into_inner);
+        *cycleq_trace::lock_recover(&self.last_profile) = Some(profile);
         Ok(report)
     }
 }
@@ -734,7 +723,6 @@ pub fn check_certificate(text: &str) -> Result<CertificateCheck, Error> {
     let report = cert.verify(&module.program).map_err(Error::Certificate)?;
     cert.check_goal(module.goal(cert.goal()).map(|g| (&g.eq, &g.vars)))
         .map_err(Error::Certificate)?;
-    metrics::record_check(&report);
     Ok(CertificateCheck {
         goal: cert.goal().to_string(),
         report,
@@ -756,9 +744,10 @@ pub struct BatchReport {
     /// only the batch's wall time depends on it: the per-goal verdicts and
     /// counters are the same at any count.
     pub jobs: usize,
-    /// Total time spent in the independent re-checker, summed across the
-    /// proved goals (zero when re-checking is disabled). Summed CPU time,
-    /// not wall clock: with `jobs > 1` rechecks overlap.
+    /// Total time spent in the independent re-checker: the wall-clock
+    /// times of the proved goals' re-checks, summed (zero when re-checking
+    /// is disabled). With `jobs > 1` rechecks overlap, so the sum can
+    /// exceed the batch's wall clock.
     pub recheck: Duration,
 }
 

@@ -148,8 +148,9 @@ impl SearchStats {
     }
 
     /// Keys with gauge semantics: they describe end-of-search sizes rather
-    /// than monotone event counts (aggregators overwrite instead of sum,
-    /// and the metrics registry exposes them as gauges).
+    /// than monotone event counts. A goal keeps its last deepening round's
+    /// sizes, a batch sums them over its goals, and `--metrics-out` exports
+    /// them as gauges.
     pub const GAUGE_KEYS: &'static [&'static str] =
         &["closure_graphs", "interned_graphs", "interned_nodes"];
 

@@ -301,7 +301,6 @@ where
                     // composite `g` could produce: drop `g` without
                     // expanding it.
                     self.subsumed += 1;
-                    crate::metrics::store_metrics().subsumed.inc();
                     return false;
                 }
                 set

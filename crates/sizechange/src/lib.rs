@@ -64,7 +64,6 @@ pub mod companion;
 mod graph;
 mod idvec;
 pub mod incremental;
-mod metrics;
 pub mod store;
 
 pub use companion::{CompanionClosure, CompanionMark};

@@ -326,11 +326,9 @@ where
     pub fn seq(&mut self, a: GraphId, b: GraphId) -> GraphId {
         if let Some(&r) = self.seq_memo.get(&(a, b)) {
             self.memo_hits += 1;
-            crate::metrics::store_metrics().memo_hits.inc();
             return r;
         }
         self.compositions += 1;
-        crate::metrics::store_metrics().compositions.inc();
         let data = compose(&self.nodes[a.index()].data, &self.nodes[b.index()].data);
         let r = self.intern_data(data);
         self.seq_memo.insert((a, b), r);

@@ -1,21 +1,22 @@
 //! Unified observability for the CycleQ prover stack.
 //!
-//! This crate provides the two primitives every other `cycleq_*` crate
-//! instruments itself with:
+//! This crate provides the span primitive every other `cycleq_*` crate
+//! instruments itself with, and the values read out of it:
 //!
-//! 1. **Hierarchical spans** ([`span!`]) — lightweight timed scopes recorded
-//!    into thread-local buffers. When tracing is *disabled* (the default) a
-//!    span costs a single relaxed atomic load — cheap enough to leave in the
-//!    innermost normalization loop (pinned by the `trace_overhead` bench
-//!    group). When enabled, finished spans feed a per-phase latency
-//!    histogram, and — while a collection started with [`start_collect`] is
-//!    active — are also gathered into a [`Trace`] exportable as Chrome
+//! 1. **Hierarchical spans** ([`span!`]) — lightweight timed scopes. When
+//!    tracing is *disabled* (the default) a span costs a single relaxed
+//!    atomic load — cheap enough to leave in the innermost normalization
+//!    loop (pinned by the `trace_overhead` bench group). When enabled, a
+//!    finished span adds its duration to a phase table held by the thread
+//!    it ends on, and — while a collection started with [`start_collect`]
+//!    is active — is also gathered into a [`Trace`] exportable as Chrome
 //!    trace-event JSON (loadable in `chrome://tracing` or
 //!    [Perfetto](https://ui.perfetto.dev)).
-//! 2. **A process-wide metrics registry** ([`metrics`]) of named counters,
-//!    gauges, and log₂-bucketed latency histograms. A [`MetricsSnapshot`]
-//!    captures all of them at once and renders Prometheus text exposition
-//!    format — the payload a future `cycleq serve` daemon will expose.
+//! 2. **Phase times as values.** [`take_profile`] empties the calling
+//!    thread's table into a [`Profile`], so whoever runs a piece of work
+//!    gets that work's spans and no one else's. Counts and times travel in
+//!    the values a call returns; an [`Exposition`] renders them, with a
+//!    [`Profile`]'s log₂ [`Histogram`]s, in Prometheus text format.
 //!
 //! One robustness primitive rides along because this crate sits at the
 //! bottom of the dependency graph: [`lock_recover`], poison-recovering
@@ -40,15 +41,15 @@
 //! ```
 //! use std::time::Duration;
 //!
-//! // Counters and histograms work without enabling span timing.
-//! let c = cycleq_trace::metrics().counter("doc_requests_total", "Requests served.");
-//! c.inc();
-//! let h = cycleq_trace::metrics().histogram("doc_latency_seconds", "Request latency.");
-//! h.observe(Duration::from_micros(120));
-//!
-//! let snap = cycleq_trace::metrics().snapshot();
-//! assert_eq!(snap.value("doc_requests_total"), Some(1));
-//! assert!(snap.to_prometheus().contains("# TYPE doc_latency_seconds histogram"));
+//! // Counts and latencies are plain values, rendered on demand.
+//! let mut latency = cycleq_trace::Histogram::default();
+//! latency.observe(Duration::from_micros(120));
+//! let mut out = cycleq_trace::Exposition::default();
+//! out.counter("doc_requests_total", "Requests served.", "", 1);
+//! out.histogram("doc_latency_seconds", "Request latency.", "", &latency);
+//! let text = out.to_string();
+//! assert!(text.contains("doc_requests_total 1\n"));
+//! assert!(text.contains("# TYPE doc_latency_seconds histogram"));
 //! ```
 
 mod chrome;
@@ -57,10 +58,7 @@ mod span;
 mod sync;
 
 pub use chrome::Trace;
-pub use registry::{
-    metrics, Counter, FamilySnapshot, Gauge, Histogram, HistogramSnapshot, MetricKind,
-    MetricSample, MetricsSnapshot, PhaseStat, Profile, Registry, SampleValue,
-};
+pub use registry::{take_profile, Exposition, Histogram, PhaseStat, Profile};
 pub use span::{
     collecting, enabled, finish_collect, set_enabled, set_thread_label, span, start_collect,
     SpanGuard, SpanRecord,
@@ -78,10 +76,10 @@ pub use sync::{lock_recover, poison_recoveries};
 /// {
 ///     let _outer = cycleq_trace::span!("prove_goal");
 ///     let _inner = cycleq_trace::span!("normalize");
-///     // ... guards record both phases into `cycleq_phase_seconds` ...
+///     // ... guards add both phases to this thread's table ...
 /// }
-/// let profile = cycleq_trace::metrics().snapshot().profile();
-/// assert!(profile.phases.iter().any(|p| p.phase == "normalize" && p.count >= 1));
+/// let profile = cycleq_trace::take_profile();
+/// assert!(profile.phases().any(|p| p.phase == "normalize" && p.count >= 1));
 /// cycleq_trace::set_enabled(false);
 /// ```
 #[macro_export]

@@ -1,16 +1,21 @@
-//! Process-wide metrics registry: counters, gauges, log₂ latency histograms.
+//! The per-thread phase registry, and the values read out of it.
 //!
-//! Handles ([`Counter`], [`Gauge`], [`Histogram`]) are cheap `Arc`-backed
-//! clones whose updates are lock-free atomic operations; the registry lock
-//! is only taken at registration and snapshot time. Instrumented crates
-//! register their families once (typically from a `OnceLock` in the
-//! constructor of the instrumented structure) and update handles on the hot
-//! path.
+//! Every thread keeps its own table of span durations by phase name: a
+//! [`span!`](crate::span!) guard adds its duration to the table of the
+//! thread it ends on (while tracing is enabled), and [`take_profile`]
+//! empties the calling thread's table into a [`Profile`]. No table is
+//! shared between threads, so a caller that takes the table around each
+//! unit of work it runs (`Session::prove_many_with` does so around each
+//! goal) gets exactly that work's spans, whatever else the process runs.
+//!
+//! Counts and times are plain values: a [`Histogram`] of log₂ buckets,
+//! merged by addition, and an [`Exposition`] that renders such values in
+//! Prometheus text format.
 
+use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::fmt;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::fmt::Write as _;
 use std::time::Duration;
 
 /// Bucket boundaries: `2^8 ns` (256 ns) doubling up to `2^34 ns` (~17.2 s),
@@ -21,152 +26,54 @@ const LAST_EXP: u32 = 34;
 const FINITE_BUCKETS: usize = (LAST_EXP - FIRST_EXP + 1) as usize;
 const NUM_BUCKETS: usize = FINITE_BUCKETS + 1;
 
-/// Returns the process-wide metrics registry.
-///
-/// ```
-/// let g = cycleq_trace::metrics().gauge("doc_queue_depth", "Tasks queued.");
-/// g.set(7);
-/// g.sub(2);
-/// assert_eq!(cycleq_trace::metrics().snapshot().value("doc_queue_depth"), Some(5));
-/// ```
-pub fn metrics() -> &'static Registry {
-    static REGISTRY: OnceLock<Registry> = OnceLock::new();
-    REGISTRY.get_or_init(Registry::new)
+/// The histogram family a [`Profile`] renders as, labeled
+/// `phase="<span name>"`.
+const PHASE_FAMILY: &str = "cycleq_phase_seconds";
+const PHASE_HELP: &str = "Time spent per span phase (inclusive of child spans).";
+
+/// A log₂-bucketed latency histogram (seconds, stored as ns).
+#[derive(Clone, Debug, Default)]
+pub struct Histogram {
+    buckets: [u64; NUM_BUCKETS],
+    sum_ns: u64,
+    count: u64,
+    max_ns: u64,
 }
-
-/// The kind of a metric family, matching the Prometheus `# TYPE` line.
-#[derive(Copy, Clone, Debug, PartialEq, Eq)]
-pub enum MetricKind {
-    /// Monotonically increasing count.
-    Counter,
-    /// Point-in-time level (queue depth, cache entries, ...).
-    Gauge,
-    /// log₂-bucketed latency distribution in seconds.
-    Histogram,
-}
-
-impl MetricKind {
-    fn as_str(self) -> &'static str {
-        match self {
-            MetricKind::Counter => "counter",
-            MetricKind::Gauge => "gauge",
-            MetricKind::Histogram => "histogram",
-        }
-    }
-}
-
-/// A monotonically increasing counter handle.
-#[derive(Clone)]
-pub struct Counter(Arc<AtomicU64>);
-
-impl Counter {
-    /// Adds one.
-    pub fn inc(&self) {
-        self.add(1);
-    }
-
-    /// Adds `n`.
-    pub fn add(&self, n: u64) {
-        self.0.fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// Current value.
-    pub fn get(&self) -> u64 {
-        self.0.load(Ordering::Relaxed)
-    }
-}
-
-impl fmt::Debug for Counter {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_tuple("Counter").field(&self.get()).finish()
-    }
-}
-
-/// A point-in-time gauge handle (non-negative).
-#[derive(Clone)]
-pub struct Gauge(Arc<AtomicU64>);
-
-impl Gauge {
-    /// Overwrites the level.
-    pub fn set(&self, v: u64) {
-        self.0.store(v, Ordering::Relaxed);
-    }
-
-    /// Raises the level by `n`.
-    pub fn add(&self, n: u64) {
-        self.0.fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// Lowers the level by `n`, saturating at zero.
-    pub fn sub(&self, n: u64) {
-        // fetch_update never fails with a `Some` closure result.
-        let _ = self
-            .0
-            .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |v| {
-                Some(v.saturating_sub(n))
-            });
-    }
-
-    /// Current level.
-    pub fn get(&self) -> u64 {
-        self.0.load(Ordering::Relaxed)
-    }
-}
-
-impl fmt::Debug for Gauge {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_tuple("Gauge").field(&self.get()).finish()
-    }
-}
-
-struct HistogramInner {
-    buckets: [AtomicU64; NUM_BUCKETS],
-    sum_ns: AtomicU64,
-    count: AtomicU64,
-    max_ns: AtomicU64,
-}
-
-impl HistogramInner {
-    fn new() -> HistogramInner {
-        HistogramInner {
-            buckets: std::array::from_fn(|_| AtomicU64::new(0)),
-            sum_ns: AtomicU64::new(0),
-            count: AtomicU64::new(0),
-            max_ns: AtomicU64::new(0),
-        }
-    }
-}
-
-/// A log₂-bucketed latency histogram handle (seconds, stored as ns).
-#[derive(Clone)]
-pub struct Histogram(Arc<HistogramInner>);
 
 impl Histogram {
     /// Records one observation.
-    pub fn observe(&self, d: Duration) {
-        self.observe_ns(u64::try_from(d.as_nanos()).unwrap_or(u64::MAX));
+    pub fn observe(&mut self, d: Duration) {
+        let ns = u64::try_from(d.as_nanos()).unwrap_or(u64::MAX);
+        self.buckets[bucket_index(ns)] += 1;
+        self.sum_ns = self.sum_ns.saturating_add(ns);
+        self.count += 1;
+        self.max_ns = self.max_ns.max(ns);
     }
 
-    /// Records one observation given in nanoseconds.
-    pub fn observe_ns(&self, ns: u64) {
-        let idx = bucket_index(ns);
-        self.0.buckets[idx].fetch_add(1, Ordering::Relaxed);
-        self.0.sum_ns.fetch_add(ns, Ordering::Relaxed);
-        self.0.count.fetch_add(1, Ordering::Relaxed);
-        self.0.max_ns.fetch_max(ns, Ordering::Relaxed);
+    /// Adds every observation of `other`.
+    fn merge(&mut self, other: &Histogram) {
+        for (mine, theirs) in self.buckets.iter_mut().zip(&other.buckets) {
+            *mine += theirs;
+        }
+        self.sum_ns = self.sum_ns.saturating_add(other.sum_ns);
+        self.count += other.count;
+        self.max_ns = self.max_ns.max(other.max_ns);
     }
 
-    /// Total number of observations.
-    pub fn count(&self) -> u64 {
-        self.0.count.load(Ordering::Relaxed)
+    /// Number of observations.
+    fn count(&self) -> u64 {
+        self.count
     }
-}
 
-impl fmt::Debug for Histogram {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("Histogram")
-            .field("count", &self.count())
-            .finish_non_exhaustive()
+    /// Sum of all observations, in seconds.
+    fn sum_seconds(&self) -> f64 {
+        ns_to_seconds(self.sum_ns)
+    }
+
+    /// Largest single observation, in seconds (not exposed in Prometheus
+    /// text format).
+    fn max_seconds(&self) -> f64 {
+        ns_to_seconds(self.max_ns)
     }
 }
 
@@ -187,385 +94,207 @@ fn bucket_bound_ns(idx: usize) -> u64 {
     1u64 << (FIRST_EXP + u32::try_from(idx).unwrap_or(0))
 }
 
-#[derive(Clone, Debug)]
-enum Handle {
-    Counter(Counter),
-    Gauge(Gauge),
-    Histogram(Histogram),
-}
-
-#[derive(Debug)]
-struct Family {
-    help: &'static str,
-    kind: MetricKind,
-    /// Keyed by the label string rendered inside `{...}` ("" for none).
-    samples: BTreeMap<String, Handle>,
-}
-
-/// The registry of metric families. Obtain the process-wide instance via
-/// [`metrics`].
-#[derive(Debug)]
-pub struct Registry {
-    families: Mutex<BTreeMap<&'static str, Family>>,
-}
-
-impl Registry {
-    fn new() -> Registry {
-        Registry {
-            families: Mutex::new(BTreeMap::new()),
-        }
-    }
-
-    fn handle(
-        &self,
-        family: &'static str,
-        help: &'static str,
-        kind: MetricKind,
-        labels: &str,
-    ) -> Handle {
-        let mut families = crate::sync::lock_recover(&self.families);
-        let fam = families.entry(family).or_insert_with(|| Family {
-            help,
-            kind,
-            samples: BTreeMap::new(),
-        });
-        assert!(
-            fam.kind == kind,
-            "metric family `{family}` registered twice with different kinds"
-        );
-        fam.samples
-            .entry(labels.to_owned())
-            .or_insert_with(|| match kind {
-                MetricKind::Counter => Handle::Counter(Counter(Arc::new(AtomicU64::new(0)))),
-                MetricKind::Gauge => Handle::Gauge(Gauge(Arc::new(AtomicU64::new(0)))),
-                MetricKind::Histogram => {
-                    Handle::Histogram(Histogram(Arc::new(HistogramInner::new())))
-                }
-            })
-            .clone()
-    }
-
-    /// Registers (or fetches) an unlabeled counter.
-    pub fn counter(&self, family: &'static str, help: &'static str) -> Counter {
-        self.counter_labeled(family, help, "")
-    }
-
-    /// Registers (or fetches) a counter sample with a literal label string,
-    /// e.g. `kind="reduce"` (rendered verbatim inside `{...}`).
-    pub fn counter_labeled(
-        &self,
-        family: &'static str,
-        help: &'static str,
-        labels: &str,
-    ) -> Counter {
-        match self.handle(family, help, MetricKind::Counter, labels) {
-            Handle::Counter(c) => c,
-            _ => unreachable!("kind checked at registration"),
-        }
-    }
-
-    /// Registers (or fetches) an unlabeled gauge.
-    pub fn gauge(&self, family: &'static str, help: &'static str) -> Gauge {
-        self.gauge_labeled(family, help, "")
-    }
-
-    /// Registers (or fetches) a gauge sample with a literal label string.
-    pub fn gauge_labeled(&self, family: &'static str, help: &'static str, labels: &str) -> Gauge {
-        match self.handle(family, help, MetricKind::Gauge, labels) {
-            Handle::Gauge(g) => g,
-            _ => unreachable!("kind checked at registration"),
-        }
-    }
-
-    /// Registers (or fetches) an unlabeled histogram.
-    pub fn histogram(&self, family: &'static str, help: &'static str) -> Histogram {
-        self.histogram_labeled(family, help, "")
-    }
-
-    /// Registers (or fetches) a histogram sample with a literal label string.
-    pub fn histogram_labeled(
-        &self,
-        family: &'static str,
-        help: &'static str,
-        labels: &str,
-    ) -> Histogram {
-        match self.handle(family, help, MetricKind::Histogram, labels) {
-            Handle::Histogram(h) => h,
-            _ => unreachable!("kind checked at registration"),
-        }
-    }
-
-    /// Captures a consistent point-in-time snapshot of every registered
-    /// family.
-    pub fn snapshot(&self) -> MetricsSnapshot {
-        let families = crate::sync::lock_recover(&self.families);
-        let mut out = Vec::with_capacity(families.len() + 1);
-        // Synthetic family: the poison-recovery count lives in a plain
-        // atomic (see `crate::sync`) so that recovering the registry's own
-        // lock never re-enters the registry. Splice it in at its sorted
-        // position so the output stays ordered by family name.
-        let poison = FamilySnapshot {
-            name: crate::sync::POISON_FAMILY.to_owned(),
-            help: crate::sync::POISON_HELP.to_owned(),
-            kind: MetricKind::Counter,
-            samples: vec![MetricSample {
-                labels: String::new(),
-                value: SampleValue::Counter(crate::sync::poison_recoveries()),
-            }],
-        };
-        let mut poison = Some(poison);
-        for (name, fam) in families.iter() {
-            if let Some(p) = poison.take_if(|p| p.name.as_str() <= *name) {
-                out.push(p);
-            }
-            let samples = fam
-                .samples
-                .iter()
-                .map(|(labels, handle)| MetricSample {
-                    labels: labels.clone(),
-                    value: match handle {
-                        Handle::Counter(c) => SampleValue::Counter(c.get()),
-                        Handle::Gauge(g) => SampleValue::Gauge(g.get()),
-                        Handle::Histogram(h) => SampleValue::Histogram(snapshot_histogram(h)),
-                    },
-                })
-                .collect();
-            out.push(FamilySnapshot {
-                name: (*name).to_owned(),
-                help: fam.help.to_owned(),
-                kind: fam.kind,
-                samples,
-            });
-        }
-        if let Some(p) = poison {
-            out.push(p);
-        }
-        MetricsSnapshot { families: out }
-    }
-}
-
-fn snapshot_histogram(h: &Histogram) -> HistogramSnapshot {
-    let mut cumulative = Vec::with_capacity(FINITE_BUCKETS);
-    let mut running = 0u64;
-    for idx in 0..FINITE_BUCKETS {
-        running += h.0.buckets[idx].load(Ordering::Relaxed);
-        cumulative.push((ns_to_seconds(bucket_bound_ns(idx)), running));
-    }
-    HistogramSnapshot {
-        cumulative,
-        sum_seconds: ns_to_seconds(h.0.sum_ns.load(Ordering::Relaxed)),
-        count: h.0.count.load(Ordering::Relaxed),
-        max_seconds: ns_to_seconds(h.0.max_ns.load(Ordering::Relaxed)),
-    }
-}
-
 #[allow(clippy::cast_precision_loss)]
 fn ns_to_seconds(ns: u64) -> f64 {
     ns as f64 / 1e9
 }
 
-/// One sample of a family: a label string (may be empty) plus its value.
-#[derive(Clone, Debug)]
-pub struct MetricSample {
-    /// The literal label string rendered inside `{...}`, e.g. `phase="round"`.
-    pub labels: String,
-    /// The sampled value.
-    pub value: SampleValue,
+/// Span times by phase: what the spans of one piece of work added up to.
+/// Obtained from [`take_profile`]; the profiles of several threads combine
+/// with [`Profile::merge`].
+#[derive(Clone, Debug, Default)]
+pub struct Profile {
+    phases: BTreeMap<&'static str, Histogram>,
 }
 
-/// The value of one metric sample.
-#[derive(Clone, Debug)]
-pub enum SampleValue {
-    /// Counter value.
-    Counter(u64),
-    /// Gauge level.
-    Gauge(u64),
-    /// Histogram state.
-    Histogram(HistogramSnapshot),
+impl Profile {
+    /// Looks up a phase by span name.
+    pub fn phase(&self, name: &str) -> Option<PhaseStat> {
+        self.phases
+            .get_key_value(name)
+            .map(|(&phase, h)| PhaseStat::of(phase, h))
+    }
+
+    /// Every phase observed, sorted by name.
+    pub fn phases(&self) -> impl Iterator<Item = PhaseStat> + '_ {
+        self.phases
+            .iter()
+            .map(|(&phase, h)| PhaseStat::of(phase, h))
+    }
+
+    /// Adds the spans of `other`.
+    pub fn merge(&mut self, other: &Profile) {
+        for (&phase, h) in &other.phases {
+            self.phases.entry(phase).or_default().merge(h);
+        }
+    }
 }
 
-/// Snapshot of one histogram sample.
-#[derive(Clone, Debug)]
-pub struct HistogramSnapshot {
-    /// `(le_seconds, cumulative_count)` per finite bucket; the `+Inf`
-    /// cumulative count equals [`HistogramSnapshot::count`].
-    pub cumulative: Vec<(f64, u64)>,
-    /// Sum of all observations, in seconds.
-    pub sum_seconds: f64,
-    /// Number of observations.
+/// Aggregate timing of one span name.
+///
+/// Totals are *inclusive* of child spans: a recursive `expand` span counts
+/// its nested expansions' time again, so per-phase totals are attribution
+/// weights, not a partition of wall-clock time.
+#[derive(Clone, Copy, Debug)]
+pub struct PhaseStat {
+    /// Span name (`prove_goal`, `round`, `normalize`, ...).
+    pub phase: &'static str,
+    /// Number of spans recorded.
     pub count: u64,
-    /// Largest single observation, in seconds (not exposed in Prometheus
-    /// text format; used by summary lines and profiles).
+    /// Total time across those spans, seconds.
+    pub total_seconds: f64,
+    /// Longest single span, seconds.
     pub max_seconds: f64,
 }
 
-/// Snapshot of one metric family.
-#[derive(Clone, Debug)]
-pub struct FamilySnapshot {
-    /// Family name, e.g. `cycleq_search_nodes_created_total`.
-    pub name: String,
-    /// Help text for the `# HELP` line.
-    pub help: String,
-    /// Family kind.
-    pub kind: MetricKind,
-    /// Samples, sorted by label string.
-    pub samples: Vec<MetricSample>,
-}
-
-/// A consistent snapshot of every registered metric family.
-#[derive(Clone, Debug, Default)]
-pub struct MetricsSnapshot {
-    /// Families sorted by name.
-    pub families: Vec<FamilySnapshot>,
-}
-
-impl MetricsSnapshot {
-    /// Looks up a counter or gauge value by full sample name — the family
-    /// name plus an optional literal label suffix, e.g.
-    /// `cycleq_search_nodes_created_total` or
-    /// `cycleq_rule_applications_total{kind="reduce"}`.
-    pub fn value(&self, name: &str) -> Option<u64> {
-        let (family, labels) = match name.split_once('{') {
-            Some((fam, rest)) => (fam, rest.strip_suffix('}').unwrap_or(rest)),
-            None => (name, ""),
-        };
-        let fam = self.families.iter().find(|f| f.name == family)?;
-        let sample = fam.samples.iter().find(|s| s.labels == labels)?;
-        match &sample.value {
-            SampleValue::Counter(v) | SampleValue::Gauge(v) => Some(*v),
-            SampleValue::Histogram(_) => None,
+impl PhaseStat {
+    fn of(phase: &'static str, h: &Histogram) -> PhaseStat {
+        PhaseStat {
+            phase,
+            count: h.count(),
+            total_seconds: h.sum_seconds(),
+            max_seconds: h.max_seconds(),
         }
     }
+}
 
-    /// Looks up a histogram sample by full sample name (see
-    /// [`MetricsSnapshot::value`] for the syntax).
-    pub fn histogram(&self, name: &str) -> Option<&HistogramSnapshot> {
-        let (family, labels) = match name.split_once('{') {
-            Some((fam, rest)) => (fam, rest.strip_suffix('}').unwrap_or(rest)),
-            None => (name, ""),
-        };
-        let fam = self.families.iter().find(|f| f.name == family)?;
-        let sample = fam.samples.iter().find(|s| s.labels == labels)?;
-        match &sample.value {
-            SampleValue::Histogram(h) => Some(h),
-            _ => None,
-        }
-    }
+thread_local! {
+    static PHASES: RefCell<Profile> = const {
+        RefCell::new(Profile {
+            phases: BTreeMap::new(),
+        })
+    };
+}
 
-    /// Returns `self - earlier` sample-wise: counters and histogram
-    /// bucket/sum/count values are subtracted (saturating — a sample absent
-    /// from `earlier` is kept whole); gauges and histogram maxima keep their
-    /// later (i.e. `self`) value. Used for per-problem and per-session
-    /// profiles over the process-wide registry.
-    pub fn delta(&self, earlier: &MetricsSnapshot) -> MetricsSnapshot {
-        let families = self
+/// Adds one finished span to the calling thread's table.
+pub(crate) fn record(phase: &'static str, dur: Duration) {
+    let _ = PHASES.try_with(|t| t.borrow_mut().phases.entry(phase).or_default().observe(dur));
+}
+
+/// Empties the calling thread's phase table into a [`Profile`]: every span
+/// that ended on this thread, while tracing was enabled, since the last
+/// take.
+///
+/// ```
+/// cycleq_trace::set_enabled(true);
+/// let _ = cycleq_trace::take_profile(); // start from an empty table
+/// {
+///     let _g = cycleq_trace::span!("normalize");
+/// }
+/// let profile = cycleq_trace::take_profile();
+/// assert_eq!(profile.phase("normalize").map(|p| p.count), Some(1));
+/// assert!(cycleq_trace::take_profile().phase("normalize").is_none());
+/// cycleq_trace::set_enabled(false);
+/// ```
+pub fn take_profile() -> Profile {
+    PHASES
+        .try_with(|t| std::mem::take(&mut *t.borrow_mut()))
+        .unwrap_or_default()
+}
+
+/// Prometheus text exposition built from values. Families render sorted by
+/// name, each with one `# HELP` and one `# TYPE` line and its samples in
+/// the order they were added.
+///
+/// ```
+/// let mut out = cycleq_trace::Exposition::default();
+/// out.counter("doc_requests_total", "Requests served.", "", 3);
+/// assert!(out.to_string().contains("doc_requests_total 3\n"));
+/// ```
+#[derive(Debug, Default)]
+pub struct Exposition {
+    families: BTreeMap<String, Family>,
+}
+
+#[derive(Debug)]
+struct Family {
+    help: String,
+    kind: &'static str,
+    samples: String,
+}
+
+impl Exposition {
+    fn family(&mut self, name: &str, help: &str, kind: &'static str) -> &mut String {
+        let family = self
             .families
-            .iter()
-            .map(|fam| {
-                let base_fam = earlier.families.iter().find(|f| f.name == fam.name);
-                let samples = fam
-                    .samples
-                    .iter()
-                    .map(|s| {
-                        let base = base_fam
-                            .and_then(|bf| bf.samples.iter().find(|b| b.labels == s.labels));
-                        MetricSample {
-                            labels: s.labels.clone(),
-                            value: delta_value(&s.value, base.map(|b| &b.value)),
-                        }
-                    })
-                    .collect();
-                FamilySnapshot {
-                    name: fam.name.clone(),
-                    help: fam.help.clone(),
-                    kind: fam.kind,
-                    samples,
-                }
-            })
-            .collect();
-        MetricsSnapshot { families }
+            .entry(name.to_owned())
+            .or_insert_with(|| Family {
+                help: help.to_owned(),
+                kind,
+                samples: String::new(),
+            });
+        debug_assert_eq!(family.kind, kind, "family `{name}` added with two kinds");
+        &mut family.samples
     }
 
-    /// Extracts the per-phase time breakdown from the `cycleq_phase_seconds`
-    /// histogram family (populated by [`span!`](crate::span!) guards while
-    /// tracing is enabled). Empty when tracing never ran.
-    pub fn profile(&self) -> Profile {
-        let mut phases = Vec::new();
-        if let Some(fam) = self
-            .families
-            .iter()
-            .find(|f| f.name == crate::span::PHASE_FAMILY)
-        {
-            for s in &fam.samples {
-                if let SampleValue::Histogram(h) = &s.value {
-                    let phase = s
-                        .labels
-                        .strip_prefix("phase=\"")
-                        .and_then(|rest| rest.strip_suffix('"'))
-                        .unwrap_or(s.labels.as_str())
-                        .to_owned();
-                    phases.push(PhaseStat {
-                        phase,
-                        count: h.count,
-                        total_seconds: h.sum_seconds,
-                        max_seconds: h.max_seconds,
-                    });
-                }
-            }
-        }
-        Profile { phases }
+    /// Adds a counter sample; `labels` is the literal label string rendered
+    /// inside `{...}`, e.g. `status="proved"` (empty for none).
+    pub fn counter(&mut self, name: &str, help: &str, labels: &str, value: u64) {
+        let out = self.family(name, help, "counter");
+        write_sample(out, name, labels, &value.to_string());
     }
 
-    /// Renders the snapshot in Prometheus text exposition format.
-    pub fn to_prometheus(&self) -> String {
-        let mut out = String::new();
-        for fam in &self.families {
-            out.push_str(&format!("# HELP {} {}\n", fam.name, fam.help));
-            out.push_str(&format!("# TYPE {} {}\n", fam.name, fam.kind.as_str()));
-            for s in &fam.samples {
-                match &s.value {
-                    SampleValue::Counter(v) | SampleValue::Gauge(v) => {
-                        out.push_str(&render_sample(&fam.name, &s.labels, &v.to_string()));
-                    }
-                    SampleValue::Histogram(h) => {
-                        for (le, cum) in &h.cumulative {
-                            let labels =
-                                join_labels(&s.labels, &format!("le=\"{}\"", format_f64(*le)));
-                            out.push_str(&render_sample(
-                                &format!("{}_bucket", fam.name),
-                                &labels,
-                                &cum.to_string(),
-                            ));
-                        }
-                        let labels = join_labels(&s.labels, "le=\"+Inf\"");
-                        out.push_str(&render_sample(
-                            &format!("{}_bucket", fam.name),
-                            &labels,
-                            &h.count.to_string(),
-                        ));
-                        out.push_str(&render_sample(
-                            &format!("{}_sum", fam.name),
-                            &s.labels,
-                            &format_f64(h.sum_seconds),
-                        ));
-                        out.push_str(&render_sample(
-                            &format!("{}_count", fam.name),
-                            &s.labels,
-                            &h.count.to_string(),
-                        ));
-                    }
-                }
-            }
+    /// Adds a gauge sample (see [`Exposition::counter`] for `labels`).
+    pub fn gauge(&mut self, name: &str, help: &str, labels: &str, value: u64) {
+        let out = self.family(name, help, "gauge");
+        write_sample(out, name, labels, &value.to_string());
+    }
+
+    /// Adds a histogram sample: its cumulative `_bucket` lines, `_sum` and
+    /// `_count` (see [`Exposition::counter`] for `labels`).
+    pub fn histogram(&mut self, name: &str, help: &str, labels: &str, h: &Histogram) {
+        let out = self.family(name, help, "histogram");
+        let bucket = format!("{name}_bucket");
+        let mut cumulative = 0;
+        for (idx, n) in h.buckets[..FINITE_BUCKETS].iter().enumerate() {
+            cumulative += n;
+            let le = format_f64(ns_to_seconds(bucket_bound_ns(idx)));
+            let labels = join_labels(labels, &format!("le=\"{le}\""));
+            write_sample(out, &bucket, &labels, &cumulative.to_string());
         }
-        out
+        let inf = join_labels(labels, "le=\"+Inf\"");
+        write_sample(out, &bucket, &inf, &h.count.to_string());
+        let sum = format_f64(h.sum_seconds());
+        write_sample(out, &format!("{name}_sum"), labels, &sum);
+        write_sample(out, &format!("{name}_count"), labels, &h.count.to_string());
+    }
+
+    /// Adds one `cycleq_phase_seconds{phase="…"}` histogram sample per
+    /// phase of `profile`.
+    pub fn profile(&mut self, profile: &Profile) {
+        for (phase, h) in &profile.phases {
+            self.histogram(PHASE_FAMILY, PHASE_HELP, &format!("phase=\"{phase}\""), h);
+        }
+    }
+
+    /// Adds the process-wide [`poison_recoveries`](crate::poison_recoveries)
+    /// count as `cycleq_lock_poison_recoveries_total`.
+    pub fn poison_recoveries(&mut self) {
+        self.counter(
+            crate::sync::POISON_FAMILY,
+            crate::sync::POISON_HELP,
+            "",
+            crate::sync::poison_recoveries(),
+        );
     }
 }
 
-fn render_sample(name: &str, labels: &str, value: &str) -> String {
+impl fmt::Display for Exposition {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        for (name, family) in &self.families {
+            writeln!(f, "# HELP {name} {}", family.help)?;
+            writeln!(f, "# TYPE {name} {}", family.kind)?;
+            f.write_str(&family.samples)?;
+        }
+        Ok(())
+    }
+}
+
+fn write_sample(out: &mut String, name: &str, labels: &str, value: &str) {
     if labels.is_empty() {
-        format!("{name} {value}\n")
+        let _ = writeln!(out, "{name} {value}");
     } else {
-        format!("{name}{{{labels}}} {value}\n")
+        let _ = writeln!(out, "{name}{{{labels}}} {value}");
     }
 }
 
@@ -591,60 +320,6 @@ fn format_f64(v: f64) -> String {
     }
 }
 
-fn delta_value(later: &SampleValue, earlier: Option<&SampleValue>) -> SampleValue {
-    match (later, earlier) {
-        (SampleValue::Counter(l), Some(SampleValue::Counter(e))) => {
-            SampleValue::Counter(l.saturating_sub(*e))
-        }
-        (SampleValue::Histogram(l), Some(SampleValue::Histogram(e))) => {
-            let cumulative = l
-                .cumulative
-                .iter()
-                .zip(e.cumulative.iter())
-                .map(|((le, lc), (_, ec))| (*le, lc.saturating_sub(*ec)))
-                .collect();
-            SampleValue::Histogram(HistogramSnapshot {
-                cumulative,
-                sum_seconds: (l.sum_seconds - e.sum_seconds).max(0.0),
-                count: l.count.saturating_sub(e.count),
-                max_seconds: l.max_seconds,
-            })
-        }
-        _ => later.clone(),
-    }
-}
-
-/// Per-phase time breakdown extracted from a [`MetricsSnapshot`].
-#[derive(Clone, Debug, Default)]
-pub struct Profile {
-    /// One entry per span name observed, sorted by family label order.
-    pub phases: Vec<PhaseStat>,
-}
-
-impl Profile {
-    /// Looks up a phase by span name.
-    pub fn phase(&self, name: &str) -> Option<&PhaseStat> {
-        self.phases.iter().find(|p| p.phase == name)
-    }
-}
-
-/// Aggregate timing of one span name.
-///
-/// Totals are *inclusive* of child spans: a recursive `expand` span counts
-/// its nested expansions' time again, so per-phase totals are attribution
-/// weights, not a partition of wall-clock time.
-#[derive(Clone, Debug)]
-pub struct PhaseStat {
-    /// Span name (`prove_goal`, `round`, `normalize`, ...).
-    pub phase: String,
-    /// Number of spans recorded.
-    pub count: u64,
-    /// Total time across those spans, seconds.
-    pub total_seconds: f64,
-    /// Longest single span, seconds.
-    pub max_seconds: f64,
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -662,69 +337,68 @@ mod tests {
     }
 
     #[test]
-    fn counter_gauge_roundtrip() {
-        let c = metrics().counter("test_registry_counter_total", "test");
-        let before = c.get();
-        c.add(3);
-        assert_eq!(c.get(), before + 3);
-
-        let g = metrics().gauge("test_registry_gauge", "test");
-        g.set(10);
-        g.sub(4);
-        g.add(1);
-        assert_eq!(g.get(), 7);
-        g.sub(100);
-        assert_eq!(g.get(), 0);
-    }
-
-    #[test]
     fn labeled_counters_are_distinct_samples() {
-        let a = metrics().counter_labeled("test_labeled_total", "test", "kind=\"a\"");
-        let b = metrics().counter_labeled("test_labeled_total", "test", "kind=\"b\"");
-        a.inc();
-        b.add(2);
-        let snap = metrics().snapshot();
-        assert_eq!(snap.value("test_labeled_total{kind=\"a\"}"), Some(1));
-        assert_eq!(snap.value("test_labeled_total{kind=\"b\"}"), Some(2));
+        let mut out = Exposition::default();
+        out.counter("test_labeled_total", "test", "kind=\"a\"", 1);
+        out.counter("test_labeled_total", "test", "kind=\"b\"", 2);
+        let text = out.to_string();
+        assert_eq!(
+            text.matches("# TYPE test_labeled_total counter\n").count(),
+            1
+        );
+        assert!(text.contains("test_labeled_total{kind=\"a\"} 1\n"));
+        assert!(text.contains("test_labeled_total{kind=\"b\"} 2\n"));
     }
 
     #[test]
     fn histogram_prometheus_shape() {
-        let h = metrics().histogram("test_hist_seconds", "test");
+        let mut h = Histogram::default();
         h.observe(Duration::from_nanos(100));
         h.observe(Duration::from_micros(10));
         h.observe(Duration::from_secs(100)); // lands in +Inf
-        let snap = metrics().snapshot();
-        let text = snap.to_prometheus();
+        assert_eq!(h.count(), 3);
+        assert!(h.max_seconds() >= 100.0);
+        let mut out = Exposition::default();
+        out.histogram("test_hist_seconds", "test", "", &h);
+        let text = out.to_string();
         assert!(text.contains("# TYPE test_hist_seconds histogram"));
         assert!(text.contains("test_hist_seconds_bucket{le=\"+Inf\"} 3"));
         assert!(text.contains("test_hist_seconds_count 3"));
         // First bucket (256 ns) holds exactly the 100 ns observation.
         assert!(text.contains("test_hist_seconds_bucket{le=\"0.000000256\"} 1"));
-        let hist = snap.histogram("test_hist_seconds").expect("histogram");
-        assert_eq!(hist.count, 3);
-        assert!(hist.max_seconds >= 100.0);
         // Cumulative counts are monotone.
-        let mut prev = 0;
-        for (_, c) in &hist.cumulative {
-            assert!(*c >= prev);
-            prev = *c;
-        }
+        let counts: Vec<u64> = text
+            .lines()
+            .filter(|l| l.starts_with("test_hist_seconds_bucket"))
+            .map(|l| l.rsplit(' ').next().unwrap().parse().unwrap())
+            .collect();
+        assert_eq!(counts.len(), NUM_BUCKETS);
+        assert!(counts.windows(2).all(|w| w[0] <= w[1]));
     }
 
     #[test]
-    fn delta_subtracts_counters_keeps_gauges() {
-        let c = metrics().counter("test_delta_total", "test");
-        let g = metrics().gauge("test_delta_gauge", "test");
-        c.add(5);
-        g.set(3);
-        let before = metrics().snapshot();
-        c.add(2);
-        g.set(9);
-        let after = metrics().snapshot();
-        let d = after.delta(&before);
-        assert_eq!(d.value("test_delta_total"), Some(2));
-        assert_eq!(d.value("test_delta_gauge"), Some(9));
+    fn merged_profiles_add_counts_and_keep_the_larger_maximum() {
+        let mut a = Profile::default();
+        a.phases
+            .entry("round")
+            .or_default()
+            .observe(Duration::from_millis(2));
+        let mut b = Profile::default();
+        b.phases
+            .entry("round")
+            .or_default()
+            .observe(Duration::from_millis(5));
+        b.phases
+            .entry("expand")
+            .or_default()
+            .observe(Duration::from_millis(1));
+        a.merge(&b);
+        let round = a.phase("round").unwrap();
+        assert_eq!(round.count, 2);
+        assert!((round.total_seconds - 0.007).abs() < 1e-12);
+        assert!((round.max_seconds - 0.005).abs() < 1e-12);
+        let names: Vec<&str> = a.phases().map(|p| p.phase).collect();
+        assert_eq!(names, ["expand", "round"], "phases sorted by name");
     }
 
     #[test]

@@ -2,26 +2,20 @@
 //!
 //! Cost model:
 //! - disabled (default): one relaxed atomic load per [`span`] call;
-//! - enabled: two `Instant` reads plus a lock-free histogram update per
-//!   span (per-thread handle cache, no registry lock on the hot path);
+//! - enabled: two `Instant` reads plus one update of the ending thread's
+//!   phase table (see [`crate::registry`]); no lock, no atomic;
 //! - collecting: additionally one `Vec` push per span; buffers flush into
 //!   the global sink under a mutex only when the thread's span stack
 //!   returns to depth zero or the buffer reaches [`FLUSH_CHUNK`] records,
 //!   so no span is ever dropped and the lock stays off the hot path.
 
 use std::cell::RefCell;
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
 use std::sync::{Mutex, OnceLock};
 use std::time::Instant;
 
 use crate::chrome::Trace;
-use crate::registry::{metrics, Histogram};
-
-/// The histogram family every finished span observes into while tracing is
-/// enabled, labeled `phase="<span name>"`.
-pub(crate) const PHASE_FAMILY: &str = "cycleq_phase_seconds";
-const PHASE_HELP: &str = "Time spent per span phase (inclusive of child spans).";
 
 /// Flush threshold for per-thread span buffers while collecting.
 const FLUSH_CHUNK: usize = 1024;
@@ -66,7 +60,6 @@ struct ThreadState {
     label: Option<String>,
     depth: u32,
     buf: Vec<SpanRecord>,
-    phase_cache: HashMap<&'static str, Histogram>,
 }
 
 impl ThreadState {
@@ -76,7 +69,6 @@ impl ThreadState {
             label: None,
             depth: 0,
             buf: Vec::new(),
-            phase_cache: HashMap::new(),
         }
     }
 
@@ -196,21 +188,10 @@ impl Drop for SpanGuard {
     fn drop(&mut self) {
         let Some(start) = self.start else { return };
         let dur = start.elapsed();
+        crate::registry::record(self.name, dur);
         let _ = TLS.try_with(|s| {
             let mut st = s.borrow_mut();
             st.depth = st.depth.saturating_sub(1);
-            let hist = st
-                .phase_cache
-                .entry(self.name)
-                .or_insert_with(|| {
-                    metrics().histogram_labeled(
-                        PHASE_FAMILY,
-                        PHASE_HELP,
-                        &format!("phase=\"{}\"", self.name),
-                    )
-                })
-                .clone();
-            hist.observe(dur);
             if COLLECTING.load(Ordering::Relaxed) {
                 let start_ns = start
                     .checked_duration_since(epoch())
@@ -247,25 +228,18 @@ mod tests {
     fn disabled_span_records_nothing() {
         let _guard = collect_lock().lock().expect("test lock");
         set_enabled(false);
-        let before = metrics().snapshot();
+        let _ = crate::take_profile();
         {
             let _g = crate::span!("test_disabled_phase");
         }
-        let after = metrics().snapshot();
-        assert_eq!(
-            after
-                .histogram("cycleq_phase_seconds{phase=\"test_disabled_phase\"}")
-                .map_or(0, |h| h.count),
-            before
-                .histogram("cycleq_phase_seconds{phase=\"test_disabled_phase\"}")
-                .map_or(0, |h| h.count),
-        );
+        assert!(crate::take_profile().phase("test_disabled_phase").is_none());
     }
 
     #[test]
     fn collected_spans_nest_and_flush() {
         let _guard = collect_lock().lock().expect("test lock");
         start_collect();
+        let _ = crate::take_profile();
         set_thread_label("span-test-main");
         {
             let _outer = crate::span!("test_outer");
@@ -284,6 +258,7 @@ mod tests {
         .join()
         .expect("worker");
         let trace = finish_collect();
+        let profile = crate::take_profile();
         set_enabled(false);
 
         assert_eq!(trace.count("test_outer"), 1);
@@ -309,25 +284,27 @@ mod tests {
         assert!(labels.contains(&"span-test-main"));
         assert!(labels.contains(&"span-test-worker"));
 
-        // Phase histogram observed the spans even though collection ended.
-        let snap = metrics().snapshot();
-        assert!(snap
-            .histogram("cycleq_phase_seconds{phase=\"test_inner\"}")
-            .is_some_and(|h| h.count >= 2));
+        // The calling thread's phase table holds its own spans, not the
+        // worker's.
+        assert_eq!(profile.phase("test_inner").map(|p| p.count), Some(2));
+        assert_eq!(profile.phase("test_outer").map(|p| p.count), Some(1));
+        assert!(profile.phase("test_worker_span").is_none());
     }
 
     #[test]
     fn enabled_without_collection_feeds_histograms_only() {
         let _guard = collect_lock().lock().expect("test lock");
         set_enabled(true);
+        let _ = crate::take_profile();
         {
             let _g = crate::span!("test_histogram_only");
         }
         set_enabled(false);
-        let snap = metrics().snapshot();
-        assert!(snap
-            .histogram("cycleq_phase_seconds{phase=\"test_histogram_only\"}")
-            .is_some_and(|h| h.count >= 1));
+        let phase = crate::take_profile()
+            .phase("test_histogram_only")
+            .expect("the span fed this thread's table");
+        assert_eq!(phase.count, 1);
+        assert!(phase.max_seconds <= phase.total_seconds);
         // Nothing leaked into the sink.
         assert!(sink()
             .lock()

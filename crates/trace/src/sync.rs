@@ -3,16 +3,16 @@
 //! A thread that panics while holding a [`Mutex`] poisons it; every later
 //! `.lock().expect(..)` then aborts the process even though the panicking
 //! frame has long unwound. For the long-lived prover substrate (scheduler
-//! queues, the metrics registry, trace sinks) that turns one bad goal into
-//! a process-wide outage. [`lock_recover`] instead clears the poison flag,
-//! counts the recovery, and hands back the guard — callers that need
+//! slots, the trace sink, a session's last profile) that turns one bad goal
+//! into a process-wide outage. [`lock_recover`] instead clears the poison
+//! flag, counts the recovery, and hands back the guard — callers that need
 //! stronger invariants than "the data is structurally valid" layer their
 //! own repair on top.
 //!
-//! Recoveries are counted in a plain process-wide atomic (surfaced as the
-//! `cycleq_lock_poison_recoveries_total` counter family in
-//! [`metrics()`](crate::metrics) snapshots) rather than a registry handle,
-//! so the helper stays safe to use on the registry's own lock.
+//! Recoveries are counted in one process-wide atomic, the only count in
+//! this crate that is process-global by design: a poisoned lock may belong
+//! to no particular call. [`Exposition::poison_recoveries`](crate::Exposition::poison_recoveries)
+//! renders it as the `cycleq_lock_poison_recoveries_total` counter family.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, MutexGuard};
@@ -126,7 +126,15 @@ mod tests {
         })
         .join();
         let _g = lock_recover(&m);
-        let snap = crate::metrics().snapshot();
-        assert!(snap.value(POISON_FAMILY).is_some_and(|v| v >= 1));
+        let mut out = crate::Exposition::default();
+        out.poison_recoveries();
+        let text = out.to_string();
+        assert!(text.contains(&format!("# TYPE {POISON_FAMILY} counter\n")));
+        let rendered: u64 = text
+            .lines()
+            .find_map(|l| l.strip_prefix(&format!("{POISON_FAMILY} ")))
+            .and_then(|v| v.parse().ok())
+            .expect("one unlabeled sample");
+        assert!(rendered >= 1);
     }
 }

@@ -7,24 +7,18 @@
 //! `RoundDeepened` are raised inside `Session::prove_goal`'s `catch_unwind`
 //! (the inner boundary), so the goal still gets its `GoalFinished` event
 //! and its time. `GoalFinished` is raised after `prove_goal` returns, so a
-//! panic on it escapes to the batch scheduler (the outer boundary).
+//! panic on it escapes to the batch scheduler (the outer boundary), and the
+//! goal's report carries no time.
 //!
-//! The metrics registry is process-global, so every test that makes a goal
-//! panic holds `PANIC_LOCK`; otherwise one test's panic lands inside
-//! another's counter delta.
+//! Each test reads its counts from its own report, so the tests run in
+//! parallel without a lock.
 
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
+use std::sync::Arc;
 use std::time::Duration;
 
 use cycleq::{BatchReport, Engine, EngineBuilder, GoalStatus, Outcome, ProveEvent, SearchConfig};
-
-static PANIC_LOCK: Mutex<()> = Mutex::new(());
-
-fn hold_panics() -> MutexGuard<'static, ()> {
-    PANIC_LOCK.lock().unwrap_or_else(PoisonError::into_inner)
-}
 
 /// Eight goals over one program; `g3` (commutativity) is the one that
 /// panics.
@@ -100,19 +94,18 @@ fn prove_all(engine: EngineBuilder) -> BatchReport {
 /// What one batch with a panicking sink produced.
 struct PanicRun {
     report: BatchReport,
-    /// How far `cycleq_goal_panics_total` rose.
-    goal_panics: u64,
-    /// How far `cycleq_batch_task_panics_total` rose.
-    task_panics: u64,
-    /// How far `cycleq_goals_total` rose, summed over its statuses, and
-    /// how far its `panicked` status rose.
+    /// The rendered `cycleq_goals_total`, summed over its statuses, and
+    /// its `panicked` status.
     goals_recorded: (u64, u64),
     /// `GoalFinished { status: Panicked }` events the sink saw for `g3`.
     g3_panicked_finishes: usize,
+    /// `prove_goal` spans in the call's profile.
+    prove_goal_spans: u64,
 }
 
-/// Proves every goal with `sink` attached, counting panics and `g3`'s
-/// `Panicked` finish events.
+/// Proves every goal with `sink` attached, counting the goals the rendered
+/// report records, `g3`'s `Panicked` finish events and the profile's
+/// `prove_goal` spans.
 fn prove_all_counting_panics(jobs: usize, sink: fn(&ProveEvent)) -> PanicRun {
     let finishes = Arc::new(AtomicUsize::new(0));
     let counting = {
@@ -131,11 +124,20 @@ fn prove_all_counting_panics(jobs: usize, sink: fn(&ProveEvent)) -> PanicRun {
             sink(event);
         }
     };
-    let before = cycleq::trace::metrics().snapshot();
-    let report = prove_all(engine(jobs).on_event(counting));
-    let delta = cycleq::trace::metrics().snapshot().delta(&before);
-    let count = |family: &str| delta.value(family).unwrap_or(0);
-    let goals = |status: GoalStatus| count(&format!("cycleq_goals_total{{status=\"{status}\"}}"));
+    let session = engine(jobs)
+        .on_event(counting)
+        .build()
+        .load(SRC)
+        .expect("fixture elaborates");
+    let report = session.prove_all();
+    let profile = session.profile().expect("profile after proving");
+    let prom = report.to_prometheus(&profile);
+    let goals = |status: GoalStatus| {
+        let sample = format!("cycleq_goals_total{{status=\"{status}\"}} ");
+        prom.lines()
+            .find_map(|l| l.strip_prefix(&sample)?.parse::<u64>().ok())
+            .unwrap_or_else(|| panic!("no {sample}sample in:\n{prom}"))
+    };
     let statuses = [
         GoalStatus::Proved,
         GoalStatus::Refuted,
@@ -146,13 +148,12 @@ fn prove_all_counting_panics(jobs: usize, sink: fn(&ProveEvent)) -> PanicRun {
     ];
     PanicRun {
         report,
-        goal_panics: count("cycleq_goal_panics_total"),
-        task_panics: count("cycleq_batch_task_panics_total"),
         goals_recorded: (
             statuses.into_iter().map(goals).sum(),
             goals(GoalStatus::Panicked),
         ),
         g3_panicked_finishes: finishes.load(Ordering::Relaxed),
+        prove_goal_spans: profile.phase("prove_goal").map_or(0, |p| p.count),
     }
 }
 
@@ -186,31 +187,30 @@ fn assert_isolated(baseline: &BatchReport, report: &BatchReport, message: &str, 
 
 #[test]
 fn injected_panic_isolates_one_goal_and_preserves_the_rest() {
-    let _panics = hold_panics();
     let baseline = prove_all(engine(1));
     assert!(baseline.all_proved(), "fixture must prove clean");
-    // Each boundary records the goal's panic once; only a panic that
-    // escapes its batch task also counts as a task panic. The outer
-    // boundary runs first, so it is checked even when the inner one fails.
+    cycleq::trace::set_enabled(true);
+    // A panic caught inside its task leaves the goal to stream its own
+    // `Panicked` finish and keep its measured time; a panic that escapes
+    // its task (the outer boundary) leaves a report with no time. Every
+    // goal's spans reach the call's profile, except the search `g3` never
+    // started when its sink panicked on `GoalStarted`. The outer boundary
+    // runs first, so it is checked even when the inner one fails.
     let cases = [
         (
             "outer",
             panic_on_finish as fn(&ProveEvent),
             FINISH_MESSAGE,
-            (1, 1),
+            false,
+            8,
         ),
-        ("inner (search)", panic_in_search, SEARCH_MESSAGE, (1, 0)),
-        ("inner (start)", panic_on_start, START_MESSAGE, (1, 0)),
+        ("inner (search)", panic_in_search, SEARCH_MESSAGE, true, 8),
+        ("inner (start)", panic_on_start, START_MESSAGE, true, 7),
     ];
-    for (boundary, sink, message, counts) in cases {
+    for (boundary, sink, message, inner, searches) in cases {
         for jobs in [1, 2, 4] {
             let run = prove_all_counting_panics(jobs, sink);
             assert_isolated(&baseline, &run.report, message, jobs);
-            assert_eq!(
-                (run.goal_panics, run.task_panics),
-                counts,
-                "{boundary} boundary at jobs={jobs}: (goal panics, task panics)"
-            );
             // Each goal is recorded once, under the status its report
             // carries, even when its sink panics after its verdict.
             assert_eq!(
@@ -218,14 +218,22 @@ fn injected_panic_isolates_one_goal_and_preserves_the_rest() {
                 (run.report.goals.len() as u64, 1),
                 "{boundary} boundary at jobs={jobs}: (goals recorded, panicked goals recorded)"
             );
-            if run.task_panics == 0 {
-                // Caught inside its task, the goal streams its own
-                // `Panicked` finish and keeps its measured time.
-                let g3 = run.report.goals.iter().find(|g| g.goal == "g3").unwrap();
+            assert_eq!(
+                run.prove_goal_spans, searches,
+                "{boundary} boundary at jobs={jobs}: prove_goal spans in the profile"
+            );
+            let g3 = run.report.goals.iter().find(|g| g.goal == "g3").unwrap();
+            if inner {
                 assert_eq!(
                     (run.g3_panicked_finishes, g3.time > Duration::ZERO),
                     (1, true),
                     "{boundary} boundary at jobs={jobs}: (g3 Panicked finishes, g3 timed)"
+                );
+            } else {
+                assert_eq!(
+                    g3.time,
+                    Duration::ZERO,
+                    "{boundary} boundary at jobs={jobs}: g3's task never reported"
                 );
             }
         }
@@ -237,7 +245,6 @@ fn injected_panic_isolates_one_goal_and_preserves_the_rest() {
 /// it after a panic.
 #[test]
 fn without_retry_a_panicked_goal_keeps_its_panicked_verdict() {
-    let _panics = hold_panics();
     let fired = Arc::new(AtomicBool::new(false));
     let g3_rounds = Arc::new(AtomicUsize::new(0));
     let sink = {

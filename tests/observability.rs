@@ -1,13 +1,13 @@
 //! Observability acceptance tests: streamed events under parallel batches,
-//! deterministic counters across job counts, span collection, and the
-//! `Session::profile` / `Engine::metrics` surfaces.
+//! deterministic counters across job counts, and the `Session::profile` /
+//! `BatchReport::to_prometheus` surfaces.
 //!
-//! The span/metrics machinery is process-global, and every prove call
-//! records into it, so every test here serializes on [`registry_lock`]:
-//! a goal proved by one test must not land in another test's collected
-//! trace or registry delta.
+//! A profile holds the spans of one prove call and a report the counts of
+//! one batch, so these tests run in parallel without a lock. Chrome-trace
+//! collection is process-global; `tests/chrome_trace.rs` tests it in a
+//! process of its own. No test here turns tracing off.
 
-use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
+use std::sync::{mpsc, Arc, Mutex};
 use std::time::Duration;
 
 use cycleq::{Engine, EventSink, ProveEvent, SearchConfig, Session};
@@ -32,14 +32,6 @@ fn session(jobs: usize) -> Session {
         .build()
         .load(SUITE_SRC)
         .expect("suite source loads")
-}
-
-/// Serializes tests that touch the process-global registry or span sink.
-/// Recovers the lock if a failing test poisoned it, so one failure is
-/// reported once rather than cascading into every later test.
-fn registry_lock() -> MutexGuard<'static, ()> {
-    static LOCK: OnceLock<Mutex<()>> = OnceLock::new();
-    cycleq::trace::lock_recover(LOCK.get_or_init(Mutex::default))
 }
 
 #[derive(Default)]
@@ -76,7 +68,6 @@ fn prove_all_collecting(jobs: usize) -> (cycleq::BatchReport, Vec<ProveEvent>) {
 
 #[test]
 fn concurrent_events_bracket_every_goal_and_carry_round_times() {
-    let _guard = registry_lock();
     for jobs in [1, 4] {
         let (report, log) = prove_all_collecting(jobs);
         assert!(report.all_proved(), "jobs={jobs}");
@@ -174,7 +165,6 @@ fn assert_counters_independent_of_jobs(src: &str, config: SearchConfig, jobs: us
 fn counter_totals_are_deterministic_across_job_counts() {
     // Goals share no search state, so per-goal counters — and their batch
     // totals — must be identical whatever the worker count.
-    let _guard = registry_lock();
     assert_counters_independent_of_jobs(
         SUITE_SRC,
         SearchConfig {
@@ -185,29 +175,34 @@ fn counter_totals_are_deterministic_across_job_counts() {
     );
     // IsaPlanner goals over one prelude normalise many of the same terms,
     // node-budgeted so that no counter depends on the clock.
+    assert_counters_independent_of_jobs(&isaplanner_module(24), node_budgeted(), 2);
+}
+
+/// The first `n` in-scope IsaPlanner goals without hints, over one prelude.
+fn isaplanner_module(n: usize) -> String {
     let mut src = format!("{PRELUDE}\n");
     let goals = ISAPLANNER
         .iter()
         .filter(|p| p.expectation == Expectation::InScope && p.hints.is_empty())
-        .take(24);
+        .take(n);
     for p in goals {
         let statement = p.goal.expect("in-scope problems state a goal");
         src.push_str(&format!("goal {}: {statement}\n", p.goal_name()));
     }
-    assert_counters_independent_of_jobs(
-        &src,
-        SearchConfig {
-            max_nodes: 2000,
-            timeout: None,
-            ..SearchConfig::default()
-        },
-        2,
-    );
+    src
+}
+
+/// A 2000-node budget and no timeout, so no verdict depends on the clock.
+fn node_budgeted() -> SearchConfig {
+    SearchConfig {
+        max_nodes: 2000,
+        timeout: None,
+        ..SearchConfig::default()
+    }
 }
 
 #[test]
 fn session_profile_reports_the_span_taxonomy() {
-    let _guard = registry_lock();
     cycleq::trace::set_enabled(true);
     let session = session(1);
     let verdict = session.prove("addComm").expect("proves");
@@ -218,10 +213,8 @@ fn session_profile_reports_the_span_taxonomy() {
             .phase(phase)
             .unwrap_or_else(|| panic!("phase {phase} missing from profile"));
         assert!(stat.count >= 1, "{phase}: no spans recorded");
-        assert!(stat.total_seconds >= 0.0);
-        // The delta keeps the later snapshot's process-lifetime maximum,
-        // so `max` can legitimately exceed this call's total.
         assert!(stat.max_seconds > 0.0, "{phase}: no span took any time");
+        assert!(stat.max_seconds <= stat.total_seconds, "{phase}");
     }
     // One top-level search on this session: exactly as many prove_goal
     // spans as goals proved in the call (hints included, here none).
@@ -229,52 +222,109 @@ fn session_profile_reports_the_span_taxonomy() {
 }
 
 #[test]
-fn collected_trace_brackets_every_goal_per_thread() {
-    let _guard = registry_lock();
-    cycleq::trace::start_collect();
-    let report = session(2).prove_all();
-    let trace = cycleq::trace::finish_collect();
-    assert!(report.all_proved());
-    assert_eq!(
-        trace.count("prove_goal"),
-        report.goals.len(),
-        "one complete prove_goal span per goal"
-    );
-    assert!(trace.count("round") >= trace.count("prove_goal"));
-    let json = trace.to_chrome_json();
-    assert!(json.contains("\"ph\":\"X\""), "complete events missing");
-    assert!(
-        json.contains("\"name\":\"thread_name\""),
-        "per-thread metadata missing"
-    );
-    assert!(json.contains("worker-0"), "worker thread track missing");
+fn a_profile_reports_its_own_calls_maximum() {
+    cycleq::trace::set_enabled(true);
+    // A heavier goal first, through another session: its spans are far
+    // longer than the whole of the call below.
+    let ip56 = ISAPLANNER.iter().find(|p| p.id == "IP56").expect("IP56");
+    let heavy = Engine::builder()
+        .config(SearchConfig {
+            max_nodes: 4000,
+            timeout: None,
+            ..SearchConfig::default()
+        })
+        .build()
+        .load(&ip56.source().expect("in scope"))
+        .expect("IP56 loads");
+    assert!(heavy.prove(&ip56.goal_name()).expect("proves").is_proved());
+    let light = session(1);
+    assert!(light.prove("addZeroRight").expect("proves").is_proved());
+    let profile = light.profile().expect("profile captured after proving");
+    assert_eq!(profile.phase("prove_goal").map(|p| p.count), Some(1));
+    for stat in profile.phases() {
+        assert!(
+            stat.max_seconds <= stat.total_seconds,
+            "{}: max {}s above this call's total {}s",
+            stat.phase,
+            stat.max_seconds,
+            stat.total_seconds
+        );
+    }
 }
 
 #[test]
-fn engine_metrics_snapshot_counts_finished_goals() {
-    let _guard = registry_lock();
-    let engine = Engine::builder()
-        .config(SearchConfig {
-            timeout: Some(Duration::from_secs(10)),
-            ..SearchConfig::default()
+fn a_profile_excludes_another_sessions_concurrent_goals() {
+    cycleq::trace::set_enabled(true);
+    // The first session's goal starts, then waits until a goal of the
+    // second session, proving 20 goals on another thread, has finished.
+    let (light_started, busy_may_start) = mpsc::channel();
+    let (busy_finished, light_may_go_on) = mpsc::channel();
+    let light_may_go_on = Mutex::new(light_may_go_on);
+    let light = Engine::builder()
+        .on_event(move |event: &ProveEvent| {
+            if let ProveEvent::GoalStarted { .. } = event {
+                light_started.send(()).expect("the other session waits");
+                let finished = light_may_go_on.lock().unwrap().recv();
+                finished.expect("a goal of the other session finishes");
+            }
         })
-        .build();
-    let before = engine.metrics();
-    let report = engine.load(SUITE_SRC).expect("loads").prove_all();
-    assert!(report.all_proved());
-    let delta = engine.metrics().delta(&before);
+        .build()
+        .load(SUITE_SRC)
+        .expect("suite source loads");
+    let busy = Engine::builder()
+        .config(node_budgeted())
+        .on_event(move |event: &ProveEvent| {
+            if let ProveEvent::GoalFinished { .. } = event {
+                let _ = busy_finished.send(());
+            }
+        })
+        .build()
+        .load(&isaplanner_module(20))
+        .expect("source loads");
+    std::thread::scope(|scope| {
+        let other = scope.spawn(move || {
+            busy_may_start.recv().expect("the first session starts");
+            busy.prove_all()
+        });
+        assert!(light.prove("addZeroRight").expect("proves").is_proved());
+        assert_eq!(other.join().expect("no panic").goals.len(), 20);
+    });
+    let profile = light.profile().expect("profile captured after proving");
     assert_eq!(
-        delta.value("cycleq_goals_total{status=\"proved\"}"),
+        profile.phase("prove_goal").map(|p| p.count),
+        Some(1),
+        "one goal proved, one prove_goal span"
+    );
+}
+
+#[test]
+fn rendered_metrics_count_finished_goals() {
+    let session = session(1);
+    let report = session.prove_all();
+    assert!(report.all_proved());
+    let prom = report.to_prometheus(&session.profile().expect("profile after proving"));
+    let value = |sample: &str| {
+        prom.lines().find_map(|l| {
+            l.strip_prefix(sample)?
+                .strip_prefix(' ')?
+                .parse::<u64>()
+                .ok()
+        })
+    };
+    assert_eq!(
+        value("cycleq_goals_total{status=\"proved\"}"),
         Some(report.goals.len() as u64),
         "every proved goal is counted exactly once"
     );
-    assert!(
-        delta.value("cycleq_search_nodes_created_total").unwrap() > 0,
-        "search counters flow into the registry"
+    assert_eq!(
+        value("cycleq_search_nodes_created_total"),
+        Some(report.stats.nodes_created as u64),
+        "search counters come from the report"
     );
-    let goal_seconds = delta.histogram("cycleq_goal_seconds").expect("histogram");
-    assert_eq!(goal_seconds.count, report.goals.len() as u64);
-    let prom = delta.to_prometheus();
+    assert_eq!(
+        value("cycleq_goal_seconds_count"),
+        Some(report.goals.len() as u64)
+    );
     assert!(prom.contains("# TYPE cycleq_goals_total counter"));
     assert!(prom.contains("cycleq_goal_seconds_bucket{le=\"+Inf\"}"));
 }
