@@ -713,13 +713,21 @@ pub struct CertificateCheck {
 /// proof states it. Nothing from the proving session is trusted — only
 /// the bytes of the certificate.
 ///
+/// The whole embedded source is parsed, so a syntax error or a term
+/// nested deeper than [`MAX_NESTING`] anywhere in it rejects the
+/// certificate, and so does a goal name declared twice. But only the
+/// signature, the rules and the goal the certificate names are
+/// elaborated ([`cycleq_lang::parse_module_for_goal`]): a resolution or
+/// type error confined to another goal does not affect the check.
+///
 /// # Errors
 ///
 /// [`Error::Certificate`] for parse/tamper/check failures and
-/// [`Error::Lang`] when the embedded program no longer elaborates.
+/// [`Error::Lang`] when the embedded program or its named goal no longer
+/// elaborates.
 pub fn check_certificate(text: &str) -> Result<CertificateCheck, Error> {
     let cert = Certificate::parse(text).map_err(Error::Certificate)?;
-    let module = cycleq_lang::parse_module(cert.program_src())?;
+    let module = cycleq_lang::parse_module_for_goal(cert.program_src(), cert.goal())?;
     let report = cert.verify(&module.program).map_err(Error::Certificate)?;
     cert.check_goal(module.goal(cert.goal()).map(|g| (&g.eq, &g.vars)))
         .map_err(Error::Certificate)?;
@@ -783,6 +791,7 @@ impl BatchReport {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use cycleq_lang::LangErrorKind;
 
     const SRC: &str = "data Nat = Z | S Nat
 add :: Nat -> Nat -> Nat
@@ -893,6 +902,88 @@ goal wrong: add x Z === Z
                 ..
             }))
         ));
+    }
+
+    /// `text` with its embedded program replaced by `src` and the
+    /// fingerprint recomputed, as a forger would.
+    fn with_program(text: &str, src: &str) -> String {
+        let mut out = String::new();
+        for line in text.lines() {
+            if line.starts_with("fingerprint ") {
+                out.push_str(&format!("fingerprint {:016x}", program_fingerprint(src)));
+            } else if line.starts_with("program ") {
+                out.push_str("program ");
+                out.push_str(&src.replace('\\', "\\\\").replace('\n', "\\n"));
+            } else {
+                out.push_str(line);
+            }
+            out.push('\n');
+        }
+        out
+    }
+
+    #[test]
+    fn modules_that_repeat_a_goal_name_fail_to_load() {
+        let src = format!("{SRC}goal comm: add x Z === x\n");
+        let err = Session::from_source(&src).unwrap_err();
+        assert!(
+            matches!(&err, Error::Lang(e) if e.kind == LangErrorKind::Duplicate("comm".into())),
+            "{err}"
+        );
+        assert_eq!(err.to_string(), "line 8: duplicate declaration of `comm`");
+    }
+
+    #[test]
+    fn certificates_whose_program_repeats_a_goal_name_are_refused() {
+        let s = Session::from_source(SRC).unwrap();
+        let v = s.prove("zeroRight").unwrap();
+        let text = s.export_certificate(&v).unwrap();
+        // Whether or not the repeated name is the goal the certificate
+        // names.
+        for repeated in ["zeroRight", "comm"] {
+            let forged = with_program(&text, &format!("{SRC}goal {repeated}: x === x\n"));
+            let err = check_certificate(&forged).unwrap_err();
+            assert!(
+                matches!(&err, Error::Lang(e) if e.kind == LangErrorKind::Duplicate(repeated.into())),
+                "{repeated}: {err}"
+            );
+        }
+    }
+
+    #[test]
+    fn certificate_checks_elaborate_only_the_goal_they_name() {
+        let s = Session::from_source(SRC).unwrap();
+        let v = s.prove("zeroRight").unwrap();
+        let text = s.export_certificate(&v).unwrap();
+        // An ill-typed goal other than the certificate's own is not
+        // elaborated, so the certificate checks, although the program
+        // does not load.
+        let program = format!("{SRC}goal bad: S === Z\n");
+        assert!(matches!(
+            Session::from_source(&program),
+            Err(Error::Lang(LangError {
+                kind: LangErrorKind::Type(_),
+                ..
+            }))
+        ));
+        let checked = check_certificate(&with_program(&text, &program)).unwrap();
+        assert_eq!(checked.goal, "zeroRight");
+        // The certificate's own goal is elaborated.
+        let program = SRC.replace(
+            "goal zeroRight: add x Z === x",
+            "goal zeroRight: add x Z === S",
+        );
+        let err = check_certificate(&with_program(&text, &program)).unwrap_err();
+        assert!(
+            matches!(
+                &err,
+                Error::Lang(LangError {
+                    line: 6,
+                    kind: LangErrorKind::Type(_),
+                })
+            ),
+            "{err}"
+        );
     }
 
     #[test]

@@ -200,8 +200,9 @@ mod tests {
 
     #[test]
     fn stray_unicode_is_an_error() {
-        assert!(lex("x ≡ y").is_err() || lex("x ≡ y").is_ok());
-        // `≡` is alphabetic in Unicode terms? Ensure lexing is total either
-        // way: we only require no panic.
+        // `≡` is not alphabetic, so it cannot start an identifier.
+        let err = lex("x ≡ y").unwrap_err();
+        assert_eq!(err.line, 1);
+        assert_eq!(err.kind, LangErrorKind::UnexpectedChar('≡'));
     }
 }

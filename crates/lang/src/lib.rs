@@ -45,3 +45,17 @@ pub use printer::{print_clause, print_module, print_program};
 pub fn parse_module(src: &str) -> Result<Module, LangError> {
     lower(&parse(src)?)
 }
+
+/// Parses a complete module, like [`parse_module`], but lowers only its
+/// signature, its rules and the goal named `goal`: the returned
+/// [`Module::goals`] holds that goal, or nothing when the module does not
+/// declare it. A resolution or type error in any other goal goes
+/// unreported; syntax errors and duplicate goal names anywhere do not.
+///
+/// # Errors
+///
+/// Returns the first lexical or syntactic error, or the first resolution
+/// or type error in the program or in the named goal.
+pub fn parse_module_for_goal(src: &str, goal: &str) -> Result<Module, LangError> {
+    lower::lower_goals(&parse(src)?, Some(goal))
+}

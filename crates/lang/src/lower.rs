@@ -4,15 +4,21 @@
 //! Clauses are checked against their declared signatures with *rigid*
 //! quantified variables: a clause may not force a signature variable to a
 //! concrete type (otherwise rewriting at other instances would be
-//! ill-typed). Goal variables are implicitly universally quantified; their
-//! types are inferred and residual metavariables are generalised to fresh
-//! rigid type variables (polymorphic goals such as `map id xs === xs`).
+//! ill-typed). Clause patterns take their types from the signature: each
+//! is checked top-down against its declared argument type, so a pattern
+//! variable gets its type without inference. The right-hand side is
+//! inferred, since a polymorphic callee needs metavariables, and then
+//! unified with the declared result type. Goal variables are implicitly
+//! universally quantified; their types are inferred and residual
+//! metavariables are generalised to fresh rigid type variables
+//! (polymorphic goals such as `map id xs === xs`).
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 
 use cycleq_rewrite::{Program, RuleId, Trs};
 use cycleq_term::{
-    Equation, Signature, Subst, SymId, Term, TyUnifier, TyVarId, Type, TypeError, VarId, VarStore,
+    Equation, Signature, Subst, SymId, SymKind, Term, TyUnifier, TyVarId, Type, TypeError, VarId,
+    VarStore,
 };
 
 use crate::ast::{Decl, RawTerm, RawType};
@@ -208,63 +214,85 @@ fn build_term(
     Err(LangError::new(iline, LangErrorKind::Unknown(name.clone())))
 }
 
-/// Builds a clause pattern, allocating meta-typed variables and enforcing
-/// linearity and constructor arity.
-fn build_pattern(
+/// Checks a clause pattern against the type `want`, allocating its
+/// variables at the types they are checked against and enforcing linearity
+/// and constructor arity. A constructor at its own datatype is
+/// instantiated with the datatype's arguments, so its sub-patterns are
+/// checked against declared types. Anywhere else it is instantiated with
+/// fresh metavariables. Either way its result type is unified with `want`
+/// after its sub-patterns; in the second case that fails, or binds a
+/// rigid variable, which the clause's rigidity check then reports. Type
+/// errors point at the clause's `line`.
+fn check_pattern(
     raw: &RawTerm,
+    want: &Type,
     sig: &Signature,
     env: &mut HashMap<String, VarId>,
     vars: &mut VarStore,
     uni: &mut TyUnifier,
+    line: u32,
 ) -> Result<Term, LangError> {
     let (head, raw_args) = raw.spine();
-    let RawTerm::Ident(name, line) = head else {
+    let RawTerm::Ident(name, iline) = head else {
         unreachable!("spine flattens applications")
     };
-    let line = *line;
-    if name.chars().next().is_some_and(char::is_uppercase) {
-        let sym = sig
-            .sym_by_name(name)
-            .ok_or_else(|| LangError::new(line, LangErrorKind::Unknown(name.clone())))?;
-        if !sig.is_constructor(sym) {
-            return Err(LangError::new(
-                line,
-                LangErrorKind::Rule(format!("`{name}` is not a constructor")),
-            ));
-        }
-        let arity = sig.constructor_arity(sym);
-        if raw_args.len() != arity {
-            return Err(LangError::new(
-                line,
-                LangErrorKind::PatternArity {
-                    constructor: name.clone(),
-                    expected: arity,
-                    got: raw_args.len(),
-                },
-            ));
-        }
-        let mut args = Vec::with_capacity(raw_args.len());
-        for a in raw_args {
-            args.push(build_pattern(a, sig, env, vars, uni)?);
-        }
-        Ok(Term::apps(sym, args))
-    } else {
+    let iline = *iline;
+    if !name.chars().next().is_some_and(char::is_uppercase) {
         if !raw_args.is_empty() {
             return Err(LangError::new(
-                line,
+                iline,
                 LangErrorKind::Rule("pattern variables cannot be applied".into()),
             ));
         }
         if env.contains_key(name) {
             return Err(LangError::new(
-                line,
+                iline,
                 LangErrorKind::NonLinearPattern(name.clone()),
             ));
         }
-        let v = vars.fresh(name, Type::Var(uni.fresh()));
+        let v = vars.fresh(name, want.clone());
         env.insert(name.clone(), v);
-        Ok(Term::var(v))
+        return Ok(Term::var(v));
     }
+    let sym = sig
+        .sym_by_name(name)
+        .ok_or_else(|| LangError::new(iline, LangErrorKind::Unknown(name.clone())))?;
+    let decl = sig.sym(sym);
+    let SymKind::Constructor(data) = decl.kind() else {
+        return Err(LangError::new(
+            iline,
+            LangErrorKind::Rule(format!("`{name}` is not a constructor")),
+        ));
+    };
+    let arity = sig.constructor_arity(sym);
+    if raw_args.len() != arity {
+        return Err(LangError::new(
+            iline,
+            LangErrorKind::PatternArity {
+                constructor: name.clone(),
+                expected: arity,
+                got: raw_args.len(),
+            },
+        ));
+    }
+    let instance = match want {
+        Type::Data(d, targs) if *d == data => decl
+            .scheme()
+            .instantiate_with(targs)
+            .map_err(|e| type_error(line, sig, &e))?,
+        _ => decl.scheme().instantiate(&mut || uni.fresh()),
+    };
+    let mut ty = &instance;
+    let mut args = Vec::with_capacity(raw_args.len());
+    for a in raw_args {
+        let Type::Arrow(arg_ty, rest) = ty else {
+            unreachable!("arity checked above")
+        };
+        args.push(check_pattern(a, arg_ty, sig, env, vars, uni, line)?);
+        ty = rest;
+    }
+    uni.unify(ty, want).map_err(|e| type_error(line, sig, &e))?;
+    Ok(Term::apps(sym, args))
 }
 
 /// Rewrites residual metavariables in `ty` to canonical rigid variables,
@@ -287,6 +315,14 @@ fn generalize(ty: &Type, canon: &mut HashMap<TyVarId, TyVarId>) -> Type {
 ///
 /// Returns the first resolution or type error.
 pub fn lower(decls: &[Decl]) -> Result<Module, LangError> {
+    lower_goals(decls, None)
+}
+
+/// Lowers the signature and the rules of `decls`, and its goals: all of
+/// them, or with `only` just the goal of that name (none when the
+/// declarations have no goal of that name). Goal names must be distinct
+/// across all of `decls` either way.
+pub(crate) fn lower_goals(decls: &[Decl], only: Option<&str>) -> Result<Module, LangError> {
     let mut sig = Signature::new();
     let mut decl_lines: HashMap<String, u32> = HashMap::new();
     // Pass 1a: datatypes (names only, so mutually recursive datatypes work).
@@ -361,6 +397,7 @@ pub fn lower(decls: &[Decl]) -> Result<Module, LangError> {
     }
     // Pass 4: goals.
     let mut goals = Vec::new();
+    let mut names = HashSet::new();
     for d in decls {
         if let Decl::Goal {
             name,
@@ -369,13 +406,15 @@ pub fn lower(decls: &[Decl]) -> Result<Module, LangError> {
             line,
         } = d
         {
-            if goals.iter().any(|g: &GoalDef| &g.name == name) {
+            if !names.insert(name.as_str()) {
                 return Err(LangError::new(
                     *line,
                     LangErrorKind::Duplicate(name.clone()),
                 ));
             }
-            goals.push(lower_goal(&sig, name, lhs, rhs, *line)?);
+            if only.is_none_or(|only| only == name) {
+                goals.push(lower_goal(&sig, name, lhs, rhs, *line)?);
+            }
         }
     }
     Ok(Module {
@@ -394,57 +433,48 @@ fn lower_clause(
     rhs: &RawTerm,
     line: u32,
 ) -> Result<RuleId, LangError> {
-    let scheme = sig.sym(sym).scheme().clone();
-    let (arg_tys, ret_ty) = scheme.body().uncurry();
-    if params.len() > arg_tys.len() {
+    let scheme = sig.sym(sym).scheme();
+    let allowed = scheme.body().arity();
+    if params.len() > allowed {
         return Err(LangError::new(
             line,
             LangErrorKind::Type(format!(
-                "clause has {} patterns but the signature allows at most {}",
-                params.len(),
-                arg_tys.len()
+                "clause has {} patterns but the signature allows at most {allowed}",
+                params.len()
             )),
         ));
     }
     let mut uni = TyUnifier::new(META_FLOOR);
     let mut env = HashMap::new();
-    // Variables are allocated in the TRS store with placeholder meta types.
-    let mark = trs.vars().len();
+    // Each pattern is checked against its declared argument type; what is
+    // left of the signature is the right-hand side's type.
+    let mut result_ty = scheme.body();
     let mut pattern_terms = Vec::with_capacity(params.len());
-    {
-        let vars = trs.vars_mut();
-        for raw in params {
-            pattern_terms.push(build_pattern(raw, sig, &mut env, vars, &mut uni)?);
-        }
+    for raw in params {
+        let Type::Arrow(want, rest) = result_ty else {
+            unreachable!("pattern count checked above")
+        };
+        pattern_terms.push(check_pattern(
+            raw,
+            want,
+            sig,
+            &mut env,
+            trs.vars_mut(),
+            &mut uni,
+            line,
+        )?);
+        result_ty = rest;
     }
-    // Type the patterns against the signature's rigid argument types.
-    for (pat, want) in pattern_terms.iter().zip(&arg_tys) {
-        let got = pat
-            .infer_type(sig, trs.vars(), &mut uni)
-            .map_err(|e| type_error(line, sig, &e))?;
-        uni.unify(&got, want)
-            .map_err(|e| type_error(line, sig, &e))?;
-    }
-    // Result type: remaining arrows.
-    let result_ty = Type::arrows(
-        arg_tys[params.len()..]
-            .iter()
-            .map(|t| (*t).clone())
-            .collect(),
-        ret_ty.clone(),
-    );
-    // Build and type the right-hand side.
-    let rhs_term = {
-        let mut scratch_env = env.clone();
-        let vars = trs.vars_mut();
-        build_term(rhs, sig, &mut scratch_env, vars, &mut uni, false)?
-    };
+    let rhs_term = build_term(rhs, sig, &mut env, trs.vars_mut(), &mut uni, false)?;
     let rhs_ty = rhs_term
         .infer_type(sig, trs.vars(), &mut uni)
         .map_err(|e| type_error(line, sig, &e))?;
-    uni.unify(&rhs_ty, &result_ty)
+    uni.unify(&rhs_ty, result_ty)
         .map_err(|e| type_error(line, sig, &e))?;
-    // Rigidity: signature variables must remain themselves.
+    // Rigidity: signature variables must remain themselves. A constructor
+    // pattern checked away from its own datatype fails or binds one, so
+    // past this check every pattern variable has the signature type it
+    // was checked against.
     for i in 0..scheme.num_vars() {
         let v = TyVarId(i);
         if uni.resolve(&Type::Var(v)) != Type::Var(v) {
@@ -456,19 +486,6 @@ fn lower_clause(
                 )),
             ));
         }
-    }
-    // Write back solved variable types, generalising residual metas.
-    let mut canon: HashMap<TyVarId, TyVarId> = HashMap::new();
-    // Seed the canonical map with the scheme's own variables so fresh rigid
-    // ids don't collide with them.
-    for i in 0..scheme.num_vars() {
-        canon.insert(TyVarId(i), TyVarId(i));
-    }
-    for idx in mark..trs.vars().len() {
-        let v = VarId::from_index(idx);
-        let solved = uni.resolve(trs.vars().ty(v));
-        let ty = generalize(&solved, &mut canon);
-        trs.vars_mut().set_ty(v, ty);
     }
     trs.add_rule(sig, sym, pattern_terms, rhs_term)
         .map_err(|e| LangError::new(line, LangErrorKind::Rule(e.to_string())))
@@ -654,10 +671,51 @@ f :: a -> a
 f x = Z
 ";
         let err = lower(&parse(src).unwrap()).unwrap_err();
-        assert!(matches!(
-            err.kind,
-            LangErrorKind::RigidEscape(_) | LangErrorKind::Type(_)
-        ));
+        assert_eq!(
+            err.to_string(),
+            "line 3: clause is less polymorphic than its signature: \
+             signature variable `a` was instantiated"
+        );
+    }
+
+    #[test]
+    fn ill_typed_patterns_name_their_types() {
+        const NAT: &str = "data Nat = Z | S Nat\n";
+        const BOOL: &str = "data Bool = True | False\n";
+        const LIST: &str = "data List a = Nil | Cons a (List a)\n";
+        let cases = [
+            (
+                [NAT, LIST].concat() + "f :: Nat -> Nat\nf Nil = Z\n",
+                "line 4: type error: cannot unify `List ?a` with `Nat`",
+            ),
+            (
+                [NAT, LIST].concat() + "f :: List Nat -> Nat\nf (Cons Nil xs) = Z\n",
+                "line 4: type error: cannot unify `List ?a` with `Nat`",
+            ),
+            (
+                [NAT, BOOL, LIST].concat() + "f :: Nat -> Nat\nf (Cons True Nil) = Z\n",
+                "line 5: type error: cannot unify `List Bool` with `Nat`",
+            ),
+            (
+                [NAT].concat() + "f :: a -> a\nf Z = Z\n",
+                "line 3: clause is less polymorphic than its signature: \
+                 signature variable `a` was instantiated",
+            ),
+            (
+                [NAT, BOOL].concat() + "f :: Nat -> Bool -> Nat\nf True Z = Z\n",
+                "line 4: type error: cannot unify `Bool` with `Nat`",
+            ),
+            // Two errors: a constructor at a rigid variable binds it, and
+            // the next pattern's mismatch is reported first.
+            (
+                [NAT, BOOL].concat() + "f :: a -> Nat -> a\nf Z True = Z\n",
+                "line 4: type error: cannot unify `Bool` with `Nat`",
+            ),
+        ];
+        for (src, want) in cases {
+            let err = lower(&parse(&src).unwrap()).unwrap_err();
+            assert_eq!(err.to_string(), want, "{src}");
+        }
     }
 
     #[test]

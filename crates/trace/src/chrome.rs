@@ -5,7 +5,7 @@
 //! `traceEvents` array of `ph:"X"` *complete events* (one per span, `ts` and
 //! `dur` in microseconds) plus `ph:"M"` metadata events naming the process
 //! and one track per worker thread. Event key order is pinned by
-//! `crates/cli/tests/observability.rs`.
+//! `crates/cli/tests/cli.rs::prove_alias_and_trace_out_write_perfetto_loadable_json`.
 
 use crate::span::SpanRecord;
 
