@@ -127,10 +127,14 @@ type Counts = (
 
 /// Search counts under a node budget, with no timeout, so they do not
 /// depend on the machine. The rows are every problem whose search ends
-/// within 2000 nodes, IP56 at the 4000 it needs, and the give-ups IP20 and
-/// IP52, which prune hundreds of unsound cycles. A change to the
-/// size-change closure must leave every count as it is: the search prunes
-/// exactly where it did. The certificate hash pins each proof itself: its
+/// within 2000 nodes, IP56 at the 4000 it needs, the give-ups IP20 and
+/// IP52, which prune hundreds of unsound cycles, and every other give-up
+/// of the benchmark's `batch` module whose search deepens (IP03 to IP78),
+/// whose later rounds reuse the terms, normal forms and size-change graphs
+/// of the earlier ones. A change to the size-change closure must leave
+/// every count as it is: the search prunes exactly where it did. The same
+/// holds for the stores a prove call shares between its rounds. The
+/// certificate hash pins each proof itself: its
 /// equations, fresh-variable names and types, substitutions and rules.
 #[rustfmt::skip] // one row per line, like a table
 const SEARCH_COUNTS: &[Counts] = {
@@ -197,6 +201,15 @@ const SEARCH_COUNTS: &[Counts] = {
         ("IP56", 4000, Proved, 3843, 1875, 836, 631, 1, Some(0x97f7afb37fa52c05)),
         ("IP20", 2000, NodeBudget, 2004, 584, 558, 436, 4, None),
         ("IP52", 2000, NodeBudget, 2002, 935, 508, 396, 1, None),
+        ("IP03", 2000, NodeBudget, 2001, 223, 165, 585, 2, None),
+        ("IP68", 2000, NodeBudget, 2002, 43, 31, 597, 2, None),
+        ("IP72", 2000, NodeBudget, 2001, 1067, 16, 286, 2, None),
+        ("IP15", 2000, NodeBudget, 2001, 244, 212, 509, 3, None),
+        ("IP29", 2000, NodeBudget, 2003, 347, 243, 535, 3, None),
+        ("IP30", 2000, NodeBudget, 2002, 308, 174, 523, 3, None),
+        ("IP37", 2000, NodeBudget, 2001, 352, 251, 508, 3, None),
+        ("IP74", 2000, NodeBudget, 2001, 513, 113, 403, 4, None),
+        ("IP78", 2000, NodeBudget, 2002, 229, 229, 561, 6, None),
     ]
 };
 
