@@ -329,12 +329,16 @@ pub fn text_table(outcomes: &[RunOutcome]) -> String {
 /// problem's spans). Totals are inclusive of child spans — `prove_goal`
 /// covers the whole search, `round` the deepening rounds inside it, and so
 /// on down the taxonomy — so columns overlap rather than sum to the time.
+/// The leaf spans `normalize`, `subst`, `case`, `closure_update` and
+/// `undo` enclose none of each other.
 pub fn profile_table(outcomes: &[RunOutcome]) -> String {
-    const PHASES: [&str; 7] = [
+    const PHASES: [&str; 9] = [
         "prove_goal",
         "round",
         "expand",
         "normalize",
+        "subst",
+        "case",
         "closure_update",
         "undo",
         "check",

@@ -173,7 +173,7 @@ fn resolve_type(
 }
 
 /// Builds a term from raw syntax. `env` maps bound variable names;
-/// `make_var` (when set) creates variables for unknown lowercase names
+/// `implicit_vars` (when set) creates variables for unknown lowercase names
 /// (goal mode). Resolution errors point at the offending identifier's own
 /// source line.
 fn build_term(

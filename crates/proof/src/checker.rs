@@ -416,7 +416,7 @@ pub fn check(
                     }
                     let fresh_ids: Vec<TermId> =
                         branch.fresh.iter().map(|v| store.var(*v)).collect();
-                    let pattern = store.node(Head::Sym(k), fresh_ids);
+                    let pattern = store.node(Head::Sym(k), &fresh_ids);
                     let theta = IdSubst::singleton(*var, pattern);
                     let want = (store.subst(cl, &theta), store.subst(cr, &theta));
                     if !pair_eq_modulo_flip(want, premise_ids(i)) {

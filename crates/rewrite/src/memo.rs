@@ -4,8 +4,9 @@
 //! [`MemoRewriter`] owns a [`TermStore`] and a persistent map from
 //! [`TermId`] to its `R`-normal form. Because a program's rewrite system is
 //! fixed for the lifetime of a prover run, normal forms never change and the
-//! memo table is valid for as long as the rewriter lives; a fresh rewriter
-//! (and hence a fresh table) is created per [`crate::Program`].
+//! memo table is valid for as long as the rewriter lives. The search keeps
+//! one rewriter per prove call, which its deepening rounds share; the
+//! checker builds its own per proof.
 //!
 //! The reduction strategy is outermost with memoised argument
 //! normalisation: contract root redexes until the root is stuck, normalise
@@ -165,6 +166,16 @@ pub struct MemoRewriter<'a> {
     /// `t ↦ t↓R`, complete normal forms only (never partial reductions).
     memo: IdHashMap<TermId, TermId>,
     memo_hits: u64,
+    /// Argument ids under construction, used as one stack by every
+    /// recursive builder here: each pushes above the length it found and
+    /// cuts the stack back once its node is interned, so building a node
+    /// allocates no vector of its own.
+    args: Vec<TermId>,
+    /// The reduction chains of the `norm` frames in progress, stacked the
+    /// same way: each frame's chain lies above the length it found.
+    chain: Vec<TermId>,
+    /// The bindings of the rule pattern being matched.
+    bind: Vec<(VarId, TermId)>,
 }
 
 impl<'a> MemoRewriter<'a> {
@@ -177,6 +188,9 @@ impl<'a> MemoRewriter<'a> {
             store: TermStore::new(),
             memo: IdHashMap::default(),
             memo_hits: 0,
+            args: Vec::new(),
+            chain: Vec::new(),
+            bind: Vec::new(),
         }
     }
 
@@ -229,28 +243,31 @@ impl<'a> MemoRewriter<'a> {
             return None;
         }
         let nargs = self.store.args(id).len();
+        let mut bind = std::mem::take(&mut self.bind);
+        let mut contractum = None;
         for rid in self.trs.rules_for(head) {
             let rule: &'a Rule = self.trs.rule(*rid);
             let arity = rule.params().len();
             if arity > nargs {
                 continue;
             }
-            let mut bind: Vec<(VarId, TermId)> = Vec::new();
-            let mut ok = true;
-            for (k, p) in rule.params().iter().enumerate() {
+            bind.clear();
+            let matches = rule.params().iter().enumerate().all(|(k, p)| {
                 let s = self.store.args(id)[k];
-                if !self.match_pattern(p, s, &mut bind) {
-                    ok = false;
-                    break;
-                }
-            }
-            if ok {
-                let contractum = self.instantiate(rule.rhs(), &bind);
-                let extra = self.store.args(id)[arity..].to_vec();
-                return Some(self.store.apply_args(contractum, &extra));
+                self.match_pattern(p, s, &mut bind)
+            });
+            if matches {
+                let rhs = self.instantiate(rule.rhs(), &bind);
+                // Re-apply the arguments past the clause's arity.
+                let base = self.args.len();
+                self.args.extend_from_slice(&self.store.args(id)[arity..]);
+                contractum = Some(self.store.apply_args(rhs, &self.args[base..]));
+                self.args.truncate(base);
+                break;
             }
         }
-        None
+        self.bind = bind;
+        contractum
     }
 
     /// Matches an owned rule pattern against an interned subject, binding
@@ -270,8 +287,11 @@ impl<'a> MemoRewriter<'a> {
                     subj
                 } else {
                     let shead = self.store.head(subj);
-                    let pre: Vec<TermId> = self.store.args(subj)[..split].to_vec();
-                    self.store.node(shead, pre)
+                    let base = self.args.len();
+                    self.args.extend_from_slice(&self.store.args(subj)[..split]);
+                    let prefix = self.store.node(shead, &self.args[base..]);
+                    self.args.truncate(base);
+                    prefix
                 };
                 match bind.iter().find(|(w, _)| *w == v) {
                     Some((_, bound)) if *bound != prefix => return false,
@@ -307,18 +327,24 @@ impl<'a> MemoRewriter<'a> {
     /// interning the result. Every rhs variable is bound (rule validation
     /// guarantees it).
     fn instantiate(&mut self, t: &Term, bind: &[(VarId, TermId)]) -> TermId {
-        let args: Vec<TermId> = t.args().iter().map(|a| self.instantiate(a, bind)).collect();
-        match t.head() {
+        let base = self.args.len();
+        for a in t.args() {
+            let id = self.instantiate(a, bind);
+            self.args.push(id);
+        }
+        let out = match t.head() {
             Head::Var(v) => {
                 let bound = bind
                     .iter()
                     .find(|(w, _)| *w == v)
                     .map(|(_, b)| *b)
                     .expect("rule rhs variable is bound on the left");
-                self.store.apply_args(bound, &args)
+                self.store.apply_args(bound, &self.args[base..])
             }
-            Head::Sym(s) => self.store.node(Head::Sym(s), args),
-        }
+            Head::Sym(s) => self.store.node(Head::Sym(s), &self.args[base..]),
+        };
+        self.args.truncate(base);
+        out
     }
 
     /// Reduces to normal form with the configured fuel and no external
@@ -344,6 +370,10 @@ impl<'a> MemoRewriter<'a> {
     ) -> Result<NormalizedId, Interrupted> {
         let _span = cycleq_trace::span!("normalize");
         let mut budget = RunBudget::new(self.fuel, limits.clone());
+        // A normalisation that stopped early left its frames' entries on
+        // the stacks.
+        self.args.clear();
+        self.chain.clear();
         match self.norm(id, &mut budget) {
             Ok(nf) => Ok(NormalizedId {
                 id: nf,
@@ -379,8 +409,10 @@ impl<'a> MemoRewriter<'a> {
             self.memo_hits += 1;
             return Ok(nf);
         }
-        // Ids known to reduce to whatever normal form we end up at.
-        let mut chain = vec![id];
+        // This frame's chain, above `chain_base`: ids known to reduce to
+        // whatever normal form we end up at.
+        let chain_base = self.chain.len();
+        self.chain.push(id);
         let mut cur = id;
         loop {
             // Contract at the root until stuck.
@@ -389,34 +421,36 @@ impl<'a> MemoRewriter<'a> {
                 cur = next;
                 if let Some(&nf) = self.memo.get(&cur) {
                     self.memo_hits += 1;
-                    return Ok(self.finish(chain, nf));
+                    return Ok(self.finish(chain_base, nf));
                 }
-                if chain.len() < CHAIN_MEMO_CAP {
-                    chain.push(cur);
+                if self.chain.len() - chain_base < CHAIN_MEMO_CAP {
+                    self.chain.push(cur);
                 }
             }
             // Root is stuck: normalise the arguments (each memoised),
             // retrying the root whenever an argument changed — a rule
             // blocked on an inner redex may now match.
             let head = self.store.head(cur);
-            let args: Vec<TermId> = self.store.args(cur).to_vec();
-            let mut new_args = Vec::with_capacity(args.len());
+            let base = self.args.len();
             let mut changed = false;
-            for a in &args {
-                let na = self.norm(*a, budget)?;
-                changed |= na != *a;
-                new_args.push(na);
+            for k in 0..self.store.args(cur).len() {
+                let a = self.store.args(cur)[k];
+                let na = self.norm(a, budget)?;
+                changed |= na != a;
+                self.args.push(na);
             }
             if !changed {
-                return Ok(self.finish(chain, cur));
+                self.args.truncate(base);
+                return Ok(self.finish(chain_base, cur));
             }
-            cur = self.store.node(head, new_args);
+            cur = self.store.node(head, &self.args[base..]);
+            self.args.truncate(base);
             if let Some(&nf) = self.memo.get(&cur) {
                 self.memo_hits += 1;
-                return Ok(self.finish(chain, nf));
+                return Ok(self.finish(chain_base, nf));
             }
-            if chain.len() < CHAIN_MEMO_CAP {
-                chain.push(cur);
+            if self.chain.len() - chain_base < CHAIN_MEMO_CAP {
+                self.chain.push(cur);
             }
             // Back to the top: if normalising the arguments unblocked the
             // root, the contraction loop takes the step (computing it once);
@@ -425,9 +459,10 @@ impl<'a> MemoRewriter<'a> {
         }
     }
 
-    /// Records that every id on the reduction chain normalises to `nf`.
-    fn finish(&mut self, chain: Vec<TermId>, nf: TermId) -> TermId {
-        for c in chain {
+    /// Records that every id on the frame's reduction chain, the one above
+    /// `chain_base`, normalises to `nf`, and pops the chain.
+    fn finish(&mut self, chain_base: usize, nf: TermId) -> TermId {
+        for c in self.chain.drain(chain_base..) {
             self.memo.insert(c, nf);
         }
         self.memo.insert(nf, nf);
@@ -446,20 +481,17 @@ impl<'a> MemoRewriter<'a> {
         let mut out: Vec<VarId> = Vec::new();
         let mut stack = vec![t];
         while let Some(id) = stack.pop() {
-            let args: Vec<TermId> = self.store.args(id).to_vec();
-            for &a in args.iter().rev() {
-                stack.push(a);
-            }
+            let args = self.store.args(id);
+            let nargs = args.len();
+            stack.extend(args.iter().rev());
             let Some(head) = self.store.head_sym(id) else {
                 continue;
             };
-            if !self.sig.is_defined(head) || self.trs.arity_of(head).is_none_or(|n| n > args.len())
-            {
+            if !self.sig.is_defined(head) || self.trs.arity_of(head).is_none_or(|n| n > nargs) {
                 continue;
             }
-            if self.step_root_id(id).is_some() {
-                continue; // reducible, not stuck
-            }
+            // A reducible root has no candidates of its own, and its
+            // arguments are still visited.
             for v in self.root_case_candidates_id(id) {
                 if !out.contains(&v) {
                     out.push(v);
@@ -485,19 +517,21 @@ impl<'a> MemoRewriter<'a> {
             return out;
         }
         let nargs = self.store.args(t).len();
+        let mut bind = std::mem::take(&mut self.bind);
         for rid in self.trs.rules_for(head) {
             let rule: &'a Rule = self.trs.rule(*rid);
             let arity = rule.params().len();
             if arity > nargs {
                 continue;
             }
-            let mut bind: Vec<(VarId, TermId)> = Vec::new();
+            bind.clear();
             let applies = (0..arity).all(|k| {
                 let s = self.store.args(t)[k];
                 self.match_pattern(&rule.params()[k], s, &mut bind)
             });
             if applies {
                 // Reducible at the root: not stuck, nothing blocks.
+                self.bind = bind;
                 return Vec::new();
             }
             let mut blockers = Vec::new();
@@ -521,6 +555,7 @@ impl<'a> MemoRewriter<'a> {
                 }
             }
         }
+        self.bind = bind;
         out
     }
 

@@ -85,25 +85,29 @@ pub struct SearchStats {
     /// Times the depth bound cut a branch.
     pub depth_limit_hits: usize,
     /// Size-change graphs between companions retained by the search's
-    /// companion closure at the end of search (see
+    /// companion closure at the end of the last deepening round (see
     /// `cycleq_sizechange::companion`; per-node path summaries are not
     /// counted).
     pub closure_graphs: usize,
     /// Cold size-change graph compositions performed by the companion
-    /// closure's graph store (memo misses), path summaries included.
+    /// closure's graph store (memo misses), path summaries included, over
+    /// the whole prove call: its deepening rounds share the store.
     pub closure_compositions: u64,
     /// Graph compositions served from that store's `(GraphId, GraphId)`
-    /// memo table — including re-derivations after backtracking, since the
-    /// store survives undo.
+    /// memo table over the call — including re-derivations after
+    /// backtracking and in later deepening rounds, since the store
+    /// survives undo and serves every round.
     pub composition_memo_hits: u64,
     /// Size-change graphs between companions dropped by cross-pair
     /// subsumption pruning (edge-wise dominated by an already-retained
-    /// graph; see `cycleq_sizechange::incremental`).
+    /// graph; see `cycleq_sizechange::incremental`), over the call.
     pub graphs_subsumed: u64,
-    /// Distinct hash-consed size-change graphs interned during the search:
-    /// edge graphs, path summaries and closure graphs.
+    /// Distinct hash-consed size-change graphs interned during the search,
+    /// every deepening round included: edge graphs, path summaries and
+    /// closure graphs.
     pub interned_graphs: usize,
-    /// Normal forms served from the memoised rewriter's cache.
+    /// Normal forms served from the memoised rewriter's cache over the
+    /// call, whose deepening rounds share the cache.
     pub reduce_memo_hits: u64,
     /// Always 0, as no normal form is shared between rewriters. Kept only
     /// because the benchmark reads it, and left out of
@@ -113,7 +117,8 @@ pub struct SearchStats {
     /// Always 0, like [`SearchStats::shared_cache_hits`], and deleted with
     /// it.
     pub shared_cache_misses: u64,
-    /// Distinct hash-consed term nodes interned during the search.
+    /// Distinct hash-consed term nodes interned during the search, every
+    /// deepening round included: the rounds share one store.
     pub interned_nodes: usize,
     /// Wall-clock time spent.
     pub elapsed: Duration,
@@ -121,11 +126,12 @@ pub struct SearchStats {
 
 impl SearchStats {
     /// Adds every counter of `other` into `self` (including the gauges
-    /// `closure_graphs`/`interned_nodes` and `elapsed`). Aggregators with
-    /// gauge semantics — e.g. the prover's deepening loop, which reports
-    /// the *final* round's gauge values — call this and then overwrite the
-    /// gauge fields; keeping the summation in one place means a counter
-    /// added to this struct is aggregated everywhere automatically.
+    /// `closure_graphs`/`interned_nodes` and `elapsed`), as a batch sums
+    /// its goals. The prover's deepening loop absorbs each round's search
+    /// counters, and reads the counts of the stores its rounds share once,
+    /// when the call ends. Keeping the summation in one place means a
+    /// counter added to this struct is aggregated everywhere
+    /// automatically.
     pub fn absorb(&mut self, other: &SearchStats) {
         self.nodes_created += other.nodes_created;
         self.rounds += other.rounds;
@@ -148,9 +154,10 @@ impl SearchStats {
     }
 
     /// Keys with gauge semantics: they describe end-of-search sizes rather
-    /// than monotone event counts. A goal keeps its last deepening round's
-    /// sizes, a batch sums them over its goals, and `--metrics-out` exports
-    /// them as gauges.
+    /// than monotone event counts. A goal reports the sizes of the stores
+    /// its deepening rounds share (`interned_graphs`, `interned_nodes`)
+    /// and its last round's `closure_graphs`, a batch sums them over its
+    /// goals, and `--metrics-out` exports them as gauges.
     pub const GAUGE_KEYS: &'static [&'static str] =
         &["closure_graphs", "interned_graphs", "interned_nodes"];
 

@@ -36,7 +36,7 @@ use cycleq_proof::{edge_graph_id, InternedPreproof, NodeId, Preproof, RuleApp, S
 use cycleq_rewrite::{CancelToken, Interrupted, MemoRewriter, NormalizedId, Program, RunLimits};
 use cycleq_sizechange::{CompanionClosure, CompanionMark, Soundness};
 use cycleq_term::{
-    Equation, Head, IdSubst, Position, SymId, TermId, TermStore, TyUnifier, Type, VarId, VarStore,
+    Equation, Head, IdSubst, Preorder, SymId, TermId, TermStore, TyUnifier, Type, VarId, VarStore,
 };
 
 use crate::budget::Budget;
@@ -198,42 +198,30 @@ impl<'a> Prover<'a> {
         let max_nodes = effective.max_nodes.unwrap_or(usize::MAX);
         let fuel = effective.fuel.unwrap_or(usize::MAX);
         let mut depth = self.config.initial_depth.min(self.config.max_depth).max(1);
+        // One search for the whole call: its term store, normal-form memo
+        // and size-change graph store carry over from round to round, so a
+        // deeper round does not rebuild what the shallower ones built.
+        let mut search = Search::new(self.prog, &self.config, limits, max_nodes, fuel);
         let mut total = SearchStats::default();
         loop {
             // The node budget is a *per-call* ceiling: nodes created by
             // earlier deepening rounds count against it, so deepening can
             // never multiply the requested bound.
-            let nodes_before = total.nodes_created;
             let round_span = cycleq_trace::span!("round");
-            let round = self.prove_round(
-                &goal,
-                vars.clone(),
-                hints,
-                &limits,
-                nodes_before,
-                max_nodes,
-                fuel,
-                depth,
-            );
+            let outcome = search.round(&goal, &vars, hints, depth, total.nodes_created);
             drop(round_span);
-            total.absorb(&round.stats);
+            total.absorb(&search.stats);
             total.rounds += 1;
-            // Gauges, not counters: each deepening round re-interns into a
-            // fresh store, so report the final round's sizes rather than
-            // the sums `absorb` produced.
-            total.closure_graphs = round.stats.closure_graphs;
-            total.interned_nodes = round.stats.interned_nodes;
-            total.interned_graphs = round.stats.interned_graphs;
-            let deepen = matches!(round.outcome, Outcome::Exhausted)
-                && round.stats.depth_limit_hits > 0
+            let deepen = matches!(outcome, Outcome::Exhausted)
+                && search.stats.depth_limit_hits > 0
                 && depth < self.config.max_depth;
             if !deepen {
-                let mut stats = total;
-                stats.elapsed = start.elapsed();
+                search.add_store_stats(&mut total);
+                total.elapsed = start.elapsed();
                 return ProofResult {
-                    outcome: round.outcome,
-                    proof: round.search.resolve_proof(),
-                    stats,
+                    outcome,
+                    proof: search.resolve_proof(),
+                    stats: total,
                 };
             }
             depth = (depth + self.config.depth_step).min(self.config.max_depth);
@@ -242,82 +230,6 @@ impl<'a> Prover<'a> {
             }
         }
     }
-
-    /// One bounded-DFS round at a fixed depth limit.
-    #[allow(clippy::too_many_arguments)]
-    fn prove_round(
-        &self,
-        goal: &Equation,
-        vars: VarStore,
-        hints: &[Equation],
-        limits: &RunLimits,
-        nodes_before: usize,
-        max_nodes: usize,
-        fuel: usize,
-        depth_limit: usize,
-    ) -> Round<'_> {
-        let rw = MemoRewriter::new(&self.prog.sig, &self.prog.trs).with_fuel(fuel);
-        let mut search = Search {
-            prog: self.prog,
-            config: &self.config,
-            depth_limit,
-            proof: InternedPreproof::with_vars(vars),
-            rw,
-            closure: CompanionClosure::new(),
-            lemmas: Vec::new(),
-            path_goals: Vec::new(),
-            stats: SearchStats::default(),
-            limits: limits.clone(),
-            nodes_before,
-            max_nodes,
-        };
-        let mut outcome = None;
-        for (i, hint) in hints.iter().enumerate() {
-            let id = search.push_equation(hint);
-            // A hint root is a lemma target, so it is a companion from the
-            // start.
-            search.make_companion(id);
-            match search.solve(id, 0, true) {
-                Ok(Solve::Solved) => search.lemmas.push(id),
-                // A refuted hint says nothing about the goal.
-                Ok(Solve::Failed) | Err(Stop::Refuted) => {
-                    outcome = Some(Outcome::HintFailed { index: i });
-                    break;
-                }
-                Err(stop) => {
-                    outcome = Some(stop_outcome(stop));
-                    break;
-                }
-            }
-        }
-        let root = search.push_equation(goal);
-        let outcome = outcome.unwrap_or_else(|| match search.solve(root, 0, true) {
-            Ok(Solve::Solved) => Outcome::Proved { root },
-            Ok(Solve::Failed) => Outcome::Exhausted,
-            Err(stop) => stop_outcome(stop),
-        });
-        let mut stats = std::mem::take(&mut search.stats);
-        stats.closure_graphs = search.closure.num_graphs();
-        stats.closure_compositions = search.closure.compositions();
-        stats.composition_memo_hits = search.closure.memo_hits();
-        stats.graphs_subsumed = search.closure.subsumed();
-        stats.interned_graphs = search.closure.interned_graphs();
-        stats.reduce_memo_hits = search.rw.memo_hits();
-        stats.interned_nodes = search.rw.store().len();
-        Round {
-            outcome,
-            stats,
-            search,
-        }
-    }
-}
-
-/// What one deepening round leaves: its verdict and counters, and the
-/// search itself, whose preproof is resolved only if the round is the last.
-struct Round<'a> {
-    outcome: Outcome,
-    stats: SearchStats,
-    search: Search<'a>,
 }
 
 fn stop_outcome(stop: Stop) -> Outcome {
@@ -356,21 +268,27 @@ struct Search<'a> {
     config: &'a SearchConfig,
     /// Depth bound of the current iterative-deepening round.
     depth_limit: usize,
-    /// The preproof under construction. Each node holds the ids of its two
-    /// sides in `rw`'s store and nothing owned; [`Search::resolve_proof`]
-    /// builds the owned equations once, when the round's proof is returned.
+    /// The round's preproof under construction. Each node holds the ids of
+    /// its two sides in `rw`'s store and nothing owned;
+    /// [`Search::resolve_proof`] builds the owned equations once, when the
+    /// last round's proof is returned.
     proof: InternedPreproof,
     /// The memoising rewriter; owns the term store every node equation of
-    /// this round is interned into. Normal forms are cached across the
-    /// whole round (including backtracking — the rewrite system never
-    /// changes, so entries stay valid).
+    /// the prove call is interned into. Terms and normal forms are cached
+    /// across backtracking and across deepening rounds: both are
+    /// type-free and depend on the program alone, and every type is read
+    /// from the current round's variable store.
     rw: MemoRewriter<'a>,
     /// The size-change closure contracted onto companions: the lemma
     /// targets (hint roots, and `(Case)`-justified nodes or, under
-    /// [`LemmaPolicy::AllNodes`], every justified node). It owns the
-    /// round's [`cycleq_sizechange::GraphStore`], so compositions stay
-    /// memoized across backtracking.
+    /// [`LemmaPolicy::AllNodes`], every justified node). Its graphs are
+    /// the round's: each round rewinds it to `empty`. Its
+    /// [`cycleq_sizechange::GraphStore`] is append-only and serves the
+    /// whole call, so compositions stay memoized across backtracking and
+    /// across rounds.
     closure: CompanionClosure<VarId, NodeId>,
+    /// The closure's mark before any companion or edge.
+    empty: CompanionMark,
     /// Lemma candidates: `(Case)`-justified ancestors/cousins plus proven
     /// hints, in creation order.
     lemmas: Vec<NodeId>,
@@ -378,6 +296,7 @@ struct Search<'a> {
     /// `(Subst)` continuations that recreate an ancestor goal up to
     /// renaming and orientation ([`TermStore::same_equation`]).
     path_goals: Vec<(TermId, TermId)>,
+    /// The current round's counters.
     stats: SearchStats,
     /// External limits (deadline + cancellation), polled at every DFS node
     /// and inside committed reduction chains.
@@ -391,8 +310,89 @@ struct Search<'a> {
 }
 
 impl<'a> Search<'a> {
+    fn new(
+        prog: &'a Program,
+        config: &'a SearchConfig,
+        limits: RunLimits,
+        max_nodes: usize,
+        fuel: usize,
+    ) -> Search<'a> {
+        let closure = CompanionClosure::new();
+        Search {
+            prog,
+            config,
+            depth_limit: 0,
+            proof: InternedPreproof::default(),
+            rw: MemoRewriter::new(&prog.sig, &prog.trs).with_fuel(fuel),
+            empty: closure.mark(),
+            closure,
+            lemmas: Vec::new(),
+            path_goals: Vec::new(),
+            stats: SearchStats::default(),
+            limits,
+            nodes_before: 0,
+            max_nodes,
+        }
+    }
+
+    /// One bounded-DFS round at a fixed depth limit: the hints, then the
+    /// goal. The round starts from a fresh preproof over the goal's
+    /// variables (so fresh names restart, and certificates do not depend
+    /// on earlier rounds), no lemmas, an empty DFS path, zeroed counters
+    /// and a closure rewound to `empty`.
+    fn round(
+        &mut self,
+        goal: &Equation,
+        vars: &VarStore,
+        hints: &[Equation],
+        depth_limit: usize,
+        nodes_before: usize,
+    ) -> Outcome {
+        self.depth_limit = depth_limit;
+        self.nodes_before = nodes_before;
+        self.proof = InternedPreproof::with_vars(vars.clone());
+        self.closure.undo_to(self.empty);
+        self.lemmas.clear();
+        self.path_goals.clear();
+        self.stats = SearchStats::default();
+        for (i, hint) in hints.iter().enumerate() {
+            let id = self.push_equation(hint);
+            // A hint root is a lemma target, so it is a companion from the
+            // start.
+            self.make_companion(id);
+            match self.solve(id, 0, true) {
+                Ok(Solve::Solved) => self.lemmas.push(id),
+                // A refuted hint says nothing about the goal.
+                Ok(Solve::Failed) | Err(Stop::Refuted) => {
+                    return Outcome::HintFailed { index: i };
+                }
+                Err(stop) => return stop_outcome(stop),
+            }
+        }
+        let root = self.push_equation(goal);
+        match self.solve(root, 0, true) {
+            Ok(Solve::Solved) => Outcome::Proved { root },
+            Ok(Solve::Failed) => Outcome::Exhausted,
+            Err(stop) => stop_outcome(stop),
+        }
+    }
+
+    /// Fills the counters of the stores the rounds share into `stats`,
+    /// once per call: the memo and composition counts are totals over the
+    /// call, the store sizes are the call's, and `closure_graphs` is what
+    /// the last round's closure retains.
+    fn add_store_stats(&self, stats: &mut SearchStats) {
+        stats.closure_graphs = self.closure.num_graphs();
+        stats.closure_compositions = self.closure.compositions();
+        stats.composition_memo_hits = self.closure.memo_hits();
+        stats.graphs_subsumed = self.closure.subsumed();
+        stats.interned_graphs = self.closure.interned_graphs();
+        stats.reduce_memo_hits = self.rw.memo_hits();
+        stats.interned_nodes = self.rw.store().len();
+    }
+
     /// Pushes an open node for an owned equation (the goal or a hint),
-    /// interning both sides into the round's store.
+    /// interning both sides into the call's store.
     fn push_equation(&mut self, eq: &Equation) -> NodeId {
         let l = self.rw.intern(eq.lhs());
         let r = self.rw.intern(eq.rhs());
@@ -422,15 +422,15 @@ impl<'a> Search<'a> {
         vars
     }
 
-    /// The round's preproof with every surviving node's sides resolved
-    /// into an owned equation, in one pass.
+    /// The last round's preproof with every surviving node's sides
+    /// resolved into an owned equation, in one pass.
     fn resolve_proof(self) -> Preproof {
         let store = self.rw.store();
         self.proof
             .map_equations(|(l, r)| Equation::new(store.resolve(l), store.resolve(r)))
     }
 
-    /// Normalises with the round's memo table, honouring the wall-clock
+    /// Normalises with the call's memo table, honouring the wall-clock
     /// deadline and the cancellation token *inside* the reduction loop: a
     /// single long committed reduction chain can neither blow past
     /// `config.timeout` nor survive a cancellation.
@@ -631,6 +631,13 @@ impl<'a> Search<'a> {
 
     /// The backtrackable rules: `(Subst)` then `(Case)`, both running over
     /// interned terms.
+    ///
+    /// Two leaf spans time them: `subst` the `(Subst)` scan (position
+    /// listing, matching, replacement and the path checks) and `case` the
+    /// `(Case)` candidates and the construction of each split. Neither is
+    /// open while a continuation is normalised (`normalize`), an edge lands
+    /// (`closure_update`), a step is undone (`undo`) or a premise is
+    /// solved.
     fn solve_choice_points(
         &mut self,
         node: NodeId,
@@ -638,7 +645,10 @@ impl<'a> Search<'a> {
         lid: TermId,
         rid: TermId,
     ) -> SolveResult {
-        // 5. (Subst): try existing lemmas, most recent first.
+        // 5. (Subst): try existing lemmas, most recent first. The scan's
+        //    span closes for each attempt that passes the path check, and
+        //    the next candidate reopens it.
+        let mut scan = Some(cycleq_trace::span!("subst"));
         let candidates: Vec<NodeId> = match self.config.lemma_policy {
             LemmaPolicy::CaseOnly => self.lemmas.iter().rev().copied().collect(),
             LemmaPolicy::AllNodes => {
@@ -688,7 +698,8 @@ impl<'a> Search<'a> {
                     // Only a subterm with the pattern's head symbol can
                     // match it, so the others are skipped unmatched.
                     for i in side_positions.headed_by(head) {
-                        let (ref pos, sub) = side_positions.all[i];
+                        scan.get_or_insert_with(|| cycleq_trace::span!("subst"));
+                        let sub = side_positions.all.term(i);
                         let Some(theta) = self.rw.store_mut().match_terms(from, sub) else {
                             continue;
                         };
@@ -697,10 +708,11 @@ impl<'a> Search<'a> {
                             continue;
                         }
                         self.stats.subst_attempts += 1;
+                        let pos = side_positions.all.position(i);
                         let rewritten = self
                             .rw
                             .store_mut()
-                            .replace_at(side_id, pos, replacement)
+                            .replace_at(side_id, &pos, replacement)
                             .expect("valid position");
                         let (cont_l, cont_r) = match side {
                             Side::Lhs => (rewritten, rid),
@@ -714,20 +726,23 @@ impl<'a> Search<'a> {
                         if self.on_path(cont_l, cont_r) {
                             continue;
                         }
+                        scan = None;
                         let nl = self.normalize_or_stop(cont_l)?;
                         let nr = self.normalize_or_stop(cont_r)?;
+                        let check = cycleq_trace::span!("subst");
                         if self.on_path(nl.id, nr.id) {
                             continue;
                         }
+                        let theta = theta.resolve(self.rw.store());
+                        drop(check);
                         let frame = self.mark();
                         let cont = self.push_node((cont_l, cont_r));
-                        let theta_owned = theta.resolve(self.rw.store());
                         self.justify(
                             node,
                             RuleApp::Subst(SubstApp {
                                 side,
-                                pos: pos.clone(),
-                                theta: theta_owned,
+                                pos,
+                                theta,
                                 lemma_flipped: flipped,
                             }),
                             vec![lemma_id, cont],
@@ -746,8 +761,10 @@ impl<'a> Search<'a> {
                 }
             }
         }
+        drop(scan);
 
         // 6. (Case): split on a variable blocking reduction.
+        let case = cycleq_trace::span!("case");
         let mut cands = self.rw.case_candidates_id(lid);
         for v in self.rw.case_candidates_id(rid) {
             if !cands.contains(&v) {
@@ -759,7 +776,10 @@ impl<'a> Search<'a> {
         } else {
             self.node_vars(node)
         };
+        drop(case);
+        let mut pattern_args = Vec::new();
         for v in cands {
+            let case = cycleq_trace::span!("case");
             // The frame is taken first so that backtracking also frees the
             // branches' fresh variables.
             let frame = self.mark();
@@ -773,17 +793,16 @@ impl<'a> Search<'a> {
             self.stats.case_splits += 1;
             let mut premises = Vec::with_capacity(branches.len());
             for b in &branches {
-                let pattern_args: Vec<TermId> = b
-                    .fresh
-                    .iter()
-                    .map(|w| self.rw.store_mut().var(*w))
-                    .collect();
-                let pattern = self.rw.store_mut().node(Head::Sym(b.con), pattern_args);
+                let store = self.rw.store_mut();
+                pattern_args.clear();
+                pattern_args.extend(b.fresh.iter().map(|w| store.var(*w)));
+                let pattern = store.node(Head::Sym(b.con), &pattern_args);
                 let theta = IdSubst::singleton(v, pattern);
-                let branch_l = self.rw.store_mut().subst(lid, &theta);
-                let branch_r = self.rw.store_mut().subst(rid, &theta);
+                let branch_l = store.subst(lid, &theta);
+                let branch_r = store.subst(rid, &theta);
                 premises.push(self.push_node((branch_l, branch_r)));
             }
+            drop(case);
             self.justify(node, RuleApp::Case { var: v, branches }, premises.clone());
             for i in 0..premises.len() {
                 self.add_proof_edge(node, i);
@@ -811,24 +830,26 @@ impl<'a> Search<'a> {
     }
 }
 
-/// The subterm occurrences of one side of a node, for `(Subst)`: every
-/// `(position, subterm)` pair in preorder, and the preorder indices of the
-/// symbol-headed ones sorted by (head symbol, index). This is top-symbol
-/// indexing, the simplest discrimination tree: a pattern headed by `f` can
-/// match only a subterm headed by `f`.
+/// The subterm occurrences of one side of a node, for `(Subst)`: the
+/// side's [`Preorder`] listing, whose parent links give an occurrence's
+/// [`Position`](cycleq_term::Position) only when an attempt there matched,
+/// and the preorder indices of the symbol-headed occurrences sorted by
+/// (head symbol, index). This is top-symbol indexing, the simplest
+/// discrimination tree: a pattern headed by `f` can match only a subterm
+/// headed by `f`.
 #[derive(Default)]
 struct SidePositions {
-    all: Vec<(Position, TermId)>,
+    all: Preorder,
     by_head: Vec<(SymId, usize)>,
 }
 
 impl SidePositions {
     fn new(store: &TermStore, id: TermId) -> SidePositions {
-        let all = store.positions(id);
+        let all = store.preorder(id);
         let mut by_head: Vec<(SymId, usize)> = all
-            .iter()
+            .terms()
             .enumerate()
-            .filter_map(|(i, &(_, sub))| Some((store.head_sym(sub)?, i)))
+            .filter_map(|(i, sub)| Some((store.head_sym(sub)?, i)))
             .collect();
         by_head.sort_unstable();
         SidePositions { all, by_head }

@@ -55,7 +55,7 @@ pub use matching::match_term;
 pub use position::{Position, Positions};
 pub use pretty::{TermDisplay, TypeDisplay};
 pub use signature::{DataDecl, DataId, Signature, SignatureError, SymDecl, SymId, SymKind};
-pub use store::{IdSubst, TermId, TermStore};
+pub use store::{IdSubst, Preorder, TermId, TermStore};
 pub use subst::Subst;
 pub use term::{Head, Term};
 pub use types::{TyUnifier, TyVarId, Type, TypeError, TypeErrorDisplay, TypeScheme};

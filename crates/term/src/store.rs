@@ -15,8 +15,11 @@
 //!
 //! The hash-consing table and the substitution memo are keyed by ids, so
 //! they hash with the seeded multiply-rotate [`crate::IdHasher`] rather
-//! than SipHash. Equations are compared up to renaming and orientation on
-//! ids too ([`TermStore::same_equation`]), without building canonical keys.
+//! than SipHash. A node is looked up by its flat key (its head, then its
+//! argument ids) written into a buffer the store keeps, so interning a
+//! node that exists allocates nothing; only a new node allocates. Equations
+//! are compared up to renaming and orientation on ids too
+//! ([`TermStore::same_equation`]), without building canonical keys.
 //!
 //! The owned [`Term`] API remains the boundary representation: the frontend
 //! lowers to owned terms, pretty-printing and the independent proof checker
@@ -66,7 +69,79 @@ struct NodeData {
 #[derive(Clone, Debug, Default)]
 pub struct TermStore {
     nodes: Vec<NodeData>,
-    table: IdHashMap<(Head, Box<[TermId]>), TermId>,
+    /// Each node's id by its flat key: the two words of its head (see
+    /// [`head_words`]), then its argument ids.
+    table: IdHashMap<Box<[u32]>, TermId>,
+    /// The flat key of the node being interned. Looking it up borrows it,
+    /// so a node that exists is found without an allocation.
+    key: Vec<u32>,
+    /// [`TermStore::subst`]'s memo table, cleared on each call and kept
+    /// for its capacity.
+    subst_memo: IdHashMap<TermId, TermId>,
+    /// [`TermStore::subst`]'s stack of instantiated arguments.
+    subst_args: Vec<TermId>,
+}
+
+/// The two key words of a head: a tag, then the variable's or symbol's
+/// index.
+fn head_words(head: Head) -> [u32; 2] {
+    match head {
+        Head::Var(v) => [0, v.index() as u32],
+        Head::Sym(s) => [1, s.index() as u32],
+    }
+}
+
+/// The subterm occurrences of a term in preorder, the term itself first,
+/// as [`TermStore::preorder`] lists them. Each occurrence records the
+/// preorder index of its parent and its argument index there, so the
+/// [`Position`] of an occurrence is built only when it is asked for.
+#[derive(Clone, Debug, Default)]
+pub struct Preorder {
+    /// `(subterm, parent index, argument index)`; the root, at index 0,
+    /// has neither and records zeros.
+    occurrences: Vec<(TermId, u32, u32)>,
+}
+
+impl Preorder {
+    /// The number of occurrences, which is the term's size.
+    pub fn len(&self) -> usize {
+        self.occurrences.len()
+    }
+
+    /// Whether there are no occurrences (only for the default value).
+    pub fn is_empty(&self) -> bool {
+        self.occurrences.is_empty()
+    }
+
+    /// The subterm at occurrence `i`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `i` is out of range.
+    pub fn term(&self, i: usize) -> TermId {
+        self.occurrences[i].0
+    }
+
+    /// The subterms in preorder.
+    pub fn terms(&self) -> impl Iterator<Item = TermId> + '_ {
+        self.occurrences.iter().map(|&(t, _, _)| t)
+    }
+
+    /// The position of occurrence `i`, read off the parent links.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `i` is out of range.
+    pub fn position(&self, mut i: usize) -> Position {
+        let mut path = Vec::new();
+        while i > 0 {
+            let (_, parent, arg) = self.occurrences[i];
+            path.push(arg);
+            i = parent as usize;
+        }
+        path.reverse();
+        Position::from_indices(path)
+    }
 }
 
 impl TermStore {
@@ -88,14 +163,38 @@ impl TermStore {
     /// Interns the node `head args…`, reusing an existing id when the same
     /// node was interned before.
     ///
-    /// The hit path (by far the common case in a warmed-up prover) does not
-    /// allocate: the lookup key is the moved-in arguments themselves.
-    pub fn node(&mut self, head: Head, args: Vec<TermId>) -> TermId {
-        let key = (head, args.into_boxed_slice());
-        if let Some(&id) = self.table.get(&key) {
+    /// Finding a node that exists, by far the common case in a warmed-up
+    /// prover, allocates nothing: the key is written into a buffer the
+    /// store keeps and looked up borrowed.
+    pub fn node(&mut self, head: Head, args: &[TermId]) -> TermId {
+        self.start_key(head);
+        self.key.extend(args.iter().map(|a| a.0));
+        self.intern_key(head)
+    }
+
+    /// Starts the key of a node headed by `head` in the key buffer.
+    fn start_key(&mut self, head: Head) {
+        self.key.clear();
+        self.key.extend_from_slice(&head_words(head));
+    }
+
+    /// Starts the key of a node with the head of `id` and its first `n`
+    /// arguments, and returns the head.
+    fn start_spine_key(&mut self, id: TermId, n: usize) -> Head {
+        let node = &self.nodes[id.index()];
+        self.key.clear();
+        self.key.extend_from_slice(&head_words(node.head));
+        self.key.extend(node.args[..n].iter().map(|a| a.0));
+        node.head
+    }
+
+    /// Interns the node headed by `head` whose whole key the key buffer
+    /// holds.
+    fn intern_key(&mut self, head: Head) -> TermId {
+        if let Some(&id) = self.table.get(self.key.as_slice()) {
             return id;
         }
-        let args = key.1.clone();
+        let args: Box<[TermId]> = self.key[2..].iter().map(|&a| TermId(a)).collect();
         let mut size: u32 = 1;
         let mut depth: u32 = 0;
         let mut vars: Vec<VarId> = match head {
@@ -119,18 +218,18 @@ impl TermStore {
             ground: vars.is_empty(),
             vars: vars.into_boxed_slice(),
         });
-        self.table.insert(key, id);
+        self.table.insert(self.key.as_slice().into(), id);
         id
     }
 
     /// Interns the bare variable `v`.
     pub fn var(&mut self, v: VarId) -> TermId {
-        self.node(Head::Var(v), Vec::new())
+        self.node(Head::Var(v), &[])
     }
 
     /// Interns the bare symbol `s`.
     pub fn sym(&mut self, s: SymId) -> TermId {
-        self.node(Head::Sym(s), Vec::new())
+        self.node(Head::Sym(s), &[])
     }
 
     /// Interns an owned term (and all of its subterms).
@@ -151,7 +250,7 @@ impl TermStore {
             let top = stack.last_mut().expect("stack starts non-empty");
             if top.args.len() == top.t.args().len() {
                 let f = stack.pop().expect("just observed");
-                let id = self.node(f.t.head(), f.args);
+                let id = self.node(f.t.head(), &f.args);
                 match stack.last_mut() {
                     Some(parent) => parent.args.push(id),
                     None => return id,
@@ -298,28 +397,29 @@ impl TermStore {
         if extra.is_empty() {
             return id;
         }
-        let n = &self.nodes[id.index()];
-        let head = n.head;
-        let mut args: Vec<TermId> = n.args.to_vec();
-        args.extend_from_slice(extra);
-        self.node(head, args)
+        let head = self.start_spine_key(id, self.args(id).len());
+        self.key.extend(extra.iter().map(|a| a.0));
+        self.intern_key(head)
     }
 
-    /// All `(position, subterm)` pairs in preorder (the term itself first).
+    /// Every subterm occurrence of the term in preorder, the term itself
+    /// first.
     ///
-    /// Positions address the *tree* reading of the term: shared ids appear
-    /// once per occurrence, exactly like [`Term::positions`].
-    pub fn positions(&self, id: TermId) -> Vec<(Position, TermId)> {
-        let mut out = Vec::with_capacity(self.size(id));
-        let mut stack = vec![(Position::root(), id)];
-        while let Some((pos, t)) = stack.pop() {
-            let n = &self.nodes[t.index()];
-            for (i, &a) in n.args.iter().enumerate().rev() {
-                stack.push((pos.child(i as u32), a));
+    /// Occurrences address the *tree* reading of the term: shared ids
+    /// appear once per occurrence, exactly like [`Term::positions`]. The
+    /// listing is one vector filled in one pass: an occurrence's first
+    /// argument follows it, and each further argument follows the cached
+    /// size of the one before.
+    pub fn preorder(&self, id: TermId) -> Preorder {
+        let mut occurrences = vec![(id, 0, 0); self.size(id)];
+        for i in 0..occurrences.len() {
+            let mut next = i + 1;
+            for (k, &a) in self.args(occurrences[i].0).iter().enumerate() {
+                occurrences[next] = (a, i as u32, k as u32);
+                next += self.size(a);
             }
-            out.push((pos, t));
         }
-        out
+        Preorder { occurrences }
     }
 
     /// The subterm at a position, if the position is valid.
@@ -343,37 +443,43 @@ impl TermStore {
     }
 
     fn replace_rec(&mut self, id: TermId, path: &[u32], replacement: TermId) -> Option<TermId> {
-        match path.split_first() {
-            None => Some(replacement),
-            Some((&i, rest)) => {
-                let n = &self.nodes[id.index()];
-                let head = n.head;
-                let mut args: Vec<TermId> = n.args.to_vec();
-                let slot = args.get_mut(i as usize)?;
-                *slot = self.replace_rec(*slot, rest, replacement)?;
-                Some(self.node(head, args))
-            }
-        }
+        let Some((&i, rest)) = path.split_first() else {
+            return Some(replacement);
+        };
+        let child = *self.nodes[id.index()].args.get(i as usize)?;
+        let child = self.replace_rec(child, rest, replacement)?;
+        let head = self.start_spine_key(id, self.args(id).len());
+        self.key[2 + i as usize] = child.0;
+        Some(self.intern_key(head))
     }
 
     /// Applies a variable→id substitution, sharing work across repeated
-    /// subterms via a per-call memo (the result of substituting a given
-    /// node is computed once even when the node occurs many times).
+    /// subterms via a memo table (the result of substituting a given node
+    /// is computed once even when the node occurs many times). The table
+    /// and the stack of instantiated arguments are the store's own,
+    /// emptied on each call, so a call allocates only while they grow.
     /// Subterms that contain no variable bound by `theta` are returned
     /// as they are, without a walk.
     pub fn subst(&mut self, id: TermId, theta: &IdSubst) -> TermId {
         if theta.is_empty() {
             return id;
         }
-        let mut memo = IdHashMap::default();
-        self.subst_memo(id, theta, &mut memo)
+        let mut memo = std::mem::take(&mut self.subst_memo);
+        let mut args = std::mem::take(&mut self.subst_args);
+        memo.clear();
+        args.clear();
+        let out = self.subst_rec(id, theta, &mut memo, &mut args);
+        self.subst_memo = memo;
+        self.subst_args = args;
+        out
     }
 
-    fn subst_memo(
+    fn subst_rec(
         &mut self,
         id: TermId,
         theta: &IdSubst,
         memo: &mut IdHashMap<TermId, TermId>,
+        args: &mut Vec<TermId>,
     ) -> TermId {
         // A subterm none of whose variables θ binds is its own image (ground
         // subterms included): hash-consing would rebuild exactly `id`.
@@ -383,22 +489,25 @@ impl TermStore {
         if let Some(&done) = memo.get(&id) {
             return done;
         }
-        let n = &self.nodes[id.index()];
-        let head = n.head;
-        let args: Vec<TermId> = n.args.to_vec();
-        let new_args: Vec<TermId> = args
-            .iter()
-            .map(|&a| self.subst_memo(a, theta, memo))
-            .collect();
+        // The instantiated arguments go on the shared stack above `base`,
+        // and the stack is cut back to `base` once the node is built.
+        let base = args.len();
+        for k in 0..self.nodes[id.index()].args.len() {
+            let a = self.nodes[id.index()].args[k];
+            let image = self.subst_rec(a, theta, memo, args);
+            args.push(image);
+        }
+        let head = self.nodes[id.index()].head;
         let out = match head {
             Head::Var(v) => match theta.get(v) {
                 // Splice the binding's spine, appending the instantiated
                 // arguments (the applicative reading, as in `Subst::apply`).
-                Some(bound) => self.apply_args(bound, &new_args),
-                None => self.node(head, new_args),
+                Some(bound) => self.apply_args(bound, &args[base..]),
+                None => self.node(head, &args[base..]),
             },
-            Head::Sym(_) => self.node(head, new_args),
+            Head::Sym(_) => self.node(head, &args[base..]),
         };
+        args.truncate(base);
         memo.insert(id, out);
         out
     }
@@ -432,12 +541,11 @@ impl TermStore {
                     return false;
                 }
                 let split = m - pargs_len;
-                let prefix = if split == self.args(subject).len() {
+                let prefix = if split == m {
                     subject
                 } else {
-                    let shead = self.head(subject);
-                    let pre: Vec<TermId> = self.args(subject)[..split].to_vec();
-                    self.node(shead, pre)
+                    let shead = self.start_spine_key(subject, split);
+                    self.intern_key(shead)
                 };
                 match theta.get(v) {
                     Some(bound) if bound != prefix => return false,
@@ -628,17 +736,54 @@ mod tests {
         let t = Term::apps(f.add, vec![f.s(Term::var(x)), f.num(1)]);
         let id = store.intern(&t);
         let owned: Vec<_> = t.positions().map(|(p, s)| (p, s.clone())).collect();
-        let interned = store.positions(id);
-        assert_eq!(owned.len(), interned.len());
-        for ((p1, s1), (p2, s2)) in owned.iter().zip(&interned) {
-            assert_eq!(p1, p2);
-            assert_eq!(&store.resolve(*s2), s1);
-        }
+        let preorder = store.preorder(id);
+        assert_eq!(owned.len(), preorder.len());
         let z = store.sym(f.zero);
-        for (pos, _) in &interned {
+        for (i, (pos, sub)) in owned.iter().enumerate() {
+            assert_eq!(&preorder.position(i), pos);
+            assert_eq!(&store.resolve(preorder.term(i)), sub);
             let replaced = store.replace_at(id, pos, z).unwrap();
             let expected = t.replace_at(pos, Term::sym(f.zero)).unwrap();
             assert_eq!(store.resolve(replaced), expected);
+        }
+    }
+
+    #[test]
+    fn node_finds_an_existing_node_without_growing() {
+        let f = NatList::new();
+        let mut store = TermStore::new();
+        let id = store.intern(&Term::apps(f.add, vec![f.num(2), f.num(1)]));
+        let len = store.len();
+        let args = store.args(id).to_vec();
+        assert_eq!(store.node(store.head(id), &args), id);
+        assert_eq!(store.len(), len);
+        // A bare variable and a bare symbol under the same index are
+        // different nodes.
+        let v = store.var(VarId::from_index(f.zero.index()));
+        assert_ne!(v, store.sym(f.zero));
+        assert_eq!(store.len(), len + 1);
+    }
+
+    #[test]
+    fn consecutive_substs_do_not_reuse_stale_images() {
+        let f = NatList::new();
+        let mut vars = VarStore::new();
+        let x = vars.fresh("x", f.nat_ty());
+        let y = vars.fresh("y", f.nat_ty());
+        let mut store = TermStore::new();
+        // `S x` occurs in both terms, and twice in the first.
+        let sx = f.s(Term::var(x));
+        let t = Term::apps(f.add, vec![sx.clone(), sx.clone()]);
+        let u = Term::apps(f.add, vec![sx, Term::var(y)]);
+        let (tid, uid) = (store.intern(&t), store.intern(&u));
+        for (term, id, bound) in [
+            (&t, tid, f.num(2)),
+            (&u, uid, f.num(0)),
+            (&t, tid, Term::var(y)),
+        ] {
+            let theta = IdSubst::singleton(x, store.intern(&bound));
+            let out = store.subst(id, &theta);
+            assert_eq!(store.resolve(out), Subst::singleton(x, bound).apply(term));
         }
     }
 

@@ -216,13 +216,16 @@ fn interned_positions_agree_with_owned() {
     proptest!(cfg(), |(t in nat_term(&f, &vs))| {
         let mut store = cycleq_term::TermStore::new();
         let id = store.intern(&t);
-        let owned: Vec<_> = t.positions().map(|(p, s)| (p, s.clone())).collect();
-        let interned = store.positions(id);
-        prop_assert_eq!(owned.len(), interned.len());
-        for ((p1, s1), (p2, s2)) in owned.iter().zip(&interned) {
-            prop_assert_eq!(p1, p2);
-            prop_assert_eq!(&store.resolve(*s2), s1);
-            prop_assert_eq!(store.at(id, p1), Some(*s2));
+        let resolved = store.resolve(id);
+        let owned: Vec<_> = resolved.positions().map(|(p, s)| (p, s.clone())).collect();
+        let preorder = store.preorder(id);
+        prop_assert_eq!(owned.len(), preorder.len());
+        for (i, (pos, sub)) in owned.iter().enumerate() {
+            // The position built on demand from the parent links is the
+            // owned term's position of the same preorder index.
+            prop_assert_eq!(&preorder.position(i), pos);
+            prop_assert_eq!(&store.resolve(preorder.term(i)), sub);
+            prop_assert_eq!(store.at(id, pos), Some(preorder.term(i)));
         }
     });
 }

@@ -208,7 +208,15 @@ fn session_profile_reports_the_span_taxonomy() {
     let verdict = session.prove("addComm").expect("proves");
     assert!(verdict.is_proved());
     let profile = session.profile().expect("profile captured after proving");
-    for phase in ["prove_goal", "round", "expand", "normalize", "check"] {
+    for phase in [
+        "prove_goal",
+        "round",
+        "expand",
+        "normalize",
+        "subst",
+        "case",
+        "check",
+    ] {
         let stat = profile
             .phase(phase)
             .unwrap_or_else(|| panic!("phase {phase} missing from profile"));
