@@ -51,7 +51,7 @@
 
 use std::time::Instant;
 
-use cycleq_term::{Head, IdHashMap, IdSubst, Signature, Term, TermId, TermStore, VarId};
+use cycleq_term::{Head, IdHashMap, Signature, Term, TermId, TermStore, VarId};
 
 use crate::limits::{Interrupted, RunLimits};
 use crate::rule::Rule;
@@ -600,12 +600,6 @@ impl<'a> MemoRewriter<'a> {
                 }
             }
         }
-    }
-
-    /// Applies a goal substitution to an interned term (delegates to the
-    /// store; exposed here so prover loops need only one handle).
-    pub fn subst(&mut self, id: TermId, theta: &IdSubst) -> TermId {
-        self.store.subst(id, theta)
     }
 }
 

@@ -216,7 +216,7 @@ impl<'a> Prover<'a> {
                 && search.stats.depth_limit_hits > 0
                 && depth < self.config.max_depth;
             if !deepen {
-                search.add_store_stats(&mut total);
+                search.fill_store_stats(&mut total);
                 total.elapsed = start.elapsed();
                 return ProofResult {
                     outcome,
@@ -381,7 +381,7 @@ impl<'a> Search<'a> {
     /// once per call: the memo and composition counts are totals over the
     /// call, the store sizes are the call's, and `closure_graphs` is what
     /// the last round's closure retains.
-    fn add_store_stats(&self, stats: &mut SearchStats) {
+    fn fill_store_stats(&self, stats: &mut SearchStats) {
         stats.closure_graphs = self.closure.num_graphs();
         stats.closure_compositions = self.closure.compositions();
         stats.composition_memo_hits = self.closure.memo_hits();
