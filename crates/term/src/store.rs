@@ -181,11 +181,11 @@ impl TermStore {
     /// Starts the key of a node with the head of `id` and its first `n`
     /// arguments, and returns the head.
     fn start_spine_key(&mut self, id: TermId, n: usize) -> Head {
-        let node = &self.nodes[id.index()];
-        self.key.clear();
-        self.key.extend_from_slice(&head_words(node.head));
-        self.key.extend(node.args[..n].iter().map(|a| a.0));
-        node.head
+        let head = self.head(id);
+        self.start_key(head);
+        self.key
+            .extend(self.nodes[id.index()].args[..n].iter().map(|a| a.0));
+        head
     }
 
     /// Interns the node headed by `head` whose whole key the key buffer
