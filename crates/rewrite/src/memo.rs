@@ -167,9 +167,9 @@ pub struct MemoRewriter<'a> {
     memo: IdHashMap<TermId, TermId>,
     memo_hits: u64,
     /// Argument ids under construction, used as one stack by every
-    /// recursive builder here: each pushes above the length it found and
-    /// cuts the stack back once its node is interned, so building a node
-    /// allocates no vector of its own.
+    /// recursive function here that interns nodes: each pushes above the
+    /// length it found and cuts the stack back once its node is interned,
+    /// so building a node allocates no vector of its own.
     args: Vec<TermId>,
     /// The reduction chains of the `norm` frames in progress, stacked the
     /// same way: each frame's chain lies above the length it found.
